@@ -84,23 +84,6 @@ std::vector<bool> ShardedNdpClient::Eligibility(
   return eligible;
 }
 
-int ShardedNdpClient::ProbeHealth() {
-  int suspects = 0;
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    bool suspect = false;
-    try {
-      suspect = servers_[i]->Health().draining;
-    } catch (const Error&) {
-      // Unreachable counts as suspect; the replica chain will route
-      // around it and the node rejoins on the next clean probe.
-      suspect = true;
-    }
-    MarkSuspect(static_cast<int>(i), suspect);
-    if (suspect) ++suspects;
-  }
-  return suspects;
-}
-
 ndp::NdpClient::FileInfo ShardedNdpClient::Info(const std::string& key) {
   {
     std::lock_guard lk(info_mu_);
@@ -267,18 +250,24 @@ void ShardedNdpClient::Reap(bool wait) {
   }
 }
 
-ndp::PartialFetch ShardedNdpClient::SubFetch(
-    int shard, const std::string& key, const std::string& array,
-    const std::vector<double>& isovalues,
-    const std::vector<std::int64_t>* only_bricks,
-    const std::vector<bool>& eligible) {
-  const std::vector<int> chain =
-      LiveChain(shard, eligible.empty() ? nullptr : &eligible);
-  obs::Registry& reg = obs::DefaultRegistry();
-  reg.GetCounter("cluster_subfetch_total", {{"shard", ShardTag(shard)}})
-      .Increment();
-  obs::Span span("cluster.shard" + ShardTag(shard));
+void ShardedNdpClient::Merge::Deliver(const ndp::StreamHeader& from,
+                                     const ndp::DecodedSelection& selection) {
+  std::lock_guard lk(mu);
+  if (!field.has_value()) {
+    header = from;
+    field.emplace(from.dims, from.dtype);
+  } else if (header.dims.nx != from.dims.nx || header.dims.ny != from.dims.ny ||
+             header.dims.nz != from.dims.nz || header.dtype != from.dtype) {
+    throw Error("shards disagree on dataset shape — mixed replicas?");
+  }
+  field->Scatter(selection.ids, selection.values);
+}
 
+ndp::PartialFetch ShardedNdpClient::HedgedFetch(
+    int shard, const std::vector<int>& chain, const std::string& key,
+    const std::string& array, const std::vector<double>& isovalues,
+    const std::vector<std::int64_t>* only_bricks) {
+  obs::Registry& reg = obs::DefaultRegistry();
   auto state = std::make_shared<Race>();
   state->slots.resize(chain.size());
   std::vector<std::future<void>> attempts;
@@ -411,16 +400,14 @@ ndp::PartialFetch ShardedNdpClient::SubFetch(
   // Hand losers still in flight to the reaper; their slots stay alive
   // through the shared Race until the worker finishes.
   Park(std::move(attempts));
-  span.End();
-  subfetch_seconds_.Observe(span.ElapsedSeconds());
   return result;
 }
 
-ShardedNdpClient::ShardStream ShardedNdpClient::SubFetchStreaming(
+ndp::StreamAccumulator ShardedNdpClient::SubFetch(
     int shard, const std::string& key, const std::string& array,
     const std::vector<double>& isovalues,
-    const std::vector<std::int64_t>& bricks,
-    const std::vector<bool>& eligible, StreamMerge& merge) {
+    const std::vector<std::int64_t>* only_bricks,
+    const std::vector<bool>& eligible, Merge& merge) {
   const std::vector<int> chain =
       LiveChain(shard, eligible.empty() ? nullptr : &eligible);
   obs::Registry& reg = obs::DefaultRegistry();
@@ -428,26 +415,21 @@ ShardedNdpClient::ShardStream ShardedNdpClient::SubFetchStreaming(
       .Increment();
   obs::Span span("cluster.shard" + ShardTag(shard));
 
-  ShardStream out;
-  const auto deliver = [&](const ndp::DecodedSelection& sel) {
-    std::lock_guard lk(merge.mu);
-    if (!merge.field.has_value()) {
-      merge.dims = out.acc.header.dims;
-      merge.geometry.origin = {out.acc.header.origin[0],
-                               out.acc.header.origin[1],
-                               out.acc.header.origin[2]};
-      merge.geometry.spacing = {out.acc.header.spacing[0],
-                                out.acc.header.spacing[1],
-                                out.acc.header.spacing[2]};
-      merge.field.emplace(merge.dims, out.acc.header.dtype);
-    } else if (merge.dims.nx != out.acc.header.dims.nx ||
-               merge.dims.ny != out.acc.header.dims.ny ||
-               merge.dims.nz != out.acc.header.dims.nz) {
-      throw Error("shards disagree on dataset shape — mixed replicas?");
-    }
-    merge.field->Scatter(sel.ids, sel.values);
-  };
+  if (stream_.chunk_bricks == 0) {
+    ndp::PartialFetch won =
+        HedgedFetch(shard, chain, key, array, isovalues, only_bricks);
+    span.End();
+    subfetch_seconds_.Observe(span.ElapsedSeconds());
+    obs::Span merge_span("cluster.merge");
+    merge.Deliver(won.acc.header, won.selection);
+    return std::move(won.acc);
+  }
 
+  ndp::StreamAccumulator acc;
+  acc.streamed = true;
+  const auto deliver = [&](ndp::DecodedSelection&& sel) {
+    merge.Deliver(acc.header, sel);
+  };
   std::exception_ptr last;
   for (size_t i = 0; i < chain.size(); ++i) {
     const int sv = chain[i];
@@ -456,23 +438,23 @@ ShardedNdpClient::ShardStream ShardedNdpClient::SubFetchStreaming(
       obs::GlobalEventLog().Append(
           "cluster.failover",
           "shard=" + ShardTag(shard) + " server=" + std::to_string(sv));
-      if (out.acc.got_header) {
+      if (acc.got_header) {
         // The hop continues a started stream from its cursor — a
         // mid-stream resume on a different data copy, the recovery rung
         // the per-node resume budget cannot provide.
         reg.GetCounter("ndp_stream_resume_total").Increment();
         obs::GlobalEventLog().Append(
             "ndp.stream_resume",
-            "key=" + key + " cursor=" + std::to_string(out.acc.cursor) +
+            "key=" + key + " cursor=" + std::to_string(acc.cursor) +
                 " server=" + std::to_string(sv));
       }
     }
     try {
-      out.terminal = servers_[static_cast<size_t>(sv)]->StreamSelect(
-          key, array, isovalues, &bricks, out.acc, deliver);
+      servers_[static_cast<size_t>(sv)]->StreamSelect(
+          key, array, isovalues, only_bricks, acc, deliver);
       span.End();
       subfetch_seconds_.Observe(span.ElapsedSeconds());
-      return out;
+      return acc;
     } catch (const BusyError&) {
       MarkSuspect(sv, true);
       last = std::current_exception();
@@ -485,140 +467,6 @@ ShardedNdpClient::ShardStream ShardedNdpClient::SubFetchStreaming(
   std::rethrow_exception(last);
 }
 
-contour::SparseField ShardedNdpClient::FetchSparseFieldStreaming(
-    const std::string& key, const std::string& array,
-    const std::vector<double>& isovalues, grid::UniformGeometry* geometry,
-    ndp::NdpLoadStats* stats,
-    const ndp::NdpClient::FileInfo::Array& meta) {
-  obs::Span total_span("cluster.fetch");
-  Reap(/*wait=*/false);
-  const std::vector<bool> eligible = Eligibility(fleet_view());
-
-  std::vector<std::pair<int, std::vector<std::int64_t>>> plan;
-  std::vector<std::vector<std::int64_t>> slices =
-      map_.Partition(key, meta.brick_count, &eligible);
-  for (int s = 0; s < static_cast<int>(slices.size()); ++s) {
-    if (!slices[static_cast<size_t>(s)].empty()) {
-      plan.emplace_back(s, std::move(slices[static_cast<size_t>(s)]));
-    }
-  }
-
-  StreamMerge merge;
-  const obs::TraceContext parent_ctx = obs::CurrentTraceContext();
-  std::vector<std::future<ShardStream>> futures;
-  futures.reserve(plan.size());
-  for (const auto& [shard, bricks] : plan) {
-    futures.push_back(std::async(
-        std::launch::async,
-        [this, shard = shard, &key, &array, &isovalues, &bricks, parent_ctx,
-         &eligible, &merge]() {
-          std::optional<obs::ScopedTraceContext> scope;
-          if (parent_ctx.valid()) scope.emplace(parent_ctx);
-          return SubFetchStreaming(shard, key, array, isovalues, bricks,
-                                   eligible, merge);
-        }));
-  }
-
-  std::vector<ShardStream> results;
-  results.reserve(plan.size());
-  std::exception_ptr shard_failure;
-  for (std::future<ShardStream>& f : futures) {
-    try {
-      results.push_back(f.get());
-    } catch (const BusyError&) {
-      shard_failure = std::current_exception();
-    } catch (const RpcError&) {
-      throw;  // application error: identical on every replica
-    } catch (const Error&) {
-      shard_failure = std::current_exception();
-    }
-  }
-
-  if (shard_failure != nullptr) {
-    // Rung 3, as in the monolithic path: a shard exhausted its chain,
-    // so trade bandwidth for availability with an unrestricted rescue
-    // fetch. The whole-dataset selection re-covers bricks the streams
-    // already scattered; the duplicate-invariant Scatter absorbs that.
-    obs::DefaultRegistry().GetCounter("cluster_unrestricted_fallback_total")
-        .Increment();
-    obs::GlobalEventLog().Append("cluster.unrestricted_fallback",
-                                 "key=" + key);
-    bool rescued = false;
-    std::vector<int> rescue_order;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (int sv = 0; sv < server_count(); ++sv) {
-        if (eligible[static_cast<size_t>(sv)] == (pass == 0)) {
-          rescue_order.push_back(sv);
-        }
-      }
-    }
-    for (const int sv : rescue_order) {
-      if (rescued) break;
-      try {
-        obs::Span rescue_span("cluster.rescue");
-        ndp::PartialFetch whole =
-            servers_[static_cast<size_t>(sv)]->FetchPartial(key, array,
-                                                            isovalues,
-                                                            nullptr);
-        std::lock_guard lk(merge.mu);
-        if (!merge.field.has_value()) {
-          merge.dims = whole.dims;
-          merge.geometry = whole.geometry;
-          merge.field.emplace(whole.dims, whole.dtype);
-        }
-        merge.field->Scatter(whole.selection.ids, whole.selection.values);
-        rescued = true;
-      } catch (const Error& e) {
-        obs::GlobalEventLog().Append(
-            "cluster.rescue_failed",
-            "server=" + std::to_string(sv) + " error=" + e.what());
-      }
-    }
-    if (!rescued) std::rethrow_exception(shard_failure);
-  }
-
-  VIZNDP_CHECK_MSG(merge.field.has_value(),
-                   "sharded streaming fetch produced no field");
-  if (geometry != nullptr) *geometry = merge.geometry;
-
-  if (stats != nullptr) {
-    *stats = ndp::NdpLoadStats{};
-    stats->trace_id = obs::CurrentTraceContext().trace_id;
-    stats->streamed = true;
-    for (const ShardStream& r : results) {
-      stats->stream_chunks += r.acc.chunks;
-      stats->stream_resumes += r.acc.resumes;
-      stats->stream_cancelled = stats->stream_cancelled || r.acc.cancelled;
-      stats->payload_bytes += r.acc.payload_bytes;
-      stats->reply_bytes += r.acc.payload_bytes + 256 * (r.acc.chunks + 2);
-      stats->bricks_total =
-          std::max(stats->bricks_total, r.acc.header.bricks_total);
-      stats->total_points =
-          std::max(stats->total_points,
-                   static_cast<std::uint64_t>(r.acc.header.total_points));
-      stats->client_decode_s += r.acc.decode_s;
-      stats->client_scatter_s += r.acc.scatter_s;
-      if (r.terminal.Is<msgpack::Map>()) {
-        stats->stored_bytes += r.terminal.At("stored_bytes").AsUint();
-        stats->raw_bytes = std::max(stats->raw_bytes,
-                                    r.terminal.At("raw_bytes").AsUint());
-        stats->bricks_read += r.terminal.At("bricks_read").AsInt();
-        // Parallel shards: the fleet's phase time is the slowest shard.
-        stats->server_read_s = std::max(stats->server_read_s,
-                                        r.terminal.At("read_s").AsDouble());
-        stats->server_select_s =
-            std::max(stats->server_select_s,
-                     r.terminal.At("select_s").AsDouble());
-      }
-    }
-    stats->selected_points =
-        static_cast<std::uint64_t>(merge.field->ValidCount());
-    total_span.End();
-    stats->client_s = total_span.ElapsedSeconds();
-  }
-  return std::move(*merge.field);
-}
-
 contour::SparseField ShardedNdpClient::FetchSparseField(
     const std::string& key, const std::string& array,
     const std::vector<double>& isovalues, grid::UniformGeometry* geometry,
@@ -626,17 +474,6 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
   std::optional<obs::ScopedTraceContext> root;
   if (obs::GlobalTracer().enabled() && !obs::CurrentTraceContext().valid()) {
     root.emplace(obs::TraceContext::Mint(/*sampled=*/true));
-  }
-  if (stream_.chunk_bricks > 0) {
-    // Streaming needs a brick-id cursor space; unbricked (or unknown)
-    // arrays fall through to the monolithic path below, which routes
-    // them whole to their rendezvous owner.
-    const ndp::NdpClient::FileInfo sinfo = Info(key);
-    const ndp::NdpClient::FileInfo::Array* smeta = sinfo.Find(array);
-    if (smeta != nullptr && smeta->brick_count > 0) {
-      return FetchSparseFieldStreaming(key, array, isovalues, geometry,
-                                       stats, *smeta);
-    }
   }
   obs::Span total_span("cluster.fetch");
   Reap(/*wait=*/false);
@@ -646,16 +483,15 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
   // once it is taken.
   const std::vector<bool> eligible = Eligibility(fleet_view());
 
-  // Placement needs the brick decomposition; a monolithic array cannot
-  // be sub-divided and routes whole to its rendezvous owner.
+  // Placement needs the brick decomposition; an unbricked array cannot
+  // be sub-divided and routes whole to its rendezvous owner — as does an
+  // array the catalog doesn't know, which the home server rejects with
+  // its canonical application error.
   const ndp::NdpClient::FileInfo info = Info(key);
   const ndp::NdpClient::FileInfo::Array* meta = info.Find(array);
-
   std::vector<std::pair<int, std::vector<std::int64_t>>> plan;
   const bool whole_key = meta == nullptr || meta->brick_count == 0;
   if (whole_key) {
-    // Monolithic array — or an array the catalog doesn't know, which the
-    // home server rejects with its canonical application error.
     plan.emplace_back(map_.ShardOfKey(key, &eligible),
                       std::vector<std::int64_t>{});
   } else {
@@ -668,30 +504,31 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
     }
   }
 
-  // Scatter: one concurrent sub-fetch per shard slice. Gather is a
-  // barrier — the merge needs every partial.
+  // Scatter: one concurrent sub-fetch per shard slice, each delivering
+  // into the shared merge. Gather is a barrier for the stats.
+  Merge merge;
   const obs::TraceContext parent_ctx = obs::CurrentTraceContext();
-  std::vector<std::future<ndp::PartialFetch>> futures;
+  std::vector<std::future<ndp::StreamAccumulator>> futures;
   futures.reserve(plan.size());
   for (const auto& [shard, bricks] : plan) {
     const std::vector<std::int64_t>* restriction =
         whole_key ? nullptr : &bricks;
     futures.push_back(std::async(
         std::launch::async, [this, shard = shard, &key, &array, &isovalues,
-                             restriction, parent_ctx, &eligible]() {
+                             restriction, parent_ctx, &eligible, &merge]() {
           std::optional<obs::ScopedTraceContext> scope;
           if (parent_ctx.valid()) scope.emplace(parent_ctx);
-          return SubFetch(shard, key, array, isovalues, restriction,
-                          eligible);
+          return SubFetch(shard, key, array, isovalues, restriction, eligible,
+                          merge);
         }));
   }
 
-  std::vector<ndp::PartialFetch> partials;
-  partials.reserve(plan.size());
+  std::vector<ndp::StreamAccumulator> selects;
+  selects.reserve(plan.size() + 1);
   std::exception_ptr shard_failure;
-  for (size_t i = 0; i < futures.size(); ++i) {
+  for (std::future<ndp::StreamAccumulator>& f : futures) {
     try {
-      partials.push_back(futures[i].get());
+      selects.push_back(f.get());
     } catch (const BusyError&) {
       shard_failure = std::current_exception();
     } catch (const RpcError&) {
@@ -705,7 +542,9 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
     // Rung 3: some shard exhausted its replica chain. Any single live
     // node can still serve the *whole* dataset (every node is a full
     // replica), so trade the bandwidth win for availability before
-    // falling back to the caller's baseline path.
+    // falling back to the caller's baseline path. The whole-dataset
+    // selection re-covers what other shards already delivered; the
+    // duplicate-invariant Scatter absorbs that.
     obs::DefaultRegistry().GetCounter("cluster_unrestricted_fallback_total")
         .Increment();
     obs::GlobalEventLog().Append("cluster.unrestricted_fallback",
@@ -725,9 +564,14 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
       if (rescued) break;
       try {
         obs::Span rescue_span("cluster.rescue");
-        partials.clear();
-        partials.push_back(servers_[static_cast<size_t>(sv)]->FetchPartial(
-            key, array, isovalues, nullptr));
+        ndp::StreamAccumulator acc;
+        acc.streamed = stream_.chunk_bricks > 0;
+        servers_[static_cast<size_t>(sv)]->StreamSelect(
+            key, array, isovalues, nullptr, acc,
+            [&](ndp::DecodedSelection&& sel) {
+              merge.Deliver(acc.header, sel);
+            });
+        selects.push_back(std::move(acc));
         rescued = true;
       } catch (const Error& e) {
         // Swallowed on purpose — the next server in the order is the
@@ -741,48 +585,30 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
     if (!rescued) std::rethrow_exception(shard_failure);
   }
 
-  VIZNDP_CHECK_MSG(!partials.empty(), "sharded fetch produced no partials");
-  // Merge. Scatter is idempotent for duplicate ids (shard halos overlap
-  // on brick boundaries with identical values) and order-independent,
-  // so any arrival order reconstructs the same field.
-  const ndp::PartialFetch& first = partials.front();
-  for (const ndp::PartialFetch& p : partials) {
-    VIZNDP_CHECK_MSG(p.dims.nx == first.dims.nx &&
-                         p.dims.ny == first.dims.ny &&
-                         p.dims.nz == first.dims.nz &&
-                         p.dtype == first.dtype,
-                     "shards disagree on dataset shape — mixed replicas?");
+  // A select with no straddling brick delivers nothing; its header still
+  // names the grid.
+  for (const ndp::StreamAccumulator& acc : selects) {
+    if (merge.field.has_value()) break;
+    if (acc.got_header) {
+      merge.header = acc.header;
+      merge.field.emplace(acc.header.dims, acc.header.dtype);
+    }
   }
-  if (geometry != nullptr) *geometry = first.geometry;
-  contour::SparseField field(first.dims, first.dtype);
-  obs::Span scatter_span("cluster.merge");
-  for (const ndp::PartialFetch& p : partials) {
-    field.Scatter(p.selection.ids, p.selection.values);
-  }
-  scatter_span.End();
+  VIZNDP_CHECK_MSG(merge.field.has_value(), "sharded fetch produced no field");
+  if (geometry != nullptr) *geometry = merge.header.geometry;
 
   if (stats != nullptr) {
     *stats = ndp::NdpLoadStats{};
     stats->trace_id = obs::CurrentTraceContext().trace_id;
-    for (const ndp::PartialFetch& p : partials) {
-      stats->stored_bytes += p.stored_bytes;
-      stats->raw_bytes = std::max(stats->raw_bytes, p.raw_bytes);
-      stats->payload_bytes += p.payload_bytes;
-      stats->reply_bytes += p.payload_bytes + 256;
-      stats->bricks_read += p.bricks_read;
-      stats->total_points = std::max(stats->total_points, p.total_points);
-      // Parallel shards: the fleet's phase time is the slowest shard.
-      stats->server_read_s = std::max(stats->server_read_s, p.server_read_s);
-      stats->server_select_s =
-          std::max(stats->server_select_s, p.server_select_s);
+    for (const ndp::StreamAccumulator& acc : selects) {
+      ndp::AddLoadStats(acc, *stats);
     }
-    stats->bricks_total = first.bricks_total;
-    stats->selected_points = static_cast<std::uint64_t>(field.ValidCount());
-    stats->client_scatter_s = scatter_span.ElapsedSeconds();
+    stats->selected_points =
+        static_cast<std::uint64_t>(merge.field->ValidCount());
     total_span.End();
     stats->client_s = total_span.ElapsedSeconds();
   }
-  return field;
+  return std::move(*merge.field);
 }
 
 }  // namespace vizndp::cluster

@@ -66,10 +66,12 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   // timeout configured on the underlying clients).
   ~ShardedNdpClient() override;
 
-  // Scatter-gather fetch. Stats are the order-independent merge of the
-  // per-shard replies: byte/brick counts sum, server phase times take
-  // the max (the shards ran in parallel), selected_points is the
-  // *deduplicated* count (shard halos overlap on brick boundaries).
+  // Scatter-gather fetch: one sub-fetch per shard of the plan (a brick
+  // partition, or the whole key when the array is unbricked), each
+  // delivering into one shared field. Stats are the order-independent
+  // merge of the per-shard selects (ndp::AddLoadStats); selected_points
+  // is the *deduplicated* count (shard halos overlap on brick
+  // boundaries).
   contour::SparseField FetchSparseField(
       const std::string& key, const std::string& array,
       const std::vector<double>& isovalues, grid::UniformGeometry* geometry,
@@ -86,11 +88,6 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   // avoid. Propagates the options to the per-server clients.
   void SetStream(const ndp::StreamOptions& options);
   const ndp::StreamOptions& stream() const { return stream_; }
-
-  // Polls ndp.health on every server; draining or unreachable nodes are
-  // marked suspect and moved to the back of every replica chain until
-  // the next probe. Returns the number of suspect servers.
-  int ProbeHealth();
 
   // Test hook: treat `server` as suspect without a probe.
   void MarkSuspect(int server, bool suspect = true);
@@ -138,43 +135,39 @@ class ShardedNdpClient : public ndp::NdpFetcher {
     std::vector<Slot> slots;
   };
 
-  // Hedged, failing-over fetch of one shard's slice (`only_bricks`
-  // nullptr = the whole dataset, for unbricked arrays). Throws the last
-  // replica's error once the chain is exhausted. `eligible` is the
-  // fetch's view snapshot (empty = all servers).
-  ndp::PartialFetch SubFetch(int shard, const std::string& key,
-                             const std::string& array,
-                             const std::vector<double>& isovalues,
-                             const std::vector<std::int64_t>* only_bricks,
-                             const std::vector<bool>& eligible);
-
-  // Shared scatter target of one streaming fetch: shard workers append
-  // chunks under the mutex as they arrive (SparseField::Scatter is
-  // order/duplicate-invariant, so interleaving is safe).
-  struct StreamMerge {
+  // Shared scatter target of one fetch: shard workers deliver into it as
+  // their data arrives (SparseField::Scatter is order/duplicate-
+  // invariant, so interleaving is safe). The first delivery fixes the
+  // grid; a shard that disagrees is a mixed-replica error.
+  struct Merge {
     std::mutex mu;
     std::optional<contour::SparseField> field;
-    grid::Dims dims;
-    grid::UniformGeometry geometry;
-  };
-  struct ShardStream {
-    ndp::StreamAccumulator acc;
-    msgpack::Value terminal;
+    ndp::StreamHeader header;
+
+    void Deliver(const ndp::StreamHeader& from,
+                 const ndp::DecodedSelection& selection);
   };
 
-  // Streaming sub-fetch: walks the replica chain sequentially, carrying
-  // the accumulator (cursor) across hops.
-  ShardStream SubFetchStreaming(int shard, const std::string& key,
+  // One shard's slice (`only_bricks` nullptr = the whole dataset, for
+  // unbricked arrays), delivered into `merge`. One-shot: a hedged race
+  // over the replica chain (HedgedFetch), whose winner is then delivered.
+  // Streamed: the chain is walked in sequence, carrying the accumulator
+  // (cursor) across hops. Throws the last replica's error once the
+  // chain is exhausted. `eligible` is the fetch's view snapshot (empty =
+  // all servers).
+  ndp::StreamAccumulator SubFetch(int shard, const std::string& key,
+                                  const std::string& array,
+                                  const std::vector<double>& isovalues,
+                                  const std::vector<std::int64_t>* only_bricks,
+                                  const std::vector<bool>& eligible,
+                                  Merge& merge);
+
+  // Hedged, failing-over one-shot fetch of a slice over `chain`.
+  ndp::PartialFetch HedgedFetch(int shard, const std::vector<int>& chain,
+                                const std::string& key,
                                 const std::string& array,
                                 const std::vector<double>& isovalues,
-                                const std::vector<std::int64_t>& bricks,
-                                const std::vector<bool>& eligible,
-                                StreamMerge& merge);
-
-  contour::SparseField FetchSparseFieldStreaming(
-      const std::string& key, const std::string& array,
-      const std::vector<double>& isovalues, grid::UniformGeometry* geometry,
-      ndp::NdpLoadStats* stats, const ndp::NdpClient::FileInfo::Array& meta);
+                                const std::vector<std::int64_t>* only_bricks);
 
   // Replica chain for `shard` over the eligible servers, with suspect
   // servers demoted to the back (skips counted and journaled).

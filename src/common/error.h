@@ -24,8 +24,8 @@ class DecodeError : public Error {
 // Stored data failed an integrity check (per-brick or whole-blob CRC,
 // size cross-check). Subtypes DecodeError so generic corrupt-input catch
 // sites keep working, but stays distinguishable: corruption is
-// *recoverable* (re-read the brick, fall back to the whole blob, fall
-// back to the baseline path) where ordinary decode failures are not.
+// *recoverable* (re-read the brick, fail over to a replica, fall back
+// to the baseline path) where ordinary decode failures are not.
 class CorruptDataError : public DecodeError {
  public:
   using DecodeError::DecodeError;

@@ -1,7 +1,6 @@
 #include "contour/select.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/error.h"
 
@@ -12,13 +11,10 @@ namespace {
 // Marks every corner of every mixed cell in `selected` (one byte per
 // point). A cell is mixed for isovalue v iff cell_min < v <= cell_max
 // under the inside(x) = x >= v convention.
-// Marks cells in z-slab [k_begin, k_end) for 3D grids (full range for 2D).
 template <typename T>
 void MarkInterestingPoints(const grid::Dims& dims, std::span<const T> values,
                            std::span<const double> isovalues,
-                           std::vector<std::uint8_t>& selected,
-                           std::int64_t k_begin = 0,
-                           std::int64_t k_end = -1) {
+                           std::vector<std::uint8_t>& selected) {
   // Single-isovalue loads are the common case on the NDP critical path;
   // hoist that comparison out of the per-cell dispatch.
   const bool single = isovalues.size() == 1;
@@ -62,8 +58,7 @@ void MarkInterestingPoints(const grid::Dims& dims, std::span<const T> values,
   // shifted combine; only the rare mixed cells take the marking branch.
   std::vector<T> colmin(static_cast<size_t>(nx));
   std::vector<T> colmax(static_cast<size_t>(nx));
-  if (k_end < 0) k_end = nz - 1;
-  for (std::int64_t k = k_begin; k < k_end; ++k) {
+  for (std::int64_t k = 0; k + 1 < nz; ++k) {
     for (std::int64_t j = 0; j + 1 < ny; ++j) {
       const T* const r00 = v + (k * ny + j) * nx;
       const T* const r10 = v + (k * ny + j + 1) * nx;
@@ -130,34 +125,6 @@ Selection BuildSelection(const grid::Dims& dims, const grid::DataArray& array,
   return GatherSelection<T>(dims, array, values, selected);
 }
 
-// Two-phase slab scan: even-indexed slabs run concurrently, then odd ones.
-// Adjacent slabs share one point plane; within a phase every slab's write
-// range is disjoint, so no synchronization is needed.
-template <typename T>
-Selection BuildSelectionParallel(const grid::Dims& dims,
-                                 const grid::DataArray& array,
-                                 std::span<const double> isovalues,
-                                 int threads) {
-  const auto values = array.View<T>();
-  std::vector<std::uint8_t> selected(static_cast<size_t>(dims.PointCount()), 0);
-  const std::int64_t cells_z = dims.nz - 1;
-  const std::int64_t slab =
-      std::max<std::int64_t>(1, (cells_z + threads - 1) / threads);
-  const std::int64_t slabs = (cells_z + slab - 1) / slab;
-  for (const std::int64_t phase : {0LL, 1LL}) {
-    std::vector<std::thread> workers;
-    for (std::int64_t sidx = phase; sidx < slabs; sidx += 2) {
-      const std::int64_t kb = sidx * slab;
-      const std::int64_t ke = std::min(cells_z, kb + slab);
-      workers.emplace_back([&, kb, ke] {
-        MarkInterestingPoints<T>(dims, values, isovalues, selected, kb, ke);
-      });
-    }
-    for (std::thread& w : workers) w.join();
-  }
-  return GatherSelection<T>(dims, array, values, selected);
-}
-
 }  // namespace
 
 Selection SelectInterestingPoints(const grid::Dims& dims,
@@ -196,29 +163,6 @@ std::int64_t CountInterestingPoints(const grid::Dims& dims,
   std::int64_t count = 0;
   for (const std::uint8_t s : selected) count += s;
   return count;
-}
-
-Selection SelectInterestingPointsParallel(const grid::Dims& dims,
-                                          const grid::DataArray& array,
-                                          std::span<const double> isovalues,
-                                          int threads) {
-  VIZNDP_CHECK_MSG(array.size() == dims.PointCount(),
-                   "array size does not match grid");
-  if (threads == 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  // Each phase needs at least two slabs to be worth spawning threads.
-  if (threads <= 1 || dims.Is2D() || dims.nz < 8) {
-    return SelectInterestingPoints(dims, array, isovalues);
-  }
-  switch (array.type()) {
-    case grid::DataType::Float32:
-      return BuildSelectionParallel<float>(dims, array, isovalues, threads);
-    case grid::DataType::Float64:
-      return BuildSelectionParallel<double>(dims, array, isovalues, threads);
-    default:
-      throw Error("selection requires a floating-point array");
-  }
 }
 
 }  // namespace vizndp::contour

@@ -56,14 +56,4 @@ std::int64_t CountInterestingPoints(const grid::Dims& dims,
                                     const grid::DataArray& array,
                                     std::span<const double> isovalues);
 
-// Thread-parallel variant for multi-core storage nodes: the cell scan is
-// partitioned into k-slabs (z-contiguous, so slab marks only overlap on
-// one shared point plane, which is idempotent). Result is identical to
-// the serial version. `threads` <= 1 or a 2D grid falls back to serial;
-// 0 means hardware_concurrency().
-Selection SelectInterestingPointsParallel(const grid::Dims& dims,
-                                          const grid::DataArray& array,
-                                          std::span<const double> isovalues,
-                                          int threads = 0);
-
 }  // namespace vizndp::contour

@@ -7,6 +7,7 @@
 #include "compress/checksum.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace vizndp::ndp {
 
@@ -17,50 +18,30 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-bool Straddles(double lo, double hi, std::span<const double> isovalues) {
-  for (const double iso : isovalues) {
-    if (lo < iso && hi >= iso) return true;
-  }
-  return false;
+bool Straddles(const io::BrickEntry& brick,
+               std::span<const double> isovalues) {
+  return std::any_of(isovalues.begin(), isovalues.end(), [&](double iso) {
+    return brick.min < iso && brick.max >= iso;
+  });
 }
 
 template <typename T>
-contour::Selection BrickedSelectT(const io::VndReader& reader,
-                                  const std::string& array,
-                                  const io::ArrayMeta& meta,
-                                  std::span<const double> isovalues,
-                                  BrickedSelectStats* stats,
-                                  const std::vector<std::int64_t>* only_bricks,
-                                  const storage::QuarantineSet* quarantine,
-                                  const std::string& quarantine_key) {
+contour::Selection SelectBricksT(const io::VndReader& reader,
+                                 const std::string& array,
+                                 const io::ArrayMeta& meta,
+                                 std::span<const double> isovalues,
+                                 const io::BrickGrid& bgrid,
+                                 std::span<const std::int64_t> batch,
+                                 BrickedSelectStats& local,
+                                 const storage::QuarantineSet* quarantine,
+                                 const std::string& quarantine_key) {
   const grid::Dims dims = reader.header().dims;
-  const io::BrickGrid bgrid(dims, meta.bricks->edge);
 
-  // (id, value) pairs from every straddling brick; ghost points selected
-  // by two bricks dedup after the sort (their values are identical).
+  // (id, value) pairs from every brick of the batch; ghost points
+  // selected by two bricks dedup after the sort (their values are
+  // identical).
   std::vector<std::pair<grid::PointId, T>> picked;
-  BrickedSelectStats local;
-  local.bricks_total = bgrid.BrickCount();
-
-  // Straddling bricks, ascending (== ascending blob offsets), optionally
-  // intersected with the sub-request's brick restriction (`only_bricks`
-  // is sorted, so the merge below stays a linear walk).
-  std::vector<std::int64_t> needed;
-  size_t restrict_cursor = 0;
-  for (std::int64_t b = 0; b < bgrid.BrickCount(); ++b) {
-    if (only_bricks != nullptr) {
-      while (restrict_cursor < only_bricks->size() &&
-             (*only_bricks)[restrict_cursor] < b) {
-        ++restrict_cursor;
-      }
-      if (restrict_cursor >= only_bricks->size() ||
-          (*only_bricks)[restrict_cursor] != b) {
-        continue;
-      }
-    }
-    const io::BrickEntry& entry = meta.bricks->entries[static_cast<size_t>(b)];
-    if (Straddles(entry.min, entry.max, isovalues)) needed.push_back(b);
-  }
+  std::vector<std::int64_t> needed(batch.begin(), batch.end());
   local.bricks_read = static_cast<std::int64_t>(needed.size());
 
   const compress::CodecPtr codec = compress::MakeCodec(meta.codec);
@@ -167,8 +148,7 @@ contour::Selection BrickedSelectT(const io::VndReader& reader,
       // Verify-then-decompress, with one recovery re-read. The brick CRC
       // (format v2) is checked *before* the decoder touches the bytes;
       // on mismatch the brick alone is fetched again — a transient flip
-      // heals, persistent corruption throws CorruptDataError and the
-      // caller falls back to the whole-blob path.
+      // heals, persistent corruption throws CorruptDataError.
       const auto t_decompress = std::chrono::steady_clock::now();
       ByteSpan brick_bytes = ByteSpan(run).subspan(
           entry.offset - first.offset, entry.stored_size);
@@ -217,11 +197,93 @@ contour::Selection BrickedSelectT(const io::VndReader& reader,
     values.push_back(value);
   }
   out.values = grid::DataArray::FromVector(array, std::move(values));
-  if (stats != nullptr) *stats = local;
   return out;
 }
 
 }  // namespace
+
+std::uint64_t BrickPlan::SlabBytes(size_t begin, size_t end,
+                                   grid::DataType type) const {
+  std::uint64_t points = 0;
+  for (size_t i = begin; i < end; ++i) {
+    points += static_cast<std::uint64_t>(grid.BrickExtent(bricks[i]).PointCount());
+  }
+  return points * grid::DataTypeSize(type);
+}
+
+BrickPlan PlanBricks(const grid::Dims& dims, const io::ArrayMeta& meta,
+                     std::span<const double> isovalues,
+                     const std::vector<std::int64_t>* only_bricks,
+                     std::int64_t resume_after) {
+  // An unbricked array's one brick spans the longest axis, so its slab
+  // is the whole grid.
+  const auto edge =
+      meta.bricks.has_value()
+          ? meta.bricks->edge
+          : static_cast<std::int32_t>(std::max({dims.nx, dims.ny, dims.nz}));
+  BrickPlan plan{io::BrickGrid(dims, edge), {}};
+  size_t restrict_cursor = 0;  // walks the sorted restriction
+  for (std::int64_t b = std::max<std::int64_t>(0, resume_after + 1);
+       b < plan.grid.BrickCount(); ++b) {
+    if (only_bricks != nullptr) {
+      while (restrict_cursor < only_bricks->size() &&
+             (*only_bricks)[restrict_cursor] < b) {
+        ++restrict_cursor;
+      }
+      if (restrict_cursor >= only_bricks->size()) break;
+      if ((*only_bricks)[restrict_cursor] != b) continue;
+    }
+    if (!meta.bricks.has_value() ||
+        Straddles(meta.bricks->entries[static_cast<size_t>(b)], isovalues)) {
+      plan.bricks.push_back(b);
+    }
+  }
+  return plan;
+}
+
+contour::Selection SelectBricks(const io::VndReader& reader,
+                                const std::string& array,
+                                std::span<const double> isovalues,
+                                const BrickPlan& plan,
+                                std::span<const std::int64_t> batch,
+                                BrickedSelectStats* stats,
+                                const storage::QuarantineSet* quarantine,
+                                const std::string& quarantine_key) {
+  const io::ArrayMeta* meta = reader.header().Find(array);
+  VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + array + "' in VND file");
+  BrickedSelectStats local;
+  local.bricks_total = plan.bricks_total();
+  contour::Selection out;
+  if (!meta->bricks.has_value()) {
+    VIZNDP_CHECK_MSG(batch.size() == 1 && batch.front() == 0,
+                     "an unbricked array has exactly one brick");
+    const auto t_read = std::chrono::steady_clock::now();
+    const grid::DataArray data = reader.ReadArray(array);
+    local.read_seconds = SecondsSince(t_read);
+    local.bytes_read = meta->stored_size;
+    local.bricks_read = 1;
+    obs::Span scan_span("ndp.select.scan");
+    out = contour::SelectInterestingPoints(reader.header().dims, data,
+                                           isovalues);
+    scan_span.End();
+    local.scan_seconds = scan_span.ElapsedSeconds();
+  } else {
+    switch (meta->type) {
+      case grid::DataType::Float32:
+        out = SelectBricksT<float>(reader, array, *meta, isovalues, plan.grid,
+                                   batch, local, quarantine, quarantine_key);
+        break;
+      case grid::DataType::Float64:
+        out = SelectBricksT<double>(reader, array, *meta, isovalues, plan.grid,
+                                    batch, local, quarantine, quarantine_key);
+        break;
+      default:
+        throw Error("selection requires a floating-point array");
+    }
+  }
+  if (stats != nullptr) *stats = local;
+  return out;
+}
 
 contour::Selection SelectInterestingPointsBricked(
     const io::VndReader& reader, const std::string& array,
@@ -231,18 +293,10 @@ contour::Selection SelectInterestingPointsBricked(
     const std::string& quarantine_key) {
   const io::ArrayMeta* meta = reader.header().Find(array);
   VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + array + "' in VND file");
-  VIZNDP_CHECK_MSG(meta->bricks.has_value(),
-                   "array '" + array + "' is not bricked");
-  switch (meta->type) {
-    case grid::DataType::Float32:
-      return BrickedSelectT<float>(reader, array, *meta, isovalues, stats,
-                                   only_bricks, quarantine, quarantine_key);
-    case grid::DataType::Float64:
-      return BrickedSelectT<double>(reader, array, *meta, isovalues, stats,
-                                    only_bricks, quarantine, quarantine_key);
-    default:
-      throw Error("selection requires a floating-point array");
-  }
+  const BrickPlan plan =
+      PlanBricks(reader.header().dims, *meta, isovalues, only_bricks);
+  return SelectBricks(reader, array, isovalues, plan, plan.bricks, stats,
+                      quarantine, quarantine_key);
 }
 
 }  // namespace vizndp::ndp

@@ -9,6 +9,11 @@
 // brick's [min, max] bounds every cell inside it, so skipped bricks
 // contain no mixed cells. The resulting selection is identical to the
 // dense SelectInterestingPoints.
+//
+// The brick batch is the unit of the select path: PlanBricks lists the
+// bricks a request needs, and SelectBricks reads, verifies and scans one
+// batch of them. A one-shot reply is the whole plan as one batch; a
+// stream ships one batch per chunk.
 #pragma once
 
 #include <span>
@@ -30,21 +35,46 @@ struct BrickedSelectStats {
   double scan_seconds = 0;       // per-brick selection scans (measured)
 };
 
+// The bricks one select needs, ascending (== ascending blob offsets).
+// Brick b is planned when its [min, max] straddles an isovalue
+// (min < iso <= max), b is in `only_bricks` (sorted ids; nullptr = all)
+// and b > `resume_after`. This is the only place the straddle predicate
+// lives, so a resumed stream covers exactly the bricks the original
+// would have. An unbricked array is a one-brick index: brick 0 is the
+// whole grid and, with no recorded range, is always planned.
+struct BrickPlan {
+  io::BrickGrid grid;  // brick extents; one brick for an unbricked array
+  std::vector<std::int64_t> bricks;
+
+  std::int64_t bricks_total() const { return grid.BrickCount(); }
+
+  // Decompressed bytes a batch pins at once: the point slabs of
+  // bricks[begin, end).
+  std::uint64_t SlabBytes(size_t begin, size_t end,
+                          grid::DataType type) const;
+};
+
+BrickPlan PlanBricks(const grid::Dims& dims, const io::ArrayMeta& meta,
+                     std::span<const double> isovalues,
+                     const std::vector<std::int64_t>* only_bricks = nullptr,
+                     std::int64_t resume_after = -1);
+
+// Reads, verifies and scans one batch of `plan`'s bricks (ascending ids)
+// and returns their selection, sorted with ghost points deduplicated.
+//
+// Layout: a bricked array's batch is fetched in coalesced runs of
+// consecutive bricks. Brick 0 of an unbricked array is the whole blob,
+// read with ReadArray (blob CRC) and scanned densely; that is the one
+// branch on the array's layout.
+//
 // Integrity: each brick is CRC-verified before decompression (format v2
 // files). A failing brick is re-read from the store once — transient
 // corruption (a flipped bit on the wire or in a cache) heals here — and
-// a brick that fails twice throws CorruptDataError, at which point the
-// caller (NdpServer) falls back to the whole-blob read for the array.
-// Both events are counted in the stats and in obs::DefaultRegistry()
-// (corrupt_brick_total / brick_reread_total).
-//
-// Sharding: `only_bricks` (sorted, unique brick ids) restricts the scan
-// to those bricks — the sub-request shape of the scatter-gather cluster
-// client. The restricted selection equals the unrestricted one filtered
-// to points owned by (or on the ghost boundary of) the listed bricks, so
-// the union of selections over a partition of the brick space, with
-// boundary duplicates dropped by id, is exactly the full selection.
-// nullptr means "all bricks".
+// a brick that fails twice throws CorruptDataError, which crosses the
+// wire typed; the recovery for it is a different data copy (a replica,
+// or the client's baseline read). Both events are counted in the stats
+// and in obs::DefaultRegistry() (corrupt_brick_total /
+// brick_reread_total).
 //
 // Quarantine: bricks the scrubber flagged corrupt-at-rest (`quarantine`
 // keyed by `quarantine_key`) are excluded from the coalesced runs —
@@ -54,6 +84,22 @@ struct BrickedSelectStats {
 // "ndp.quarantine_skip"). If the object was re-Put clean since the
 // scrub, that read verifies and the brick serves normally; otherwise
 // CorruptDataError propagates immediately. nullptr disables the check.
+contour::Selection SelectBricks(
+    const io::VndReader& reader, const std::string& array,
+    std::span<const double> isovalues, const BrickPlan& plan,
+    std::span<const std::int64_t> batch, BrickedSelectStats* stats = nullptr,
+    const storage::QuarantineSet* quarantine = nullptr,
+    const std::string& quarantine_key = {});
+
+// The whole pre-filter in one batch: SelectBricks over PlanBricks.
+//
+// Sharding: `only_bricks` (sorted, unique brick ids) restricts the scan
+// to those bricks — the sub-request shape of the scatter-gather cluster
+// client. The restricted selection equals the unrestricted one filtered
+// to points owned by (or on the ghost boundary of) the listed bricks, so
+// the union of selections over a partition of the brick space, with
+// boundary duplicates dropped by id, is exactly the full selection.
+// nullptr means "all bricks".
 contour::Selection SelectInterestingPointsBricked(
     const io::VndReader& reader, const std::string& array,
     std::span<const double> isovalues, BrickedSelectStats* stats = nullptr,

@@ -38,181 +38,219 @@ contour::PolyData NdpFetcher::Contour(const std::string& key,
   return field.Contour(geometry, isovalues);
 }
 
+namespace {
+
+// A one-shot ndp.select reply read as the stream it stands for: the
+// header, the single data chunk (the whole plan's bricks) and the
+// terminal summary, which is the reply minus its payload.
+struct OneShotReply {
+  StreamHeader header;
+  StreamChunk chunk;
+  Value terminal;
+};
+
+OneShotReply ParseOneShotReply(Value reply) {
+  OneShotReply out;
+  StreamHeader& h = out.header;
+  const auto& dims_v = reply.At("dims").As<Array>();
+  h.dims = grid::Dims{dims_v.at(0).AsInt(), dims_v.at(1).AsInt(),
+                      dims_v.at(2).AsInt()};
+  const auto& o = reply.At("origin").As<Array>();
+  const auto& s = reply.At("spacing").As<Array>();
+  for (size_t i = 0; i < 3; ++i) {
+    h.geometry.origin[i] = o.at(i).AsDouble();
+    h.geometry.spacing[i] = s.at(i).AsDouble();
+  }
+  h.dtype = grid::DataTypeFromName(reply.At("dtype").As<std::string>());
+  h.bricks_total = reply.At("bricks_total").AsInt();
+  h.stream_bricks = reply.At("bricks_read").AsInt();
+  h.total_points = static_cast<std::int64_t>(reply.At("total_points").AsUint());
+  out.chunk.cursor = h.bricks_total - 1;
+  out.chunk.bricks = h.stream_bricks;
+  out.chunk.selected = static_cast<std::int64_t>(reply.At("selected").AsUint());
+  auto& map = reply.AsMutable<msgpack::Map>();
+  const auto payload = std::find_if(map.begin(), map.end(), [](const auto& kv) {
+    return kv.first.template Is<std::string>() &&
+           kv.first.template As<std::string>() == "payload";
+  });
+  if (payload == map.end()) throw DecodeError("select reply has no payload");
+  out.chunk.payload = std::move(payload->second.AsMutable<Bytes>());
+  map.erase(payload);
+  out.terminal = std::move(reply);
+  return out;
+}
+
+// On a resume the stream restarts with a fresh header; the original
+// stays authoritative (its stream_bricks is the full stream's size, for
+// progress), but the grid shape must agree — a replica describing
+// different data is corruption, not recovery.
+void AcceptHeader(StreamAccumulator& acc, const StreamHeader& h,
+                  const NdpClient::StreamHeaderFn& on_header) {
+  if (acc.got_header) {
+    if (h.dims.nx != acc.header.dims.nx || h.dims.ny != acc.header.dims.ny ||
+        h.dims.nz != acc.header.dims.nz || h.dtype != acc.header.dtype) {
+      throw DecodeError("stream resume: header shape mismatch");
+    }
+    return;
+  }
+  acc.got_header = true;
+  acc.header = h;
+  if (on_header) on_header(h);
+}
+
+void AcceptTerminal(StreamAccumulator& acc, const Value& terminal) {
+  acc.stored_bytes += terminal.At("stored_bytes").AsUint();
+  acc.raw_bytes = terminal.At("raw_bytes").AsUint();
+  acc.bricks_read += terminal.At("bricks_read").AsInt();
+  acc.server_read_s += terminal.At("read_s").AsDouble();
+  acc.server_select_s += terminal.At("select_s").AsDouble();
+}
+
+}  // namespace
+
+void AddLoadStats(const StreamAccumulator& acc, NdpLoadStats& stats) {
+  stats.streamed = stats.streamed || acc.streamed;
+  stats.stream_cancelled = stats.stream_cancelled || acc.cancelled;
+  stats.stream_chunks += acc.chunks;
+  stats.stream_resumes += acc.resumes;
+  stats.payload_bytes += acc.payload_bytes;
+  // Metadata is about 256 B per frame; the payload dominates.
+  stats.reply_bytes += acc.payload_bytes + 256 * acc.frames;
+  stats.stored_bytes += acc.stored_bytes;
+  stats.raw_bytes = std::max(stats.raw_bytes, acc.raw_bytes);
+  stats.bricks_read += acc.bricks_read;
+  stats.bricks_total = std::max(stats.bricks_total, acc.header.bricks_total);
+  stats.total_points =
+      std::max(stats.total_points,
+               static_cast<std::uint64_t>(acc.header.total_points));
+  stats.server_read_s = std::max(stats.server_read_s, acc.server_read_s);
+  stats.server_select_s = std::max(stats.server_select_s, acc.server_select_s);
+  stats.client_decode_s += acc.decode_s;
+  stats.client_scatter_s += acc.scatter_s;
+}
+
 PartialFetch NdpClient::FetchPartial(const std::string& key,
                                      const std::string& array,
                                      const std::vector<double>& isovalues,
                                      const std::vector<std::int64_t>* bricks) {
-  Array isos;
-  for (const double v : isovalues) isos.emplace_back(v);
-  Array params{Value(bucket_), Value(key), Value(array),
-               Value(std::move(isos)),
-               Value(static_cast<std::uint64_t>(encoding_))};
-  if (bricks != nullptr) {
-    params.push_back(BrickRestrictionToValue(*bricks));
-  }
-  Value reply = client_->Call(kRpcNdpSelect, std::move(params), CallOpts());
-
   PartialFetch out;
-  const auto& dims_v = reply.At("dims").As<Array>();
-  out.dims = grid::Dims{dims_v.at(0).AsInt(), dims_v.at(1).AsInt(),
-                        dims_v.at(2).AsInt()};
-  const auto& o = reply.At("origin").As<Array>();
-  const auto& s = reply.At("spacing").As<Array>();
-  out.geometry.origin = {o.at(0).AsDouble(), o.at(1).AsDouble(),
-                         o.at(2).AsDouble()};
-  out.geometry.spacing = {s.at(0).AsDouble(), s.at(1).AsDouble(),
-                          s.at(2).AsDouble()};
-  out.dtype = grid::DataTypeFromName(reply.At("dtype").As<std::string>());
-  const Bytes& payload = reply.At("payload").As<Bytes>();
-
-  obs::Span decode_span("ndp.decode");
-  out.selection = DecodeSelection(payload, out.dims);
-  decode_span.End();
-
-  out.stored_bytes = reply.At("stored_bytes").AsUint();
-  out.raw_bytes = reply.At("raw_bytes").AsUint();
-  out.payload_bytes = payload.size();
-  out.selected_points = reply.At("selected").AsUint();
-  out.total_points = reply.At("total_points").AsUint();
-  out.bricks_total = reply.At("bricks_total").AsInt();
-  out.bricks_read = reply.At("bricks_read").AsInt();
-  out.server_read_s = reply.At("read_s").AsDouble();
-  out.server_select_s = reply.At("select_s").AsDouble();
+  StreamSelect(key, array, isovalues, bricks, out.acc,
+               [&](DecodedSelection&& sel) { out.selection = std::move(sel); });
   return out;
 }
 
-msgpack::Value NdpClient::StreamSelectOnce(
-    const std::string& key, const std::string& array,
-    const std::vector<double>& isovalues,
-    const std::vector<std::int64_t>* only_bricks, StreamAccumulator& acc,
-    const StreamDeliverFn& deliver) {
+void NdpClient::AcceptChunk(StreamAccumulator& acc, const StreamChunk& chunk,
+                            obs::Span& decode_span,
+                            const StreamDeliverFn& deliver) const {
+  DecodedSelection sel = DecodeSelection(chunk.payload, acc.header.dims);
+  decode_span.End();
+  acc.decode_s += decode_span.ElapsedSeconds();
+  const size_t points = sel.ids.size();
+  obs::Span scatter_span("ndp.scatter");
+  deliver(std::move(sel));
+  scatter_span.End();
+  acc.scatter_s += scatter_span.ElapsedSeconds();
+  acc.cursor = chunk.cursor;
+  acc.chunks += 1;
+  acc.bricks_done += chunk.bricks;
+  acc.shipped_points += points;
+  acc.payload_bytes += chunk.payload.size();
+  if (acc.streamed && progress_) {
+    progress_(StreamProgress{acc.chunks, acc.bricks_done,
+                             acc.header.stream_bricks, acc.shipped_points,
+                             acc.resumes});
+  }
+}
+
+void NdpClient::StreamSelectOnce(const std::string& key,
+                                 const std::string& array,
+                                 const std::vector<double>& isovalues,
+                                 const std::vector<std::int64_t>* only_bricks,
+                                 StreamAccumulator& acc,
+                                 const StreamDeliverFn& deliver,
+                                 const StreamHeaderFn& on_header) {
   Array isos;
   for (const double v : isovalues) isos.emplace_back(v);
   Array params{Value(bucket_), Value(key), Value(array),
                Value(std::move(isos)),
                Value(static_cast<std::uint64_t>(encoding_))};
-  // The restriction slot (index 5) must be present — possibly Nil — so
-  // the stream map lands at its fixed position 6.
-  params.push_back(only_bricks != nullptr ? BrickRestrictionToValue(
-                                                *only_bricks)
-                                          : Value());
+  // The restriction slot (index 5) must be present — possibly Nil — when
+  // the stream map follows at its fixed position 6.
+  if (only_bricks != nullptr || acc.streamed) {
+    params.push_back(only_bricks != nullptr
+                         ? BrickRestrictionToValue(*only_bricks)
+                         : Value());
+  }
+
+  // Each attempt's RPC exchange is one ndp.partial span (the unit a shard
+  // sub-request traces as); a one-shot reply is decoded and delivered
+  // after it.
+  if (!acc.streamed) {
+    Value reply;
+    {
+      obs::Span rpc_span("ndp.partial");
+      reply = client_->Call(kRpcNdpSelect, std::move(params), CallOpts());
+    }
+    OneShotReply one = ParseOneShotReply(std::move(reply));
+    acc.frames += 1;
+    AcceptHeader(acc, one.header, on_header);
+    obs::Span decode_span("ndp.decode");
+    AcceptChunk(acc, one.chunk, decode_span, deliver);
+    AcceptTerminal(acc, one.terminal);
+    return;
+  }
+
   params.push_back(StreamParamsToValue(
       StreamParams{stream_.chunk_bricks, acc.cursor}));
-
   StreamDecoder decoder(acc.cursor);
   rpc::Client::StreamCallOptions copts;
   copts.timeout = options_.call_timeout;
   copts.chunk_timeout = stream_.chunk_timeout;
   bool cancelled = false;
-  const Value terminal = client_->CallStreaming(
-      kRpcNdpSelect, std::move(params), copts,
-      [&](const msgpack::Value& chunk_map) -> bool {
-        obs::Span decode_span("ndp.decode");
-        const std::optional<StreamChunk> data = decoder.Feed(chunk_map);
-        if (!data.has_value()) {
-          // Header. On a resume the stream restarts with a fresh header;
-          // the original stays authoritative (its stream_bricks is the
-          // full stream's size, for progress), but the grid shape must
-          // agree — a replica describing different data is corruption,
-          // not recovery.
-          const StreamHeader& h = decoder.header();
-          if (acc.got_header) {
-            if (h.dims.nx != acc.header.dims.nx ||
-                h.dims.ny != acc.header.dims.ny ||
-                h.dims.nz != acc.header.dims.nz ||
-                h.dtype != acc.header.dtype) {
-              throw DecodeError("stream resume: header shape mismatch");
-            }
-          } else {
-            acc.got_header = true;
-            acc.header = h;
+  Value terminal;
+  {
+    obs::Span rpc_span("ndp.partial");
+    terminal = client_->CallStreaming(
+        kRpcNdpSelect, std::move(params), copts,
+        [&](const msgpack::Value& chunk_map) -> bool {
+          acc.frames += 1;
+          obs::Span decode_span("ndp.decode");
+          const std::optional<StreamChunk> data = decoder.Feed(chunk_map);
+          if (!data.has_value()) {
+            AcceptHeader(acc, decoder.header(), on_header);
+            decode_span.End();
+            acc.decode_s += decode_span.ElapsedSeconds();
+            return true;
           }
-          decode_span.End();
-          acc.decode_s += decode_span.ElapsedSeconds();
+          if (cancel_ && cancel_()) return false;
+          AcceptChunk(acc, *data, decode_span, deliver);
           return true;
-        }
-        if (cancel_ && cancel_()) return false;
-        const DecodedSelection sel =
-            DecodeSelection(data->payload, acc.header.dims);
-        decode_span.End();
-        acc.decode_s += decode_span.ElapsedSeconds();
-        obs::Span scatter_span("ndp.scatter");
-        deliver(sel);
-        scatter_span.End();
-        acc.scatter_s += scatter_span.ElapsedSeconds();
-        acc.cursor = data->cursor;
-        acc.chunks += 1;
-        acc.bricks_done += data->bricks;
-        acc.shipped_points += sel.ids.size();
-        acc.payload_bytes += data->payload.size();
-        if (progress_) {
-          progress_(StreamProgress{acc.chunks, acc.bricks_done,
-                                   acc.header.stream_bricks,
-                                   acc.shipped_points, acc.resumes});
-        }
-        return true;
-      },
-      &cancelled);
+        },
+        &cancelled);
+  }
+  acc.frames += 1;
   if (cancelled) {
     acc.cancelled = true;
-    return Value();
+    return;
   }
-  if (decoder.got_header()) {
-    decoder.Finish();
-    return terminal;
-  }
-  // Monolithic degradation: a pre-streaming server (or an unbricked
-  // array) answered with the ordinary reply and zero chunk frames.
-  // Deliver the whole payload as one pseudo-chunk — after a resume this
-  // re-covers bricks already scattered, which the duplicate-invariant
-  // Scatter absorbs.
-  obs::Span decode_span("ndp.decode");
-  const auto& dims_v = terminal.At("dims").As<Array>();
-  StreamHeader h;
-  h.dims = grid::Dims{dims_v.at(0).AsInt(), dims_v.at(1).AsInt(),
-                      dims_v.at(2).AsInt()};
-  const auto& o = terminal.At("origin").As<Array>();
-  const auto& s = terminal.At("spacing").As<Array>();
-  for (int i = 0; i < 3; ++i) {
-    h.origin[i] = o.at(static_cast<size_t>(i)).AsDouble();
-    h.spacing[i] = s.at(static_cast<size_t>(i)).AsDouble();
-  }
-  h.dtype = grid::DataTypeFromName(terminal.At("dtype").As<std::string>());
-  h.bricks_total = terminal.At("bricks_total").AsInt();
-  h.stream_bricks = terminal.At("bricks_read").AsInt();
-  h.total_points =
-      static_cast<std::int64_t>(terminal.At("total_points").AsUint());
-  if (!acc.got_header) {
-    acc.got_header = true;
-    acc.header = h;
-  }
-  const Bytes& payload = terminal.At("payload").As<Bytes>();
-  const DecodedSelection sel = DecodeSelection(payload, acc.header.dims);
-  decode_span.End();
-  acc.decode_s += decode_span.ElapsedSeconds();
-  obs::Span scatter_span("ndp.scatter");
-  deliver(sel);
-  scatter_span.End();
-  acc.scatter_s += scatter_span.ElapsedSeconds();
-  acc.chunks += 1;
-  acc.bricks_done += terminal.At("bricks_read").AsInt();
-  acc.shipped_points += sel.ids.size();
-  acc.payload_bytes += payload.size();
-  return terminal;
+  decoder.Finish();
+  AcceptTerminal(acc, terminal);
 }
 
-msgpack::Value NdpClient::StreamSelect(
-    const std::string& key, const std::string& array,
-    const std::vector<double>& isovalues,
-    const std::vector<std::int64_t>* only_bricks, StreamAccumulator& acc,
-    const StreamDeliverFn& deliver) {
+void NdpClient::StreamSelect(const std::string& key, const std::string& array,
+                             const std::vector<double>& isovalues,
+                             const std::vector<std::int64_t>* only_bricks,
+                             StreamAccumulator& acc,
+                             const StreamDeliverFn& deliver,
+                             const StreamHeaderFn& on_header) {
   for (int attempt = 0;; ++attempt) {
     try {
-      return StreamSelectOnce(key, array, isovalues, only_bricks, acc,
-                              deliver);
+      StreamSelectOnce(key, array, isovalues, only_bricks, acc, deliver,
+                       on_header);
+      return;
     } catch (const Error& e) {
-      // Resumable: the stream died (deadline, stall, peer gone, a
-      // transient I/O blip) but the cursor survived. Anything else —
+      // Resumable: a stream died (deadline, stall, peer gone, a
+      // transient I/O blip) but its cursor survived. Anything else —
       // application errors, corruption — propagates; a different data
       // copy, not a retry, is the recovery for those.
       const bool resumable = dynamic_cast<const TimeoutError*>(&e) !=
@@ -221,7 +259,9 @@ msgpack::Value NdpClient::StreamSelect(
                                  nullptr ||
                              dynamic_cast<const TransientIoError*>(&e) !=
                                  nullptr;
-      if (!resumable || attempt >= stream_.max_resumes) throw;
+      if (!acc.streamed || !resumable || attempt >= stream_.max_resumes) {
+        throw;
+      }
       acc.resumes += 1;
       obs::DefaultRegistry().GetCounter("ndp_stream_resume_total")
           .Increment();
@@ -232,66 +272,6 @@ msgpack::Value NdpClient::StreamSelect(
                         net::MixBits(0x73747265616Dull));
     }
   }
-}
-
-contour::SparseField NdpClient::FetchSparseFieldStreaming(
-    const std::string& key, const std::string& array,
-    const std::vector<double>& isovalues, grid::UniformGeometry* geometry,
-    NdpLoadStats* stats) {
-  obs::Span total_span("ndp.fetch");
-  std::optional<contour::SparseField> field;
-  StreamAccumulator acc;
-  obs::Span rpc_span("ndp.partial");
-  const Value terminal =
-      StreamSelect(key, array, isovalues, nullptr, acc,
-                   [&](const DecodedSelection& sel) {
-                     if (!field.has_value()) {
-                       field.emplace(acc.header.dims, acc.header.dtype);
-                     }
-                     field->Scatter(sel.ids, sel.values);
-                   });
-  rpc_span.End();
-  VIZNDP_CHECK_MSG(acc.got_header,
-                   "stream produced neither header nor data");
-  if (!field.has_value()) {
-    // Zero-chunk stream: no straddling bricks (or cancelled before any
-    // data) — a legitimately empty selection.
-    field.emplace(acc.header.dims, acc.header.dtype);
-  }
-  if (geometry != nullptr) {
-    geometry->origin = {acc.header.origin[0], acc.header.origin[1],
-                        acc.header.origin[2]};
-    geometry->spacing = {acc.header.spacing[0], acc.header.spacing[1],
-                         acc.header.spacing[2]};
-  }
-  if (stats != nullptr) {
-    stats->trace_id = obs::CurrentTraceContext().trace_id;
-    stats->streamed = true;
-    stats->stream_cancelled = acc.cancelled;
-    stats->stream_chunks = acc.chunks;
-    stats->stream_resumes = acc.resumes;
-    stats->payload_bytes = acc.payload_bytes;
-    stats->reply_bytes = acc.payload_bytes + 256 * (acc.chunks + 2);
-    // Deduplicated: chunk halos may ship boundary points twice.
-    stats->selected_points = static_cast<std::uint64_t>(field->ValidCount());
-    stats->total_points =
-        static_cast<std::uint64_t>(acc.header.total_points);
-    stats->bricks_total = acc.header.bricks_total;
-    // Terminal summary (absent after a cancel — the stream never
-    // finished, so only client-side accounting exists).
-    if (terminal.Is<msgpack::Map>()) {
-      stats->stored_bytes = terminal.At("stored_bytes").AsUint();
-      stats->raw_bytes = terminal.At("raw_bytes").AsUint();
-      stats->bricks_read = terminal.At("bricks_read").AsInt();
-      stats->server_read_s = terminal.At("read_s").AsDouble();
-      stats->server_select_s = terminal.At("select_s").AsDouble();
-    }
-    stats->client_decode_s = acc.decode_s;
-    stats->client_scatter_s = acc.scatter_s;
-    total_span.End();
-    stats->client_s = total_span.ElapsedSeconds();
-  }
-  return std::move(*field);
 }
 
 contour::SparseField NdpClient::FetchSparseField(
@@ -307,41 +287,28 @@ contour::SparseField NdpClient::FetchSparseField(
   if (obs::GlobalTracer().enabled() && !obs::CurrentTraceContext().valid()) {
     root.emplace(obs::TraceContext::Mint(/*sampled=*/true));
   }
-  if (stream_.chunk_bricks > 0) {
-    return FetchSparseFieldStreaming(key, array, isovalues, geometry, stats);
-  }
   obs::Span total_span("ndp.fetch");
-
-  obs::Span rpc_span("ndp.partial");
-  PartialFetch partial = FetchPartial(key, array, isovalues, nullptr);
-  rpc_span.End();
-  const double decode_s = rpc_span.ElapsedSeconds();  // incl. RPC wait
-  if (geometry != nullptr) *geometry = partial.geometry;
-
-  contour::SparseField field(partial.dims, partial.dtype);
-  obs::Span scatter_span("ndp.scatter");
-  field.Scatter(partial.selection.ids, partial.selection.values);
-  scatter_span.End();
-
+  StreamAccumulator acc;
+  acc.streamed = stream_.chunk_bricks > 0;
+  // The field is built once the grid is known, outside the decode and
+  // scatter spans: ndp.fetch's own time is the field build.
+  std::optional<contour::SparseField> field;
+  StreamSelect(
+      key, array, isovalues, nullptr, acc,
+      [&](DecodedSelection&& sel) { field->Scatter(sel.ids, sel.values); },
+      [&](const StreamHeader& h) { field.emplace(h.dims, h.dtype); });
+  VIZNDP_CHECK_MSG(field.has_value(), "select produced no header");
+  if (geometry != nullptr) *geometry = acc.header.geometry;
   if (stats != nullptr) {
+    *stats = NdpLoadStats{};
     stats->trace_id = obs::CurrentTraceContext().trace_id;
-    stats->stored_bytes = partial.stored_bytes;
-    stats->raw_bytes = partial.raw_bytes;
-    stats->payload_bytes = partial.payload_bytes;
-    // Approximate full frame size: payload dominates; metadata is ~200 B.
-    stats->reply_bytes = partial.payload_bytes + 256;
-    stats->selected_points = partial.selected_points;
-    stats->total_points = partial.total_points;
-    stats->bricks_total = partial.bricks_total;
-    stats->bricks_read = partial.bricks_read;
-    stats->server_read_s = partial.server_read_s;
-    stats->server_select_s = partial.server_select_s;
-    stats->client_decode_s = decode_s;
-    stats->client_scatter_s = scatter_span.ElapsedSeconds();
+    AddLoadStats(acc, *stats);
+    // Deduplicated: stream chunks may ship ghost points twice.
+    stats->selected_points = static_cast<std::uint64_t>(field->ValidCount());
     total_span.End();
     stats->client_s = total_span.ElapsedSeconds();
   }
-  return field;
+  return std::move(*field);
 }
 
 NdpClient::ArrayStats NdpClient::Stats(const std::string& key,

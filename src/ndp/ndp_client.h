@@ -13,6 +13,7 @@
 #include "ndp/protocol.h"
 #include "net/retry.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "pipeline/algorithm.h"
 #include "rpc/client.h"
 #include "storage/file_gateway.h"
@@ -33,8 +34,8 @@ struct NdpClientOptions {
 };
 
 // Streaming-fetch knobs (protocol.h stream shape). chunk_bricks == 0
-// keeps the monolithic path; > 0 asks the server for per-brick-batch
-// chunk frames, scattered into the sparse field as they arrive.
+// asks for the one-shot reply (the stream's single batch); > 0 asks the
+// server for per-brick-batch chunk frames, delivered as they arrive.
 struct StreamOptions {
   std::int64_t chunk_bricks = 0;
   // Per-chunk progress deadline: how long the stream may sit with no
@@ -60,16 +61,22 @@ struct StreamProgress {
 };
 using StreamProgressFn = std::function<void(const StreamProgress&)>;
 
-// One logical stream's state across resume attempts and (in the
-// sharded client) replica hops. The cursor is the resume token: chunks
-// already scattered are never re-requested, and the order/duplicate-
-// invariant SparseField::Scatter makes re-delivered ghost points
-// harmless, so any mix of nodes reconstructs the same field.
+// One select's state across resume attempts and (in the sharded
+// client) replica hops. Both reply shapes feed it the same way: a
+// one-shot reply is a header, one data chunk and a terminal. The cursor
+// is the resume token of a stream: chunks already delivered are never
+// re-requested, and the order/duplicate-invariant SparseField::Scatter
+// makes re-delivered ghost points harmless, so any mix of nodes
+// reconstructs the same field.
 struct StreamAccumulator {
-  std::int64_t cursor = -1;  // last brick id scattered
+  std::int64_t cursor = -1;  // last brick id delivered
+  // The shape the caller asks for: chunk frames of stream().chunk_bricks
+  // bricks, or the one-shot reply. Fixed across resumes and hops.
+  bool streamed = false;
   bool got_header = false;
   bool cancelled = false;  // client-initiated cancel was acknowledged
   StreamHeader header;     // first attempt's header (authoritative)
+  std::uint64_t frames = 0;  // reply frames received
   std::uint64_t chunks = 0;
   std::uint64_t resumes = 0;
   std::uint64_t payload_bytes = 0;
@@ -77,6 +84,13 @@ struct StreamAccumulator {
   std::int64_t bricks_done = 0;
   double decode_s = 0;
   double scatter_s = 0;
+  // Server-side accounting, summed over the terminal summaries (absent
+  // after a cancel: the stream never finished).
+  std::uint64_t stored_bytes = 0;
+  std::uint64_t raw_bytes = 0;
+  std::int64_t bricks_read = 0;
+  double server_read_s = 0;
+  double server_select_s = 0;
 };
 
 // Per-phase accounting of one NDP data load (the paper's "data load
@@ -85,7 +99,7 @@ struct NdpLoadStats {
   std::uint64_t stored_bytes = 0;    // compressed bytes read on the server
   std::uint64_t raw_bytes = 0;       // decompressed array size
   std::uint64_t payload_bytes = 0;   // selection payload shipped to client
-  std::uint64_t reply_bytes = 0;     // full RPC reply frame size
+  std::uint64_t reply_bytes = 0;     // estimate: payload + 256 B per frame
   std::uint64_t selected_points = 0;
   std::uint64_t total_points = 0;
   // Brick-indexed arrays only: how much of the array the server touched.
@@ -96,12 +110,12 @@ struct NdpLoadStats {
   double server_read_s = 0;    // measured on the server (incl. decompress)
   double server_select_s = 0;  // measured on the server
   double client_s = 0;         // RPC round trip + decode + scatter
-  double client_decode_s = 0;  // payload decode ("ndp.decode" span)
-  double client_scatter_s = 0; // sparse-field scatter ("ndp.scatter" span)
+  double client_decode_s = 0;  // payload decode ("ndp.decode" spans)
+  double client_scatter_s = 0; // sparse-field scatter ("ndp.scatter" spans)
   // True when the NDP path was unreachable and NdpContourSource served
   // this load through the baseline full-array read instead.
   bool used_fallback = false;
-  // Streaming-fetch accounting (all zero on monolithic loads).
+  // Reply-shape accounting: a one-shot load is one chunk.
   bool streamed = false;
   bool stream_cancelled = false;
   std::uint64_t stream_chunks = 0;
@@ -139,25 +153,18 @@ class NdpFetcher {
                             NdpLoadStats* stats = nullptr);
 };
 
-// One shard's (or the single server's) reply to a — possibly
-// brick-restricted — ndp.select, decoded but not yet scattered. The
-// sharded client merges several of these into one SparseField; the
-// plain client scatters exactly one.
+// Adds one select's accounting to `stats`: the one place load stats are
+// filled from the wire. Counts and bytes sum; the server phase times
+// take the max, because a sharded fetch's selects run in parallel.
+// selected_points is left to the caller, who deduplicates in the field.
+void AddLoadStats(const StreamAccumulator& acc, NdpLoadStats& stats);
+
+// One — possibly brick-restricted — one-shot ndp.select, decoded but
+// not scattered: the sharded client's hedge race needs a result it can
+// drop.
 struct PartialFetch {
-  grid::Dims dims;
-  grid::UniformGeometry geometry;
-  grid::DataType dtype = grid::DataType::Float32;
+  StreamAccumulator acc;  // header, terminal summary and accounting
   DecodedSelection selection;
-  // Server-side accounting, summed/merged into NdpLoadStats.
-  std::uint64_t stored_bytes = 0;
-  std::uint64_t raw_bytes = 0;
-  std::uint64_t payload_bytes = 0;
-  std::uint64_t selected_points = 0;
-  std::uint64_t total_points = 0;
-  std::int64_t bricks_total = 0;
-  std::int64_t bricks_read = 0;
-  double server_read_s = 0;
-  double server_select_s = 0;
 };
 
 class NdpClient : public NdpFetcher {
@@ -184,28 +191,33 @@ class NdpClient : public NdpFetcher {
   // NdpLoadStats::stream_cancelled on the load).
   void SetStreamCancel(std::function<bool()> fn) { cancel_ = std::move(fn); }
 
-  // Chunks scattered by StreamSelect are handed to this callback; the
-  // accumulator's header has always arrived by the first call.
-  using StreamDeliverFn = std::function<void(const DecodedSelection&)>;
+  // Each data chunk's decoded selection, handed over by StreamSelect
+  // inside an "ndp.scatter" span; the accumulator's header has always
+  // arrived by the first call.
+  using StreamDeliverFn = std::function<void(DecodedSelection&&)>;
+  // Called once, when the first header arrives, before any delivery and
+  // outside the scatter span: where a caller builds what it scatters
+  // into.
+  using StreamHeaderFn = std::function<void(const StreamHeader&)>;
 
-  // One streaming ndp.select with mid-stream recovery against this
-  // node: issues the call with the accumulator's cursor, delivers each
-  // decoded data chunk, and on TimeoutError / StreamStallError /
-  // PeerClosedError / TransientIoError re-issues the call with
-  // resume_after=<cursor> (ndp_stream_resume_total / ndp.stream_resume
-  // per attempt, up to stream().max_resumes) — chunks already delivered
-  // are never refetched. Other errors, and an exhausted resume budget,
-  // propagate (ShardedNdpClient then hops to the next replica with the
-  // same accumulator). Returns the terminal summary map; a monolithic
-  // reply (pre-streaming server, unbricked array) is delivered as one
-  // pseudo-chunk and returned as-is; a client-initiated cancel returns
-  // Nil with acc.cancelled set.
-  msgpack::Value StreamSelect(const std::string& key,
-                              const std::string& array,
-                              const std::vector<double>& isovalues,
-                              const std::vector<std::int64_t>* only_bricks,
-                              StreamAccumulator& acc,
-                              const StreamDeliverFn& deliver);
+  // One ndp.select against this node, in the shape acc.streamed asks
+  // for, fed into `acc`: each data chunk is decoded and delivered, and the
+  // terminal summary is added to the accumulator. A one-shot reply is
+  // read as a header, one chunk and a terminal. A stream recovers
+  // mid-flight: on TimeoutError / StreamStallError / PeerClosedError /
+  // TransientIoError it re-issues the call with resume_after=<cursor>
+  // (ndp_stream_resume_total / ndp.stream_resume per attempt, up to
+  // stream().max_resumes), so chunks already delivered are never
+  // refetched. Other errors, an exhausted resume budget, and any error of
+  // a one-shot call (the rpc client's retry policy covers those)
+  // propagate; ShardedNdpClient then hops to the next replica with the
+  // same accumulator. A client-initiated cancel returns with
+  // acc.cancelled set.
+  void StreamSelect(const std::string& key, const std::string& array,
+                    const std::vector<double>& isovalues,
+                    const std::vector<std::int64_t>* only_bricks,
+                    StreamAccumulator& acc, const StreamDeliverFn& deliver,
+                    const StreamHeaderFn& on_header = {});
 
   // Runs the pre-filter remotely and reconstructs the sparse field.
   // Grid geometry comes back in the reply. `stats` may be null.
@@ -215,9 +227,11 @@ class NdpClient : public NdpFetcher {
                                         grid::UniformGeometry* geometry,
                                         NdpLoadStats* stats = nullptr) override;
 
-  // One ndp.select round trip, optionally restricted to `only_bricks`
-  // (sorted brick ids; nullptr = whole array): the scatter-gather
-  // sub-request. Returns the decoded but unscattered selection.
+  // A one-shot StreamSelect with a collecting deliver, optionally
+  // restricted to `only_bricks` (sorted brick ids; nullptr = whole
+  // array): the hedged scatter-gather sub-request. It reads no stream
+  // setting, so a hedge loser still running after its fetch returned
+  // never races a SetStream.
   PartialFetch FetchPartial(const std::string& key, const std::string& array,
                             const std::vector<double>& isovalues,
                             const std::vector<std::int64_t>* only_bricks);
@@ -341,19 +355,21 @@ class NdpClient : public NdpFetcher {
     return rpc::CallOptions{options_.call_timeout, /*idempotent=*/true};
   }
 
-  // One CallStreaming attempt feeding the accumulator from its current
-  // cursor; throws on any mid-stream failure (StreamSelect resumes).
-  msgpack::Value StreamSelectOnce(const std::string& key,
-                                  const std::string& array,
-                                  const std::vector<double>& isovalues,
-                                  const std::vector<std::int64_t>* only_bricks,
-                                  StreamAccumulator& acc,
-                                  const StreamDeliverFn& deliver);
+  // One call attempt feeding the accumulator from its current cursor;
+  // throws on any failure (StreamSelect resumes streams).
+  void StreamSelectOnce(const std::string& key, const std::string& array,
+                        const std::vector<double>& isovalues,
+                        const std::vector<std::int64_t>* only_bricks,
+                        StreamAccumulator& acc, const StreamDeliverFn& deliver,
+                        const StreamHeaderFn& on_header);
 
-  contour::SparseField FetchSparseFieldStreaming(
-      const std::string& key, const std::string& array,
-      const std::vector<double>& isovalues, grid::UniformGeometry* geometry,
-      NdpLoadStats* stats);
+  // Feeds one data chunk, of either reply shape, into the accumulator:
+  // decodes its payload inside `decode_span` (already open: a stream's
+  // span also covers the frame's own decode), delivers it and reports
+  // progress.
+  void AcceptChunk(StreamAccumulator& acc, const StreamChunk& chunk,
+                   obs::Span& decode_span,
+                   const StreamDeliverFn& deliver) const;
 
   std::shared_ptr<rpc::Client> client_;
   std::string bucket_;

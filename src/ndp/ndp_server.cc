@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <limits>
 #include <optional>
 #include <thread>
 
 #include "common/error.h"
 #include "net/retry.h"
-#include "contour/select.h"
 #include "io/vnd_format.h"
 #include "ndp/bricked_select.h"
 #include "obs/event_log.h"
@@ -104,227 +102,45 @@ msgpack::Value NdpServer::Select(const std::string& key,
                                  const std::string& array,
                                  const std::vector<double>& isovalues,
                                  SelectionEncoding encoding,
-                                 const std::vector<std::int64_t>* only_bricks) {
-  obs::Span total_span("ndp.select");
+                                 const std::vector<std::int64_t>* only_bricks,
+                                 const StreamParams* stream,
+                                 rpc::StreamSink* sink) {
+  const bool streamed = stream != nullptr && sink != nullptr;
+  // Span names per reply shape (the layer breakdown reads them): a
+  // stream times each batch as one ndp.stream.chunk, encode and emit
+  // included; one-shot splits its batch into ndp.read and ndp.pack.
+  obs::Span total_span(streamed ? "ndp.select.stream" : "ndp.select");
+  if (streamed) metrics_.GetCounter("ndp_stream_requests_total").Increment();
   const io::VndReader reader(gateway_.Open(key));
-  const io::ArrayMeta* meta = reader.header().Find(array);
+  const io::VndHeader& h = reader.header();
+  const io::ArrayMeta* meta = h.Find(array);
   VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + array + "' in VND file");
+  const BrickPlan plan = PlanBricks(h.dims, *meta, isovalues, only_bricks,
+                                    streamed ? stream->resume_after : -1);
   if (only_bricks != nullptr) {
-    VIZNDP_CHECK_MSG(meta->bricks.has_value(),
-                     "brick restriction on unbricked array '" + array + "'");
-    const auto brick_count = static_cast<std::int64_t>(
-        meta->bricks->entries.size());
     VIZNDP_CHECK_MSG(
-        only_bricks->empty() || only_bricks->back() < brick_count,
+        only_bricks->empty() || only_bricks->back() < plan.bricks_total(),
         "brick restriction id out of range for '" + array + "'");
     metrics_.GetCounter("ndp_restricted_select_total").Increment();
   }
 
-  // Admission by working-set size: the decompressed array bounds this
-  // request's memory high-water mark. Throws BusyError (always
-  // retryable — nothing has been read yet) when the node is saturated.
-  rpc::MemoryBudget::Reservation reservation;
-  if (mem_budget_ != nullptr) {
-    reservation = rpc::MemoryBudget::Reservation(*mem_budget_, meta->raw_size);
-  }
-
-  contour::Selection selection;
-  std::uint64_t stored_bytes = 0;
-  std::int64_t bricks_total = 0;
-  std::int64_t bricks_read = 0;
-  double read_s = 0;
-  double select_s = 0;
-  bool use_bricked = meta->bricks.has_value();
-  if (use_bricked) {
-    // Brick-indexed fast path: only straddling bricks are fetched and
-    // decompressed.
-    obs::Span read_span("ndp.read");
-    BrickedSelectStats bstats;
-    try {
-      selection = SelectInterestingPointsBricked(reader, array, isovalues,
-                                                 &bstats, only_bricks,
-                                                 quarantine_, key);
-    } catch (const CorruptDataError& e) {
-      if (only_bricks != nullptr) {
-        // Sub-request: the whole-blob read would answer for the *entire*
-        // array, not this shard's slice, and the caller has a better
-        // rung anyway — a replica holding an independent copy. Cross the
-        // wire typed so the sharded client fails over.
-        metrics_.GetCounter("ndp_restricted_corrupt_total").Increment();
-        obs::GlobalEventLog().Append("ndp.restricted_corrupt",
-                                     "array=" + array);
-        throw;
-      }
-      // A brick failed its CRC twice (or decoded to garbage). The
-      // whole-blob path below re-reads the entire array and checks the
-      // blob-level CRC, so a brick-local flip may still yield a correct
-      // answer from the same store.
-      metrics_.GetCounter("ndp_wholeblob_fallback_total").Increment();
-      obs::GlobalEventLog().Append("ndp.wholeblob_fallback",
-                                   "array=" + array);
-      std::fprintf(stderr, "[vizndp] brick integrity failure (%s); %s\n",
-                   e.what(), "falling back to whole-blob read");
-      use_bricked = false;
-    } catch (const IoError& e) {
-      // The gateway's retry ladder already burned its budget on the
-      // brick reads. The whole-blob read is a fresh op sequence against
-      // the same store — an EIO storm that has passed heals here.
-      if (only_bricks != nullptr) {
-        // Same reasoning as restricted corruption: the sharded caller's
-        // replica failover is the better rung, so cross the wire typed.
-        metrics_.GetCounter("ndp_restricted_io_total").Increment();
-        obs::GlobalEventLog().Append("ndp.restricted_io", "array=" + array);
-        throw;
-      }
-      metrics_.GetCounter("ndp_wholeblob_fallback_total").Increment();
-      obs::GlobalEventLog().Append("ndp.wholeblob_fallback",
-                                   "array=" + array + " reason=io");
-      std::fprintf(stderr, "[vizndp] brick read I/O failure (%s); %s\n",
-                   e.what(), "falling back to whole-blob read");
-      use_bricked = false;
-    }
-    read_span.End();
-    if (use_bricked) {
-      stored_bytes = bstats.bytes_read;
-      bricks_total = bstats.bricks_total;
-      bricks_read = bstats.bricks_read;
-      read_s = bstats.read_seconds;
-      select_s = bstats.scan_seconds;
-    }
-  }
-  if (!use_bricked) {
-    // Source: ranged-read the full array blob, then scan it.
-    stored_bytes = meta->stored_size;
-    obs::Span read_span("ndp.read");
-    const grid::DataArray data = reader.ReadArray(array);
-    read_span.End();
-    read_s = read_span.ElapsedSeconds();
-    obs::Span scan_span("ndp.select.scan");
-    selection = prefilter_threads_ == 1
-                    ? contour::SelectInterestingPoints(reader.header().dims,
-                                                       data, isovalues)
-                    : contour::SelectInterestingPointsParallel(
-                          reader.header().dims, data, isovalues,
-                          prefilter_threads_);
-    scan_span.End();
-    select_s = scan_span.ElapsedSeconds();
-  }
-  obs::Span pack_span("ndp.pack");
-  Bytes payload = EncodeSelection(selection, encoding);
-  pack_span.End();
-
-  metrics_.GetCounter("ndp_select_requests_total").Increment();
-  metrics_.GetCounter("ndp_bytes_in_total").Increment(stored_bytes);
-  metrics_.GetCounter("ndp_bytes_out_total").Increment(payload.size());
-  metrics_.GetCounter("ndp_selected_points_total")
-      .Increment(selection.ids.size());
-  if (bricks_total > bricks_read) {
-    metrics_.GetCounter("ndp_bricks_skipped_total")
-        .Increment(static_cast<std::uint64_t>(bricks_total - bricks_read));
-  }
-
-  const auto& h = reader.header();
-  Map reply;
-  reply.emplace_back(Value("payload"), Value(std::move(payload)));
-  reply.emplace_back(Value("dims"),
-                     Value(Array{Value(h.dims.nx), Value(h.dims.ny),
-                                 Value(h.dims.nz)}));
-  reply.emplace_back(Value("origin"), Triple(h.geometry.origin));
-  reply.emplace_back(Value("spacing"), Triple(h.geometry.spacing));
-  reply.emplace_back(Value("dtype"),
-                     Value(std::string(grid::DataTypeName(meta->type))));
-  reply.emplace_back(Value("stored_bytes"), Value(stored_bytes));
-  reply.emplace_back(Value("raw_bytes"), Value(meta->raw_size));
-  reply.emplace_back(Value("bricks_total"), Value(bricks_total));
-  reply.emplace_back(Value("bricks_read"), Value(bricks_read));
-  reply.emplace_back(Value("selected"),
-                     Value(static_cast<std::uint64_t>(selection.ids.size())));
-  reply.emplace_back(Value("total_points"),
-                     Value(static_cast<std::uint64_t>(selection.total_points)));
-  reply.emplace_back(Value("read_s"), Value(read_s));
-  reply.emplace_back(Value("select_s"), Value(select_s));
-  total_span.End();
-  // Windowed: the scrape exports ndp_select_seconds (cumulative, as
-  // ever) plus ndp_select_seconds_window for sliding-window quantiles.
-  metrics_.GetWindowedHistogram("ndp_select_seconds", obs::LatencyBounds())
-      .Observe(total_span.ElapsedSeconds());
-  return Value(std::move(reply));
-}
-
-msgpack::Value NdpServer::SelectStreaming(
-    const std::string& key, const std::string& array,
-    const std::vector<double>& isovalues, SelectionEncoding encoding,
-    const std::vector<std::int64_t>* only_bricks, const StreamParams& stream,
-    rpc::StreamSink& sink) {
-  obs::Span total_span("ndp.select.stream");
-  metrics_.GetCounter("ndp_stream_requests_total").Increment();
-  const io::VndReader reader(gateway_.Open(key));
-  const io::ArrayMeta* meta = reader.header().Find(array);
-  VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + array + "' in VND file");
-  if (!meta->bricks.has_value()) {
-    // Unbricked arrays have no brick-id cursor space to chunk over;
-    // degrade to the monolithic reply (zero chunk frames — the client
-    // accepts a plain type-1 result as the degraded form of a streaming
-    // request, same as talking to a pre-streaming server).
-    VIZNDP_CHECK_MSG(only_bricks == nullptr,
-                     "brick restriction on unbricked array '" + array + "'");
-    return Select(key, array, isovalues, encoding, nullptr);
-  }
-  const auto brick_count =
-      static_cast<std::int64_t>(meta->bricks->entries.size());
-  if (only_bricks != nullptr) {
-    VIZNDP_CHECK_MSG(
-        only_bricks->empty() || only_bricks->back() < brick_count,
-        "brick restriction id out of range for '" + array + "'");
-    metrics_.GetCounter("ndp_restricted_select_total").Increment();
-  }
-
-  // The stream covers exactly the straddling bricks (within the
-  // restriction, above the resume cursor), in ascending id order — the
-  // same set the monolithic bricked pre-filter reads, just split into
-  // batches so each batch's slab is reserved, scanned, shipped, and
-  // released before the next begins. The straddle predicate must match
-  // bricked_select.cc exactly or resumed streams would cover a
-  // different brick set than the original.
-  std::vector<std::int64_t> todo;
-  {
-    size_t ri = 0;  // walks the sorted restriction
-    for (std::int64_t b = 0; b < brick_count; ++b) {
-      if (only_bricks != nullptr) {
-        while (ri < only_bricks->size() && (*only_bricks)[ri] < b) ++ri;
-        if (ri >= only_bricks->size() || (*only_bricks)[ri] != b) continue;
-      }
-      if (b <= stream.resume_after) continue;
-      const io::BrickEntry& e = meta->bricks->entries[static_cast<size_t>(b)];
-      const bool straddles =
-          std::any_of(isovalues.begin(), isovalues.end(), [&](double iso) {
-            return e.min < iso && e.max >= iso;
-          });
-      if (straddles) todo.push_back(b);
-    }
-  }
-
-  const io::BrickGrid bgrid(reader.header().dims, meta->bricks->edge);
-  const auto batch_bytes = [&](size_t start, size_t n) {
-    // Decompressed slab bytes this batch pins at once — the incremental
-    // analogue of the monolithic path's whole-array raw_size.
-    std::uint64_t bytes = 0;
-    for (size_t i = start; i < start + n; ++i) {
-      bytes +=
-          static_cast<std::uint64_t>(bgrid.BrickExtent(todo[i]).PointCount()) *
-          grid::DataTypeSize(meta->type);
-    }
-    return bytes;
+  // One-shot is the stream's single batch: the whole plan at once, so
+  // its coalesced reads stay whole and no ghost point ships twice.
+  const size_t planned = plan.bricks.size();
+  const size_t per_batch =
+      streamed ? static_cast<size_t>(stream->chunk_bricks) : planned;
+  const size_t batches = streamed ? (planned + per_batch - 1) / per_batch : 1;
+  const auto batch_end = [&](size_t begin) {
+    return std::min(planned, begin + per_batch);
   };
-  const auto chunk_bricks = static_cast<size_t>(stream.chunk_bricks);
 
-  // First batch's reservation happens before anything is emitted, so an
-  // exhausted budget sheds the request with the ordinary retryable
-  // `!busy:` — the one window where shedding a stream is allowed.
+  // The first batch reserves before anything is emitted, so an exhausted
+  // budget sheds the request with the ordinary retryable `!busy:` — the
+  // one window where shedding a stream is allowed.
   rpc::MemoryBudget::Reservation reservation;
-  if (mem_budget_ != nullptr && !todo.empty()) {
+  if (mem_budget_ != nullptr && planned > 0) {
     reservation = rpc::MemoryBudget::Reservation(
-        *mem_budget_, batch_bytes(0, std::min(chunk_bricks, todo.size())));
+        *mem_budget_, plan.SlabBytes(0, batch_end(0), meta->type));
   }
 
   const auto on_cancel = [&]() {
@@ -336,19 +152,16 @@ msgpack::Value NdpServer::SelectStreaming(
     obs::GlobalEventLog().Append("ndp.stream_cancel", "array=" + array);
     return Value();
   };
-
-  const auto& h = reader.header();
-  StreamHeader header;
-  header.dims = h.dims;
-  for (int i = 0; i < 3; ++i) {
-    header.origin[i] = h.geometry.origin[static_cast<size_t>(i)];
-    header.spacing[i] = h.geometry.spacing[static_cast<size_t>(i)];
+  if (streamed) {
+    StreamHeader header;
+    header.dims = h.dims;
+    header.geometry = h.geometry;
+    header.dtype = meta->type;
+    header.bricks_total = plan.bricks_total();
+    header.stream_bricks = static_cast<std::int64_t>(planned);
+    header.total_points = h.dims.PointCount();
+    if (!sink->Emit(StreamHeaderToValue(header))) return on_cancel();
   }
-  header.dtype = meta->type;
-  header.bricks_total = brick_count;
-  header.stream_bricks = static_cast<std::int64_t>(todo.size());
-  header.total_points = h.dims.PointCount();
-  if (!sink.Emit(StreamHeaderToValue(header))) return on_cancel();
 
   std::uint64_t stored_bytes = 0;
   std::uint64_t payload_bytes = 0;
@@ -357,32 +170,37 @@ msgpack::Value NdpServer::SelectStreaming(
   double read_s = 0;
   double select_s = 0;
   std::int64_t chunks = 0;
-  // Registry lookups are name-hash-under-mutex; resolve the per-chunk
-  // instruments once per stream, not once per chunk.
-  auto& chunk_hist = metrics_.GetWindowedHistogram("ndp_stream_chunk_seconds",
-                                                   obs::LatencyBounds());
-  auto& chunk_counter = metrics_.GetCounter("ndp_stream_chunks_total");
-  for (size_t start = 0; start < todo.size(); start += chunk_bricks) {
-    if (sink.Cancelled()) return on_cancel();
-    const size_t n = std::min(chunk_bricks, todo.size() - start);
-    if (mem_budget_ != nullptr && start > 0) {
-      reservation = ReserveMidStream(*mem_budget_, batch_bytes(start, n));
+  Bytes payload;
+  // Registry lookups are name-hash-under-mutex; a stream resolves its
+  // per-chunk instruments once, not once per chunk.
+  obs::WindowedHistogram* chunk_hist = nullptr;
+  obs::Counter* chunk_counter = nullptr;
+  if (streamed) {
+    chunk_hist = &metrics_.GetWindowedHistogram("ndp_stream_chunk_seconds",
+                                                obs::LatencyBounds());
+    chunk_counter = &metrics_.GetCounter("ndp_stream_chunks_total");
+  }
+  for (size_t i = 0; i < batches; ++i) {
+    if (streamed && sink->Cancelled()) return on_cancel();
+    const size_t begin = i * per_batch;
+    const size_t end = batch_end(begin);
+    if (mem_budget_ != nullptr && i > 0) {
+      reservation = ReserveMidStream(*mem_budget_,
+                                     plan.SlabBytes(begin, end, meta->type));
     }
-    obs::Span chunk_span("ndp.stream.chunk");
-    const std::vector<std::int64_t> batch(
-        todo.begin() + static_cast<std::ptrdiff_t>(start),
-        todo.begin() + static_cast<std::ptrdiff_t>(start + n));
+    std::optional<obs::Span> span;
+    span.emplace(streamed ? "ndp.stream.chunk" : "ndp.read");
+    const std::span<const std::int64_t> batch(plan.bricks.data() + begin,
+                                              end - begin);
     BrickedSelectStats bstats;
     contour::Selection selection;
     try {
-      selection = SelectInterestingPointsBricked(reader, array, isovalues,
-                                                 &bstats, &batch, quarantine_,
-                                                 key);
+      selection = SelectBricks(reader, array, isovalues, plan, batch, &bstats,
+                               quarantine_, key);
     } catch (const CorruptDataError&) {
-      // No mid-stream whole-blob fallback: a blob-sized read would blow
-      // the per-batch memory contract and answer for bricks already
-      // shipped. Cross the wire typed; the client's resume-on-a-replica
-      // rung (an independent data copy) is the right recovery.
+      // No server-side rung is left: the recovery is a different data
+      // copy — the sharded client's replica failover for restricted
+      // requests, the caller's baseline read otherwise.
       if (only_bricks != nullptr) {
         metrics_.GetCounter("ndp_restricted_corrupt_total").Increment();
         obs::GlobalEventLog().Append("ndp.restricted_corrupt",
@@ -396,25 +214,31 @@ msgpack::Value NdpServer::SelectStreaming(
       }
       throw;
     }
-    StreamChunk chunk;
-    chunk.cursor = batch.back();
-    chunk.bricks = static_cast<std::int64_t>(batch.size());
-    chunk.selected = static_cast<std::int64_t>(selection.ids.size());
-    chunk.payload = EncodeSelection(selection, encoding);
+    if (!streamed) span.emplace("ndp.pack");
+    Bytes encoded = EncodeSelection(selection, encoding);
     stored_bytes += bstats.bytes_read;
-    payload_bytes += chunk.payload.size();
+    payload_bytes += encoded.size();
     selected_total += selection.ids.size();
     bricks_read += bstats.bricks_read;
     read_s += bstats.read_seconds;
     select_s += bstats.scan_seconds;
-    const bool emitted = sink.Emit(StreamChunkToValue(std::move(chunk)));
-    // Release this batch's slab before the next reservation — the whole
-    // point of streaming admission: the budget sees one batch at a
-    // time, not the whole array.
+    if (!streamed) {
+      span.reset();
+      payload = std::move(encoded);
+      continue;
+    }
+    StreamChunk chunk;
+    chunk.cursor = batch.back();
+    chunk.bricks = static_cast<std::int64_t>(batch.size());
+    chunk.selected = static_cast<std::int64_t>(selection.ids.size());
+    chunk.payload = std::move(encoded);
+    const bool emitted = sink->Emit(StreamChunkToValue(std::move(chunk)));
+    // Release this batch's slab before the next reservation: the budget
+    // sees one batch at a time, not the whole array.
     reservation = rpc::MemoryBudget::Reservation();
-    chunk_span.End();
-    chunk_hist.Observe(chunk_span.ElapsedSeconds());
-    chunk_counter.Increment();
+    span->End();
+    chunk_hist->Observe(span->ElapsedSeconds());
+    chunk_counter->Increment();
     ++chunks;
     if (!emitted) return on_cancel();
   }
@@ -423,16 +247,17 @@ msgpack::Value NdpServer::SelectStreaming(
   metrics_.GetCounter("ndp_bytes_in_total").Increment(stored_bytes);
   metrics_.GetCounter("ndp_bytes_out_total").Increment(payload_bytes);
   metrics_.GetCounter("ndp_selected_points_total").Increment(selected_total);
-  if (brick_count > bricks_read) {
+  if (plan.bricks_total() > bricks_read) {
     metrics_.GetCounter("ndp_bricks_skipped_total")
-        .Increment(static_cast<std::uint64_t>(brick_count - bricks_read));
+        .Increment(static_cast<std::uint64_t>(plan.bricks_total() -
+                                              bricks_read));
   }
 
-  // Terminal summary: the monolithic reply minus "payload" (the chunks
-  // carried the data). "selected" counts shipped points, which may
-  // exceed the monolithic count by ghost-layer points shared across
-  // batch boundaries — consumers that need exact dedup use the
-  // SparseField's ValidCount after scattering.
+  // The terminal summary. A stream's chunks carried the data, and its
+  // "selected" counts shipped points, which may exceed the one-shot
+  // count by ghost-layer points shared across batch boundaries —
+  // consumers that need exact dedup use the SparseField's ValidCount
+  // after scattering. One-shot adds the payload.
   Map reply;
   reply.emplace_back(Value("dims"),
                      Value(Array{Value(h.dims.nx), Value(h.dims.ny),
@@ -443,15 +268,21 @@ msgpack::Value NdpServer::SelectStreaming(
                      Value(std::string(grid::DataTypeName(meta->type))));
   reply.emplace_back(Value("stored_bytes"), Value(stored_bytes));
   reply.emplace_back(Value("raw_bytes"), Value(meta->raw_size));
-  reply.emplace_back(Value("bricks_total"), Value(brick_count));
+  reply.emplace_back(Value("bricks_total"), Value(plan.bricks_total()));
   reply.emplace_back(Value("bricks_read"), Value(bricks_read));
   reply.emplace_back(Value("selected"), Value(selected_total));
   reply.emplace_back(Value("total_points"),
                      Value(static_cast<std::uint64_t>(h.dims.PointCount())));
   reply.emplace_back(Value("read_s"), Value(read_s));
   reply.emplace_back(Value("select_s"), Value(select_s));
-  reply.emplace_back(Value("chunks"), Value(chunks));
+  if (streamed) {
+    reply.emplace_back(Value("chunks"), Value(chunks));
+  } else {
+    reply.emplace_back(Value("payload"), Value(std::move(payload)));
+  }
   total_span.End();
+  // Windowed: the scrape exports ndp_select_seconds (cumulative, as
+  // ever) plus ndp_select_seconds_window for sliding-window quantiles.
   metrics_.GetWindowedHistogram("ndp_select_seconds", obs::LatencyBounds())
       .Observe(total_span.ElapsedSeconds());
   return Value(std::move(reply));
@@ -563,22 +394,16 @@ void NdpServer::Bind(rpc::Server& server) {
         }
         // Optional 7th element: the stream map (protocol.h). Absent or
         // Nil — and any sink-less dispatch, e.g. the in-process Dispatch
-        // without a transport — means the monolithic reply.
+        // without a transport — means the one-shot reply.
         std::optional<StreamParams> stream;
         if (p.size() > 6) stream = StreamParamsFromValue(p.at(6));
         const auto encoding = static_cast<SelectionEncoding>(p.at(4).AsUint());
         // p[0] is the bucket, fixed at gateway construction; kept in the
         // protocol so multi-bucket servers remain possible.
-        if (stream.has_value() && sink != nullptr) {
-          return SelectStreaming(p.at(1).As<std::string>(),
-                                 p.at(2).As<std::string>(), isovalues,
-                                 encoding,
-                                 bricks.has_value() ? &*bricks : nullptr,
-                                 *stream, *sink);
-        }
         return Select(p.at(1).As<std::string>(), p.at(2).As<std::string>(),
                       isovalues, encoding,
-                      bricks.has_value() ? &*bricks : nullptr);
+                      bricks.has_value() ? &*bricks : nullptr,
+                      stream.has_value() ? &*stream : nullptr, sink);
       });
   server.Bind(kRpcNdpInfo, [this](const Array& p) -> Value {
     return Info(p.at(1).As<std::string>());

@@ -3,19 +3,20 @@
 // (interesting-point selection) — exposed over RPC. The client-side
 // post-filter talks to this via NdpClient.
 //
-// Observability: every request emits phase spans (ndp.read /
-// ndp.select.scan / ndp.pack, with codec.decompress:* nested inside the
-// read) into the process tracer, and maintains counters for bytes in/out,
-// selected points, and bricks skipped in metrics(). Bind() additionally
-// exposes the node's telemetry over the wire: ndp.metrics scrapes the
-// metric registries and ndp.trace drains the span buffer.
+// Observability: every request emits phase spans into the process
+// tracer — one-shot: ndp.read around the batch's read and scan, then
+// ndp.pack around its encode; streamed: one ndp.stream.chunk per batch;
+// codec.decompress:* and, for an unbricked array, ndp.select.scan nest
+// inside — and maintains counters for bytes in/out, selected points,
+// and bricks skipped in metrics(). Bind() additionally exposes
+// the node's telemetry over the wire: ndp.metrics scrapes the metric
+// registries and ndp.trace drains the span buffer.
 //
-// Integrity: the bricked fast path verifies per-brick CRCs and re-reads a
-// failing brick once (see bricked_select.h). If a brick stays corrupt,
-// Select falls back to the whole-blob read for that array — still
-// CRC-checked end to end — before giving up; only when the whole blob is
-// bad too does the request fail with CorruptDataError, which crosses the
-// wire typed so the client can degrade to its baseline pipeline.
+// Integrity: the pre-filter verifies per-brick CRCs and re-reads a
+// failing brick once (see bricked_select.h). A brick that stays corrupt
+// fails the request with CorruptDataError, and store failures with
+// IoError; both cross the wire typed, so the client can fail over to a
+// replica or degrade to its baseline pipeline.
 #pragma once
 
 #include <atomic>
@@ -58,14 +59,11 @@ class NdpServer {
     return seen_view_epoch_.load(std::memory_order_relaxed);
   }
 
-  // Pre-filter scan parallelism on the storage node. 1 = serial
-  // (default); 0 = one thread per hardware core.
-  void SetPreFilterThreads(int threads) { prefilter_threads_ = threads; }
-
   // Optional decompressed-memory budget (usually the owning
-  // rpc::Server's). When set, Select reserves the array's raw size for
-  // the duration of the request; an exhausted budget sheds the request
-  // with BusyError before any read happens. Must outlive the server.
+  // rpc::Server's). When set, each brick batch reserves the slab bytes
+  // of its bricks while it is read, scanned and shipped; an exhausted
+  // budget sheds the request with BusyError before any read happens.
+  // Must outlive the server.
   void SetMemoryBudget(rpc::MemoryBudget* budget) { mem_budget_ = budget; }
 
   // Optional quarantine set maintained by a storage::Scrubber. When set,
@@ -96,39 +94,36 @@ class NdpServer {
   void Bind(rpc::Server& server);
 
   // Handler core, exposed for tests: reads `key`, selects interesting
-  // points of `array` for `isovalues`, returns the reply map.
+  // points of `array` for `isovalues` one brick batch at a time (see
+  // bricked_select.h; an unbricked array is a one-brick index).
+  //
+  // One-shot (`stream` null): the whole plan is one batch, and the reply
+  // map is the terminal summary plus its "payload". Streamed (`stream`
+  // and `sink` set; protocol.h stream shape): emits a header chunk, then
+  // one data chunk per batch of stream->chunk_bricks bricks above
+  // stream->resume_after, and returns the terminal summary.
+  //
+  // Each batch reserves only its own slab bytes and releases them once
+  // it has been shipped, so a stream pins one batch at a time. Shedding
+  // (BusyError) can only happen at the first batch, before anything is
+  // emitted; a later reservation failure waits briefly and then fails
+  // with a plain (resumable, never `!busy:`) error. A cancel observed on
+  // the sink abandons remaining batches (ndp_stream_cancelled_total /
+  // ndp.stream_cancel).
   //
   // `only_bricks` (sorted brick ids, nullptr = all) restricts the
   // pre-filter to a subset of the brick space — the sub-request half of
-  // the scatter-gather protocol (see src/cluster/). Restricted requests
-  // require a bricked array, and they do NOT take the server-side
-  // whole-blob fallback on persistent brick corruption: the right
-  // recovery for a shard sub-request is the client's replica failover
-  // (a different data copy), so the CorruptDataError crosses the wire
-  // typed instead (ndp_restricted_corrupt_total / ndp.restricted_corrupt).
+  // the scatter-gather protocol (see src/cluster/). Corrupt bricks and
+  // store failures cross the wire typed on every request; restricted
+  // ones are also counted (ndp_restricted_corrupt_total /
+  // ndp.restricted_corrupt, ndp_restricted_io_total / ndp.restricted_io)
+  // because their recovery is the client's replica failover.
   msgpack::Value Select(const std::string& key, const std::string& array,
                         const std::vector<double>& isovalues,
                         SelectionEncoding encoding,
-                        const std::vector<std::int64_t>* only_bricks = nullptr);
-
-  // Streaming variant (protocol.h stream shape): emits one header chunk,
-  // then per-brick-batch data chunks through `sink` as batches finish,
-  // and returns the terminal summary (the Select reply map minus
-  // "payload"). Memory accounting is incremental — each batch reserves
-  // only its own slab bytes and releases them when its chunk has been
-  // flushed — so at the same MemoryBudget a node admits strictly more
-  // concurrent streaming selects than whole-array monolithic ones.
-  // Shedding (BusyError) can only happen before the first chunk; a
-  // mid-stream reservation failure waits briefly and then fails with a
-  // plain (resumable, never `!busy:`) error. Unbricked arrays cannot
-  // stream and degrade to the monolithic Select reply. A cancel observed
-  // on the sink abandons remaining batches (ndp_stream_cancelled_total /
-  // ndp.stream_cancel).
-  msgpack::Value SelectStreaming(
-      const std::string& key, const std::string& array,
-      const std::vector<double>& isovalues, SelectionEncoding encoding,
-      const std::vector<std::int64_t>* only_bricks,
-      const StreamParams& stream, rpc::StreamSink& sink);
+                        const std::vector<std::int64_t>* only_bricks = nullptr,
+                        const StreamParams* stream = nullptr,
+                        rpc::StreamSink* sink = nullptr);
 
   msgpack::Value Info(const std::string& key);
 
@@ -147,7 +142,6 @@ class NdpServer {
 
  private:
   storage::FileGateway gateway_;
-  int prefilter_threads_ = 1;
   rpc::MemoryBudget* mem_budget_ = nullptr;
   const storage::QuarantineSet* quarantine_ = nullptr;
   const storage::Scrubber* scrubber_ = nullptr;

@@ -112,13 +112,14 @@ msgpack::Value StreamHeaderToValue(const StreamHeader& header) {
   out.emplace_back(Value("dims"),
                    Value(Array{Value(header.dims.nx), Value(header.dims.ny),
                                Value(header.dims.nz)}));
-  out.emplace_back(Value("origin"),
-                   Value(Array{Value(header.origin[0]), Value(header.origin[1]),
-                               Value(header.origin[2])}));
-  out.emplace_back(
-      Value("spacing"),
-      Value(Array{Value(header.spacing[0]), Value(header.spacing[1]),
-                  Value(header.spacing[2])}));
+  const auto& origin = header.geometry.origin;
+  const auto& spacing = header.geometry.spacing;
+  out.emplace_back(Value("origin"), Value(Array{Value(origin[0]),
+                                                Value(origin[1]),
+                                                Value(origin[2])}));
+  out.emplace_back(Value("spacing"), Value(Array{Value(spacing[0]),
+                                                 Value(spacing[1]),
+                                                 Value(spacing[2])}));
   out.emplace_back(Value("dtype"),
                    Value(std::string(grid::DataTypeName(header.dtype))));
   out.emplace_back(Value("bricks_total"), Value(header.bricks_total));
@@ -162,8 +163,8 @@ std::optional<StreamChunk> StreamDecoder::Feed(
     if (h.dims.nx <= 0 || h.dims.ny <= 0 || h.dims.nz <= 0) {
       throw DecodeError("stream header: non-positive dims");
     }
-    StreamTriple(chunk_map, "origin", h.origin);
-    StreamTriple(chunk_map, "spacing", h.spacing);
+    StreamTriple(chunk_map, "origin", h.geometry.origin.data());
+    StreamTriple(chunk_map, "spacing", h.geometry.spacing.data());
     h.dtype = grid::DataTypeFromName(
         StreamAt(chunk_map, "dtype").As<std::string>());
     h.bricks_total = StreamInt(chunk_map, "bricks_total");

@@ -77,10 +77,9 @@ std::vector<std::int64_t> BrickRestrictionFromValue(
 //
 // ndp.select takes an optional 7th positional parameter, a stream map
 // {"chunk_bricks": N, "resume_after": C}: the server then answers with
-// rpc chunk frames instead of one monolithic reply. Old servers index
-// params positionally and never read a 7th element, so a streaming
-// request degrades to a monolithic response the client accepts as-is —
-// both directions stay backward compatible.
+// rpc chunk frames instead of one reply. Both shapes come from the same
+// brick batches: a one-shot reply is the stream's single batch, its
+// payload carried in the terminal map itself.
 //
 // Stream shape (all frames carry the request's msgid):
 //   1. header chunk  {"kind": "header", dims/origin/spacing/dtype,
@@ -112,8 +111,7 @@ std::optional<StreamParams> StreamParamsFromValue(const msgpack::Value& value);
 
 struct StreamHeader {
   grid::Dims dims;
-  double origin[3] = {0, 0, 0};
-  double spacing[3] = {1, 1, 1};
+  grid::UniformGeometry geometry;
   grid::DataType dtype = grid::DataType::Float32;
   std::int64_t bricks_total = 0;   // bricks in the array
   std::int64_t stream_bricks = 0;  // bricks this stream will cover

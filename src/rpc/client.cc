@@ -188,9 +188,9 @@ msgpack::Value Client::Call(const std::string& method, msgpack::Array params,
       // malformed reply): retrying would repeat the same failure.
       throw;
     } catch (const CorruptDataError&) {
-      // The server already exhausted its own recovery ladder (re-read,
-      // whole-blob fallback); retrying reads the same bad bytes. Let the
-      // caller decide (NdpContourSource falls back to the baseline path).
+      // The server already exhausted its own recovery rung (one brick
+      // re-read); retrying reads the same bad bytes. Let the caller
+      // decide (a replica, or NdpContourSource's baseline path).
       throw;
     } catch (const PeerClosedError&) {
       // Listed before IoError (its base): a closed peer is transport

@@ -16,6 +16,7 @@
 #include "compress/codec.h"
 #include "contour/polydata.h"
 #include "io/vnd_format.h"
+#include "ndp/bricked_select.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "sim/impact.h"
@@ -508,15 +509,9 @@ ChaosReport RunChaos(const ChaosOptions& options) {
         const io::ArrayMeta* meta = header.Find("v02");
         std::int64_t rot_brick = -1;
         if (meta != nullptr && meta->bricks.has_value()) {
-          const auto& entries = meta->bricks->entries;
-          for (size_t b = 0; b < entries.size() && rot_brick < 0; ++b) {
-            for (const double iso : kIsos) {
-              if (entries[b].min < iso && entries[b].max >= iso) {
-                rot_brick = static_cast<std::int64_t>(b);
-                break;
-              }
-            }
-          }
+          const ndp::BrickPlan plan =
+              ndp::PlanBricks(header.dims, *meta, kIsos);
+          if (!plan.bricks.empty()) rot_brick = plan.bricks.front();
         }
         if (rot_brick < 0) {
           violate(rot_step, "no isovalue-straddling brick to rot");

@@ -466,35 +466,6 @@ TEST(Selection, Works2D) {
   EXPECT_EQ(sel.ids.size(), 9u);
 }
 
-class ParallelSelectTest : public ::testing::TestWithParam<int> {};
-
-// The slab-parallel scan must agree exactly with the serial one for any
-// thread count (including counts exceeding the slab count).
-TEST_P(ParallelSelectTest, MatchesSerialSelection) {
-  const grid::Dims d{15, 13, 21};
-  const auto a = grid::DataArray::FromVector("f", RandomInteriorField(d, 808));
-  const double isos[] = {0.25, 0.6, 0.9};
-  const Selection serial = SelectInterestingPoints(d, a, isos);
-  const Selection parallel =
-      SelectInterestingPointsParallel(d, a, isos, GetParam());
-  EXPECT_EQ(parallel.ids, serial.ids);
-  EXPECT_EQ(parallel.values, serial.values);
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ParallelSelectTest,
-                         ::testing::Values(1, 2, 3, 4, 7, 16, 64));
-
-TEST(ParallelSelect, FallsBackFor2DAndTinyGrids) {
-  const grid::Dims flat{8, 8, 1};
-  std::vector<float> f(64, 0.0f);
-  f[static_cast<size_t>(flat.Index(4, 4))] = 1.0f;
-  const auto a = grid::DataArray::FromVector("f", f);
-  const double iso[] = {0.5};
-  const Selection serial = SelectInterestingPoints(flat, a, iso);
-  const Selection parallel = SelectInterestingPointsParallel(flat, a, iso, 8);
-  EXPECT_EQ(parallel.ids, serial.ids);
-}
-
 class SparseEquivalenceTest : public ::testing::TestWithParam<unsigned> {};
 
 // THE key invariant of the paper's split filter: the contour produced

@@ -5,6 +5,7 @@
 // in metrics and the event journal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <vector>
@@ -13,7 +14,9 @@
 #include "common/error.h"
 #include "compress/checksum.h"
 #include "io/vnd_format.h"
+#include "ndp/bricked_select.h"
 #include "ndp/ndp_client.h"
+#include "ndp/ndp_server.h"
 #include "ndp/protocol.h"
 #include "net/fault.h"
 #include "obs/event_log.h"
@@ -252,7 +255,32 @@ TEST(Stream, StreamedFetchMatchesMonolithic) {
   EXPECT_LE(progress.front().bricks_done, progress.back().bricks_done);
 }
 
-TEST(Stream, UnbrickedArrayDegradesToMonolithicReply) {
+// Captures a streamed select's frames, for driving NdpServer directly.
+struct CapturingSink : rpc::StreamSink {
+  std::vector<msgpack::Value> frames;
+
+  bool Emit(const msgpack::Value& chunk) override {
+    frames.push_back(chunk);
+    return true;
+  }
+  bool Cancelled() const override { return false; }
+};
+
+// The data chunks of `frames`, validated as a client would.
+std::vector<StreamChunk> DataChunks(const CapturingSink& sink,
+                                    std::int64_t resume_after,
+                                    StreamHeader* header = nullptr) {
+  StreamDecoder decoder(resume_after);
+  std::vector<StreamChunk> chunks;
+  for (const msgpack::Value& frame : sink.frames) {
+    if (auto chunk = decoder.Feed(frame)) chunks.push_back(std::move(*chunk));
+  }
+  decoder.Finish();
+  if (header != nullptr) *header = decoder.header();
+  return chunks;
+}
+
+TEST(Stream, UnbrickedArrayStreamsAsOneChunk) {
   Testbed bed;
   StoreDataset(bed.store(), bed.bucket(), "mono.vnd", 24, /*brick_edge=*/0);
 
@@ -269,13 +297,109 @@ TEST(Stream, UnbrickedArrayDegradesToMonolithicReply) {
   const contour::SparseField streamed = bed.ndp_client().FetchSparseField(
       "mono.vnd", "v02", kIsos, &geo, &stats);
 
-  // The server answers monolithically (no bricks to batch); the client
-  // accepts the reply as a single pseudo-chunk.
+  // An unbricked array is a one-brick index: the stream is a header,
+  // one chunk for brick 0 and the terminal.
   EXPECT_TRUE(stats.streamed);
   EXPECT_EQ(stats.stream_chunks, 1u);
+  EXPECT_EQ(stats.bricks_total, 1);
+  EXPECT_EQ(stats.bricks_read, mono_stats.bricks_read);
   EXPECT_EQ(streamed.ValidCount(), mono.ValidCount());
   EXPECT_TRUE(streamed.Contour(geo, kIsos)
                   .GeometricallyEquals(mono.Contour(mono_geo, kIsos), 0.0));
+
+  // The chunk's cursor is brick 0, so a resume after it has nothing left.
+  CapturingSink fresh;
+  const StreamParams from_start{4, -1};
+  bed.ndp_server().Select("mono.vnd", "v02", kIsos,
+                          SelectionEncoding::kRunLength, nullptr, &from_start,
+                          &fresh);
+  const std::vector<StreamChunk> chunks = DataChunks(fresh, -1);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0].cursor, 0);
+  EXPECT_EQ(chunks[0].bricks, 1);
+
+  CapturingSink resumed;
+  const StreamParams after_zero{4, 0};
+  bed.ndp_server().Select("mono.vnd", "v02", kIsos,
+                          SelectionEncoding::kRunLength, nullptr, &after_zero,
+                          &resumed);
+  StreamHeader header;
+  EXPECT_TRUE(DataChunks(resumed, 0, &header).empty());
+  EXPECT_EQ(header.bricks_total, 1);
+  EXPECT_EQ(header.stream_bricks, 0);
+}
+
+// One plan serves both reply shapes: at the straddle predicate's edges
+// (a brick's exact min is not straddled, its exact max is), restricted
+// or not, from any resume cursor, the one-shot reply reads exactly the
+// bricks the stream's chunks cover and selects the same points.
+TEST(Stream, OneShotAndStreamShareOnePlan) {
+  Testbed bed;
+  StoreDataset(bed.store(), bed.bucket(), "ts.vnd", 32, 4);
+  const io::VndReader reader(
+      storage::FileGateway(bed.store(), bed.bucket()).Open("ts.vnd"));
+  const grid::Dims dims = reader.header().dims;
+  const io::ArrayMeta& meta = *reader.header().Find("v02");
+  const auto& entries = meta.bricks->entries;
+  const auto edge = std::find_if(
+      entries.begin(), entries.end(),
+      [](const io::BrickEntry& e) { return e.min < 0.5 && e.max >= 0.5; });
+  ASSERT_NE(edge, entries.end());
+  const auto edge_brick = static_cast<std::int64_t>(edge - entries.begin());
+  const auto bricks_total = static_cast<std::int64_t>(entries.size());
+  const auto in_restriction = [&](std::int64_t b) {
+    return b % 2 == edge_brick % 2;
+  };
+  std::vector<std::int64_t> restriction;
+  for (std::int64_t b = 0; b < bricks_total; ++b) {
+    if (in_restriction(b)) restriction.push_back(b);
+  }
+
+  for (const double iso : {edge->min, edge->max}) {
+    const std::vector<double> isos = {iso};
+    const std::vector<std::int64_t> plan =
+        PlanBricks(dims, meta, isos).bricks;
+    ASSERT_FALSE(plan.empty());
+    EXPECT_EQ(std::binary_search(plan.begin(), plan.end(), edge_brick),
+              iso == edge->max);
+    for (const bool restricted : {false, true}) {
+      for (const std::int64_t cursor :
+           {std::int64_t{-1}, plan[plan.size() / 2], plan.back()}) {
+        SCOPED_TRACE("iso " + std::to_string(iso) + (restricted ? " R" : "") +
+                     " cursor " + std::to_string(cursor));
+        // One-shot names the stream's bricks above the cursor directly.
+        std::vector<std::int64_t> above;
+        for (std::int64_t b = cursor + 1; b < bricks_total; ++b) {
+          if (!restricted || in_restriction(b)) above.push_back(b);
+        }
+        const bool whole = !restricted && cursor < 0;
+        const msgpack::Value one = bed.ndp_server().Select(
+            "ts.vnd", "v02", isos, SelectionEncoding::kRunLength,
+            whole ? nullptr : &above);
+        const DecodedSelection one_sel =
+            DecodeSelection(one.At("payload").As<Bytes>(), dims);
+
+        CapturingSink sink;
+        const StreamParams params{3, cursor};
+        const msgpack::Value terminal = bed.ndp_server().Select(
+            "ts.vnd", "v02", isos, SelectionEncoding::kRunLength,
+            restricted ? &restriction : nullptr, &params, &sink);
+        std::int64_t chunk_bricks = 0;
+        std::vector<grid::PointId> ids;
+        for (const StreamChunk& chunk : DataChunks(sink, cursor)) {
+          chunk_bricks += chunk.bricks;
+          const DecodedSelection sel = DecodeSelection(chunk.payload, dims);
+          ids.insert(ids.end(), sel.ids.begin(), sel.ids.end());
+        }
+        std::sort(ids.begin(), ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+
+        EXPECT_EQ(one.At("bricks_read").AsInt(), chunk_bricks);
+        EXPECT_EQ(terminal.At("bricks_read").AsInt(), chunk_bricks);
+        EXPECT_EQ(ids, one_sel.ids);
+      }
+    }
+  }
 }
 
 TEST(Stream, ClientCancelStopsTheStreamAndIsAccounted) {
@@ -440,6 +564,29 @@ TEST(Stream, ShardedStreamingMatchesReference) {
   EXPECT_TRUE(stats.streamed);
   EXPECT_GE(stats.stream_chunks, 3u);  // at least one chunk per shard
   EXPECT_FALSE(stats.used_fallback);
+}
+
+// An isovalue no brick straddles: every shard's stream is a header and a
+// terminal with no chunk, and the fetch is an empty field, not an error.
+TEST(Stream, ShardedStreamWithNoStraddlingBrickIsEmpty) {
+  ClusterTestbedConfig config;
+  config.servers = 3;
+  config.replicas = 2;
+  ClusterTestbed cluster(config);
+  StoreDataset(cluster.store(), cluster.bucket(), "ts.vnd", 32, 8);
+
+  StreamOptions so;
+  so.chunk_bricks = 2;
+  cluster.sharded_client()->SetStream(so);
+  const std::vector<double> above_all = {1e9};
+  NdpLoadStats stats;
+  const contour::PolyData poly =
+      cluster.sharded_client()->Contour("ts.vnd", "v02", above_all, &stats);
+
+  EXPECT_EQ(poly.TriangleCount(), 0u);
+  EXPECT_EQ(stats.stream_chunks, 0u);
+  EXPECT_EQ(stats.selected_points, 0u);
+  EXPECT_EQ(stats.bricks_read, 0);
 }
 
 TEST(Stream, MidStreamDisconnectResumesOnReplica) {

@@ -259,8 +259,7 @@ TEST(TraceChoreography, FaultyFetchYieldsAttemptSpansWireLegsAndEventSequence) {
       "rpc.retry",            // -> attempt 3
       "ndp.corrupt_brick",    // brick CRC mismatch
       "ndp.brick_reread",     // re-read saw the same bytes
-      "ndp.wholeblob_fallback",  // per-brick path abandoned
-      "rpc.corrupt_reply",    // whole blob corrupt too: typed error out
+      "rpc.corrupt_reply",    // brick still corrupt: typed error out
       "ndp.fallback",         // client degraded to the baseline read
   };
   EXPECT_EQ(EventNames(stats.trace_id), expected);
@@ -269,7 +268,7 @@ TEST(TraceChoreography, FaultyFetchYieldsAttemptSpansWireLegsAndEventSequence) {
   EXPECT_EQ(events[0].detail, "method=ndp.select attempt=1");
   EXPECT_EQ(events[2].detail, "reason=budget method=ndp.select");
   EXPECT_EQ(events[4].detail, "method=ndp.select attempt=3");
-  EXPECT_EQ(events[9].detail, "key=t.vnd");
+  EXPECT_EQ(events[8].detail, "key=t.vnd");
 
   // Three distinct attempt spans under one rpc.call span.
   const auto spans = obs::GlobalTracer().Collect(stats.trace_id);
@@ -779,12 +778,6 @@ TEST(TraceAudit, EveryErrorPathEmitsOneCounterAndOneEvent) {
        [global](AuditRig& rig) -> CounterReads {
          return {{"corrupt_brick_total", global("corrupt_brick_total")},
                  {"brick_reread_total", global("brick_reread_total")},
-                 {"ndp_wholeblob_fallback_total",
-                  [&rig] {
-                    return rig.ndp_server->metrics()
-                        .GetCounter("ndp_wholeblob_fallback_total")
-                        .value();
-                  }},
                  {"rpc_errors_total", [&rig] {
                     return rig.server.metrics()
                         .GetCounter("rpc_errors_total",
@@ -792,8 +785,7 @@ TEST(TraceAudit, EveryErrorPathEmitsOneCounterAndOneEvent) {
                         .value();
                   }}};
        },
-       {"ndp.corrupt_brick", "ndp.brick_reread", "ndp.wholeblob_fallback",
-        "rpc.corrupt_reply"}},
+       {"ndp.corrupt_brick", "ndp.brick_reread", "rpc.corrupt_reply"}},
 
       {"baseline fallback", false, 1,
        [](AuditRig& rig) {

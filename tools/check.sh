@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo check: tier-1 verify (full build + ctest), then an
+# Repo check: tier-1 verify (full build + ctest), then the end-to-end
+# benchmark's self-tests against this tree, an
 # address/UB-sanitizer build of the concurrency-heavy tests plus a
 # hostile-input fuzz smoke, the overload/cluster tests under tsan, a
 # storage-fault stage (retry ladder + scrubber under tsan, seeded
@@ -30,6 +31,14 @@ cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
+  stage "bench self-test: e2e_bench built against this tree"
+  # The benchmark links NdpServer, NdpClient and ShardedNdpClient, so an
+  # API or wire change that breaks it fails here, not in the perf gate.
+  # --selftest checks the reply frame counts per shape (one-shot: one
+  # frame; streamed: header, chunks, terminal), the span reducer, and
+  # the full-read oracle, without the 256^3 timed run.
+  bash e2e_bench/run.sh --selftest
+
   stage "asan/ubsan: obs + net + rpc + fault + integrity + trace + storage + fuzz"
   cmake --preset asan > /dev/null
   cmake --build build-asan -j"$(nproc)" --target obs_test net_test rpc_test \
