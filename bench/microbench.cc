@@ -10,6 +10,7 @@
 #include "compress/codec.h"
 #include "contour/marching_cubes.h"
 #include "contour/select.h"
+#include "contour/sparse_field.h"
 #include "msgpack/pack.h"
 #include "msgpack/unpack.h"
 #include "ndp/protocol.h"
@@ -81,6 +82,24 @@ void BM_MarchingCubes(benchmark::State& state) {
                           ds.dims().CellCount());
 }
 BENCHMARK(BM_MarchingCubes);
+
+// The NDP client's post-filter on the same field and isovalue: field
+// build, scatter and the sparse contour, over a selection made once.
+void BM_SparseFieldContour(benchmark::State& state) {
+  const grid::Dataset& ds = ImpactData();
+  const double isos[] = {0.1};
+  const grid::DataArray& v02 = ds.GetArray("v02");
+  const contour::Selection sel =
+      contour::SelectInterestingPoints(ds.dims(), v02, isos);
+  for (auto _ : state) {
+    const contour::SparseField field =
+        contour::SparseField::FromSelection(sel, v02.type());
+    benchmark::DoNotOptimize(field.Contour(ds.geometry(), isos));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sel.ids.size()));
+}
+BENCHMARK(BM_SparseFieldContour);
 
 void BM_SelectionEncode(benchmark::State& state) {
   const grid::Dataset& ds = ImpactData();

@@ -1,6 +1,7 @@
 #include "contour/sparse_field.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/error.h"
@@ -12,7 +13,8 @@ namespace vizndp::contour {
 SparseField::SparseField(grid::Dims dims, grid::DataType type)
     : dims_(dims),
       type_(type),
-      values_(static_cast<size_t>(dims.PointCount()) * grid::DataTypeSize(type)),
+      values_(std::make_unique_for_overwrite<Byte[]>(
+          static_cast<size_t>(dims.PointCount()) * grid::DataTypeSize(type))),
       valid_((static_cast<size_t>(dims.PointCount()) + 63) / 64, 0) {}
 
 void SparseField::Scatter(std::span<const grid::PointId> ids,
@@ -22,7 +24,6 @@ void SparseField::Scatter(std::span<const grid::PointId> ids,
                    "ids/values length mismatch");
   const size_t elem = grid::DataTypeSize(type_);
   const ByteSpan raw = values.raw();
-  scattered_ids_.reserve(scattered_ids_.size() + ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
     const grid::PointId id = ids[i];
     VIZNDP_CHECK_MSG(id >= 0 && id < dims_.PointCount(),
@@ -32,9 +33,9 @@ void SparseField::Scatter(std::span<const grid::PointId> ids,
     if (elem == 4) {
       std::uint32_t word32;
       std::memcpy(&word32, raw.data() + i * 4, 4);
-      std::memcpy(values_.data() + static_cast<size_t>(id) * 4, &word32, 4);
+      std::memcpy(values_.get() + static_cast<size_t>(id) * 4, &word32, 4);
     } else {
-      std::memcpy(values_.data() + static_cast<size_t>(id) * elem,
+      std::memcpy(values_.get() + static_cast<size_t>(id) * elem,
                   raw.data() + i * elem, elem);
     }
     auto& word = valid_[static_cast<size_t>(id >> 6)];
@@ -42,7 +43,6 @@ void SparseField::Scatter(std::span<const grid::PointId> ids,
     if ((word & bit) == 0) {
       word |= bit;
       ++valid_count_;
-      scattered_ids_.push_back(id);
     }
   }
 }
@@ -55,9 +55,12 @@ SparseField SparseField::FromSelection(const Selection& selection,
 }
 
 std::vector<std::int64_t> SparseField::CompleteCells() const {
-  // Candidate cells are those touching at least one scattered point; of
-  // these keep the ones with all corners valid. Cost is O(valid points),
-  // not O(grid) — the client never scans the full volume.
+  // A complete cell has all its corners valid, so its lowest corner
+  // (i, j, k) is a valid point off the +x/+y/+z max faces. For such
+  // points the cell index i + cx*(j + cy*k) rises with the point id
+  // i + nx*(j + ny*k), so walking the bitmap's set bits in id order yields
+  // the complete cells in cell-scan order with no sort. Cost is one pass
+  // over the bitmap (grid/64 words) plus O(valid points).
   const bool flat = dims_.Is2D();
   const std::int64_t cx = dims_.nx - 1;
   const std::int64_t cy = dims_.ny - 1;
@@ -65,54 +68,27 @@ std::vector<std::int64_t> SparseField::CompleteCells() const {
   VIZNDP_CHECK_MSG(cx > 0 && cy > 0 && cz > 0,
                    "sparse contour needs at least a 2x2 grid");
 
-  std::vector<std::int64_t> candidates;
-  candidates.reserve(scattered_ids_.size());
-  for (const grid::PointId id : scattered_ids_) {
-    const auto [i, j, k] = dims_.Coords(id);
-    for (int dk = flat ? 0 : -1; dk <= 0; ++dk) {
-      for (int dj = -1; dj <= 0; ++dj) {
-        for (int di = -1; di <= 0; ++di) {
-          const std::int64_t ci = i + di;
-          const std::int64_t cj = j + dj;
-          const std::int64_t ck = k + dk;
-          if (ci < 0 || ci >= cx || cj < 0 || cj >= cy || ck < 0 || ck >= cz) {
-            continue;
-          }
-          candidates.push_back(ci + cx * (cj + cy * ck));
-        }
-      }
-    }
+  // Id offsets from a cell's lowest corner to its other corners.
+  std::vector<std::int64_t> others;
+  const size_t corners = flat ? 4 : 8;
+  for (size_t c = 1; c < corners; ++c) {
+    const auto& off = kCornerOffsets[c];
+    others.push_back(dims_.Index(off[0], off[1], off[2]));
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
 
   std::vector<std::int64_t> complete;
-  complete.reserve(candidates.size());
-  for (const std::int64_t cell : candidates) {
-    const std::int64_t ci = cell % cx;
-    const std::int64_t cj = (cell / cx) % cy;
-    const std::int64_t ck = cell / (cx * cy);
-    bool all_valid = true;
-    if (flat) {
-      const std::int64_t corners[4] = {
-          dims_.Index(ci, cj), dims_.Index(ci + 1, cj),
-          dims_.Index(ci + 1, cj + 1), dims_.Index(ci, cj + 1)};
-      for (const std::int64_t corner : corners) {
-        if (!IsValid(corner)) {
-          all_valid = false;
-          break;
-        }
-      }
-    } else {
-      for (const auto& off : kCornerOffsets) {
-        if (!IsValid(dims_.Index(ci + off[0], cj + off[1], ck + off[2]))) {
-          all_valid = false;
-          break;
-        }
+  complete.reserve(static_cast<size_t>(valid_count_));
+  for (size_t w = 0; w < valid_.size(); ++w) {
+    for (std::uint64_t bits = valid_[w]; bits != 0; bits &= bits - 1) {
+      const grid::PointId id =
+          static_cast<grid::PointId>(w * 64) + std::countr_zero(bits);
+      const auto [i, j, k] = dims_.Coords(id);
+      if (i >= cx || j >= cy || k >= cz) continue;
+      if (std::all_of(others.begin(), others.end(),
+                      [&](std::int64_t d) { return IsValid(id + d); })) {
+        complete.push_back(i + cx * (j + cy * k));
       }
     }
-    if (all_valid) complete.push_back(cell);
   }
   return complete;
 }
@@ -121,7 +97,7 @@ template <typename T, typename Geo>
 PolyData SparseField::ContourT(const Geo& geometry,
                                std::span<const double> isovalues) const {
   PolyData out;
-  const T* values = reinterpret_cast<const T*>(values_.data());
+  const T* values = reinterpret_cast<const T*>(values_.get());
   const std::vector<std::int64_t> cells = CompleteCells();
   const std::int64_t cx = dims_.nx - 1;
   const std::int64_t cy = dims_.ny - 1;

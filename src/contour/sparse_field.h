@@ -3,8 +3,13 @@
 // whose eight corners all arrived. By the selection invariant (see
 // select.h) that set is exactly the mixed cells, so the result is
 // identical to contouring the full field.
+//
+// Memory follows the selection, not the grid: only the pages Scatter
+// writes become resident, plus the validity bitmap of one bit per grid
+// point (2 MiB at 256^3).
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -16,6 +21,7 @@
 
 namespace vizndp::contour {
 
+// Move-only: the value backing is grid-sized.
 class SparseField {
  public:
   SparseField(grid::Dims dims, grid::DataType type);
@@ -59,9 +65,11 @@ class SparseField {
 
   grid::Dims dims_;
   grid::DataType type_;
-  Bytes values_;                     // dense backing, holes undefined
+  // Dense backing, not zero-filled, so a page becomes resident only when
+  // Scatter first writes to it. Holes are undefined and never read:
+  // Contour reads only the corners of complete cells.
+  std::unique_ptr<Byte[]> values_;
   std::vector<std::uint64_t> valid_;
-  std::vector<grid::PointId> scattered_ids_;  // all ids seen, unsorted
   std::int64_t valid_count_ = 0;
 };
 

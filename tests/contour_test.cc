@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <random>
 #include <set>
+#include <string>
 
 #include "contour/components.h"
 #include "contour/contour_filter.h"
@@ -542,18 +544,72 @@ TEST(SparseField, RejectsBadScatter) {
 }
 
 TEST(SparseField, PartialCellsProduceNoGeometry) {
-  // A cell with 7 of 8 corners must be skipped, not guessed.
-  const grid::Dims d{2, 2, 2};
-  SparseField field(d, grid::DataType::Float32);
+  // A cell missing any one corner must be skipped, not guessed. The walk
+  // reaches a cell only through its lowest corner, so a missing point 0
+  // and a missing point 1..7 take different branches. Points 0 and n-1
+  // hold 1 and the rest 0, so every partial cell is still mixed.
+  const double iso[] = {0.5};
+  for (const grid::Dims d : {grid::Dims{2, 2, 2}, grid::Dims{2, 2, 1}}) {
+    const grid::PointId n = d.PointCount();
+    const auto contour_without = [&](grid::PointId missing) {
+      SparseField field(d, grid::DataType::Float32);
+      std::vector<grid::PointId> ids;
+      std::vector<float> vals;
+      for (grid::PointId id = 0; id < n; ++id) {
+        if (id == missing) continue;
+        ids.push_back(id);
+        vals.push_back(id == 0 || id == n - 1 ? 1.0f : 0.0f);
+      }
+      field.Scatter(ids, grid::DataArray::FromVector("v", vals));
+      const PolyData poly = field.Contour(grid::UniformGeometry{}, iso);
+      return poly.TriangleCount() + poly.LineCount();
+    };
+    EXPECT_GT(contour_without(-1), 0u) << d.ToString();
+    for (grid::PointId missing = 0; missing < n; ++missing) {
+      EXPECT_EQ(contour_without(missing), 0u)
+          << d.ToString() << " without point " << missing;
+    }
+  }
+}
+
+// Resident set size of this process in KiB, or -1 if it cannot be read.
+std::int64_t VmRssKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6));
+  }
+  return -1;
+}
+
+TEST(SparseField, ResidentMemoryFollowsScatter) {
+  // The 256^3 float backing is 64 MiB of address space; only the pages a
+  // scatter writes, plus the 2 MiB validity bitmap, may become resident.
+  const grid::Dims d{256, 256, 256};
   std::vector<grid::PointId> ids;
   std::vector<float> vals;
-  for (grid::PointId id = 0; id < 7; ++id) {
-    ids.push_back(id);
-    vals.push_back(id == 0 ? 1.0f : 0.0f);
+  for (std::int64_t k = 0; k < 16; ++k) {
+    for (std::int64_t j = 0; j < 16; ++j) {
+      for (std::int64_t i = 0; i < 16; ++i) {
+        ids.push_back(d.Index(100 + i, 100 + j, 100 + k));
+        vals.push_back(static_cast<float>(
+            std::sqrt((i - 7.5) * (i - 7.5) + (j - 7.5) * (j - 7.5) +
+                      (k - 7.5) * (k - 7.5))));
+      }
+    }
   }
-  field.Scatter(ids, grid::DataArray::FromVector("v", vals));
-  const double iso[] = {0.5};
-  EXPECT_EQ(field.Contour(grid::UniformGeometry{}, iso).TriangleCount(), 0u);
+  const auto values = grid::DataArray::FromVector("v", vals);
+  const double iso[] = {5.0};
+
+  const std::int64_t before = VmRssKib();
+  if (before < 0) GTEST_SKIP() << "VmRSS not readable from /proc/self/status";
+  SparseField field(d, grid::DataType::Float32);
+  field.Scatter(ids, values);
+  const PolyData poly = field.Contour(grid::UniformGeometry{}, iso);
+  const std::int64_t growth_kib = VmRssKib() - before;
+
+  EXPECT_GT(poly.TriangleCount(), 0u);
+  EXPECT_LT(growth_kib, 16 * 1024) << "VmRSS grew by " << growth_kib << " KiB";
 }
 
 TEST(Components, TwoSpheresGiveTwoComponents) {

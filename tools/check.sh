@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo check: tier-1 verify (full build + ctest), then the end-to-end
 # benchmark's self-tests against this tree, an
-# address/UB-sanitizer build of the concurrency-heavy tests plus a
-# hostile-input fuzz smoke, the overload/cluster tests under tsan, a
+# address/UB-sanitizer build of the concurrency-heavy tests, the
+# post-filter's contour tests and a hostile-input fuzz smoke, the
+# overload/cluster tests under tsan, a
 # storage-fault stage (retry ladder + scrubber under tsan, seeded
 # disk-fault chaos), a chaos stage (seeded fault schedules under
 # tsan plus a real TCP kill -> restart -> serves-again exercise), and a
@@ -39,11 +40,11 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # the full-read oracle, without the 256^3 timed run.
   bash e2e_bench/run.sh --selftest
 
-  stage "asan/ubsan: obs + net + rpc + fault + integrity + trace + storage + fuzz"
+  stage "asan/ubsan: obs + net + rpc + fault + integrity + trace + storage + contour + fuzz"
   cmake --preset asan > /dev/null
   cmake --build build-asan -j"$(nproc)" --target obs_test net_test rpc_test \
     fault_test fuzz_test integrity_test trace_test storage_test \
-    store_fault_test scrub_test vizndp_tool
+    store_fault_test scrub_test contour_test rectilinear_test vizndp_tool
   ./build-asan/tests/obs_test
   ./build-asan/tests/net_test
   ./build-asan/tests/rpc_test
@@ -57,6 +58,11 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-asan/tests/storage_test
   ./build-asan/tests/store_fault_test
   ./build-asan/tests/scrub_test
+  # The post-filter's complete-cell walk reads the validity bitmap up to
+  # id + nx*ny + nx + 1 past each valid point, on uniform and stretched
+  # grids, in 3D and 2D.
+  ./build-asan/tests/contour_test
+  ./build-asan/tests/rectilinear_test
   # Fuzz smoke under the sanitizers: 1500 mutations x 8 decoder targets
   # (> 10k hostile inputs) at a fixed seed, so a CI failure replays
   # byte-for-byte with the same command.
