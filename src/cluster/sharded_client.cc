@@ -256,8 +256,7 @@ void ShardedNdpClient::Merge::Deliver(const ndp::StreamHeader& from,
   if (!field.has_value()) {
     header = from;
     field.emplace(from.dims, from.dtype);
-  } else if (header.dims.nx != from.dims.nx || header.dims.ny != from.dims.ny ||
-             header.dims.nz != from.dims.nz || header.dtype != from.dtype) {
+  } else if (!ndp::SameGrid(header, from)) {
     throw Error("shards disagree on dataset shape — mixed replicas?");
   }
   field->Scatter(selection.ids, selection.values);
@@ -421,7 +420,8 @@ ndp::StreamAccumulator ShardedNdpClient::SubFetch(
     span.End();
     subfetch_seconds_.Observe(span.ElapsedSeconds());
     obs::Span merge_span("cluster.merge");
-    merge.Deliver(won.acc.header, won.selection);
+    // A slice with no straddling brick ships no chunk: nothing to merge.
+    if (won.acc.chunks > 0) merge.Deliver(won.acc.header, won.selection);
     return std::move(won.acc);
   }
 

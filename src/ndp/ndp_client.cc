@@ -40,55 +40,13 @@ contour::PolyData NdpFetcher::Contour(const std::string& key,
 
 namespace {
 
-// A one-shot ndp.select reply read as the stream it stands for: the
-// header, the single data chunk (the whole plan's bricks) and the
-// terminal summary, which is the reply minus its payload.
-struct OneShotReply {
-  StreamHeader header;
-  StreamChunk chunk;
-  Value terminal;
-};
-
-OneShotReply ParseOneShotReply(Value reply) {
-  OneShotReply out;
-  StreamHeader& h = out.header;
-  const auto& dims_v = reply.At("dims").As<Array>();
-  h.dims = grid::Dims{dims_v.at(0).AsInt(), dims_v.at(1).AsInt(),
-                      dims_v.at(2).AsInt()};
-  const auto& o = reply.At("origin").As<Array>();
-  const auto& s = reply.At("spacing").As<Array>();
-  for (size_t i = 0; i < 3; ++i) {
-    h.geometry.origin[i] = o.at(i).AsDouble();
-    h.geometry.spacing[i] = s.at(i).AsDouble();
-  }
-  h.dtype = grid::DataTypeFromName(reply.At("dtype").As<std::string>());
-  h.bricks_total = reply.At("bricks_total").AsInt();
-  h.stream_bricks = reply.At("bricks_read").AsInt();
-  h.total_points = static_cast<std::int64_t>(reply.At("total_points").AsUint());
-  out.chunk.cursor = h.bricks_total - 1;
-  out.chunk.bricks = h.stream_bricks;
-  out.chunk.selected = static_cast<std::int64_t>(reply.At("selected").AsUint());
-  auto& map = reply.AsMutable<msgpack::Map>();
-  const auto payload = std::find_if(map.begin(), map.end(), [](const auto& kv) {
-    return kv.first.template Is<std::string>() &&
-           kv.first.template As<std::string>() == "payload";
-  });
-  if (payload == map.end()) throw DecodeError("select reply has no payload");
-  out.chunk.payload = std::move(payload->second.AsMutable<Bytes>());
-  map.erase(payload);
-  out.terminal = std::move(reply);
-  return out;
-}
-
 // On a resume the stream restarts with a fresh header; the original
 // stays authoritative (its stream_bricks is the full stream's size, for
-// progress), but the grid shape must agree — a replica describing
-// different data is corruption, not recovery.
+// progress), but it must describe the same grid.
 void AcceptHeader(StreamAccumulator& acc, const StreamHeader& h,
                   const NdpClient::StreamHeaderFn& on_header) {
   if (acc.got_header) {
-    if (h.dims.nx != acc.header.dims.nx || h.dims.ny != acc.header.dims.ny ||
-        h.dims.nz != acc.header.dims.nz || h.dtype != acc.header.dtype) {
+    if (!SameGrid(acc.header, h)) {
       throw DecodeError("stream resume: header shape mismatch");
     }
     return;
@@ -139,10 +97,20 @@ PartialFetch NdpClient::FetchPartial(const std::string& key,
   return out;
 }
 
-void NdpClient::AcceptChunk(StreamAccumulator& acc, const StreamChunk& chunk,
-                            obs::Span& decode_span,
-                            const StreamDeliverFn& deliver) const {
-  DecodedSelection sel = DecodeSelection(chunk.payload, acc.header.dims);
+bool NdpClient::AcceptMap(StreamAccumulator& acc, StreamDecoder& decoder,
+                          Value map, const StreamDeliverFn& deliver,
+                          const StreamHeaderFn& on_header) const {
+  obs::Span decode_span("ndp.decode");
+  const std::optional<StreamChunk> chunk = decoder.Feed(std::move(map));
+  if (!chunk.has_value()) {
+    AcceptHeader(acc, decoder.header(), on_header);
+    decode_span.End();
+    acc.decode_s += decode_span.ElapsedSeconds();
+    return true;
+  }
+  // The one-shot path reads no stream setting (FetchPartial's contract).
+  if (acc.streamed && cancel_ && cancel_()) return false;
+  DecodedSelection sel = DecodeSelection(chunk->payload, acc.header.dims);
   decode_span.End();
   acc.decode_s += decode_span.ElapsedSeconds();
   const size_t points = sel.ids.size();
@@ -150,16 +118,17 @@ void NdpClient::AcceptChunk(StreamAccumulator& acc, const StreamChunk& chunk,
   deliver(std::move(sel));
   scatter_span.End();
   acc.scatter_s += scatter_span.ElapsedSeconds();
-  acc.cursor = chunk.cursor;
+  acc.cursor = chunk->cursor;
   acc.chunks += 1;
-  acc.bricks_done += chunk.bricks;
+  acc.bricks_done += chunk->bricks;
   acc.shipped_points += points;
-  acc.payload_bytes += chunk.payload.size();
+  acc.payload_bytes += chunk->payload.size();
   if (acc.streamed && progress_) {
     progress_(StreamProgress{acc.chunks, acc.bricks_done,
                              acc.header.stream_bricks, acc.shipped_points,
                              acc.resumes});
   }
+  return true;
 }
 
 void NdpClient::StreamSelectOnce(const std::string& key,
@@ -169,40 +138,34 @@ void NdpClient::StreamSelectOnce(const std::string& key,
                                  StreamAccumulator& acc,
                                  const StreamDeliverFn& deliver,
                                  const StreamHeaderFn& on_header) {
-  Array isos;
-  for (const double v : isovalues) isos.emplace_back(v);
-  Array params{Value(bucket_), Value(key), Value(array),
-               Value(std::move(isos)),
-               Value(static_cast<std::uint64_t>(encoding_))};
-  // The restriction slot (index 5) must be present — possibly Nil — when
-  // the stream map follows at its fixed position 6.
-  if (only_bricks != nullptr || acc.streamed) {
-    params.push_back(only_bricks != nullptr
-                         ? BrickRestrictionToValue(*only_bricks)
-                         : Value());
+  SelectRequest request{bucket_, key, array, isovalues, encoding_, {}, {}};
+  if (only_bricks != nullptr) request.bricks = *only_bricks;
+  if (acc.streamed) {
+    request.stream = StreamParams{stream_.chunk_bricks, acc.cursor};
   }
+  StreamDecoder decoder(acc.cursor);
 
   // Each attempt's RPC exchange is one ndp.partial span (the unit a shard
   // sub-request traces as); a one-shot reply is decoded and delivered
-  // after it.
+  // after it, its header and data maps in wire order.
   if (!acc.streamed) {
     Value reply;
     {
       obs::Span rpc_span("ndp.partial");
-      reply = client_->Call(kRpcNdpSelect, std::move(params), CallOpts());
+      reply = client_->Call(kRpcNdpSelect, SelectRequestToParams(request),
+                            CallOpts());
     }
-    OneShotReply one = ParseOneShotReply(std::move(reply));
     acc.frames += 1;
-    AcceptHeader(acc, one.header, on_header);
-    obs::Span decode_span("ndp.decode");
-    AcceptChunk(acc, one.chunk, decode_span, deliver);
-    AcceptTerminal(acc, one.terminal);
+    for (auto& [k, v] : reply.AsMutable<msgpack::Map>()) {
+      if (k == Value(kOneShotHeaderKey) || k == Value(kOneShotChunkKey)) {
+        AcceptMap(acc, decoder, std::move(v), deliver, on_header);
+      }
+    }
+    decoder.Finish();
+    AcceptTerminal(acc, reply);
     return;
   }
 
-  params.push_back(StreamParamsToValue(
-      StreamParams{stream_.chunk_bricks, acc.cursor}));
-  StreamDecoder decoder(acc.cursor);
   rpc::Client::StreamCallOptions copts;
   copts.timeout = options_.call_timeout;
   copts.chunk_timeout = stream_.chunk_timeout;
@@ -211,20 +174,10 @@ void NdpClient::StreamSelectOnce(const std::string& key,
   {
     obs::Span rpc_span("ndp.partial");
     terminal = client_->CallStreaming(
-        kRpcNdpSelect, std::move(params), copts,
+        kRpcNdpSelect, SelectRequestToParams(request), copts,
         [&](const msgpack::Value& chunk_map) -> bool {
           acc.frames += 1;
-          obs::Span decode_span("ndp.decode");
-          const std::optional<StreamChunk> data = decoder.Feed(chunk_map);
-          if (!data.has_value()) {
-            AcceptHeader(acc, decoder.header(), on_header);
-            decode_span.End();
-            acc.decode_s += decode_span.ElapsedSeconds();
-            return true;
-          }
-          if (cancel_ && cancel_()) return false;
-          AcceptChunk(acc, *data, decode_span, deliver);
-          return true;
+          return AcceptMap(acc, decoder, chunk_map, deliver, on_header);
         },
         &cancelled);
   }

@@ -164,7 +164,7 @@ void AddLoadStats(const StreamAccumulator& acc, NdpLoadStats& stats);
 // drop.
 struct PartialFetch {
   StreamAccumulator acc;  // header, terminal summary and accounting
-  DecodedSelection selection;
+  DecodedSelection selection;  // empty (acc.chunks == 0): none straddled
 };
 
 class NdpClient : public NdpFetcher {
@@ -201,18 +201,18 @@ class NdpClient : public NdpFetcher {
   using StreamHeaderFn = std::function<void(const StreamHeader&)>;
 
   // One ndp.select against this node, in the shape acc.streamed asks
-  // for, fed into `acc`: each data chunk is decoded and delivered, and the
-  // terminal summary is added to the accumulator. A one-shot reply is
-  // read as a header, one chunk and a terminal. A stream recovers
+  // for, fed into `acc`: both shapes' header and data maps go through one
+  // StreamDecoder, each data chunk is decoded and delivered, and the
+  // terminal summary is added to the accumulator. A stream recovers
   // mid-flight: on TimeoutError / StreamStallError / PeerClosedError /
   // TransientIoError it re-issues the call with resume_after=<cursor>
   // (ndp_stream_resume_total / ndp.stream_resume per attempt, up to
   // stream().max_resumes), so chunks already delivered are never
-  // refetched. Other errors, an exhausted resume budget, and any error of
-  // a one-shot call (the rpc client's retry policy covers those)
-  // propagate; ShardedNdpClient then hops to the next replica with the
-  // same accumulator. A client-initiated cancel returns with
-  // acc.cancelled set.
+  // refetched. Other errors (a CRC mismatch is CorruptDataError), an
+  // exhausted resume budget, and any error of a one-shot call (the rpc
+  // client's retry policy covers those) propagate; ShardedNdpClient then
+  // hops to the next replica with the same accumulator. A
+  // client-initiated cancel returns with acc.cancelled set.
   void StreamSelect(const std::string& key, const std::string& array,
                     const std::vector<double>& isovalues,
                     const std::vector<std::int64_t>* only_bricks,
@@ -363,13 +363,15 @@ class NdpClient : public NdpFetcher {
                         StreamAccumulator& acc, const StreamDeliverFn& deliver,
                         const StreamHeaderFn& on_header);
 
-  // Feeds one data chunk, of either reply shape, into the accumulator:
-  // decodes its payload inside `decode_span` (already open: a stream's
-  // span also covers the frame's own decode), delivers it and reports
-  // progress.
-  void AcceptChunk(StreamAccumulator& acc, const StreamChunk& chunk,
-                   obs::Span& decode_span,
-                   const StreamDeliverFn& deliver) const;
+  // Feeds one header or data map, of either reply shape, through
+  // `decoder` (StreamDecoder::Feed, the only path from wire bytes to
+  // chunk data) into the accumulator: a data chunk is decoded inside an
+  // "ndp.decode" span, delivered inside an "ndp.scatter" span, and
+  // reported as progress. Returns false when the cancel hook asked to
+  // stop (streams only).
+  bool AcceptMap(StreamAccumulator& acc, StreamDecoder& decoder,
+                 msgpack::Value map, const StreamDeliverFn& deliver,
+                 const StreamHeaderFn& on_header) const;
 
   std::shared_ptr<rpc::Client> client_;
   std::string bucket_;

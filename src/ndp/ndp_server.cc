@@ -37,10 +37,6 @@ std::uint64_t MintNodeId() {
 
 namespace {
 
-Value Triple(const std::array<double, 3>& v) {
-  return Value(Array{Value(v[0]), Value(v[1]), Value(v[2])});
-}
-
 Value SnapshotsToValue(const std::vector<obs::MetricSnapshot>& snapshot) {
   Array out;
   out.reserve(snapshot.size());
@@ -70,7 +66,7 @@ Value SnapshotsToValue(const std::vector<obs::MetricSnapshot>& snapshot) {
         m.emplace_back(Value("window_s"), Value(s.window_seconds));
       }
     }
-    out.push_back(Value(std::move(m)));
+    out.emplace_back(std::move(m));
   }
   return Value(std::move(out));
 }
@@ -98,25 +94,24 @@ rpc::MemoryBudget::Reservation ReserveMidStream(rpc::MemoryBudget& budget,
 
 }  // namespace
 
-msgpack::Value NdpServer::Select(const std::string& key,
-                                 const std::string& array,
-                                 const std::vector<double>& isovalues,
-                                 SelectionEncoding encoding,
-                                 const std::vector<std::int64_t>* only_bricks,
-                                 const StreamParams* stream,
+msgpack::Value NdpServer::Select(const SelectRequest& request,
                                  rpc::StreamSink* sink) {
-  const bool streamed = stream != nullptr && sink != nullptr;
+  const std::string& array = request.array;
+  const std::vector<std::int64_t>* only_bricks =
+      request.bricks.has_value() ? &*request.bricks : nullptr;
+  const bool streamed = request.stream.has_value() && sink != nullptr;
   // Span names per reply shape (the layer breakdown reads them): a
   // stream times each batch as one ndp.stream.chunk, encode and emit
   // included; one-shot splits its batch into ndp.read and ndp.pack.
   obs::Span total_span(streamed ? "ndp.select.stream" : "ndp.select");
   if (streamed) metrics_.GetCounter("ndp_stream_requests_total").Increment();
-  const io::VndReader reader(gateway_.Open(key));
+  const io::VndReader reader(gateway_.Open(request.key));
   const io::VndHeader& h = reader.header();
   const io::ArrayMeta* meta = h.Find(array);
   VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + array + "' in VND file");
-  const BrickPlan plan = PlanBricks(h.dims, *meta, isovalues, only_bricks,
-                                    streamed ? stream->resume_after : -1);
+  const BrickPlan plan =
+      PlanBricks(h.dims, *meta, request.isovalues, only_bricks,
+                 streamed ? request.stream->resume_after : -1);
   if (only_bricks != nullptr) {
     VIZNDP_CHECK_MSG(
         only_bricks->empty() || only_bricks->back() < plan.bricks_total(),
@@ -128,8 +123,9 @@ msgpack::Value NdpServer::Select(const std::string& key,
   // its coalesced reads stay whole and no ghost point ships twice.
   const size_t planned = plan.bricks.size();
   const size_t per_batch =
-      streamed ? static_cast<size_t>(stream->chunk_bricks) : planned;
-  const size_t batches = streamed ? (planned + per_batch - 1) / per_batch : 1;
+      streamed ? static_cast<size_t>(request.stream->chunk_bricks)
+               : std::max<size_t>(planned, 1);
+  const size_t batches = (planned + per_batch - 1) / per_batch;
   const auto batch_end = [&](size_t begin) {
     return std::min(planned, begin + per_batch);
   };
@@ -152,15 +148,14 @@ msgpack::Value NdpServer::Select(const std::string& key,
     obs::GlobalEventLog().Append("ndp.stream_cancel", "array=" + array);
     return Value();
   };
-  if (streamed) {
-    StreamHeader header;
-    header.dims = h.dims;
-    header.geometry = h.geometry;
-    header.dtype = meta->type;
-    header.bricks_total = plan.bricks_total();
-    header.stream_bricks = static_cast<std::int64_t>(planned);
-    header.total_points = h.dims.PointCount();
-    if (!sink->Emit(StreamHeaderToValue(header))) return on_cancel();
+  const StreamHeader header{h.dims,
+                            h.geometry,
+                            meta->type,
+                            plan.bricks_total(),
+                            static_cast<std::int64_t>(planned),
+                            h.dims.PointCount()};
+  if (streamed && !sink->Emit(StreamHeaderToValue(header))) {
+    return on_cancel();
   }
 
   std::uint64_t stored_bytes = 0;
@@ -170,7 +165,7 @@ msgpack::Value NdpServer::Select(const std::string& key,
   double read_s = 0;
   double select_s = 0;
   std::int64_t chunks = 0;
-  Bytes payload;
+  Value one_shot_chunk;
   // Registry lookups are name-hash-under-mutex; a stream resolves its
   // per-chunk instruments once, not once per chunk.
   obs::WindowedHistogram* chunk_hist = nullptr;
@@ -195,8 +190,8 @@ msgpack::Value NdpServer::Select(const std::string& key,
     BrickedSelectStats bstats;
     contour::Selection selection;
     try {
-      selection = SelectBricks(reader, array, isovalues, plan, batch, &bstats,
-                               quarantine_, key);
+      selection = SelectBricks(reader, array, request.isovalues, plan, batch,
+                               &bstats, quarantine_, request.key);
     } catch (const CorruptDataError&) {
       // No server-side rung is left: the recovery is a different data
       // copy — the sharded client's replica failover for restricted
@@ -215,24 +210,21 @@ msgpack::Value NdpServer::Select(const std::string& key,
       throw;
     }
     if (!streamed) span.emplace("ndp.pack");
-    Bytes encoded = EncodeSelection(selection, encoding);
+    StreamChunk chunk{batch.back(), static_cast<std::int64_t>(batch.size()),
+                      static_cast<std::int64_t>(selection.ids.size()),
+                      EncodeSelection(selection, request.encoding)};
     stored_bytes += bstats.bytes_read;
-    payload_bytes += encoded.size();
+    payload_bytes += chunk.payload.size();
     selected_total += selection.ids.size();
     bricks_read += bstats.bricks_read;
     read_s += bstats.read_seconds;
     select_s += bstats.scan_seconds;
+    Value chunk_map = StreamChunkToValue(std::move(chunk));
     if (!streamed) {
-      span.reset();
-      payload = std::move(encoded);
+      one_shot_chunk = std::move(chunk_map);
       continue;
     }
-    StreamChunk chunk;
-    chunk.cursor = batch.back();
-    chunk.bricks = static_cast<std::int64_t>(batch.size());
-    chunk.selected = static_cast<std::int64_t>(selection.ids.size());
-    chunk.payload = std::move(encoded);
-    const bool emitted = sink->Emit(StreamChunkToValue(std::move(chunk)));
+    const bool emitted = sink->Emit(chunk_map);
     // Release this batch's slab before the next reservation: the budget
     // sees one batch at a time, not the whole array.
     reservation = rpc::MemoryBudget::Reservation();
@@ -253,32 +245,25 @@ msgpack::Value NdpServer::Select(const std::string& key,
                                               bricks_read));
   }
 
-  // The terminal summary. A stream's chunks carried the data, and its
+  // The terminal summary: the server's accounting. A stream's
   // "selected" counts shipped points, which may exceed the one-shot
   // count by ghost-layer points shared across batch boundaries —
   // consumers that need exact dedup use the SparseField's ValidCount
-  // after scattering. One-shot adds the payload.
+  // after scattering. One-shot adds its header and data maps.
   Map reply;
-  reply.emplace_back(Value("dims"),
-                     Value(Array{Value(h.dims.nx), Value(h.dims.ny),
-                                 Value(h.dims.nz)}));
-  reply.emplace_back(Value("origin"), Triple(h.geometry.origin));
-  reply.emplace_back(Value("spacing"), Triple(h.geometry.spacing));
-  reply.emplace_back(Value("dtype"),
-                     Value(std::string(grid::DataTypeName(meta->type))));
   reply.emplace_back(Value("stored_bytes"), Value(stored_bytes));
   reply.emplace_back(Value("raw_bytes"), Value(meta->raw_size));
-  reply.emplace_back(Value("bricks_total"), Value(plan.bricks_total()));
   reply.emplace_back(Value("bricks_read"), Value(bricks_read));
   reply.emplace_back(Value("selected"), Value(selected_total));
-  reply.emplace_back(Value("total_points"),
-                     Value(static_cast<std::uint64_t>(h.dims.PointCount())));
   reply.emplace_back(Value("read_s"), Value(read_s));
   reply.emplace_back(Value("select_s"), Value(select_s));
   if (streamed) {
     reply.emplace_back(Value("chunks"), Value(chunks));
   } else {
-    reply.emplace_back(Value("payload"), Value(std::move(payload)));
+    reply.emplace_back(Value(kOneShotHeaderKey), StreamHeaderToValue(header));
+    if (!one_shot_chunk.IsNil()) {
+      reply.emplace_back(Value(kOneShotChunkKey), std::move(one_shot_chunk));
+    }
   }
   total_span.End();
   // Windowed: the scrape exports ndp_select_seconds (cumulative, as
@@ -380,30 +365,9 @@ msgpack::Value NdpServer::Stats(const std::string& key,
 void NdpServer::Bind(rpc::Server& server) {
   server.BindStreaming(
       kRpcNdpSelect, [this](const Array& p, rpc::StreamSink* sink) -> Value {
-        std::vector<double> isovalues;
-        for (const Value& v : p.at(3).As<Array>()) {
-          isovalues.push_back(v.AsDouble());
-        }
-        // Optional 6th element: the sub-request brick restriction (absent
-        // or empty = the whole brick space, the pre-sharding request
-        // shape).
-        std::optional<std::vector<std::int64_t>> bricks;
-        if (p.size() > 5 && p.at(5).Is<Array>() &&
-            !p.at(5).As<Array>().empty()) {
-          bricks = BrickRestrictionFromValue(p.at(5));
-        }
-        // Optional 7th element: the stream map (protocol.h). Absent or
-        // Nil — and any sink-less dispatch, e.g. the in-process Dispatch
-        // without a transport — means the one-shot reply.
-        std::optional<StreamParams> stream;
-        if (p.size() > 6) stream = StreamParamsFromValue(p.at(6));
-        const auto encoding = static_cast<SelectionEncoding>(p.at(4).AsUint());
-        // p[0] is the bucket, fixed at gateway construction; kept in the
-        // protocol so multi-bucket servers remain possible.
-        return Select(p.at(1).As<std::string>(), p.at(2).As<std::string>(),
-                      isovalues, encoding,
-                      bricks.has_value() ? &*bricks : nullptr,
-                      stream.has_value() ? &*stream : nullptr, sink);
+        // A sink-less dispatch (e.g. the in-process Dispatch without a
+        // transport) answers one-shot whatever the request asked.
+        return Select(SelectRequestFromParams(p), sink);
       });
   server.Bind(kRpcNdpInfo, [this](const Array& p) -> Value {
     return Info(p.at(1).As<std::string>());

@@ -93,15 +93,15 @@ class NdpServer {
   // ndp.trace on `server`.
   void Bind(rpc::Server& server);
 
-  // Handler core, exposed for tests: reads `key`, selects interesting
-  // points of `array` for `isovalues` one brick batch at a time (see
-  // bricked_select.h; an unbricked array is a one-brick index).
-  //
-  // One-shot (`stream` null): the whole plan is one batch, and the reply
-  // map is the terminal summary plus its "payload". Streamed (`stream`
-  // and `sink` set; protocol.h stream shape): emits a header chunk, then
-  // one data chunk per batch of stream->chunk_bricks bricks above
-  // stream->resume_after, and returns the terminal summary.
+  // Handler core, exposed for tests: selects interesting points of
+  // request.array for its isovalues one brick batch at a time (see
+  // bricked_select.h; an unbricked array is a one-brick index), building
+  // both reply shapes from one StreamHeader and one StreamChunk per
+  // batch (protocol.h). One-shot (no stream map, or no `sink`): the plan
+  // is one batch, returned as the terminal summary with the "header" map
+  // and, when a brick straddles, the "chunk" map. Streamed: emits the
+  // header, then a data chunk per batch of chunk_bricks bricks above
+  // resume_after, into `sink`, and returns the terminal summary.
   //
   // Each batch reserves only its own slab bytes and releases them once
   // it has been shipped, so a stream pins one batch at a time. Shedding
@@ -111,18 +111,13 @@ class NdpServer {
   // the sink abandons remaining batches (ndp_stream_cancelled_total /
   // ndp.stream_cancel).
   //
-  // `only_bricks` (sorted brick ids, nullptr = all) restricts the
-  // pre-filter to a subset of the brick space — the sub-request half of
-  // the scatter-gather protocol (see src/cluster/). Corrupt bricks and
-  // store failures cross the wire typed on every request; restricted
-  // ones are also counted (ndp_restricted_corrupt_total /
-  // ndp.restricted_corrupt, ndp_restricted_io_total / ndp.restricted_io)
-  // because their recovery is the client's replica failover.
-  msgpack::Value Select(const std::string& key, const std::string& array,
-                        const std::vector<double>& isovalues,
-                        SelectionEncoding encoding,
-                        const std::vector<std::int64_t>* only_bricks = nullptr,
-                        const StreamParams* stream = nullptr,
+  // A brick restriction is the sub-request half of the scatter-gather
+  // protocol (see src/cluster/). Corrupt bricks and store failures cross
+  // the wire typed on every request; restricted ones are also counted
+  // (ndp_restricted_corrupt_total / ndp.restricted_corrupt,
+  // ndp_restricted_io_total / ndp.restricted_io) because their recovery
+  // is the client's replica failover.
+  msgpack::Value Select(const SelectRequest& request,
                         rpc::StreamSink* sink = nullptr);
 
   msgpack::Value Info(const std::string& key);

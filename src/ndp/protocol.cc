@@ -1,9 +1,13 @@
 #include "ndp/protocol.h"
 
+#include <array>
+#include <bit>
 #include <string>
+#include <string_view>
 
 #include "common/error.h"
 #include "compress/checksum.h"
+#include "compress/codec.h"
 
 namespace vizndp::ndp {
 
@@ -15,34 +19,6 @@ const char* SelectionEncodingName(SelectionEncoding e) {
     case SelectionEncoding::kRunLength: return "run-length";
   }
   return "?";
-}
-
-msgpack::Value BrickRestrictionToValue(std::span<const std::int64_t> bricks) {
-  msgpack::Array out;
-  out.reserve(bricks.size());
-  for (const std::int64_t b : bricks) out.emplace_back(b);
-  return msgpack::Value(std::move(out));
-}
-
-std::vector<std::int64_t> BrickRestrictionFromValue(
-    const msgpack::Value& value) {
-  std::vector<std::int64_t> out;
-  const auto& arr = value.As<msgpack::Array>();
-  if (arr.size() > kMaxBrickRestriction) {
-    throw DecodeError("brick restriction: absurd length " +
-                      std::to_string(arr.size()));
-  }
-  out.reserve(arr.size());
-  for (const msgpack::Value& v : arr) {
-    if (!v.IsInteger()) throw DecodeError("brick restriction: non-integer id");
-    const std::int64_t b = v.AsInt();
-    if (b < 0) throw DecodeError("brick restriction: negative brick id");
-    if (!out.empty() && b <= out.back()) {
-      throw DecodeError("brick restriction: ids must be sorted and unique");
-    }
-    out.push_back(b);
-  }
-  return out;
 }
 
 namespace {
@@ -77,17 +53,78 @@ void StreamTriple(const msgpack::Value& map, const char* key, double out[3]) {
   for (size_t i = 0; i < 3; ++i) out[i] = arr[i].AsDouble();
 }
 
-}  // namespace
-
-msgpack::Value StreamParamsToValue(const StreamParams& params) {
-  msgpack::Map out;
-  out.emplace_back(msgpack::Value("chunk_bricks"),
-                   msgpack::Value(params.chunk_bricks));
-  out.emplace_back(msgpack::Value("resume_after"),
-                   msgpack::Value(params.resume_after));
-  return msgpack::Value(std::move(out));
+msgpack::Value TripleToValue(const auto& v) {
+  return msgpack::Value(msgpack::Array{msgpack::Value(v[0]),
+                                       msgpack::Value(v[1]),
+                                       msgpack::Value(v[2])});
 }
 
+// The CRC stamps (protocol.h): every field the client acts on, in a
+// fixed little-endian layout.
+std::uint32_t HeaderCrc(const StreamHeader& h) {
+  Bytes fields;
+  const auto put = [&](auto v) {
+    AppendLE(std::bit_cast<std::uint64_t>(v), fields);
+  };
+  for (const std::int64_t n : {h.dims.nx, h.dims.ny, h.dims.nz}) put(n);
+  for (const double v : h.geometry.origin) put(v);
+  for (const double v : h.geometry.spacing) put(v);
+  const std::string_view dtype = grid::DataTypeName(h.dtype);
+  fields.insert(fields.end(), dtype.begin(), dtype.end());
+  for (const std::int64_t n :
+       {h.bricks_total, h.stream_bricks, h.total_points}) {
+    put(n);
+  }
+  return compress::Crc32(fields);
+}
+
+std::uint32_t ChunkCrc(const StreamChunk& c) {
+  Bytes fields;
+  for (const std::int64_t n : {c.cursor, c.bricks, c.selected}) {
+    AppendLE(n, fields);
+  }
+  return compress::Crc32(c.payload, compress::Crc32(fields));
+}
+
+// The map is the decoder's own, so its payload moves out without a copy.
+Bytes TakePayload(msgpack::Value& map) {
+  for (auto& [k, v] : map.AsMutable<msgpack::Map>()) {
+    if (k.Is<std::string>() && k.As<std::string>() == "payload") {
+      if (!v.Is<Bytes>()) {
+        throw DecodeError("stream chunk: payload is not binary");
+      }
+      return std::move(v.AsMutable<Bytes>());
+    }
+  }
+  throw DecodeError("stream chunk: missing key 'payload'");
+}
+
+// Sorted, unique, non-negative ids, at most kMaxBrickRestriction.
+std::vector<std::int64_t> BrickRestrictionFromValue(
+    const msgpack::Value& value) {
+  if (!value.Is<msgpack::Array>()) {
+    throw DecodeError("brick restriction: not an array");
+  }
+  std::vector<std::int64_t> out;
+  const auto& arr = value.As<msgpack::Array>();
+  if (arr.size() > kMaxBrickRestriction) {
+    throw DecodeError("brick restriction: absurd length " +
+                      std::to_string(arr.size()));
+  }
+  out.reserve(arr.size());
+  for (const msgpack::Value& v : arr) {
+    if (!v.IsInteger()) throw DecodeError("brick restriction: non-integer id");
+    const std::int64_t b = v.AsInt();
+    if (b < 0) throw DecodeError("brick restriction: negative brick id");
+    if (!out.empty() && b <= out.back()) {
+      throw DecodeError("brick restriction: ids must be sorted and unique");
+    }
+    out.push_back(b);
+  }
+  return out;
+}
+
+// Nil: a one-shot request.
 std::optional<StreamParams> StreamParamsFromValue(
     const msgpack::Value& value) {
   if (value.Is<msgpack::Nil>()) return std::nullopt;
@@ -104,51 +141,96 @@ std::optional<StreamParams> StreamParamsFromValue(
   return params;
 }
 
+}  // namespace
+
+msgpack::Array SelectRequestToParams(const SelectRequest& request) {
+  using msgpack::Value;
+  msgpack::Array params{
+      Value(request.bucket), Value(request.key), Value(request.array),
+      Value(msgpack::Array(request.isovalues.begin(), request.isovalues.end())),
+      Value(static_cast<std::uint64_t>(request.encoding))};
+  if (request.bricks.has_value()) {
+    params.emplace_back(
+        msgpack::Array(request.bricks->begin(), request.bricks->end()));
+  } else if (request.stream.has_value()) {
+    params.emplace_back();  // Nil holds slot 5 when slot 6 follows
+  }
+  if (request.stream.has_value()) {
+    params.emplace_back(msgpack::Map{
+        {Value("chunk_bricks"), Value(request.stream->chunk_bricks)},
+        {Value("resume_after"), Value(request.stream->resume_after)}});
+  }
+  return params;
+}
+
+SelectRequest SelectRequestFromParams(const msgpack::Array& params) {
+  if (params.size() < 5) {
+    throw DecodeError("select request: expected at least 5 params, got " +
+                      std::to_string(params.size()));
+  }
+  for (size_t i = 0; i < 3; ++i) {
+    if (!params[i].Is<std::string>()) {
+      throw DecodeError("select request: a name is not a string");
+    }
+  }
+  SelectRequest request;
+  request.bucket = params[0].As<std::string>();
+  request.key = params[1].As<std::string>();
+  request.array = params[2].As<std::string>();
+  if (!params[3].Is<msgpack::Array>()) {
+    throw DecodeError("select request: isovalues is not an array");
+  }
+  for (const msgpack::Value& v : params[3].As<msgpack::Array>()) {
+    if (!v.IsInteger() && !v.Is<double>()) {
+      throw DecodeError("select request: non-numeric isovalue");
+    }
+    request.isovalues.push_back(v.AsDouble());
+  }
+  const msgpack::Value& tag = params[4];
+  if (!tag.IsInteger() || tag.AsDouble() < 0 ||
+      tag.AsDouble() > static_cast<double>(SelectionEncoding::kRunLength)) {
+    throw DecodeError("select request: unknown encoding tag");
+  }
+  request.encoding = static_cast<SelectionEncoding>(tag.AsUint());
+  if (params.size() > 5 && !params[5].IsNil()) {
+    std::vector<std::int64_t> bricks = BrickRestrictionFromValue(params[5]);
+    if (!bricks.empty()) request.bricks = std::move(bricks);
+  }
+  if (params.size() > 6) request.stream = StreamParamsFromValue(params[6]);
+  return request;
+}
+
 msgpack::Value StreamHeaderToValue(const StreamHeader& header) {
-  using msgpack::Array;
   using msgpack::Value;
   msgpack::Map out;
   out.emplace_back(Value("kind"), Value(std::string("header")));
-  out.emplace_back(Value("dims"),
-                   Value(Array{Value(header.dims.nx), Value(header.dims.ny),
-                               Value(header.dims.nz)}));
-  const auto& origin = header.geometry.origin;
-  const auto& spacing = header.geometry.spacing;
-  out.emplace_back(Value("origin"), Value(Array{Value(origin[0]),
-                                                Value(origin[1]),
-                                                Value(origin[2])}));
-  out.emplace_back(Value("spacing"), Value(Array{Value(spacing[0]),
-                                                 Value(spacing[1]),
-                                                 Value(spacing[2])}));
+  out.emplace_back(Value("dims"), TripleToValue(std::array{
+                                      header.dims.nx, header.dims.ny,
+                                      header.dims.nz}));
+  out.emplace_back(Value("origin"), TripleToValue(header.geometry.origin));
+  out.emplace_back(Value("spacing"), TripleToValue(header.geometry.spacing));
   out.emplace_back(Value("dtype"),
                    Value(std::string(grid::DataTypeName(header.dtype))));
   out.emplace_back(Value("bricks_total"), Value(header.bricks_total));
   out.emplace_back(Value("stream_bricks"), Value(header.stream_bricks));
   out.emplace_back(Value("total_points"), Value(header.total_points));
+  out.emplace_back(Value("crc32"), Value(std::uint64_t{HeaderCrc(header)}));
   return Value(std::move(out));
 }
 
-msgpack::Value StreamChunkToValue(const StreamChunk& chunk) {
-  StreamChunk copy = chunk;
-  return StreamChunkToValue(std::move(copy));
-}
-
-msgpack::Value StreamChunkToValue(StreamChunk&& chunk) {
+msgpack::Value StreamChunkToValue(StreamChunk chunk) {
   using msgpack::Value;
   msgpack::Map out;
   out.emplace_back(Value("kind"), Value(std::string("data")));
   out.emplace_back(Value("cursor"), Value(chunk.cursor));
   out.emplace_back(Value("bricks"), Value(chunk.bricks));
   out.emplace_back(Value("selected"), Value(chunk.selected));
-  out.emplace_back(Value("crc32"),
-                   Value(static_cast<std::uint64_t>(
-                       compress::Crc32(chunk.payload))));
+  out.emplace_back(Value("crc32"), Value(std::uint64_t{ChunkCrc(chunk)}));
   out.emplace_back(Value("payload"), Value(std::move(chunk.payload)));
   return Value(std::move(out));
 }
 
-std::optional<StreamChunk> StreamDecoder::Feed(
-    const msgpack::Value& chunk_map) {
+std::optional<StreamChunk> StreamDecoder::Feed(msgpack::Value chunk_map) {
   if (finished_) {
     throw DecodeError("stream chunk after the terminal frame");
   }
@@ -156,13 +238,9 @@ std::optional<StreamChunk> StreamDecoder::Feed(
   if (kind == "header") {
     if (got_header_) throw DecodeError("duplicate stream header");
     StreamHeader h;
-    const msgpack::Value& dims = StreamAt(chunk_map, "dims");
-    const auto& darr = dims.As<msgpack::Array>();
+    const auto& darr = StreamAt(chunk_map, "dims").As<msgpack::Array>();
     if (darr.size() != 3) throw DecodeError("stream header: bad dims");
     h.dims = grid::Dims{darr[0].AsInt(), darr[1].AsInt(), darr[2].AsInt()};
-    if (h.dims.nx <= 0 || h.dims.ny <= 0 || h.dims.nz <= 0) {
-      throw DecodeError("stream header: non-positive dims");
-    }
     StreamTriple(chunk_map, "origin", h.geometry.origin.data());
     StreamTriple(chunk_map, "spacing", h.geometry.spacing.data());
     h.dtype = grid::DataTypeFromName(
@@ -170,6 +248,19 @@ std::optional<StreamChunk> StreamDecoder::Feed(
     h.bricks_total = StreamInt(chunk_map, "bricks_total");
     h.stream_bricks = StreamInt(chunk_map, "stream_bricks");
     h.total_points = StreamInt(chunk_map, "total_points");
+    if (StreamInt(chunk_map, "crc32") != HeaderCrc(h)) {
+      throw CorruptDataError("stream header failed its CRC-32 check");
+    }
+    // The client sizes its field from these dims, and no servable array
+    // exceeds the decompress budget (the VND header check); the divisions
+    // keep the bound overflow-free.
+    const auto max_points = static_cast<std::int64_t>(
+        compress::kDefaultDecompressBudget / grid::DataTypeSize(h.dtype));
+    if (h.dims.nx <= 0 || h.dims.ny <= 0 || h.dims.nz <= 0 ||
+        h.dims.nx > max_points || h.dims.ny > max_points / h.dims.nx ||
+        h.dims.nz > max_points / (h.dims.nx * h.dims.ny)) {
+      throw DecodeError("stream header: dims outside the servable range");
+    }
     if (h.bricks_total < 0 || h.stream_bricks < 0 ||
         h.stream_bricks > h.bricks_total) {
       throw DecodeError("stream header: inconsistent brick counts");
@@ -191,6 +282,11 @@ std::optional<StreamChunk> StreamDecoder::Feed(
   chunk.cursor = StreamInt(chunk_map, "cursor");
   chunk.bricks = StreamInt(chunk_map, "bricks");
   chunk.selected = StreamInt(chunk_map, "selected");
+  chunk.payload = TakePayload(chunk_map);
+  if (StreamInt(chunk_map, "crc32") != ChunkCrc(chunk)) {
+    throw CorruptDataError("stream chunk failed its CRC-32 check (cursor " +
+                           std::to_string(chunk.cursor) + ")");
+  }
   if (chunk.cursor <= cursor_) {
     throw DecodeError("stream cursor not strictly ascending (" +
                       std::to_string(chunk.cursor) + " after " +
@@ -201,16 +297,6 @@ std::optional<StreamChunk> StreamDecoder::Feed(
   }
   if (chunk.bricks < 1 || chunk.selected < 0) {
     throw DecodeError("stream chunk: bad batch counts");
-  }
-  const msgpack::Value& payload = StreamAt(chunk_map, "payload");
-  if (!payload.Is<Bytes>()) {
-    throw DecodeError("stream chunk: payload is not binary");
-  }
-  chunk.payload = payload.As<Bytes>();
-  const auto crc = static_cast<std::uint32_t>(StreamInt(chunk_map, "crc32"));
-  if (compress::Crc32(chunk.payload) != crc) {
-    throw CorruptDataError("stream chunk failed its CRC-32 check (cursor " +
-                           std::to_string(chunk.cursor) + ")");
   }
   cursor_ = chunk.cursor;
   return chunk;

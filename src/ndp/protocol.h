@@ -18,7 +18,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
+#include <string>
+#include <vector>
 
 #include "contour/select.h"
 #include "grid/data_array.h"
@@ -52,91 +53,111 @@ DecodedSelection DecodeSelection(ByteSpan payload, const grid::Dims& dims);
 void AppendVarint(std::uint64_t value, Bytes& out);
 std::uint64_t ReadVarint(ByteSpan data, size_t& pos);
 
-// Sub-request brick restriction (scatter-gather sharding). ndp.select
-// takes an optional 6th positional parameter: a sorted array of brick
-// ids restricting the bricked pre-filter to exactly those bricks. A
-// sharded client partitions the brick space across servers, sends each
-// its own restriction, and merges the partial selections; any replica
-// can serve any restriction because the restriction names data, not
-// placement. Old servers never see it (old clients send 5 params) and
-// old clients keep working against new servers (an absent/empty
-// restriction means "all bricks", the pre-sharding behaviour).
-msgpack::Value BrickRestrictionToValue(std::span<const std::int64_t> bricks);
-// Hard cap on restriction length: far above any real brick count (a
-// 1M-brick dataset at 32³ bricks is a 3.2-terapoint grid), far below
-// what a hostile length would make the server allocate.
-inline constexpr size_t kMaxBrickRestriction = size_t{1} << 20;
-// Decodes the restriction; validates ids are sorted, unique,
-// non-negative, and at most kMaxBrickRestriction long (the upper bound
-// is checked against the actual brick count by NdpServer::Select).
-// Throws DecodeError on violations.
-std::vector<std::int64_t> BrickRestrictionFromValue(
-    const msgpack::Value& value);
-
-// ---- Streaming replies (ROADMAP item 3) ------------------------------
+// ---- The ndp.select request -----------------------------------------
 //
-// ndp.select takes an optional 7th positional parameter, a stream map
-// {"chunk_bricks": N, "resume_after": C}: the server then answers with
-// rpc chunk frames instead of one reply. Both shapes come from the same
-// brick batches: a one-shot reply is the stream's single batch, its
-// payload carried in the terminal map itself.
-//
-// Stream shape (all frames carry the request's msgid):
-//   1. header chunk  {"kind": "header", dims/origin/spacing/dtype,
-//                     "bricks_total", "stream_bricks", "total_points"}
-//   2. data chunk*   {"kind": "data", "cursor": last brick id (strictly
-//                     ascending, > resume_after), "bricks": batch size,
-//                     "payload": encoded selection, "crc32": CRC-32 of
-//                     payload}
-//   3. terminal      the ordinary ndp.select reply map minus "payload"
-//                    (totals + per-phase times; the chunks carried the
-//                    data).
-//
-// The cursor is the resume token: a client that loses the stream after
-// cursor C re-issues the call with resume_after=C (same node first,
-// then any replica — the cursor names data, not placement) and scatters
-// the new chunks into the same SparseField, whose Scatter is order- and
-// duplicate-invariant. Ghost-layer points shared by brick batches may
-// arrive twice across chunks or resumes; that is by design.
+// Positional params, trailing optional slots omitted (a Nil holds slot 5
+// when slot 6 follows):
+//   [bucket, key, array, [isovalue...], encoding tag,
+//    brick restriction, {"chunk_bricks": N, "resume_after": C}]
+// The restriction (scatter-gather sharding) limits the bricked
+// pre-filter to those brick ids; it names data, not placement, so any
+// replica can serve it. Absent, Nil or empty means all bricks. The
+// stream map asks for a streamed reply; absent or Nil, for one-shot.
 struct StreamParams {
   std::int64_t chunk_bricks = 0;   // straddling bricks per data chunk
   std::int64_t resume_after = -1;  // last brick id already received
 };
 
-msgpack::Value StreamParamsToValue(const StreamParams& params);
-// Nil/absent → nullopt (monolithic request). Throws DecodeError when
-// present but malformed (chunk_bricks < 1 or > kMaxBrickRestriction,
-// resume_after < -1).
-std::optional<StreamParams> StreamParamsFromValue(const msgpack::Value& value);
+struct SelectRequest {
+  std::string bucket;  // fixed by the server's gateway; kept on the wire
+  std::string key;
+  std::string array;
+  std::vector<double> isovalues;
+  SelectionEncoding encoding = SelectionEncoding::kRunLength;
+  std::optional<std::vector<std::int64_t>> bricks;  // nullopt: all bricks
+  std::optional<StreamParams> stream;               // nullopt: one-shot
+};
+
+// The one request codec: NdpClient builds with SelectRequestToParams;
+// NdpServer::Bind and the ndp-select fuzz target parse with
+// SelectRequestFromParams, which throws DecodeError on fewer than 5
+// params, a non-string name, a non-numeric isovalue, an encoding tag
+// above kRunLength, a restriction that is not Nil or an array of sorted,
+// unique, non-negative ids (at most kMaxBrickRestriction; NdpServer
+// checks the upper bound against the brick count), or a stream map with
+// chunk_bricks outside [1, kMaxBrickRestriction] or resume_after < -1.
+msgpack::Array SelectRequestToParams(const SelectRequest& request);
+SelectRequest SelectRequestFromParams(const msgpack::Array& params);
+
+// Hard cap on restriction length: far above any real brick count (a
+// 1M-brick dataset at 32³ bricks is a 3.2-terapoint grid), far below
+// what a hostile length would make the server allocate.
+inline constexpr size_t kMaxBrickRestriction = size_t{1} << 20;
+
+// ---- Replies ---------------------------------------------------------
+//
+// Both shapes are built from the same parts:
+//   header    {"kind": "header", dims/origin/spacing/dtype,
+//              "bricks_total", "stream_bricks", "total_points", "crc32"}
+//   data      {"kind": "data", "cursor": last brick id of the batch,
+//              "bricks", "selected", "crc32", "payload"}
+//   terminal  the server's accounting: "stored_bytes", "raw_bytes",
+//             "bricks_read", "selected", "read_s", "select_s", and
+//             "chunks" for a stream.
+// One-shot: one response frame, the terminal with the header map under
+// "header" and the whole plan's data map under "chunk" (absent when no
+// brick straddles). Streamed: chunk frames on the request's msgid, the
+// header and then one data map per batch, cursors strictly ascending
+// above resume_after; the terminal is the response frame.
+//
+// The cursor is the resume token: a client that loses the stream after
+// cursor C re-issues the call with resume_after=C (same node first, then
+// any replica) and scatters into the same SparseField, whose Scatter is
+// order- and duplicate-invariant, so ghost points that arrive twice are
+// harmless.
+//
+// "crc32" covers every field the client acts on, in a fixed
+// little-endian layout: a header's dims (3 × i64), origin and spacing
+// (3 × f64 each), dtype name, bricks_total, stream_bricks and
+// total_points (i64 each); a data map's cursor, bricks and selected
+// (i64 each), then its payload.
+inline constexpr const char* kOneShotHeaderKey = "header";
+inline constexpr const char* kOneShotChunkKey = "chunk";
 
 struct StreamHeader {
   grid::Dims dims;
   grid::UniformGeometry geometry;
   grid::DataType dtype = grid::DataType::Float32;
   std::int64_t bricks_total = 0;   // bricks in the array
-  std::int64_t stream_bricks = 0;  // bricks this stream will cover
+  std::int64_t stream_bricks = 0;  // bricks this reply will cover
   std::int64_t total_points = 0;   // points in the full grid
 };
+
+// Same dims and dtype: what resuming a stream and merging shards
+// require. A replica describing another grid is corruption, not
+// recovery.
+inline bool SameGrid(const StreamHeader& a, const StreamHeader& b) {
+  return a.dims == b.dims && a.dtype == b.dtype;
+}
 
 struct StreamChunk {
   std::int64_t cursor = -1;   // last brick id covered, strictly ascending
   std::int64_t bricks = 0;    // bricks in this batch
   std::int64_t selected = 0;  // points in payload
-  Bytes payload;              // EncodeSelection bytes, CRC-stamped
+  Bytes payload;              // EncodeSelection bytes
 };
 
 msgpack::Value StreamHeaderToValue(const StreamHeader& header);
-msgpack::Value StreamChunkToValue(const StreamChunk& chunk);
-// Move overload for the serving hot path: the payload lands in the wire
-// Value without an intermediate copy.
-msgpack::Value StreamChunkToValue(StreamChunk&& chunk);
+// Taken by value: the serving hot path moves its chunk in, and the
+// payload lands in the wire Value without a copy.
+msgpack::Value StreamChunkToValue(StreamChunk chunk);
 
-// Stateful, validating decoder for one stream's chunk maps — the only
-// path from wire bytes to chunk data, shared by NdpClient and the
-// ndp-stream fuzz target so hostile frames hit the same checks the real
-// client runs. Enforces: header first and exactly once, strictly
-// ascending cursors starting above resume_after, payload CRC match,
-// sane counts, and exactly one terminal.
+// Stateful, validating decoder for one select's header and data maps —
+// the only path from wire bytes to chunk data, for both reply shapes,
+// shared by NdpClient and the ndp-stream fuzz target. Enforces: header
+// first and exactly once, a grid whose array fits the decompress budget,
+// CRC matches, strictly ascending cursors above resume_after, sane
+// counts, and exactly one terminal.
 class StreamDecoder {
  public:
   explicit StreamDecoder(std::int64_t resume_after = -1)
@@ -147,10 +168,11 @@ class StreamDecoder {
   const StreamHeader& header() const { return header_; }
   std::int64_t cursor() const { return cursor_; }
 
-  // Decodes + validates one chunk map. Returns the data chunk, or
-  // nullopt when the map was the header. Throws DecodeError (or
-  // CorruptDataError for a CRC mismatch) on any violation.
-  std::optional<StreamChunk> Feed(const msgpack::Value& chunk_map);
+  // Decodes + validates one header or data map. Returns the data chunk,
+  // or nullopt for the header. By value: a caller that owns the map moves
+  // it in, and the payload moves out without a copy. Throws DecodeError
+  // (CorruptDataError for a CRC mismatch) on any violation.
+  std::optional<StreamChunk> Feed(msgpack::Value chunk_map);
 
   // Closes the stream on the terminal result. Throws DecodeError on a
   // terminal before the header or after a previous terminal.

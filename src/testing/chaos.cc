@@ -358,10 +358,9 @@ ChaosReport RunChaos(const ChaosOptions& options) {
           case Fault::kCorrupt: {
             // Truncation breaks the msgpack envelope, so the client sees
             // a typed decode failure and fails over. (A BitFlip would
-            // mostly land in the selection payload, which carries no
-            // client-side digest — it would corrupt geometry silently
-            // rather than test the failover path, so the harness sticks
-            // to faults the reply framing is contracted to catch.)
+            // mostly land in the selection payload, which now carries a
+            // CRC-32 in both reply shapes, so it too would fail typed;
+            // scheduling flips is left for a later change.)
             const int node = pick_alive();
             cluster.fault(node).ScriptReceive(
                 {net::FaultAction::Truncate(rng.Below(48))});

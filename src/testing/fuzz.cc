@@ -77,54 +77,18 @@ Bytes MsgpackSeed() {
   return msgpack::Encode(msgpack::Value(std::move(request)));
 }
 
-// A valid 6-element ndp.select params frame — the post-sharding request
-// shape whose tail element is the brick restriction.
+// A valid 7-element ndp.select params frame, every optional slot
+// filled, so mutations reach the restriction and stream-map parses.
 Bytes SelectParamsSeed() {
-  msgpack::Array params;
-  params.emplace_back(std::string("data"));
-  params.emplace_back(std::string("ts24006.vnd"));
-  params.emplace_back(std::string("v02"));
-  msgpack::Array isos;
-  isos.emplace_back(0.2);
-  isos.emplace_back(0.5);
-  params.push_back(msgpack::Value(std::move(isos)));
-  params.emplace_back(std::uint64_t{3});  // kRunLength
-  msgpack::Array bricks;
-  for (const std::int64_t b : {0, 2, 5, 9}) {
-    bricks.emplace_back(b);
-  }
-  params.push_back(msgpack::Value(std::move(bricks)));
-  return msgpack::Encode(msgpack::Value(std::move(params)));
-}
-
-// The protocol-level validation NdpServer::Bind performs on a sharded
-// ndp.select params frame, with the shape checks made explicit so every
-// hostile frame gets a typed rejection (the dispatch path reaches storage
-// next; fuzzing stops at the parse).
-void ValidateSelectParams(ByteSpan input) {
-  const msgpack::Value v = msgpack::Decode(input);
-  if (!v.Is<msgpack::Array>()) {
-    throw DecodeError("select frame: params is not an array");
-  }
-  const msgpack::Array& p = v.As<msgpack::Array>();
-  if (p.size() < 6) {
-    throw DecodeError("select frame: expected 6 params, got " +
-                      std::to_string(p.size()));
-  }
-  for (size_t i = 0; i < 3; ++i) {
-    if (!p[i].Is<std::string>()) {
-      throw DecodeError("select frame: param " + std::to_string(i) +
-                        " is not a string");
-    }
-  }
-  if (!p[3].Is<msgpack::Array>()) {
-    throw DecodeError("select frame: isovalues is not an array");
-  }
-  for (const msgpack::Value& iso : p[3].As<msgpack::Array>()) {
-    (void)iso.AsDouble();
-  }
-  (void)p[4].AsUint();  // encoding tag
-  (void)ndp::BrickRestrictionFromValue(p[5]);
+  ndp::SelectRequest request;
+  request.bucket = "data";
+  request.key = "ts24006.vnd";
+  request.array = "v02";
+  request.isovalues = {0.2, 0.5};
+  request.bricks = std::vector<std::int64_t>{0, 2, 5, 9};
+  request.stream = ndp::StreamParams{16, 4};
+  return msgpack::Encode(
+      msgpack::Value(ndp::SelectRequestToParams(request)));
 }
 
 // A complete, valid chunked ndp.select reply stream — header, two
@@ -305,7 +269,9 @@ std::vector<FuzzTarget> BuiltinFuzzTargets() {
   // underscore), hence the dash in the name.
   targets.push_back({"ndp-select", [] { return SelectParamsSeed(); },
                      [](ByteSpan input, size_t) {
-                       ValidateSelectParams(input);
+                       // The server's own parse (NdpServer::Bind).
+                       (void)ndp::SelectRequestFromParams(
+                           msgpack::Decode(input).As<msgpack::Array>());
                      }});
 
   targets.push_back({"ndp-stream", [] { return StreamFramesSeed(); },

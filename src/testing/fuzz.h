@@ -59,7 +59,8 @@ struct FuzzTarget {
   std::function<void(ByteSpan input, size_t max_output)> run;
 };
 
-// inflate, gzip, zlib, lz4, rle, msgpack, vnd-header.
+// inflate, gzip, zlib, lz4, rle, msgpack, ndp-select, ndp-stream,
+// vnd-header.
 std::vector<FuzzTarget> BuiltinFuzzTargets();
 
 struct FuzzReport {

@@ -341,6 +341,16 @@ TEST(Cluster, HealthReportsIdentityAndEchoedEpoch) {
 TEST(Protocol, HostileBrickRestrictionsRejected) {
   using msgpack::Array;
   using msgpack::Value;
+  // A valid request with `restriction` in the restriction slot, parsed
+  // the way NdpServer::Bind parses it.
+  const auto parse = [](Value restriction) {
+    ndp::SelectRequest request;
+    request.key = "ts.vnd";
+    request.array = "v02";
+    Array params = ndp::SelectRequestToParams(request);
+    params.push_back(std::move(restriction));
+    return ndp::SelectRequestFromParams(params);
+  };
   auto restriction = [](std::vector<std::int64_t> ids) {
     Array arr;
     for (const std::int64_t id : ids) arr.emplace_back(id);
@@ -348,26 +358,20 @@ TEST(Protocol, HostileBrickRestrictionsRejected) {
   };
   // Non-ascending, duplicate, negative: each violates the sorted-unique-
   // non-negative contract.
-  EXPECT_THROW(ndp::BrickRestrictionFromValue(restriction({5, 2, 9})),
-               DecodeError);
-  EXPECT_THROW(ndp::BrickRestrictionFromValue(restriction({1, 1, 2})),
-               DecodeError);
-  EXPECT_THROW(ndp::BrickRestrictionFromValue(restriction({-1, 0})),
-               DecodeError);
+  EXPECT_THROW((void)parse(restriction({5, 2, 9})), DecodeError);
+  EXPECT_THROW((void)parse(restriction({1, 1, 2})), DecodeError);
+  EXPECT_THROW((void)parse(restriction({-1, 0})), DecodeError);
   // Absurd length: one past the hard cap.
   Array huge;
   huge.reserve(ndp::kMaxBrickRestriction + 1);
   for (size_t i = 0; i <= ndp::kMaxBrickRestriction; ++i) {
     huge.emplace_back(static_cast<std::int64_t>(i));
   }
-  EXPECT_THROW(ndp::BrickRestrictionFromValue(Value(std::move(huge))),
-               DecodeError);
+  EXPECT_THROW((void)parse(Value(std::move(huge))), DecodeError);
   // Not an array at all.
-  EXPECT_THROW(ndp::BrickRestrictionFromValue(Value(std::string("bricks"))),
-               Error);
+  EXPECT_THROW((void)parse(Value(std::string("bricks"))), DecodeError);
   // A valid list still passes.
-  EXPECT_EQ(ndp::BrickRestrictionFromValue(restriction({0, 2, 5})).size(),
-            3u);
+  EXPECT_EQ(parse(restriction({0, 2, 5})).bricks->size(), 3u);
 }
 
 TEST(Protocol, OutOfRangeRestrictionRejectedByServer) {

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <thread>
 
 #include "bench_util/testbed.h"
 #include "contour/marching_cubes.h"
 #include "io/vnd_format.h"
 #include "ndp/catalog.h"
 #include "ndp/protocol.h"
+#include "net/inproc.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pipeline/elements.h"
@@ -151,16 +153,112 @@ struct PopulatedTestbed {
 TEST(NdpServer, SelectReturnsExpectedMetadata) {
   PopulatedTestbed fx;
   NdpServer server(fx.testbed.LocalGateway());
-  const msgpack::Value reply =
-      server.Select(PopulatedTestbed::kKey, "v02", {0.1},
-                    SelectionEncoding::kDeltaVarint);
-  EXPECT_EQ(reply.At("dims").As<msgpack::Array>().at(0).AsInt(), 24);
-  EXPECT_EQ(reply.At("dtype").As<std::string>(), "float32");
+  SelectRequest request;
+  request.key = PopulatedTestbed::kKey;
+  request.array = "v02";
+  request.isovalues = {0.1};
+  request.encoding = SelectionEncoding::kDeltaVarint;
+  const msgpack::Value reply = server.Select(request);
+  const msgpack::Value& header = reply.At(kOneShotHeaderKey);
+  const msgpack::Value& chunk = reply.At(kOneShotChunkKey);
+  EXPECT_EQ(header.At("dims").As<msgpack::Array>().at(0).AsInt(), 24);
+  EXPECT_EQ(header.At("dtype").As<std::string>(), "float32");
   EXPECT_GT(reply.At("selected").AsUint(), 0u);
-  EXPECT_EQ(reply.At("total_points").AsUint(), 24u * 24 * 24);
-  EXPECT_GT(reply.At("payload").As<Bytes>().size(), 0u);
-  EXPECT_LT(reply.At("payload").As<Bytes>().size(),
+  EXPECT_EQ(header.At("total_points").AsUint(), 24u * 24 * 24);
+  EXPECT_GT(chunk.At("payload").As<Bytes>().size(), 0u);
+  EXPECT_LT(chunk.At("payload").As<Bytes>().size(),
             reply.At("raw_bytes").AsUint());
+}
+
+// An rpc::Server whose ndp.select is `handler`, and an NdpClient over an
+// in-proc connection to it: a storage node that misbehaves on purpose.
+struct FakeSelectNode {
+  rpc::Server server;
+  std::thread serve;
+  std::shared_ptr<NdpClient> client;
+
+  explicit FakeSelectNode(rpc::Server::Handler handler) {
+    server.Bind(kRpcNdpSelect, std::move(handler));
+    net::TransportPair pair = net::CreateInProcPair();
+    serve = std::thread(
+        [this, t = std::move(pair.b)] { server.ServeTransport(*t); });
+    client = std::make_shared<NdpClient>(
+        std::make_shared<rpc::Client>(std::move(pair.a)), "data");
+  }
+  ~FakeSelectNode() {
+    client.reset();
+    server.Stop();
+    serve.join();
+  }
+  FakeSelectNode(const FakeSelectNode&) = delete;
+  FakeSelectNode& operator=(const FakeSelectNode&) = delete;
+};
+
+// A one-shot reply carries the stream's data map, so its payload is
+// CRC-checked like a streamed chunk: a flipped bit is corruption, never
+// wrong geometry, and the baseline fallback then serves the oracle.
+TEST(NdpOneShot, FlippedPayloadBitFailsItsCrcAndFallsBack) {
+  PopulatedTestbed fx("lz4");
+  const std::vector<double> isovalues = {0.5};
+  FakeSelectNode node([&](const msgpack::Array& p) {
+    msgpack::Value reply =
+        fx.testbed.ndp_server().Select(SelectRequestFromParams(p));
+    for (auto& [k, chunk] : reply.AsMutable<msgpack::Map>()) {
+      if (k != msgpack::Value(kOneShotChunkKey)) continue;
+      for (auto& [ck, payload] : chunk.AsMutable<msgpack::Map>()) {
+        // The last byte lies in the value block.
+        if (ck == msgpack::Value("payload")) {
+          payload.AsMutable<Bytes>().back() ^= 0x01;
+        }
+      }
+    }
+    return reply;
+  });
+
+  grid::UniformGeometry geometry;
+  EXPECT_THROW((void)node.client->FetchSparseField(
+                   PopulatedTestbed::kKey, "v02", isovalues, &geometry),
+               CorruptDataError);
+
+  io::VndReader reader(fx.testbed.LocalGateway().Open(PopulatedTestbed::kKey));
+  const contour::PolyData oracle =
+      contour::MarchingCubes(reader.header().dims, reader.header().geometry,
+                             reader.ReadArray("v02"), isovalues);
+  ASSERT_GT(oracle.TriangleCount(), 0u);
+  NdpContourSource source(node.client, PopulatedTestbed::kKey, "v02",
+                          isovalues);
+  source.SetFallback(fx.testbed.LocalGateway());
+  EXPECT_TRUE(source.UpdateAndGetOutput()->AsPolyData().GeometricallyEquals(
+      oracle, 0.0));
+  EXPECT_TRUE(source.last_stats().used_fallback);
+}
+
+// The client sizes its field from the header, so a one-shot header
+// gets the stream's checks: hostile dims are a typed DecodeError (which
+// the fallback catches), never an allocation failure.
+TEST(NdpOneShot, HostileHeaderDimsAreADecodeError) {
+  constexpr std::int64_t kHuge = std::int64_t{1} << 20;
+  for (const grid::Dims dims : {grid::Dims{-1, 1, 1},
+                                grid::Dims{kHuge, kHuge, kHuge}}) {
+    FakeSelectNode node([dims](const msgpack::Array&) {
+      StreamHeader header;
+      header.dims = dims;
+      header.total_points = dims.PointCount();
+      msgpack::Map reply;
+      for (const char* key : {"stored_bytes", "raw_bytes", "bricks_read",
+                              "selected", "read_s", "select_s"}) {
+        reply.emplace_back(msgpack::Value(key), msgpack::Value(0));
+      }
+      reply.emplace_back(msgpack::Value(kOneShotHeaderKey),
+                         StreamHeaderToValue(header));
+      return msgpack::Value(std::move(reply));
+    });
+    grid::UniformGeometry geometry;
+    EXPECT_THROW((void)node.client->FetchSparseField("ts.vnd", "v02", {0.5},
+                                                     &geometry),
+                 DecodeError)
+        << dims.nx;
+  }
 }
 
 TEST(NdpServer, InfoListsArrays) {
@@ -347,8 +445,9 @@ TEST(NdpStats, BrickIndexedFileUsesHeaderRangeFastPath) {
   const auto [lo, hi] = ds.GetArray("v02").Range();
   EXPECT_DOUBLE_EQ(reply.At("min").AsDouble(), lo);
   EXPECT_DOUBLE_EQ(reply.At("max").AsDouble(), hi);
-  const obs::MetricSnapshot* fastpath = obs::FindMetric(
-      server.metrics().Snapshot(), "ndp_stats_index_fastpath_total");
+  const std::vector<obs::MetricSnapshot> snapshot = server.metrics().Snapshot();
+  const obs::MetricSnapshot* fastpath =
+      obs::FindMetric(snapshot, "ndp_stats_index_fastpath_total");
   ASSERT_NE(fastpath, nullptr);
   EXPECT_DOUBLE_EQ(fastpath->value, 1.0);
 }

@@ -13,7 +13,10 @@
 #include "bench_util/testbed.h"
 #include "common/error.h"
 #include "compress/checksum.h"
+#include "contour/marching_cubes.h"
 #include "io/vnd_format.h"
+#include "msgpack/pack.h"
+#include "msgpack/unpack.h"
 #include "ndp/bricked_select.h"
 #include "ndp/ndp_client.h"
 #include "ndp/ndp_server.h"
@@ -21,6 +24,7 @@
 #include "net/fault.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "rpc/protocol.h"
 #include "sim/impact.h"
 
 namespace vizndp::ndp {
@@ -51,26 +55,72 @@ std::uint64_t CounterValue(const std::string& name) {
 // ---------------------------------------------------------------------------
 // Wire codec.
 
-TEST(StreamCodec, ParamsRoundTripAndNil) {
-  StreamParams params;
-  params.chunk_bricks = 7;
-  params.resume_after = 41;
-  const auto back = StreamParamsFromValue(StreamParamsToValue(params));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->chunk_bricks, 7);
-  EXPECT_EQ(back->resume_after, 41);
+SelectRequest Request(std::string key, std::vector<double> isovalues) {
+  SelectRequest request;
+  request.bucket = "data";
+  request.key = std::move(key);
+  request.array = "v02";
+  request.isovalues = std::move(isovalues);
+  return request;
+}
 
-  // Absent (Nil) = monolithic request, the pre-streaming wire shape.
-  EXPECT_FALSE(StreamParamsFromValue(msgpack::Value()).has_value());
+TEST(StreamCodec, SelectRequestRoundTripsAndRejectsHostileParams) {
+  SelectRequest full = Request("ts.vnd", {0.2, 0.5});
+  full.encoding = SelectionEncoding::kBitmap;
+  full.bricks = std::vector<std::int64_t>{1, 4};
+  full.stream = StreamParams{7, 41};
+  const msgpack::Array params = SelectRequestToParams(full);
+  ASSERT_EQ(params.size(), 7u);
+  const SelectRequest back = SelectRequestFromParams(params);
+  EXPECT_EQ(back.bucket, "data");
+  EXPECT_EQ(back.key, "ts.vnd");
+  EXPECT_EQ(back.array, "v02");
+  EXPECT_EQ(back.isovalues, full.isovalues);
+  EXPECT_EQ(back.encoding, SelectionEncoding::kBitmap);
+  EXPECT_EQ(back.bricks, full.bricks);
+  ASSERT_TRUE(back.stream.has_value());
+  EXPECT_EQ(back.stream->chunk_bricks, 7);
+  EXPECT_EQ(back.stream->resume_after, 41);
 
-  StreamParams bad;
-  bad.chunk_bricks = 0;
-  EXPECT_THROW((void)StreamParamsFromValue(StreamParamsToValue(bad)),
-               DecodeError);
-  bad.chunk_bricks = 4;
-  bad.resume_after = -2;
-  EXPECT_THROW((void)StreamParamsFromValue(StreamParamsToValue(bad)),
-               DecodeError);
+  // Trailing optional slots are omitted, and a Nil holds the
+  // restriction's slot when the stream map follows.
+  SelectRequest plain = Request("ts.vnd", {0.5});
+  EXPECT_EQ(SelectRequestToParams(plain).size(), 5u);
+  plain.stream = StreamParams{2, -1};
+  const msgpack::Array streamed = SelectRequestToParams(plain);
+  ASSERT_EQ(streamed.size(), 7u);
+  EXPECT_TRUE(streamed[5].IsNil());
+  EXPECT_FALSE(SelectRequestFromParams(streamed).bricks.has_value());
+  // An empty restriction means all bricks; a Nil stream map, one-shot.
+  msgpack::Array empty = streamed;
+  empty[5] = msgpack::Value(msgpack::Array{});
+  empty[6] = msgpack::Value();
+  const SelectRequest all = SelectRequestFromParams(empty);
+  EXPECT_FALSE(all.bricks.has_value());
+  EXPECT_FALSE(all.stream.has_value());
+
+  const auto with = [&](size_t slot, msgpack::Value v) {
+    msgpack::Array p = params;
+    p[slot] = std::move(v);
+    return p;
+  };
+  SelectRequest zero_chunks = full;
+  zero_chunks.stream = StreamParams{0, -1};
+  SelectRequest below_cursor = full;
+  below_cursor.stream = StreamParams{4, -2};
+  const std::vector<msgpack::Array> hostile = {
+      msgpack::Array(params.begin(), params.begin() + 4),  // no tag
+      with(1, msgpack::Value(7)),                           // key
+      with(3, msgpack::Value(msgpack::Array{msgpack::Value("x")})),
+      with(4, msgpack::Value(std::uint64_t{4})),  // tag above kRunLength
+      with(5, msgpack::Value("bricks")),          // restriction
+      SelectRequestToParams(zero_chunks),
+      SelectRequestToParams(below_cursor),
+  };
+  for (const msgpack::Array& bad : hostile) {
+    EXPECT_THROW((void)SelectRequestFromParams(bad), DecodeError)
+        << msgpack::Value(bad).ToString();
+  }
 }
 
 StreamHeader TestHeader() {
@@ -131,6 +181,14 @@ TEST(StreamCodec, DecoderEnforcesResumeCursor) {
   EXPECT_TRUE(fresh.Feed(StreamChunkToValue(TestChunk(4))).has_value());
 }
 
+// Rewrites one key of a stamped map, leaving its crc32 as stamped.
+void Relabel(msgpack::Value& map, const std::string& key,
+             msgpack::Value value) {
+  for (auto& [k, v] : map.AsMutable<msgpack::Map>()) {
+    if (k == msgpack::Value(key)) v = std::move(value);
+  }
+}
+
 TEST(StreamCodec, DecoderRejectsHostileFrames) {
   // Data before the header.
   {
@@ -145,22 +203,32 @@ TEST(StreamCodec, DecoderRejectsHostileFrames) {
     EXPECT_THROW((void)decoder.Feed(StreamHeaderToValue(TestHeader())),
                  DecodeError);
   }
-  // CRC lie: typed as corruption, not a generic decode error.
+  // CRC lies, typed as corruption, not a generic decode error: the
+  // stamp covers every field the client acts on, so a payload, a cursor
+  // or an origin changed after stamping all fail it.
   {
     StreamDecoder decoder;
     (void)decoder.Feed(StreamHeaderToValue(TestHeader()));
-    StreamChunk chunk = TestChunk(1);
-    chunk.payload[chunk.payload.size() - 1] ^= 0x01;
-    // Re-stamp nothing: StreamChunkToValue recomputes the CRC, so lie by
-    // mutating the payload *after* encoding the map.
     msgpack::Value map = StreamChunkToValue(TestChunk(1));
-    for (auto& [k, v] : map.AsMutable<msgpack::Map>()) {
-      if (k.Is<std::string>() && k.As<std::string>() == "payload") {
-        Bytes bytes = v.As<Bytes>();
-        bytes[bytes.size() - 1] ^= 0x01;
-        v = msgpack::Value(std::move(bytes));
-      }
-    }
+    Bytes payload = map.At("payload").As<Bytes>();
+    payload.back() ^= 0x01;
+    Relabel(map, "payload", std::move(payload));
+    EXPECT_THROW((void)decoder.Feed(map), CorruptDataError);
+  }
+  {
+    StreamDecoder decoder;
+    (void)decoder.Feed(StreamHeaderToValue(TestHeader()));
+    msgpack::Value map = StreamChunkToValue(TestChunk(1));
+    Relabel(map, "cursor", msgpack::Value(std::int64_t{5}));
+    EXPECT_THROW((void)decoder.Feed(map), CorruptDataError);
+  }
+  {
+    StreamDecoder decoder;
+    msgpack::Value map = StreamHeaderToValue(TestHeader());
+    Relabel(map, "origin",
+            msgpack::Value(msgpack::Array{msgpack::Value(0.5),
+                                          msgpack::Value(0.0),
+                                          msgpack::Value(0.0)}));
     EXPECT_THROW((void)decoder.Feed(map), CorruptDataError);
   }
   // Cursor beyond the advertised brick count.
@@ -309,24 +377,32 @@ TEST(Stream, UnbrickedArrayStreamsAsOneChunk) {
 
   // The chunk's cursor is brick 0, so a resume after it has nothing left.
   CapturingSink fresh;
-  const StreamParams from_start{4, -1};
-  bed.ndp_server().Select("mono.vnd", "v02", kIsos,
-                          SelectionEncoding::kRunLength, nullptr, &from_start,
-                          &fresh);
+  SelectRequest request = Request("mono.vnd", kIsos);
+  request.stream = StreamParams{4, -1};
+  bed.ndp_server().Select(request, &fresh);
   const std::vector<StreamChunk> chunks = DataChunks(fresh, -1);
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(chunks[0].cursor, 0);
   EXPECT_EQ(chunks[0].bricks, 1);
 
   CapturingSink resumed;
-  const StreamParams after_zero{4, 0};
-  bed.ndp_server().Select("mono.vnd", "v02", kIsos,
-                          SelectionEncoding::kRunLength, nullptr, &after_zero,
-                          &resumed);
+  request.stream = StreamParams{4, 0};
+  bed.ndp_server().Select(request, &resumed);
   StreamHeader header;
   EXPECT_TRUE(DataChunks(resumed, 0, &header).empty());
   EXPECT_EQ(header.bricks_total, 1);
   EXPECT_EQ(header.stream_bricks, 0);
+}
+
+// A one-shot reply's points, read as the client reads them: its header
+// map, then its data map when some brick straddled.
+std::vector<grid::PointId> OneShotIds(const msgpack::Value& reply) {
+  StreamDecoder decoder;
+  (void)decoder.Feed(reply.At(kOneShotHeaderKey));
+  const msgpack::Value* chunk = reply.Find(kOneShotChunkKey);
+  if (chunk == nullptr) return {};
+  return DecodeSelection(decoder.Feed(*chunk)->payload, decoder.header().dims)
+      .ids;
 }
 
 // One plan serves both reply shapes: at the straddle predicate's edges
@@ -372,18 +448,17 @@ TEST(Stream, OneShotAndStreamShareOnePlan) {
         for (std::int64_t b = cursor + 1; b < bricks_total; ++b) {
           if (!restricted || in_restriction(b)) above.push_back(b);
         }
-        const bool whole = !restricted && cursor < 0;
-        const msgpack::Value one = bed.ndp_server().Select(
-            "ts.vnd", "v02", isos, SelectionEncoding::kRunLength,
-            whole ? nullptr : &above);
-        const DecodedSelection one_sel =
-            DecodeSelection(one.At("payload").As<Bytes>(), dims);
+        SelectRequest one_shot = Request("ts.vnd", isos);
+        if (restricted || cursor >= 0) one_shot.bricks = above;
+        const msgpack::Value one = bed.ndp_server().Select(one_shot);
+        const std::vector<grid::PointId> one_ids = OneShotIds(one);
 
         CapturingSink sink;
-        const StreamParams params{3, cursor};
-        const msgpack::Value terminal = bed.ndp_server().Select(
-            "ts.vnd", "v02", isos, SelectionEncoding::kRunLength,
-            restricted ? &restriction : nullptr, &params, &sink);
+        SelectRequest streamed = Request("ts.vnd", isos);
+        if (restricted) streamed.bricks = restriction;
+        streamed.stream = StreamParams{3, cursor};
+        const msgpack::Value terminal =
+            bed.ndp_server().Select(streamed, &sink);
         std::int64_t chunk_bricks = 0;
         std::vector<grid::PointId> ids;
         for (const StreamChunk& chunk : DataChunks(sink, cursor)) {
@@ -396,7 +471,7 @@ TEST(Stream, OneShotAndStreamShareOnePlan) {
 
         EXPECT_EQ(one.At("bricks_read").AsInt(), chunk_bricks);
         EXPECT_EQ(terminal.At("bricks_read").AsInt(), chunk_bricks);
-        EXPECT_EQ(ids, one_sel.ids);
+        EXPECT_EQ(ids, one_ids);
       }
     }
   }
@@ -566,8 +641,10 @@ TEST(Stream, ShardedStreamingMatchesReference) {
   EXPECT_FALSE(stats.used_fallback);
 }
 
-// An isovalue no brick straddles: every shard's stream is a header and a
-// terminal with no chunk, and the fetch is an empty field, not an error.
+// An isovalue no brick straddles: every select, sharded or not, is a
+// header and a terminal with no data chunk — in the one-shot shape the
+// reply carries no "chunk" map — and the fetch is an empty field, not
+// an error.
 TEST(Stream, ShardedStreamWithNoStraddlingBrickIsEmpty) {
   ClusterTestbedConfig config;
   config.servers = 3;
@@ -575,18 +652,88 @@ TEST(Stream, ShardedStreamWithNoStraddlingBrickIsEmpty) {
   ClusterTestbed cluster(config);
   StoreDataset(cluster.store(), cluster.bucket(), "ts.vnd", 32, 8);
 
-  StreamOptions so;
-  so.chunk_bricks = 2;
-  cluster.sharded_client()->SetStream(so);
   const std::vector<double> above_all = {1e9};
-  NdpLoadStats stats;
-  const contour::PolyData poly =
-      cluster.sharded_client()->Contour("ts.vnd", "v02", above_all, &stats);
+  for (const std::int64_t chunk_bricks : {0, 2}) {
+    SCOPED_TRACE("chunk_bricks " + std::to_string(chunk_bricks));
+    StreamOptions so;
+    so.chunk_bricks = chunk_bricks;
+    cluster.sharded_client()->SetStream(so);  // and every node's client
+    NdpLoadStats stats;
+    const contour::PolyData poly =
+        cluster.sharded_client()->Contour("ts.vnd", "v02", above_all, &stats);
 
-  EXPECT_EQ(poly.TriangleCount(), 0u);
-  EXPECT_EQ(stats.stream_chunks, 0u);
-  EXPECT_EQ(stats.selected_points, 0u);
-  EXPECT_EQ(stats.bricks_read, 0);
+    EXPECT_EQ(poly.TriangleCount(), 0u);
+    EXPECT_EQ(stats.stream_chunks, 0u);
+    EXPECT_EQ(stats.selected_points, 0u);
+    EXPECT_EQ(stats.bricks_read, 0);
+    EXPECT_EQ(cluster.server_client(0)
+                  ->Contour("ts.vnd", "v02", above_all)
+                  .TriangleCount(),
+              0u);
+  }
+}
+
+// Flips bit 0x20 of the cursor in the first `budget` data chunks that
+// arrive on the connections it wraps, leaving each chunk's CRC as the
+// server stamped it.
+class CursorFlipTransport : public net::Transport {
+ public:
+  CursorFlipTransport(net::TransportPtr inner, std::atomic<int>& budget)
+      : inner_(std::move(inner)), budget_(budget) {}
+
+  void Send(ByteSpan frame) override { inner_->Send(frame); }
+  void Close() override { inner_->Close(); }
+  Bytes Receive(net::Deadline deadline) override {
+    Bytes frame = inner_->Receive(deadline);
+    msgpack::Value v = msgpack::Decode(frame);
+    auto& fields = v.AsMutable<msgpack::Array>();
+    if (fields.size() < 3 || fields[0] != msgpack::Value(rpc::kChunkType)) {
+      return frame;
+    }
+    const msgpack::Value* cursor = fields[2].Find("cursor");
+    if (cursor == nullptr || budget_.fetch_sub(1) <= 0) return frame;
+    Relabel(fields[2], "cursor", msgpack::Value(cursor->AsInt() ^ 0x20));
+    return msgpack::Encode(v);
+  }
+
+ private:
+  net::TransportPtr inner_;
+  std::atomic<int>& budget_;
+};
+
+// A cursor is the resume token, so the chunk's CRC covers it: a relabeled
+// cursor is corruption, the stream hops to the replica from its last
+// good cursor, and no brick in between is skipped.
+TEST(Stream, RelabeledCursorFailsItsCrcAndTheReplicaResumesBitIdentical) {
+  std::atomic<int> flips{4};
+  ClusterTestbedConfig config;
+  config.servers = 2;
+  config.replicas = 2;
+  config.sharded.hedge_ms = -1;
+  config.decorate = [&](net::TransportPtr inner, int server) {
+    return server == 0 ? std::make_unique<CursorFlipTransport>(
+                             std::move(inner), flips)
+                       : std::move(inner);
+  };
+  ClusterTestbed cluster(config);
+  StoreDataset(cluster.store(), cluster.bucket(), "ts.vnd", 32, 8);
+  const std::vector<double> isos = {0.5};
+  const io::VndReader reader(cluster.LocalGateway().Open("ts.vnd"));
+  const contour::PolyData oracle =
+      contour::MarchingCubes(reader.header().dims, reader.header().geometry,
+                             reader.ReadArray("v02"), isos);
+
+  StreamOptions so;
+  so.chunk_bricks = 1;
+  cluster.sharded_client()->SetStream(so);
+  NdpLoadStats stats;
+  const contour::PolyData streamed =
+      cluster.sharded_client()->Contour("ts.vnd", "v02", isos, &stats);
+
+  EXPECT_LT(flips.load(), 4);  // node 0 really relabeled a cursor
+  EXPECT_EQ(streamed.TriangleCount(), oracle.TriangleCount());
+  EXPECT_TRUE(streamed.GeometricallyEquals(oracle, 0.0));
+  EXPECT_FALSE(stats.used_fallback);
 }
 
 TEST(Stream, MidStreamDisconnectResumesOnReplica) {

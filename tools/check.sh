@@ -40,11 +40,12 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # the full-read oracle, without the 256^3 timed run.
   bash e2e_bench/run.sh --selftest
 
-  stage "asan/ubsan: obs + net + rpc + fault + integrity + trace + storage + contour + fuzz"
+  stage "asan/ubsan: obs + net + rpc + fault + integrity + trace + storage + ndp + contour + fuzz"
   cmake --preset asan > /dev/null
   cmake --build build-asan -j"$(nproc)" --target obs_test net_test rpc_test \
     fault_test fuzz_test integrity_test trace_test storage_test \
-    store_fault_test scrub_test contour_test rectilinear_test vizndp_tool
+    store_fault_test scrub_test ndp_test contour_test rectilinear_test \
+    vizndp_tool
   ./build-asan/tests/obs_test
   ./build-asan/tests/net_test
   ./build-asan/tests/rpc_test
@@ -58,12 +59,15 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-asan/tests/storage_test
   ./build-asan/tests/store_fault_test
   ./build-asan/tests/scrub_test
+  # The one-shot reply's decode moves the payload out of its chunk map
+  # (StreamDecoder::Feed) and CRC-checks it, as a stream's chunks are.
+  ./build-asan/tests/ndp_test
   # The post-filter's complete-cell walk reads the validity bitmap up to
   # id + nx*ny + nx + 1 past each valid point, on uniform and stretched
   # grids, in 3D and 2D.
   ./build-asan/tests/contour_test
   ./build-asan/tests/rectilinear_test
-  # Fuzz smoke under the sanitizers: 1500 mutations x 8 decoder targets
+  # Fuzz smoke under the sanitizers: 1500 mutations x 9 decoder targets
   # (> 10k hostile inputs) at a fixed seed, so a CI failure replays
   # byte-for-byte with the same command.
   ./build-asan/tools/vizndp_tool fuzz --seed 1 --iters 1500
