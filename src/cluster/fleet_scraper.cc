@@ -7,7 +7,6 @@
 
 #include "common/error.h"
 #include "net/retry.h"
-#include "obs/event_log.h"
 #include "obs/windowed.h"
 
 namespace vizndp::cluster {
@@ -84,6 +83,12 @@ FleetScraper::FleetScraper(std::vector<std::shared_ptr<ndp::NdpClient>> nodes,
       prev_mono_(nodes_.size(), 0.0),
       slow_(nodes_.size(), false) {
   VIZNDP_CHECK_MSG(!nodes_.empty(), "fleet scraper needs nodes");
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    slow_audits_.emplace_back(
+        obs::DefaultRegistry(), "cluster_slow_node_total",
+        obs::Labels{{"node", NodeTag(static_cast<int>(i))}},
+        "cluster.slow_node");
+  }
 }
 
 FleetScraper::~FleetScraper() { Stop(); }
@@ -213,16 +218,12 @@ FleetScraper::ScrapeOnce() {
     const bool now_slow = ns.reachable && median > 0 && signals[i] > 0 &&
                           signals[i] > options_.slow_factor * median;
     if (now_slow && !slow_[i]) {
-      // Edge-triggered, audited pair: one counter increment per one
-      // journal event (chaos kAuditPairs holds the 1:1).
-      obs::DefaultRegistry()
-          .GetCounter("cluster_slow_node_total",
-                      {{"node", NodeTag(ns.node)}})
-          .Increment();
+      // Edge-triggered: one counter increment and one journal event per
+      // transition into slow.
       std::ostringstream detail;
       detail << "node=" << ns.node << " p95_s=" << signals[i]
              << " fleet_median_s=" << median;
-      obs::GlobalEventLog().Append("cluster.slow_node", detail.str());
+      slow_audits_[i].Record(detail.str());
     }
     slow_[i] = now_slow;
     ns.slow = now_slow;

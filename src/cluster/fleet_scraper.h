@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "ndp/ndp_client.h"
+#include "obs/audit.h"
 #include "obs/merge.h"
 #include "obs/slo.h"
 
@@ -147,6 +148,7 @@ class FleetScraper {
   std::vector<std::map<std::string, double>> prev_counters_;
   std::vector<double> prev_mono_;   // per-node last-scrape time, 0 = none
   std::vector<bool> slow_;          // edge-trigger state per node
+  std::vector<obs::Audit> slow_audits_;  // cluster_slow_node_total{node}
 
   mutable std::mutex mu_;  // guards latest_, sinks
   std::shared_ptr<const FleetSnapshot> latest_;

@@ -5,11 +5,15 @@
 
 #include "common/error.h"
 #include "net/retry.h"
+#include "obs/audit.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace vizndp::cluster {
+
+// Probes and view changes are journal-only records, not error paths.
+const obs::Audit kRejoin("cluster_rejoin_total", "cluster.rejoin");
 
 const char* NodeStateName(NodeState state) {
   switch (state) {
@@ -154,9 +158,7 @@ bool HealthMonitor::ProbeOnce() {
           .Increment();
       if (cell.state == NodeState::kLive &&
           (before == NodeState::kDead || before == NodeState::kRejoining)) {
-        reg.GetCounter("cluster_rejoin_total").Increment();
-        obs::GlobalEventLog().Append("cluster.rejoin",
-                                     "server=" + std::to_string(i));
+        kRejoin.Record("server=" + std::to_string(i));
       }
     }
   }

@@ -6,14 +6,27 @@
 #include <utility>
 
 #include "common/error.h"
+#include "obs/audit.h"
 #include "obs/context.h"
-#include "obs/event_log.h"
 #include "obs/trace.h"
 #include "obs/windowed.h"
 
 namespace vizndp::cluster {
 
 namespace {
+
+// One audit per rung of the failover ladder (DESIGN.md §10).
+const obs::Audit kDrainingSkip("cluster_draining_skips_total",
+                               "cluster.draining_skip");
+const obs::Audit kFailover("cluster_failover_total", "cluster.failover");
+const obs::Audit kHedge("ndp_hedge_launched_total", "cluster.hedge");
+const obs::Audit kHedgeWon("ndp_hedge_won_total", "cluster.hedge_won");
+const obs::Audit kHedgeLost("ndp_hedge_lost_total", "cluster.hedge_lost");
+const obs::Audit kStreamResume("ndp_stream_resume_total", "ndp.stream_resume");
+const obs::Audit kUnrestrictedFallback("cluster_unrestricted_fallback_total",
+                                       "cluster.unrestricted_fallback");
+const obs::Audit kRescueFailed("cluster_rescue_failed_total",
+                               "cluster.rescue_failed");
 
 std::string ShardTag(int shard) { return std::to_string(shard); }
 
@@ -132,11 +145,8 @@ std::vector<int> ShardedNdpClient::LiveChain(
     }
   }
   for (const int sv : demoted) {
-    obs::DefaultRegistry().GetCounter("cluster_draining_skips_total")
-        .Increment();
-    obs::GlobalEventLog().Append(
-        "cluster.draining_skip",
-        "shard=" + ShardTag(shard) + " server=" + std::to_string(sv));
+    kDrainingSkip.Record("shard=" + ShardTag(shard) +
+                         " server=" + std::to_string(sv));
     live.push_back(sv);  // still last-resort usable: demoted, not dropped
   }
   return live;
@@ -266,7 +276,6 @@ ndp::PartialFetch ShardedNdpClient::HedgedFetch(
     int shard, const std::vector<int>& chain, const std::string& key,
     const std::string& array, const std::vector<double>& isovalues,
     const std::vector<std::int64_t>* only_bricks) {
-  obs::Registry& reg = obs::DefaultRegistry();
   auto state = std::make_shared<Race>();
   state->slots.resize(chain.size());
   std::vector<std::future<void>> attempts;
@@ -350,10 +359,8 @@ ndp::PartialFetch ShardedNdpClient::HedgedFetch(
         }
         if (next >= chain.size()) std::rethrow_exception(last_error);
         lk.unlock();
-        reg.GetCounter("cluster_failover_total").Increment();
-        obs::GlobalEventLog().Append(
-            "cluster.failover", "shard=" + ShardTag(shard) + " server=" +
-                                    std::to_string(chain[next]));
+        kFailover.Record("shard=" + ShardTag(shard) +
+                         " server=" + std::to_string(chain[next]));
         launch(next++);
         lk.lock();
         continue;
@@ -373,10 +380,8 @@ ndp::PartialFetch ShardedNdpClient::HedgedFetch(
           hedge_fired = true;
           hedge_slot = next;
           lk.unlock();
-          reg.GetCounter("ndp_hedge_launched_total").Increment();
-          obs::GlobalEventLog().Append(
-              "cluster.hedge", "shard=" + ShardTag(shard) + " server=" +
-                                   std::to_string(chain[next]));
+          kHedge.Record("shard=" + ShardTag(shard) +
+                        " server=" + std::to_string(chain[next]));
           launch(next++);
           lk.lock();
         }
@@ -388,12 +393,10 @@ ndp::PartialFetch ShardedNdpClient::HedgedFetch(
 
   if (hedge_fired) {
     const bool hedge_won = winner == static_cast<int>(hedge_slot);
-    reg.GetCounter(hedge_won ? "ndp_hedge_won_total" : "ndp_hedge_lost_total")
-        .Increment();
-    obs::GlobalEventLog().Append(
-        hedge_won ? "cluster.hedge_won" : "cluster.hedge_lost",
-        "shard=" + ShardTag(shard) + " server=" +
-            std::to_string(state->slots[static_cast<size_t>(winner)].server));
+    (hedge_won ? kHedgeWon : kHedgeLost)
+        .Record("shard=" + ShardTag(shard) + " server=" +
+                std::to_string(
+                    state->slots[static_cast<size_t>(winner)].server));
   }
 
   // Hand losers still in flight to the reaper; their slots stay alive
@@ -409,8 +412,8 @@ ndp::StreamAccumulator ShardedNdpClient::SubFetch(
     const std::vector<bool>& eligible, Merge& merge) {
   const std::vector<int> chain =
       LiveChain(shard, eligible.empty() ? nullptr : &eligible);
-  obs::Registry& reg = obs::DefaultRegistry();
-  reg.GetCounter("cluster_subfetch_total", {{"shard", ShardTag(shard)}})
+  obs::DefaultRegistry()
+      .GetCounter("cluster_subfetch_total", {{"shard", ShardTag(shard)}})
       .Increment();
   obs::Span span("cluster.shard" + ShardTag(shard));
 
@@ -434,19 +437,15 @@ ndp::StreamAccumulator ShardedNdpClient::SubFetch(
   for (size_t i = 0; i < chain.size(); ++i) {
     const int sv = chain[i];
     if (i > 0) {
-      reg.GetCounter("cluster_failover_total").Increment();
-      obs::GlobalEventLog().Append(
-          "cluster.failover",
-          "shard=" + ShardTag(shard) + " server=" + std::to_string(sv));
+      kFailover.Record("shard=" + ShardTag(shard) +
+                       " server=" + std::to_string(sv));
       if (acc.got_header) {
         // The hop continues a started stream from its cursor — a
         // mid-stream resume on a different data copy, the recovery rung
         // the per-node resume budget cannot provide.
-        reg.GetCounter("ndp_stream_resume_total").Increment();
-        obs::GlobalEventLog().Append(
-            "ndp.stream_resume",
-            "key=" + key + " cursor=" + std::to_string(acc.cursor) +
-                " server=" + std::to_string(sv));
+        kStreamResume.Record("key=" + key +
+                             " cursor=" + std::to_string(acc.cursor) +
+                             " server=" + std::to_string(sv));
       }
     }
     try {
@@ -545,10 +544,7 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
     // falling back to the caller's baseline path. The whole-dataset
     // selection re-covers what other shards already delivered; the
     // duplicate-invariant Scatter absorbs that.
-    obs::DefaultRegistry().GetCounter("cluster_unrestricted_fallback_total")
-        .Increment();
-    obs::GlobalEventLog().Append("cluster.unrestricted_fallback",
-                                 "key=" + key);
+    kUnrestrictedFallback.Record("key=" + key);
     bool rescued = false;
     // Usable nodes first; the rest only as a last resort (the view may
     // be stale, and a "dead" node that answers is better than no data).
@@ -575,11 +571,10 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
         rescued = true;
       } catch (const Error& e) {
         // Swallowed on purpose — the next server in the order is the
-        // answer — but journaled so a fetch that exhausts every rescue
+        // answer — but audited so a fetch that exhausts every rescue
         // rung leaves a per-server trail of what refused it.
-        obs::GlobalEventLog().Append(
-            "cluster.rescue_failed",
-            "server=" + std::to_string(sv) + " error=" + e.what());
+        kRescueFailed.Record("server=" + std::to_string(sv) +
+                             " error=" + e.what());
       }
     }
     if (!rescued) std::rethrow_exception(shard_failure);

@@ -5,13 +5,17 @@
 
 #include "common/error.h"
 #include "compress/checksum.h"
-#include "obs/event_log.h"
-#include "obs/metrics.h"
+#include "obs/audit.h"
 #include "obs/trace.h"
 
 namespace vizndp::ndp {
 
 namespace {
+
+const obs::Audit kQuarantineSkip("ndp_quarantine_skip_total",
+                                 "ndp.quarantine_skip");
+const obs::Audit kCorruptBrick("corrupt_brick_total", "ndp.corrupt_brick");
+const obs::Audit kBrickReread("brick_reread_total", "ndp.brick_reread");
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -96,12 +100,8 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
         continue;
       }
       ++local.quarantine_skips;
-      obs::DefaultRegistry()
-          .GetCounter("ndp_quarantine_skip_total")
-          .Increment();
-      obs::GlobalEventLog().Append(
-          "ndp.quarantine_skip",
-          "array=" + array + " brick=" + std::to_string(b));
+      kQuarantineSkip.Record("array=" + array + " brick=" +
+                             std::to_string(b));
       const io::BrickEntry& entry =
           meta.bricks->entries[static_cast<size_t>(b)];
       const auto t_read = std::chrono::steady_clock::now();
@@ -154,16 +154,12 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
           entry.offset - first.offset, entry.stored_size);
       Bytes reread;
       if (has_crc && compress::Crc32(brick_bytes) != entry.crc32) {
+        const std::string detail =
+            "array=" + array + " brick=" + std::to_string(b);
         ++local.corrupt_bricks;
-        obs::DefaultRegistry().GetCounter("corrupt_brick_total").Increment();
-        obs::GlobalEventLog().Append(
-            "ndp.corrupt_brick",
-            "array=" + array + " brick=" + std::to_string(b));
+        kCorruptBrick.Record(detail);
         ++local.brick_rereads;
-        obs::DefaultRegistry().GetCounter("brick_reread_total").Increment();
-        obs::GlobalEventLog().Append(
-            "ndp.brick_reread",
-            "array=" + array + " brick=" + std::to_string(b));
+        kBrickReread.Record(detail);
         reread = reader.ReadArrayRange(array, entry.offset, entry.stored_size);
         local.bytes_read += reread.size();
         if (compress::Crc32(reread) != entry.crc32) {

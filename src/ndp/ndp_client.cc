@@ -8,8 +8,8 @@
 #include "common/error.h"
 #include "contour/contour_filter.h"
 #include "io/vnd_format.h"
+#include "obs/audit.h"
 #include "obs/context.h"
-#include "obs/event_log.h"
 #include "obs/trace.h"
 #include "rpc/trace_wire.h"
 
@@ -39,6 +39,9 @@ contour::PolyData NdpFetcher::Contour(const std::string& key,
 }
 
 namespace {
+
+const obs::Audit kStreamResume("ndp_stream_resume_total", "ndp.stream_resume");
+const obs::Audit kFallback("ndp_fallback_total", "ndp.fallback");
 
 // On a resume the stream restarts with a fresh header; the original
 // stays authoritative (its stream_bricks is the full stream's size, for
@@ -216,11 +219,8 @@ void NdpClient::StreamSelect(const std::string& key, const std::string& array,
         throw;
       }
       acc.resumes += 1;
-      obs::DefaultRegistry().GetCounter("ndp_stream_resume_total")
-          .Increment();
-      obs::GlobalEventLog().Append(
-          "ndp.stream_resume",
-          "key=" + key + " cursor=" + std::to_string(acc.cursor));
+      kStreamResume.Record("key=" + key +
+                           " cursor=" + std::to_string(acc.cursor));
       net::BackoffSleep(options_.retry, attempt + 1,
                         net::MixBits(0x73747265616Dull));
     }
@@ -481,8 +481,7 @@ pipeline::DataObjectPtr NdpContourSource::Execute(
     // server-side recovery step: the smart path is unreachable, so
     // degrade to the full read (possibly against a different replica).
     if (!fallback_.has_value()) throw;
-    obs::DefaultRegistry().GetCounter("ndp_fallback_total").Increment();
-    obs::GlobalEventLog().Append("ndp.fallback", "key=" + key_);
+    kFallback.Record("key=" + key_);
     std::fprintf(stderr,
                  "[vizndp] warning: NDP path for '%s' unavailable (%s); "
                  "falling back to baseline full-array read\n",

@@ -10,7 +10,6 @@
 #include "net/retry.h"
 #include "io/vnd_format.h"
 #include "ndp/bricked_select.h"
-#include "obs/event_log.h"
 #include "obs/trace.h"
 #include "obs/windowed.h"
 #include "rpc/trace_wire.h"
@@ -144,8 +143,7 @@ msgpack::Value NdpServer::Select(const SelectRequest& request,
     // frame and a peer-closed transport — either way the remaining
     // brick work is abandoned. The dispatcher stamps the terminal with
     // the `!cancelled:` error, so this result is never shipped.
-    metrics_.GetCounter("ndp_stream_cancelled_total").Increment();
-    obs::GlobalEventLog().Append("ndp.stream_cancel", "array=" + array);
+    stream_cancel_.Record("array=" + array);
     return Value();
   };
   const StreamHeader header{h.dims,
@@ -196,17 +194,10 @@ msgpack::Value NdpServer::Select(const SelectRequest& request,
       // No server-side rung is left: the recovery is a different data
       // copy — the sharded client's replica failover for restricted
       // requests, the caller's baseline read otherwise.
-      if (only_bricks != nullptr) {
-        metrics_.GetCounter("ndp_restricted_corrupt_total").Increment();
-        obs::GlobalEventLog().Append("ndp.restricted_corrupt",
-                                     "array=" + array);
-      }
+      if (only_bricks != nullptr) restricted_corrupt_.Record("array=" + array);
       throw;
     } catch (const IoError&) {
-      if (only_bricks != nullptr) {
-        metrics_.GetCounter("ndp_restricted_io_total").Increment();
-        obs::GlobalEventLog().Append("ndp.restricted_io", "array=" + array);
-      }
+      if (only_bricks != nullptr) restricted_io_.Record("array=" + array);
       throw;
     }
     if (!streamed) span.emplace("ndp.pack");

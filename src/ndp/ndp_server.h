@@ -23,6 +23,7 @@
 #include <functional>
 
 #include "ndp/protocol.h"
+#include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "rpc/server.h"
@@ -142,6 +143,12 @@ class NdpServer {
   const storage::Scrubber* scrubber_ = nullptr;
   std::function<std::vector<obs::SloStatus>()> slo_status_fn_;
   obs::Registry metrics_;
+  obs::Audit stream_cancel_{metrics_, "ndp_stream_cancelled_total", {},
+                            "ndp.stream_cancel"};
+  obs::Audit restricted_corrupt_{metrics_, "ndp_restricted_corrupt_total", {},
+                                 "ndp.restricted_corrupt"};
+  obs::Audit restricted_io_{metrics_, "ndp_restricted_io_total", {},
+                            "ndp.restricted_io"};
   std::uint64_t node_id_;
   std::atomic<std::uint64_t> seen_view_epoch_{0};
 };

@@ -5,30 +5,23 @@
 
 #include "compress/checksum.h"
 #include "io/vnd_format.h"
-#include "obs/event_log.h"
+#include "obs/audit.h"
 #include "obs/metrics.h"
 
 namespace vizndp::ndp {
 
 namespace {
 
+// A plain counter, not an audit: it counts every corrupt sighting on
+// every pass, while scrub.quarantine journals only the transition.
 obs::Counter& CorruptFoundCounter() {
   static obs::Counter& c =
       obs::DefaultRegistry().GetCounter("scrub_corrupt_found_total");
   return c;
 }
 
-obs::Counter& QuarantineCounter() {
-  static obs::Counter& c =
-      obs::DefaultRegistry().GetCounter("scrub_quarantine_total");
-  return c;
-}
-
-obs::Counter& ReadmitCounter() {
-  static obs::Counter& c =
-      obs::DefaultRegistry().GetCounter("scrub_readmit_total");
-  return c;
-}
+const obs::Audit kQuarantine("scrub_quarantine_total", "scrub.quarantine");
+const obs::Audit kReadmit("scrub_readmit_total", "scrub.readmit");
 
 std::string BrickDetail(const std::string& key, const std::string& array,
                         std::int64_t brick) {
@@ -51,15 +44,11 @@ void ReconcileBrick(const std::string& key, const io::ArrayMeta& meta,
     CorruptFoundCounter().Increment();
     if (quarantine.Add(ref)) {
       ++report.quarantined;
-      QuarantineCounter().Increment();
-      obs::GlobalEventLog().Append("scrub.quarantine",
-                                   BrickDetail(key, meta.name, ref.brick));
+      kQuarantine.Record(BrickDetail(key, meta.name, ref.brick));
     }
   } else if (quarantine.Remove(ref)) {
     ++report.readmitted;
-    ReadmitCounter().Increment();
-    obs::GlobalEventLog().Append("scrub.readmit",
-                                 BrickDetail(key, meta.name, ref.brick));
+    kReadmit.Record(BrickDetail(key, meta.name, ref.brick));
   }
 }
 

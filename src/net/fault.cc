@@ -1,8 +1,9 @@
 #include "net/fault.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "common/error.h"
@@ -234,45 +235,57 @@ FaultAction ParseAction(const std::string& name, long param) {
 
 }  // namespace
 
-FaultSpec ParseFaultSpec(const std::string& spec) {
-  FaultSpec out;
+std::vector<FaultSpecEntry> ParseFaultSpecEntries(const std::string& spec) {
+  std::vector<FaultSpecEntry> out;
   std::stringstream ss(spec);
   std::string entry;
   while (std::getline(ss, entry, ',')) {
     if (entry.empty()) continue;
-    bool loop = false;
-    if (entry.back() == '+') {
-      loop = true;
-      entry.pop_back();
+    const auto malformed = [&entry] {
+      return Error("malformed fault entry '" + entry + "'");
+    };
+    FaultSpecEntry& e = out.emplace_back();
+    std::string_view rest = entry;
+    e.loop = rest.back() == '+';
+    if (e.loop) rest.remove_suffix(1);
+    const size_t dot = rest.find('.');
+    if (dot == std::string_view::npos) throw malformed();
+    e.selector = rest.substr(0, dot);
+    rest.remove_prefix(dot + 1);
+    size_t cut = rest.find_first_of("*=");
+    e.action = rest.substr(0, cut);
+    std::string seen;  // the suffix marks read so far
+    while (cut != std::string_view::npos) {
+      const char mark = rest[cut];
+      const size_t next = rest.find_first_of("*=", cut + 1);
+      // (At next == npos the length overshoots and substr clamps it.)
+      const std::string_view digits = rest.substr(cut + 1, next - cut - 1);
+      const char* end = digits.data() + digits.size();
+      const auto [ptr, ec] = std::from_chars(
+          digits.data(), end, mark == '*' ? e.count : e.param);
+      if (ec != std::errc() || ptr != end ||
+          seen.find(mark) != std::string::npos) {
+        throw malformed();
+      }
+      seen += mark;
+      cut = next;
     }
-    const size_t dot = entry.find('.');
-    if (dot == std::string::npos) {
-      throw Error("fault entry '" + entry + "' needs send./recv. prefix");
+    if (e.count < 1) throw malformed();
+  }
+  return out;
+}
+
+FaultSpec ParseFaultSpec(const std::string& spec) {
+  FaultSpec out;
+  for (const FaultSpecEntry& entry : ParseFaultSpecEntries(spec)) {
+    const bool send = entry.selector == "send";
+    if (!send && entry.selector != "recv") {
+      throw Error("fault direction must be send or recv: " + entry.selector);
     }
-    const std::string dir = entry.substr(0, dot);
-    std::string rest = entry.substr(dot + 1);
-    long count = 1;
-    if (const size_t star = rest.find('*'); star != std::string::npos) {
-      count = std::atol(rest.c_str() + star + 1);
-      rest = rest.substr(0, star);
-      if (count < 1) throw Error("fault count must be >= 1 in '" + entry + "'");
-    }
-    long param = 0;
-    if (const size_t eq = rest.find('='); eq != std::string::npos) {
-      param = std::atol(rest.c_str() + eq + 1);
-      rest = rest.substr(0, eq);
-    }
-    const FaultAction action = ParseAction(rest, param);
-    auto* script = dir == "send" ? &out.send_script
-                 : dir == "recv" ? &out.recv_script
-                                 : nullptr;
-    if (script == nullptr) {
-      throw Error("fault direction must be send or recv in '" + entry + "'");
-    }
-    for (long i = 0; i < count; ++i) script->push_back(action);
-    if (loop) {
-      (dir == "send" ? out.send_loop_last : out.recv_loop_last) = true;
-    }
+    auto& script = send ? out.send_script : out.recv_script;
+    script.insert(script.end(), static_cast<size_t>(entry.count),
+                  ParseAction(entry.action, entry.param));
+    if (entry.loop) (send ? out.send_loop_last : out.recv_loop_last) = true;
   }
   return out;
 }

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "net/transport.h"
@@ -125,9 +126,23 @@ class FaultInjectingTransport final : public Transport {
   FaultStats stats_;
 };
 
+// One entry of a fault spec, in the form ParseFaultSpec and
+// storage::ParseStoreFaultSpec share (the suffixes in either order).
+struct FaultSpecEntry {
+  std::string selector;  // send|recv, or a store op
+  std::string action;
+  long count = 1;
+  long param = 0;
+  bool loop = false;
+};
+
+// Throws Error on an entry with no '.', a repeated suffix, a count < 1,
+// or a number that is not its whole token ("*2x", "=abc").
+std::vector<FaultSpecEntry> ParseFaultSpecEntries(const std::string& spec);
+
 // Parses a compact fault-script spec used by `vizndp_tool --fault`:
 //   spec    := entry (',' entry)*
-//   entry   := ('send'|'recv') '.' action ['*' count] ['=' param]
+//   entry   := ('send'|'recv') '.' action ['*' count] ['=' param] ['+']
 //   action  := pass | drop | delay (param: µs) | dup
 //            | truncate (param: bytes) | flip (param: bit index) | down
 // A trailing '+' on an entry loops its action forever. `pass` delivers
@@ -136,7 +151,7 @@ class FaultInjectingTransport final : public Transport {
 // Examples:
 //   "send.drop*2"          drop the first two requests (retry succeeds)
 //   "send.drop+"           black-hole every request (forces fallback)
-//   "recv.delay=2000*3"    delay the first three replies by 2 ms
+//   "recv.delay*3=2000"    delay the first three replies by 2 ms
 //   "recv.pass*8,recv.down"  deliver 8 frames, then die mid-stream
 // Throws Error on a malformed spec.
 struct FaultSpec {

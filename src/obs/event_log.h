@@ -3,8 +3,8 @@
 // took; the event log says *why there was* a second attempt (the first
 // one timed out), that the server shed it as busy, that a brick failed
 // its CRC and was re-read, and that the client finally degraded to the
-// baseline path. Every error path in the transport/RPC/NDP stack appends
-// exactly one event here (tests/trace_test.cc locks that invariant).
+// baseline path. Every error path appends exactly one event here, with
+// its counter, through an obs::Audit (obs/audit.h).
 //
 // Events inherit the calling thread's TraceContext, so one fetch's whole
 // decision sequence is recoverable with Events(trace_id) even when

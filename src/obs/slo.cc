@@ -82,10 +82,17 @@ void SloEventCounts(const SloObjective& objective,
 
 SloTracker::SloTracker(std::vector<SloObjective> objectives,
                        Registry* registry, EventLog* journal)
-    : objectives_(std::move(objectives)),
-      registry_(registry != nullptr ? registry : &DefaultRegistry()),
-      journal_(journal != nullptr ? journal : &GlobalEventLog()),
-      states_(objectives_.size()) {}
+    : objectives_(std::move(objectives)) {
+  Registry& reg = registry != nullptr ? *registry : DefaultRegistry();
+  for (const SloObjective& o : objectives_) {
+    const Labels slo = {{"slo", o.name}};
+    states_.push_back(State{
+        .alert = Audit(reg, "slo_burn_alert_total", slo, "slo.burn_alert",
+                       journal),
+        .clear = Audit(reg, "slo_burn_clear_total", slo, "slo.burn_clear",
+                       journal)});
+  }
+}
 
 std::vector<SloStatus> SloTracker::Evaluate(
     const std::vector<MetricSnapshot>& snapshot, double now_s) {
@@ -145,23 +152,19 @@ std::vector<SloStatus> SloTracker::Evaluate(
                      w_short.total >= static_cast<double>(o.min_samples);
     if (hot && !st.alerting) {
       st.alerting = true;
-      registry_->GetCounter("slo_burn_alert_total", {{"slo", o.name}})
-          .Increment();
       std::ostringstream detail;
       detail << "slo=" << o.name << " burn_short=" << status.burn_short
              << " burn_long=" << status.burn_long
              << " budget_remaining=" << status.budget_remaining;
-      journal_->Append("slo.burn_alert", detail.str());
+      st.alert.Record(detail.str());
     } else if (!hot && st.alerting && status.burn_short < 1.0) {
       // Hysteresis: clear only once the short window burns below 1x, so
       // a flapping burn rate near the threshold stays one alert.
       st.alerting = false;
-      registry_->GetCounter("slo_burn_clear_total", {{"slo", o.name}})
-          .Increment();
       std::ostringstream detail;
       detail << "slo=" << o.name
              << " budget_remaining=" << status.budget_remaining;
-      journal_->Append("slo.burn_clear", detail.str());
+      st.clear.Record(detail.str());
     }
     status.alerting = st.alerting;
     st.last = status;

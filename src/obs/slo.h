@@ -15,9 +15,9 @@
 // trailing budget_window.
 //
 // Alerts are edge-triggered and audited the same way the cluster and
-// storage layers are: one slo_burn_alert_total{slo=...} increment pairs
-// with exactly one "slo.burn_alert" journal event (chaos kAuditPairs
-// enforces the 1:1), and symmetrically for slo.burn_clear.
+// storage layers are: one obs::Audit per objective moves
+// slo_burn_alert_total{slo=...} and one "slo.burn_alert" journal event
+// together, and symmetrically for slo.burn_clear.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/audit.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 
@@ -101,17 +102,17 @@ class SloTracker {
     double total = 0;
   };
   struct State {
+    Audit alert;  // slo_burn_alert_total{slo} + slo.burn_alert
+    Audit clear;  // slo_burn_clear_total{slo} + slo.burn_clear
     bool have_prev = false;
     double prev_bad = 0;
     double prev_total = 0;
-    std::deque<Sample> samples;  // trailing budget_window_s
+    std::deque<Sample> samples{};  // trailing budget_window_s
     bool alerting = false;
-    SloStatus last;
+    SloStatus last{};
   };
 
   std::vector<SloObjective> objectives_;
-  Registry* registry_;
-  EventLog* journal_;
   mutable std::mutex mu_;
   std::vector<State> states_;
 };

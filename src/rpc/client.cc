@@ -6,7 +6,6 @@
 #include "msgpack/pack.h"
 #include "msgpack/unpack.h"
 #include "obs/context.h"
-#include "obs/event_log.h"
 #include "obs/trace.h"
 #include "obs/trace_merge.h"
 #include "rpc/protocol.h"
@@ -118,8 +117,7 @@ msgpack::Value Client::CallOnce(const std::string& method,
       // A chunk left over from an abandoned stream on this connection
       // (the caller resumed after a stall): stale by construction — a
       // monolithic call never gets chunks of its own.
-      metrics().GetCounter("rpc_stale_replies_total").Increment();
-      obs::GlobalEventLog().Append("rpc.stale_reply", "method=" + method);
+      StaleReplyAudit().Record("method=" + method);
       continue;
     }
     if (fields.size() < 4 || fields[0].AsInt() != kResponseType) {
@@ -128,8 +126,7 @@ msgpack::Value Client::CallOnce(const std::string& method,
     const std::uint64_t got = fields[1].AsUint();
     if (got != msgid) {
       if (got < msgid) {
-        metrics().GetCounter("rpc_stale_replies_total").Increment();
-        obs::GlobalEventLog().Append("rpc.stale_reply", "method=" + method);
+        StaleReplyAudit().Record("method=" + method);
         continue;  // stale reply from an earlier attempt; keep waiting
       }
       throw RpcError("RPC response msgid mismatch");
@@ -169,9 +166,8 @@ msgpack::Value Client::Call(const std::string& method, msgpack::Array params,
     try {
       return CallOnce(method, params, net::DeadlineAfter(timeout));
     } catch (const TimeoutError&) {
-      metrics().GetCounter("rpc_timeouts_total", {{"method", method}})
-          .Increment();
-      obs::GlobalEventLog().Append("rpc.timeout", EventDetail(method, attempt));
+      MethodAudit("rpc_timeouts_total", method, "rpc.timeout")
+          .Record(EventDetail(method, attempt));
       if (attempt >= attempts) {
         throw TimeoutError("rpc call '" + method + "' timed out after " +
                            std::to_string(attempt) + " attempt(s)");
@@ -180,8 +176,8 @@ msgpack::Value Client::Call(const std::string& method, msgpack::Array params,
       // The server shed the request *before* running the handler, so a
       // retry is safe even for non-idempotent calls; back off and let the
       // overload clear.
-      metrics().GetCounter("rpc_busy_total", {{"method", method}}).Increment();
-      obs::GlobalEventLog().Append("rpc.busy", EventDetail(method, attempt));
+      MethodAudit("rpc_busy_total", method, "rpc.busy")
+          .Record(EventDetail(method, attempt));
       if (attempt >= std::max(retry_.max_attempts, 1)) throw;
     } catch (const RpcError&) {
       // The server is alive and reported an application error (or sent a
@@ -195,20 +191,15 @@ msgpack::Value Client::Call(const std::string& method, msgpack::Array params,
     } catch (const PeerClosedError&) {
       // Listed before IoError (its base): a closed peer is transport
       // loss, retryable for idempotent calls like any other Error.
-      metrics()
-          .GetCounter("rpc_transport_errors_total", {{"method", method}})
-          .Increment();
-      obs::GlobalEventLog().Append("rpc.transport_error",
-                                   EventDetail(method, attempt));
+      MethodAudit("rpc_transport_errors_total", method, "rpc.transport_error")
+          .Record(EventDetail(method, attempt));
       if (attempt >= attempts) throw;
     } catch (const TransientIoError&) {
       // The *remote store* flaked and the server's own retry budget ran
       // out; another attempt reruns the whole server-side ladder, so for
       // idempotent calls it is worth one more backoff cycle.
-      metrics()
-          .GetCounter("rpc_remote_io_total", {{"method", method}})
-          .Increment();
-      obs::GlobalEventLog().Append("rpc.remote_io", EventDetail(method, attempt));
+      MethodAudit("rpc_remote_io_total", method, "rpc.remote_io")
+          .Record(EventDetail(method, attempt));
       if (attempt >= attempts) throw;
     } catch (const IoError&) {
       // Permanent remote storage failure (missing object, dead device):
@@ -217,16 +208,12 @@ msgpack::Value Client::Call(const std::string& method, msgpack::Array params,
     } catch (const Error&) {
       // Transport-level loss (peer closed, corrupt frame): retryable for
       // idempotent calls. A ReconnectingTransport re-dials underneath.
-      metrics()
-          .GetCounter("rpc_transport_errors_total", {{"method", method}})
-          .Increment();
-      obs::GlobalEventLog().Append("rpc.transport_error",
-                                   EventDetail(method, attempt));
+      MethodAudit("rpc_transport_errors_total", method, "rpc.transport_error")
+          .Record(EventDetail(method, attempt));
       if (attempt >= attempts) throw;
     }
-    metrics().GetCounter("rpc_retries_total", {{"method", method}})
-        .Increment();
-    obs::GlobalEventLog().Append("rpc.retry", EventDetail(method, attempt + 1));
+    MethodAudit("rpc_retries_total", method, "rpc.retry")
+        .Record(EventDetail(method, attempt + 1));
     net::BackoffSleep(retry_, attempt, salt);
   }
 }
@@ -279,17 +266,14 @@ msgpack::Value Client::CallStreaming(const std::string& method,
       reply = transport_->Receive(frame_deadline);
     } catch (const TimeoutError&) {
       if (stall_binding) {
-        metrics()
-            .GetCounter("rpc_stream_stalls_total", {{"method", method}})
-            .Increment();
-        obs::GlobalEventLog().Append("rpc.stream_stall", "method=" + method);
+        MethodAudit("rpc_stream_stalls_total", method, "rpc.stream_stall")
+            .Record("method=" + method);
         throw StreamStallError(
             "stream '" + method + "' stalled: no frame within " +
             std::to_string(options.chunk_timeout.count()) + " ms");
       }
-      metrics().GetCounter("rpc_timeouts_total", {{"method", method}})
-          .Increment();
-      obs::GlobalEventLog().Append("rpc.timeout", EventDetail(method, 1));
+      MethodAudit("rpc_timeouts_total", method, "rpc.timeout")
+          .Record(EventDetail(method, 1));
       throw TimeoutError("rpc stream '" + method + "' ran past its overall " +
                          "deadline");
     }
@@ -301,8 +285,7 @@ msgpack::Value Client::CallStreaming(const std::string& method,
     const std::uint64_t got = fields[1].AsUint();
     if (got != msgid) {
       if (got < msgid) {
-        metrics().GetCounter("rpc_stale_replies_total").Increment();
-        obs::GlobalEventLog().Append("rpc.stale_reply", "method=" + method);
+        StaleReplyAudit().Record("method=" + method);
         continue;  // leftover frame from an abandoned stream
       }
       throw RpcError("RPC response msgid mismatch");

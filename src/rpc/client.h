@@ -13,6 +13,7 @@
 #include "msgpack/value.h"
 #include "net/retry.h"
 #include "net/transport.h"
+#include "obs/audit.h"
 #include "obs/metrics.h"
 
 namespace vizndp::rpc {
@@ -94,6 +95,16 @@ class Client {
   msgpack::Value CallOnce(const std::string& method,
                           const msgpack::Array& params,
                           net::Deadline deadline);
+  // The audits of this client's error paths, in its registry. Every
+  // counter but the stale-reply count is keyed by method.
+  obs::Audit MethodAudit(const char* counter, const std::string& method,
+                         const char* event) {
+    return obs::Audit(metrics(), counter, {{"method", method}}, event);
+  }
+  obs::Audit StaleReplyAudit() {
+    return obs::Audit(metrics(), "rpc_stale_replies_total", {},
+                      "rpc.stale_reply");
+  }
   obs::Registry& metrics() {
     return metrics_ != nullptr ? *metrics_ : obs::DefaultRegistry();
   }

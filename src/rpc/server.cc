@@ -9,7 +9,6 @@
 #include "msgpack/unpack.h"
 #include "obs/context.h"
 #include "obs/windowed.h"
-#include "obs/event_log.h"
 #include "obs/trace.h"
 #include "rpc/protocol.h"
 #include "rpc/trace_wire.h"
@@ -152,22 +151,35 @@ MemoryBudget::Reservation& MemoryBudget::Reservation::operator=(
   return *this;
 }
 
+Server::Server() {
+  // Scraped at 0 from boot: the fleet's error ratio sums this family.
+  metrics_.GetCounter("rpc_busy_rejected_total");
+}
+
 void Server::SetOptions(const ServerOptions& options) {
   options_ = options;
   mem_budget_.SetLimit(options.mem_budget_bytes);
   mem_budget_.SetGauge(&metrics_.GetGauge("rpc_mem_budget_used_bytes"));
 }
 
+Server::Bound::Bound(obs::Registry& metrics, const obs::Labels& labels)
+    : requests(&metrics.GetCounter("rpc_requests_total", labels)),
+      // Windowed: scrapes see rpc_dispatch_seconds{method} (cumulative)
+      // plus rpc_dispatch_seconds_window{method} for the last ~10 s.
+      latency(&metrics.GetWindowedHistogram("rpc_dispatch_seconds",
+                                            obs::LatencyBounds(), labels)),
+      handler_error(metrics, "rpc_errors_total", labels, "rpc.handler_error"),
+      corrupt_reply(metrics, "rpc_errors_total", labels, "rpc.corrupt_reply"),
+      io_reply(metrics, "rpc_errors_total", labels, "rpc.io_reply"),
+      deadline(metrics, "rpc_deadline_exceeded_total", labels,
+               "rpc.deadline") {
+  // Scraped at 0 from Bind on, like the request count.
+  metrics.GetCounter("rpc_errors_total", labels);
+}
+
 Server::Bound& Server::BindCommon(const std::string& method) {
-  Bound bound;
-  const obs::Labels labels = {{"method", method}};
-  bound.requests = &metrics_.GetCounter("rpc_requests_total", labels);
-  bound.errors = &metrics_.GetCounter("rpc_errors_total", labels);
-  // Windowed: scrapes see rpc_dispatch_seconds{method} (cumulative)
-  // plus rpc_dispatch_seconds_window{method} for the last ~10 s.
-  bound.latency = &metrics_.GetWindowedHistogram(
-      "rpc_dispatch_seconds", obs::LatencyBounds(), labels);
-  const auto [it, inserted] = handlers_.emplace(method, std::move(bound));
+  const auto [it, inserted] = handlers_.try_emplace(
+      method, metrics_, obs::Labels{{"method", method}});
   VIZNDP_CHECK_MSG(inserted, "duplicate RPC method '" + method + "'");
   return it->second;
 }
@@ -230,13 +242,10 @@ Bytes Server::Dispatch(ByteSpan request_frame, net::Transport* transport) {
     // Shed before the handler runs: the caller can safely retry against
     // another (or restarted) server even for non-idempotent methods.
     error = std::string(kBusyErrorPrefix) + "server draining";
-    busy_rejected_->Increment();
-    obs::GlobalEventLog().Append("rpc.shed",
-                                 "reason=draining method=" + method);
+    shed_.Record("reason=draining method=" + method);
   } else if (it == handlers_.end()) {
     error = "unknown method '" + method + "'";
-    metrics_.GetCounter("rpc_unknown_method_total").Increment();
-    obs::GlobalEventLog().Append("rpc.unknown_method", "method=" + method);
+    unknown_method_.Record("method=" + method);
   } else {
     const int now_inflight =
         inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -244,9 +253,7 @@ Bytes Server::Dispatch(ByteSpan request_frame, net::Transport* transport) {
     if (options_.max_inflight > 0 && now_inflight > options_.max_inflight) {
       error = std::string(kBusyErrorPrefix) + "too many in-flight requests (" +
               std::to_string(options_.max_inflight) + " allowed)";
-      busy_rejected_->Increment();
-      obs::GlobalEventLog().Append("rpc.shed",
-                                   "reason=inflight method=" + method);
+      shed_.Record("reason=inflight method=" + method);
     } else {
       ran_handler = true;
       it->second.requests->Increment();
@@ -280,40 +287,29 @@ Bytes Server::Dispatch(ByteSpan request_frame, net::Transport* transport) {
           // and the client resumes from its cursor instead of retrying
           // the whole call.
           error = std::string("stream failed mid-flight: ") + e.what();
-          it->second.errors->Increment();
-          obs::GlobalEventLog().Append("rpc.handler_error",
-                                       "method=" + method);
+          it->second.handler_error.Record("method=" + method);
         } else {
           // Resource budget shed inside the handler, before any effect:
           // still always retryable from the client's point of view.
           error = std::string(kBusyErrorPrefix) + e.what();
-          busy_rejected_->Increment();
-          obs::GlobalEventLog().Append("rpc.shed",
-                                       "reason=budget method=" + method);
+          shed_.Record("reason=budget method=" + method);
         }
       } catch (const CorruptDataError& e) {
         // Typed so the client can distinguish "your data is bad" (fall
         // back to baseline) from generic handler failure.
         error = std::string(kCorruptErrorPrefix) + e.what();
-        it->second.errors->Increment();
-        obs::GlobalEventLog().Append("rpc.corrupt_reply",
-                                     "method=" + method);
+        it->second.corrupt_reply.Record("method=" + method);
       } catch (const TransientIoError& e) {
         // Typed + ordered before IoError (its base): the client may
         // retry a transient storage failure, never a permanent one.
         error = std::string(kTransientIoErrorPrefix) + e.what();
-        it->second.errors->Increment();
-        obs::GlobalEventLog().Append("rpc.io_reply",
-                                     "method=" + method + " transient=1");
+        it->second.io_reply.Record("method=" + method + " transient=1");
       } catch (const IoError& e) {
         error = std::string(kIoErrorPrefix) + e.what();
-        it->second.errors->Increment();
-        obs::GlobalEventLog().Append("rpc.io_reply", "method=" + method);
+        it->second.io_reply.Record("method=" + method);
       } catch (const std::exception& e) {
         error = std::string("handler failed: ") + e.what();
-        it->second.errors->Increment();
-        obs::GlobalEventLog().Append("rpc.handler_error",
-                                     "method=" + method);
+        it->second.handler_error.Record("method=" + method);
       }
       {
         std::lock_guard<std::mutex> lock(inflight_table_mu_);
@@ -341,9 +337,7 @@ Bytes Server::Dispatch(ByteSpan request_frame, net::Transport* transport) {
         span.ElapsedSeconds() > deadline_s) {
       error = "deadline exceeded in '" + method + "'";
       result = msgpack::Value();
-      metrics_.GetCounter("rpc_deadline_exceeded_total", {{"method", method}})
-          .Increment();
-      obs::GlobalEventLog().Append("rpc.deadline", "method=" + method);
+      it->second.deadline.Record("method=" + method);
     }
   }
 
@@ -383,11 +377,9 @@ bool Server::Stop() {
     });
   }
   if (!drained) {
-    metrics_.GetCounter("rpc_drain_timeouts_total").Increment();
-    obs::GlobalEventLog().Append(
-        "rpc.drain_timeout",
-        "inflight=" + std::to_string(inflight_.load(
-                          std::memory_order_acquire)));
+    drain_timeout_.Record(
+        "inflight=" +
+        std::to_string(inflight_.load(std::memory_order_acquire)));
   }
   stopped_.store(true, std::memory_order_release);
   return drained;
@@ -418,9 +410,7 @@ void Server::ServeTransport(net::Transport& transport) {
     if (request.size() > options_.max_frame_bytes) {
       // An in-proc peer can bypass the TCP-level frame cap, so enforce it
       // here too; the connection is poisoned, not the server.
-      metrics_.GetCounter("rpc_oversize_frames_total").Increment();
-      obs::GlobalEventLog().Append(
-          "rpc.oversize_frame", "bytes=" + std::to_string(request.size()));
+      oversize_frame_.Record("bytes=" + std::to_string(request.size()));
       transport.Close();
       return;
     }
@@ -430,8 +420,7 @@ void Server::ServeTransport(net::Transport& transport) {
     } catch (const Error&) {
       // Undecodable/malformed frame: drop the connection, keep serving
       // others. Before this guard, one garbage frame killed the thread.
-      metrics_.GetCounter("rpc_malformed_frames_total").Increment();
-      obs::GlobalEventLog().Append("rpc.malformed_frame");
+      malformed_frame_.Record();
       transport.Close();
       return;
     }

@@ -27,6 +27,7 @@
 #include "msgpack/value.h"
 #include "net/tcp.h"
 #include "net/transport.h"
+#include "obs/audit.h"
 #include "obs/metrics.h"
 
 namespace vizndp::rpc {
@@ -133,6 +134,8 @@ class StreamSink {
 
 class Server {
  public:
+  Server();
+
   using Handler = std::function<msgpack::Value(const msgpack::Array& params)>;
   // Streaming handler: `sink` is null when the request arrived through a
   // transport-less Dispatch (in-proc tests, old front ends) — the
@@ -211,15 +214,19 @@ class Server {
   const obs::Registry& metrics() const { return metrics_; }
 
  private:
-  // Handler plus its metric handles, resolved once at Bind so Dispatch
-  // stays lock-free on the metrics path. Exactly one of handler /
-  // streaming is set.
+  // Handler plus its metric handles, resolved once at Bind. Exactly one
+  // of handler / streaming is set; three audits share rpc_errors_total.
   struct Bound {
+    Bound(obs::Registry& metrics, const obs::Labels& labels);
+
     Handler handler;
     StreamingHandler streaming;
-    obs::Counter* requests = nullptr;
-    obs::Counter* errors = nullptr;
-    obs::WindowedHistogram* latency = nullptr;
+    obs::Counter* requests;
+    obs::WindowedHistogram* latency;
+    obs::Audit handler_error;
+    obs::Audit corrupt_reply;
+    obs::Audit io_reply;
+    obs::Audit deadline;
   };
 
   Bound& BindCommon(const std::string& method);
@@ -228,10 +235,17 @@ class Server {
   ServerOptions options_;
   obs::Registry metrics_;
   obs::Counter* requests_total_ = &metrics_.GetCounter("rpc_requests_total");
-  obs::Counter* busy_rejected_ =
-      &metrics_.GetCounter("rpc_busy_rejected_total");
   obs::Gauge* inflight_gauge_ =
       &metrics_.GetGauge("rpc_inflight_requests");
+  obs::Audit shed_{metrics_, "rpc_busy_rejected_total", {}, "rpc.shed"};
+  obs::Audit unknown_method_{metrics_, "rpc_unknown_method_total", {},
+                             "rpc.unknown_method"};
+  obs::Audit drain_timeout_{metrics_, "rpc_drain_timeouts_total", {},
+                            "rpc.drain_timeout"};
+  obs::Audit oversize_frame_{metrics_, "rpc_oversize_frames_total", {},
+                             "rpc.oversize_frame"};
+  obs::Audit malformed_frame_{metrics_, "rpc_malformed_frames_total", {},
+                              "rpc.malformed_frame"};
 
   std::atomic<int> inflight_{0};
   std::atomic<bool> draining_{false};

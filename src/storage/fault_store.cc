@@ -1,11 +1,10 @@
 #include "storage/fault_store.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
 #include <thread>
 
 #include "common/error.h"
+#include "net/fault.h"
 #include "net/retry.h"
 
 namespace vizndp::storage {
@@ -259,39 +258,12 @@ std::vector<StoreFaultSpecEntry> ParseStoreFaultSpec(const std::string& spec) {
     out.push_back(StoreFaultSpecEntry{op, {}, false});
     return out.back();
   };
-  std::stringstream ss(spec);
-  std::string entry;
-  while (std::getline(ss, entry, ',')) {
-    if (entry.empty()) continue;
-    bool loop = false;
-    if (entry.back() == '+') {
-      loop = true;
-      entry.pop_back();
-    }
-    const size_t dot = entry.find('.');
-    if (dot == std::string::npos) {
-      throw Error("store fault entry '" + entry +
-                  "' needs an op prefix (get|range|read|put|stat|any)");
-    }
-    const StoreOp op = ParseStoreOp(entry.substr(0, dot));
-    std::string rest = entry.substr(dot + 1);
-    long count = 1;
-    if (const size_t star = rest.find('*'); star != std::string::npos) {
-      count = std::atol(rest.c_str() + star + 1);
-      rest = rest.substr(0, star);
-      if (count < 1) {
-        throw Error("store fault count must be >= 1 in '" + entry + "'");
-      }
-    }
-    long param = 0;
-    if (const size_t eq = rest.find('='); eq != std::string::npos) {
-      param = std::atol(rest.c_str() + eq + 1);
-      rest = rest.substr(0, eq);
-    }
-    const StoreFaultAction action = ParseStoreAction(rest, param);
-    StoreFaultSpecEntry& slot = entry_for(op);
-    for (long i = 0; i < count; ++i) slot.script.push_back(action);
-    if (loop) slot.loop_last = true;
+  for (const net::FaultSpecEntry& entry : net::ParseFaultSpecEntries(spec)) {
+    const StoreFaultAction action = ParseStoreAction(entry.action, entry.param);
+    StoreFaultSpecEntry& slot = entry_for(ParseStoreOp(entry.selector));
+    slot.script.insert(slot.script.end(), static_cast<size_t>(entry.count),
+                       action);
+    if (entry.loop) slot.loop_last = true;
   }
   return out;
 }

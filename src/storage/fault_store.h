@@ -164,15 +164,15 @@ class FaultInjectingStore final : public ObjectStore {
 // Parses a compact store-fault spec used by `vizndp_tool serve
 // --store-fault` and the testbeds:
 //   spec    := entry (',' entry)*
-//   entry   := op '.' action ['*' count] ['=' param]
+//   entry   := op '.' action ['*' count] ['=' param] ['+']
 //   op      := get | range | read | put | stat | any
 //   action  := eio | fatal | short (param: bytes kept)
 //            | delay (param: µs) | flip (param: bit index)
 //            | lie (param: size delta, may be negative)
-// A trailing '+' on an entry loops its action forever. Examples:
+// A trailing '+' loops the action forever (net::FaultSpecEntry). Examples:
 //   "read.eio*2"        first two reads fail transiently (retry heals)
 //   "get.fatal+"        every whole-object read fails permanently
-//   "any.delay=5000*3"  the next three ops stall 5 ms (slow-disk window)
+//   "any.delay*3=5000"  the next three ops stall 5 ms (slow-disk window)
 //   "put.flip=7000"     the next write is stored with one bit rotted
 // Throws Error on a malformed spec.
 struct StoreFaultSpecEntry {

@@ -4,7 +4,7 @@
 #include <functional>
 
 #include "common/error.h"
-#include "obs/event_log.h"
+#include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -27,17 +27,8 @@ obs::Counter& BytesCounter() {
   return c;
 }
 
-obs::Counter& RetryCounter() {
-  static obs::Counter& c =
-      obs::DefaultRegistry().GetCounter("store_retry_total");
-  return c;
-}
-
-obs::Counter& IoErrorCounter() {
-  static obs::Counter& c =
-      obs::DefaultRegistry().GetCounter("store_io_error_total");
-  return c;
-}
+const obs::Audit kRetry("store_retry_total", "store.retry");
+const obs::Audit kIoError("store_io_error_total", "store.io_error");
 
 // Runs one store op under the retry ladder. TransientIoError retries
 // with seeded backoff until the policy's budget runs out, then counts
@@ -55,22 +46,16 @@ auto WithStoreRetry(const net::RetryPolicy& retry, std::uint64_t salt,
       return fn();
     } catch (const TransientIoError& e) {
       if (attempt >= attempts) {
-        IoErrorCounter().Increment();
-        obs::GlobalEventLog().Append(
-            "store.io_error", std::string("op=") + op + " key=" + key +
-                                  " attempts=" + std::to_string(attempt) +
-                                  " transient=1");
+        kIoError.Record(std::string("op=") + op + " key=" + key +
+                        " attempts=" + std::to_string(attempt) +
+                        " transient=1");
         throw;
       }
-      RetryCounter().Increment();
-      obs::GlobalEventLog().Append(
-          "store.retry", std::string("op=") + op + " key=" + key +
-                             " attempt=" + std::to_string(attempt));
+      kRetry.Record(std::string("op=") + op + " key=" + key +
+                    " attempt=" + std::to_string(attempt));
       net::BackoffSleep(retry, attempt, salt);
     } catch (const IoError&) {
-      IoErrorCounter().Increment();
-      obs::GlobalEventLog().Append("store.io_error", std::string("op=") + op +
-                                                         " key=" + key);
+      kIoError.Record(std::string("op=") + op + " key=" + key);
       throw;
     }
   }

@@ -4,7 +4,7 @@
 
 #include "common/error.h"
 #include "net/retry.h"
-#include "obs/event_log.h"
+#include "obs/audit.h"
 #include "obs/metrics.h"
 
 namespace vizndp::storage {
@@ -23,11 +23,8 @@ obs::Counter& PassCounter() {
   return c;
 }
 
-obs::Counter& ObjectErrorCounter() {
-  static obs::Counter& c =
-      obs::DefaultRegistry().GetCounter("scrub_object_error_total");
-  return c;
-}
+const obs::Audit kObjectError("scrub_object_error_total",
+                               "scrub.object_error");
 
 }  // namespace
 
@@ -100,8 +97,7 @@ ScrubObjectReport Scrubber::RunPassNow() {
   } catch (const Error&) {
     // A store that cannot even list heals or fails on the serving path;
     // the scrubber just tries again next pass.
-    ObjectErrorCounter().Increment();
-    obs::GlobalEventLog().Append("scrub.object_error", "op=list");
+    kObjectError.Record("op=list");
     return pass;
   }
   std::uint64_t objects = 0;
@@ -123,8 +119,7 @@ ScrubObjectReport Scrubber::RunPassNow() {
     } catch (const Error&) {
       // Unreadable or unparseable object: the serving path has its own
       // ladder for this; scrubbing moves on and retries next pass.
-      ObjectErrorCounter().Increment();
-      obs::GlobalEventLog().Append("scrub.object_error", "key=" + info.key);
+      kObjectError.Record("key=" + info.key);
     }
     if (options_.per_object_pause.count() > 0) {
       std::this_thread::sleep_for(options_.per_object_pause);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <iterator>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -17,6 +17,7 @@
 #include "contour/polydata.h"
 #include "io/vnd_format.h"
 #include "ndp/bricked_select.h"
+#include "obs/audit.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "sim/impact.h"
@@ -27,40 +28,6 @@ namespace {
 
 const std::vector<double> kIsos = {0.2, 0.5};
 constexpr const char* kKey = "chaos.vnd";
-
-// The counter/journal pairs the serving tier promises to keep 1:1: each
-// increment appends exactly one event with the paired name, so after a
-// schedule's threads are all joined, delta(counter) == count(events).
-struct AuditPair {
-  const char* counter;
-  const char* event;
-};
-// (scrub_corrupt_found_total is deliberately absent: it counts every
-// corrupt sighting every pass, while scrub.quarantine journals only the
-// transition into quarantine — they are not 1:1 by design.
-// ndp_stream_cancelled_total is also absent, but for a different
-// reason: it lives in per-NdpServer registries that a restart resets,
-// so a schedule-wide sum undercounts against the journal. The cancel
-// drill audits it 1:1 over its own restart-free window instead.)
-constexpr AuditPair kAuditPairs[] = {
-    {"cluster_failover_total", "cluster.failover"},
-    {"ndp_hedge_launched_total", "cluster.hedge"},
-    {"ndp_hedge_won_total", "cluster.hedge_won"},
-    {"ndp_hedge_lost_total", "cluster.hedge_lost"},
-    {"cluster_draining_skips_total", "cluster.draining_skip"},
-    {"cluster_unrestricted_fallback_total", "cluster.unrestricted_fallback"},
-    {"cluster_rejoin_total", "cluster.rejoin"},
-    {"store_retry_total", "store.retry"},
-    {"store_io_error_total", "store.io_error"},
-    {"scrub_quarantine_total", "scrub.quarantine"},
-    {"scrub_readmit_total", "scrub.readmit"},
-    {"ndp_quarantine_skip_total", "ndp.quarantine_skip"},
-    {"slo_burn_alert_total", "slo.burn_alert"},
-    {"slo_burn_clear_total", "slo.burn_clear"},
-    {"cluster_slow_node_total", "cluster.slow_node"},
-    {"ndp_stream_resume_total", "ndp.stream_resume"},
-    {"rpc_stream_stalls_total", "rpc.stream_stall"},
-};
 
 enum class Fault {
   kKill,
@@ -88,19 +55,20 @@ std::uint64_t CounterValue(const std::string& name) {
   return obs::DefaultRegistry().GetCounter(name).value();
 }
 
-// Family sum across every label series: the SLO counters label by
-// objective ({slo=...}) and the slow-node counter by node, so the audit
-// must compare whole families, not the unlabeled series.
-std::uint64_t CounterFamilyValue(const std::string& family) {
-  double sum = 0;
+// Every counter family in the process registry, summed across its label
+// series: the SLO counters label by objective ({slo=...}), the slow-node
+// counter by node and the rpc client's by method, so the audit compares
+// whole families, not one series.
+std::map<std::string, std::uint64_t> CounterFamilies() {
+  std::map<std::string, std::uint64_t> sums;
   std::string base;
   obs::Labels labels;
   for (const obs::MetricSnapshot& s : obs::DefaultRegistry().Snapshot()) {
     if (s.kind != obs::MetricSnapshot::Kind::kCounter) continue;
     obs::ParseCanonicalName(s.name, &base, &labels);
-    if (base == family) sum += s.value;
+    sums[base] += static_cast<std::uint64_t>(s.value + 0.5);
   }
-  return static_cast<std::uint64_t>(sum + 0.5);
+  return sums;
 }
 
 // Availability objective the chaos scraper runs under: one dead node of
@@ -150,10 +118,7 @@ ChaosReport RunChaos(const ChaosOptions& options) {
     // ring (sequence numbers keep climbing across Clear).
     journal.Clear();
     const std::uint64_t base_seq = journal.LastSeq();
-    std::uint64_t counter_base[std::size(kAuditPairs)];
-    for (size_t p = 0; p < std::size(kAuditPairs); ++p) {
-      counter_base[p] = CounterFamilyValue(kAuditPairs[p].counter);
-    }
+    std::map<std::string, std::uint64_t> counter_base = CounterFamilies();
 
     auto violate = [&](int step, const std::string& what) {
       report.violations.push_back("schedule " + std::to_string(sched) +
@@ -595,7 +560,7 @@ ChaosReport RunChaos(const ChaosOptions& options) {
         // (a) Client cancel: accounted exactly once, where it is
         // detected (the serving node's counter) and in the journal.
         // Audited over this restart-free window because restarts reset
-        // per-server registries (see the kAuditPairs note).
+        // per-server registries, which the catalog audit cannot cover.
         {
           auto cancelled_sum = [&] {
             std::uint64_t sum = 0;
@@ -698,16 +663,18 @@ ChaosReport RunChaos(const ChaosOptions& options) {
     }  // testbed destroyed: every serve loop and hedge loser joined
     phase("teardown");
 
-    // Audit: with all threads quiesced, each promised counter moved in
-    // lockstep with its journal event...
-    for (size_t p = 0; p < std::size(kAuditPairs); ++p) {
-      const std::uint64_t delta =
-          CounterFamilyValue(kAuditPairs[p].counter) - counter_base[p];
-      const size_t events = journal.CountSince(kAuditPairs[p].event, base_seq);
+    // Audit: with all threads quiesced, every counter family in the
+    // obs::Audit catalog moved in lockstep with its journal events...
+    std::map<std::string, std::uint64_t> journaled;  // family -> events
+    for (const auto& [event, family] : obs::AuditCatalog()) {
+      journaled[family] += journal.CountSince(event, base_seq);
+    }
+    std::map<std::string, std::uint64_t> counter_now = CounterFamilies();
+    for (const auto& [family, events] : journaled) {
+      const std::uint64_t delta = counter_now[family] - counter_base[family];
       if (delta != events) {
-        violate(-1, std::string("audit: ") + kAuditPairs[p].counter + "=" +
-                        std::to_string(delta) + " but " + kAuditPairs[p].event +
-                        " events=" + std::to_string(events));
+        violate(-1, "audit: " + family + "=" + std::to_string(delta) +
+                        " but its events=" + std::to_string(events));
       }
     }
     // ...every published epoch was journaled exactly once...

@@ -8,9 +8,9 @@
 //   1. geometry bit-identical to the pre-chaos single-server oracle
 //      (the paper's invariant: degradation may cost time, never bits);
 //   2. fleet-view epochs monotone;
-//   3. the one-counter-one-event audit (every counted failover / hedge /
-//      rescue / rejoin / store-retry / quarantine has exactly one
-//      journal event, and vice versa);
+//   3. the one-counter-one-event audit: every counter family in the
+//      obs::Audit catalog moved exactly as many times as its journal
+//      events (failover, hedge, rescue, rejoin, store retry, ...);
 //   4. no parked-hedge leaks (cluster_hedge_parked drains to zero when
 //      the schedule's client is gone);
 //   5. a restarted node is observed serving traffic again;

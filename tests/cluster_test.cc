@@ -396,6 +396,33 @@ TEST(Cluster, AllReplicasDownTakesUnrestrictedRescue) {
             std::string::npos);
 }
 
+// The rescue rung's own refusals are audited like every other rung: one
+// counter increment and one journal event per refused rescue attempt.
+TEST(Cluster, RefusedRescueAttemptIsCountedAndJournaled) {
+  ClusterTestbedConfig config;
+  config.servers = 3;
+  config.replicas = 1;
+  config.client_options.call_timeout = std::chrono::milliseconds(5000);
+  ClusterTestbed cluster(config);
+  StoreDataset(cluster.store(), cluster.bucket(), "ts.vnd", 32, 8);
+
+  const contour::PolyData reference =
+      cluster.server_client(1)->Contour("ts.vnd", "v02", kIsos);
+
+  const std::uint64_t refused_before =
+      CounterValue("cluster_rescue_failed_total");
+  const std::uint64_t seq = obs::GlobalEventLog().LastSeq();
+  // Server 0 dooms its own shard and is the rescue's first candidate, so
+  // exactly one rescue attempt is refused before server 1 serves.
+  cluster.KillServer(0);
+  const contour::PolyData rescued =
+      cluster.sharded_client()->Contour("ts.vnd", "v02", kIsos);
+  EXPECT_TRUE(rescued.GeometricallyEquals(reference, 0.0));
+  EXPECT_EQ(CounterValue("cluster_rescue_failed_total") - refused_before, 1u);
+  EXPECT_EQ(obs::GlobalEventLog().CountSince("cluster.rescue_failed", seq),
+            1u);
+}
+
 // Per-shard accounting exists and sums sensibly after a sharded fetch.
 TEST(Cluster, PerShardCountersAdvance) {
   ClusterTestbedConfig config;

@@ -429,6 +429,13 @@ TEST(FaultSpec, ParsesCompactGrammar) {
   ASSERT_EQ(spec.recv_script.size(), 3u);
   EXPECT_EQ(spec.recv_script[0].kind, FaultKind::kDelay);
   EXPECT_EQ(spec.recv_script[0].delay, 2000us);
+  // The suffixes read the same in either order.
+  const FaultSpec swapped = ParseFaultSpec("recv.delay*3=2000");
+  ASSERT_EQ(swapped.recv_script.size(), 3u);
+  for (const FaultAction& action : swapped.recv_script) {
+    EXPECT_EQ(action.kind, FaultKind::kDelay);
+    EXPECT_EQ(action.delay, 2000us);
+  }
 }
 
 TEST(FaultSpec, TrailingPlusLoopsForever) {
@@ -441,6 +448,9 @@ TEST(FaultSpec, MalformedSpecThrows) {
   EXPECT_THROW(ParseFaultSpec("sideways.drop"), Error);
   EXPECT_THROW(ParseFaultSpec("send.explode"), Error);
   EXPECT_THROW(ParseFaultSpec("send."), Error);
+  // A number must be its whole token.
+  EXPECT_THROW(ParseFaultSpec("send.delay=abc"), Error);
+  EXPECT_THROW(ParseFaultSpec("send.drop*2x"), Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Tests for the observability subsystem: metric registry concurrency and
 // bucket semantics, quantiles and exemplars, snapshot export (text, JSON,
-// Prometheus), trace-context propagation primitives, the event journal,
-// clock-offset estimation, and the span/tracer pipeline down to
-// well-formed Chrome-tracing JSON.
+// Prometheus), trace-context propagation primitives, the event journal
+// and its audit handles, clock-offset estimation, and the span/tracer
+// pipeline down to well-formed Chrome-tracing JSON.
 #include <algorithm>
 #include <string>
 #include <thread>
@@ -15,6 +15,7 @@
 #include <limits>
 
 #include "common/error.h"
+#include "obs/audit.h"
 #include "obs/context.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -434,6 +435,79 @@ TEST(EventLog, RingDropsOldestAndClearWorks) {
   EXPECT_EQ(events[2].name, "e4");
   log.Clear();
   EXPECT_EQ(log.size(), 0u);
+}
+
+// How many catalog events count into `counter`.
+size_t CatalogEntries(const std::string& counter) {
+  size_t n = 0;
+  for (const auto& [event, family] : AuditCatalog()) n += family == counter;
+  return n;
+}
+
+TEST(Audit, RecordMovesCounterAndJournalByOneEach) {
+  Registry registry;
+  EventLog journal;
+  const Audit audit(registry, "test_audit_total", {{"method", "m"}},
+                    "test.audit", &journal);
+  const TraceContext ctx = TraceContext::Mint();
+  {
+    ScopedTraceContext scope(ctx);
+    audit.Record("method=m attempt=1");
+  }
+  EXPECT_EQ(
+      registry.GetCounter("test_audit_total", {{"method", "m"}}).value(), 1u);
+  const std::vector<LogEvent> events = journal.Events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "test.audit");
+  EXPECT_EQ(events[0].detail, "method=m attempt=1");
+  EXPECT_EQ(events[0].trace_id, ctx.trace_id);
+
+  audit.Record();
+  EXPECT_EQ(
+      registry.GetCounter("test_audit_total", {{"method", "m"}}).value(), 2u);
+  EXPECT_EQ(journal.size(), 2u);
+  // A private registry and journal stay out of the process catalog.
+  EXPECT_EQ(CatalogEntries("test_audit_total"), 0u);
+}
+
+TEST(Audit, SeriesAppearsOnlyOnceRecorded) {
+  Registry registry;
+  EventLog journal;
+  const Audit audit(registry, "test_lazy_total", {}, "test.lazy", &journal);
+  EXPECT_EQ(FindMetric(registry.Snapshot(), "test_lazy_total"), nullptr);
+  audit.Record();
+  const std::vector<MetricSnapshot> snapshot = registry.Snapshot();
+  const MetricSnapshot* m = FindMetric(snapshot, "test_lazy_total");
+  ASSERT_NE(m, nullptr);
+  EXPECT_DOUBLE_EQ(m->value, 1.0);
+}
+
+TEST(Audit, CatalogListsEachDefaultRegistryPairOnce) {
+  const Audit a("test_catalog_total", "test.catalog");
+  const Audit b("test_catalog_total", "test.catalog");
+  const Audit per_node_0(DefaultRegistry(), "test_catalog_total",
+                         {{"node", "0"}}, "test.catalog");
+  const Audit per_node_1(DefaultRegistry(), "test_catalog_total",
+                         {{"node", "1"}}, "test.catalog");
+  ASSERT_EQ(CatalogEntries("test_catalog_total"), 1u);
+  EXPECT_EQ(AuditCatalog().at("test.catalog"), "test_catalog_total");
+  // A family may carry several events; each is its own pair.
+  const Audit other(DefaultRegistry(), "test_catalog_total", {},
+                    "test.catalog_other");
+  EXPECT_EQ(CatalogEntries("test_catalog_total"), 2u);
+}
+
+TEST(Audit, OneEventUnderTwoCounterFamiliesThrows) {
+  const Audit first("test_owner_total", "test.owned");
+  EXPECT_THROW(Audit("test_thief_total", "test.owned"), Error);
+  EXPECT_THROW(Audit(DefaultRegistry(), "test_thief_total", {{"k", "v"}},
+                     "test.owned"),
+               Error);
+  EXPECT_EQ(CatalogEntries("test_owner_total"), 1u);
+  EXPECT_EQ(CatalogEntries("test_thief_total"), 0u);
+  // Off the catalog (a private registry), the same name is allowed.
+  Registry registry;
+  EXPECT_NO_THROW(Audit(registry, "test_thief_total", {}, "test.owned"));
 }
 
 TEST(TraceMerge, MidpointOffsetRecoversKnownSkew) {

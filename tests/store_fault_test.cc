@@ -51,6 +51,14 @@ TEST(StoreFaultSpec, ParsesCompactGrammar) {
   EXPECT_EQ(entries[2].script[0].delay.count(), 5000);
   EXPECT_EQ(entries[3].op, StoreOp::kPut);
   EXPECT_EQ(entries[3].script[0].flip_bit, 7u);
+  // The suffixes read the same in either order.
+  const auto swapped = ParseStoreFaultSpec("any.delay*3=5000");
+  ASSERT_EQ(swapped.size(), 1u);
+  ASSERT_EQ(swapped[0].script.size(), 3u);
+  for (const StoreFaultAction& action : swapped[0].script) {
+    EXPECT_EQ(action.kind, StoreFaultKind::kDelay);
+    EXPECT_EQ(action.delay.count(), 5000);
+  }
 }
 
 TEST(StoreFaultSpec, TrailingPlusLoops) {
@@ -65,6 +73,9 @@ TEST(StoreFaultSpec, RejectsMalformed) {
   EXPECT_THROW(ParseStoreFaultSpec("read.unknownaction"), Error);
   EXPECT_THROW(ParseStoreFaultSpec("read"), Error);
   EXPECT_THROW(ParseStoreFaultSpec("read.eio*0"), Error);  // count >= 1
+  // A number must be its whole token.
+  EXPECT_THROW(ParseStoreFaultSpec("read.short=abc"), Error);
+  EXPECT_THROW(ParseStoreFaultSpec("read.eio*2x"), Error);
 }
 
 // ----------------------------------------------------------- decorator

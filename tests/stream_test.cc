@@ -8,6 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "bench_util/testbed.h"
@@ -22,6 +25,7 @@
 #include "ndp/ndp_server.h"
 #include "ndp/protocol.h"
 #include "net/fault.h"
+#include "net/inproc.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "rpc/protocol.h"
@@ -477,9 +481,105 @@ TEST(Stream, OneShotAndStreamShareOnePlan) {
   }
 }
 
+// Set once the client's cancel frame has gone out.
+struct CancelGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool cancel_sent = false;
+};
+
+bool FrameHasType(ByteSpan frame, std::int64_t type) {
+  const msgpack::Value v = msgpack::Decode(frame);
+  const auto& fields = v.As<msgpack::Array>();
+  return !fields.empty() && fields[0] == msgpack::Value(type);
+}
+
+// Client end: opens the gate once a cancel frame has been sent.
+class CancelSignalTransport : public net::Transport {
+ public:
+  CancelSignalTransport(net::TransportPtr inner, CancelGate& gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+
+  void Send(ByteSpan frame) override {
+    inner_->Send(frame);
+    if (FrameHasType(frame, rpc::kCancelType)) {
+      {
+        std::lock_guard<std::mutex> lock(gate_.mu);
+        gate_.cancel_sent = true;
+      }
+      gate_.cv.notify_all();
+    }
+  }
+  Bytes Receive(net::Deadline deadline) override {
+    return inner_->Receive(deadline);
+  }
+  void Close() override { inner_->Close(); }
+
+ private:
+  net::TransportPtr inner_;
+  CancelGate& gate_;
+};
+
+// Server end: holds the `hold`-th chunk frame (the stream header is
+// chunk frame 1) until the gate opens.
+class HoldChunkTransport : public net::Transport {
+ public:
+  HoldChunkTransport(net::TransportPtr inner, CancelGate& gate, int hold)
+      : inner_(std::move(inner)), gate_(gate), hold_(hold) {}
+
+  void Send(ByteSpan frame) override {
+    if (FrameHasType(frame, rpc::kChunkType) && ++chunks_ == hold_) {
+      std::unique_lock<std::mutex> lock(gate_.mu);
+      gate_.cv.wait_for(lock, 10s, [this] { return gate_.cancel_sent; });
+    }
+    inner_->Send(frame);
+  }
+  Bytes Receive(net::Deadline deadline) override {
+    return inner_->Receive(deadline);
+  }
+  void Close() override { inner_->Close(); }
+
+ private:
+  net::TransportPtr inner_;
+  CancelGate& gate_;
+  const int hold_;
+  int chunks_ = 0;
+};
+
+// A client connection the test serves itself, on the testbed's
+// rpc::Server, so it can order the cancel race.
+struct CancelRig {
+  CancelGate gate;
+  HoldChunkTransport server_end;
+  std::unique_ptr<NdpClient> client;
+  std::thread serve;
+
+  CancelRig(Testbed& bed, net::TransportPair pair, int hold_chunk)
+      : server_end(std::move(pair.b), gate, hold_chunk),
+        client(std::make_unique<NdpClient>(
+            std::make_shared<rpc::Client>(
+                std::make_unique<CancelSignalTransport>(std::move(pair.a),
+                                                        gate)),
+            bed.bucket())),
+        serve([this, &bed] { bed.rpc_server().ServeTransport(server_end); }) {}
+
+  ~CancelRig() {
+    client.reset();  // closes the client end: the serve loop returns
+    serve.join();
+  }
+};
+
 TEST(Stream, ClientCancelStopsTheStreamAndIsAccounted) {
   Testbed bed;
   StoreDataset(bed.store(), bed.bucket(), "ts.vnd", 32, 4);
+
+  // The client's predicate runs before each data chunk is delivered, so
+  // it cancels when the second data chunk (chunk frame 3) arrives. The
+  // server end holds the third data chunk until that cancel frame is
+  // out, so the next chunk boundary must see it: the stream cannot
+  // finish first.
+  CancelRig rig(bed, net::CreateInProcPair(), /*hold_chunk=*/4);
+  NdpClient& client = *rig.client;
 
   // Cancellation is accounted where it is detected: on the server.
   const std::uint64_t cancels_before =
@@ -489,26 +589,26 @@ TEST(Stream, ClientCancelStopsTheStreamAndIsAccounted) {
 
   StreamOptions so;
   so.chunk_bricks = 1;
-  bed.ndp_client().SetStream(so);
+  client.SetStream(so);
   std::atomic<std::uint64_t> chunks_seen{0};
-  bed.ndp_client().SetStreamProgress(
+  client.SetStreamProgress(
       [&](const StreamProgress& p) { chunks_seen = p.chunks; });
-  bed.ndp_client().SetStreamCancel([&] { return chunks_seen.load() >= 1; });
+  client.SetStreamCancel([&] { return chunks_seen.load() >= 1; });
 
   NdpLoadStats stats;
   grid::UniformGeometry geo;
   const contour::SparseField partial =
-      bed.ndp_client().FetchSparseField("ts.vnd", "v02", kIsos, &geo, &stats);
+      client.FetchSparseField("ts.vnd", "v02", kIsos, &geo, &stats);
 
   EXPECT_TRUE(stats.streamed);
   EXPECT_TRUE(stats.stream_cancelled);
   EXPECT_GE(stats.stream_chunks, 1u);
   // Partial by construction: the cancel landed mid-stream.
   NdpLoadStats full_stats;
-  bed.ndp_client().SetStream(StreamOptions{});
-  bed.ndp_client().SetStreamCancel({});
+  client.SetStream(StreamOptions{});
+  client.SetStreamCancel({});
   grid::UniformGeometry full_geo;
-  const contour::SparseField full = bed.ndp_client().FetchSparseField(
+  const contour::SparseField full = client.FetchSparseField(
       "ts.vnd", "v02", kIsos, &full_geo, &full_stats);
   EXPECT_LT(partial.ValidCount(), full.ValidCount());
 

@@ -26,6 +26,16 @@ stage() {
 }
 trap 'echo "FAILED stage: $CURRENT_STAGE" >&2' ERR
 
+# Fails the current stage when an overhead guard's log holds a [warn]
+# line. (A bare `! grep -q` cannot: set -e ignores the status of a
+# negated command.)
+fail_on_warn() {
+  if grep -q '\[warn\]' "$1"; then
+    echo "overhead guard over budget (see [warn] above)" >&2
+    return 1
+  fi
+}
+
 stage "tier-1: configure + build + ctest"
 cmake -B build -S . > /dev/null
 cmake --build build -j"$(nproc)"
@@ -100,7 +110,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   VIZNDP_BENCH_N=64 VIZNDP_BENCH_REPS=4 ./build/bench/abl_scrub_overhead \
     2> "$SCRUB_LOG"
   cat "$SCRUB_LOG" >&2
-  ! grep -q '\[warn\]' "$SCRUB_LOG"
+  fail_on_warn "$SCRUB_LOG"
   rm -f "$SCRUB_LOG"
 
   stage "chaos: seeded kill/restart/delay/corrupt schedules under tsan"
@@ -172,7 +182,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   STREAM_LOG="$(mktemp)"
   ./build/bench/abl_stream_overhead 2> "$STREAM_LOG"
   cat "$STREAM_LOG" >&2
-  ! grep -q '\[warn\]' "$STREAM_LOG"
+  fail_on_warn "$STREAM_LOG"
   rm -f "$STREAM_LOG"
 
   stage "obs-fleet: windowed quantiles + merge algebra + SLO burn under asan/tsan"
@@ -197,7 +207,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   VIZNDP_BENCH_N=64 VIZNDP_BENCH_REPS=4 ./build/bench/abl_window_overhead \
     2> "$WIN_LOG"
   cat "$WIN_LOG" >&2
-  ! grep -q '\[warn\]' "$WIN_LOG"
+  fail_on_warn "$WIN_LOG"
   rm -f "$WIN_LOG"
 
   stage "tsan e2e: fleet top dashboard over TCP"
