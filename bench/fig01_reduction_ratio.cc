@@ -47,8 +47,7 @@ int main() {
         const double isos[] = {value};
         const contour::Selection sel =
             contour::SelectInterestingPoints(ds.dims(), a, isos);
-        const Bytes payload = ndp::EncodeSelection(
-            sel, ndp::SelectionEncoding::kRunLength);
+        const Bytes payload = ndp::EncodeSelection(sel);
         // Selection payloads can be empty-ish; clamp to 1 byte.
         ranges["Contour selection"].Add(
             raw / std::max<double>(1.0, static_cast<double>(payload.size())));

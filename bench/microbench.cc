@@ -106,15 +106,13 @@ void BM_SelectionEncode(benchmark::State& state) {
   const double isos[] = {0.1};
   const contour::Selection sel =
       contour::SelectInterestingPoints(ds.dims(), ds.GetArray("v02"), isos);
-  const auto encoding = static_cast<ndp::SelectionEncoding>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ndp::EncodeSelection(sel, encoding));
+    benchmark::DoNotOptimize(ndp::EncodeSelection(sel));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(sel.ids.size()));
-  state.SetLabel(ndp::SelectionEncodingName(encoding));
 }
-BENCHMARK(BM_SelectionEncode)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SelectionEncode);
 
 void BM_MsgpackPackBin(benchmark::State& state) {
   const Bytes blob(static_cast<size_t>(state.range(0)), 0x3C);

@@ -141,7 +141,7 @@ void NdpClient::StreamSelectOnce(const std::string& key,
                                  StreamAccumulator& acc,
                                  const StreamDeliverFn& deliver,
                                  const StreamHeaderFn& on_header) {
-  SelectRequest request{bucket_, key, array, isovalues, encoding_, {}, {}};
+  SelectRequest request{bucket_, key, array, isovalues, {}, {}};
   if (only_bricks != nullptr) request.bricks = *only_bricks;
   if (acc.streamed) {
     request.stream = StreamParams{stream_.chunk_bricks, acc.cursor};

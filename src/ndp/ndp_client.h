@@ -173,9 +173,6 @@ class NdpClient : public NdpFetcher {
                      std::string bucket = "data",
                      const NdpClientOptions& options = {});
 
-  void SetEncoding(SelectionEncoding encoding) { encoding_ = encoding; }
-  SelectionEncoding encoding() const { return encoding_; }
-
   // Streaming mode: chunk_bricks > 0 turns FetchSparseField into a
   // chunked fetch with mid-stream recovery (see StreamSelect).
   void SetStream(const StreamOptions& options) { stream_ = options; }
@@ -376,7 +373,6 @@ class NdpClient : public NdpFetcher {
   std::shared_ptr<rpc::Client> client_;
   std::string bucket_;
   NdpClientOptions options_;
-  SelectionEncoding encoding_ = SelectionEncoding::kRunLength;
   StreamOptions stream_;
   StreamProgressFn progress_;
   std::function<bool()> cancel_;

@@ -203,7 +203,7 @@ msgpack::Value NdpServer::Select(const SelectRequest& request,
     if (!streamed) span.emplace("ndp.pack");
     StreamChunk chunk{batch.back(), static_cast<std::int64_t>(batch.size()),
                       static_cast<std::int64_t>(selection.ids.size()),
-                      EncodeSelection(selection, request.encoding)};
+                      EncodeSelection(selection)};
     stored_bytes += bstats.bytes_read;
     payload_bytes += chunk.payload.size();
     selected_total += selection.ids.size();

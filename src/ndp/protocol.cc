@@ -11,16 +11,6 @@
 
 namespace vizndp::ndp {
 
-const char* SelectionEncodingName(SelectionEncoding e) {
-  switch (e) {
-    case SelectionEncoding::kIdValue: return "id+value";
-    case SelectionEncoding::kDeltaVarint: return "delta-varint";
-    case SelectionEncoding::kBitmap: return "bitmap";
-    case SelectionEncoding::kRunLength: return "run-length";
-  }
-  return "?";
-}
-
 namespace {
 
 // Required-key lookup with a typed failure (a hostile map must never
@@ -148,7 +138,7 @@ msgpack::Array SelectRequestToParams(const SelectRequest& request) {
   msgpack::Array params{
       Value(request.bucket), Value(request.key), Value(request.array),
       Value(msgpack::Array(request.isovalues.begin(), request.isovalues.end())),
-      Value(static_cast<std::uint64_t>(request.encoding))};
+      Value(std::uint64_t{kRunLengthTag})};
   if (request.bricks.has_value()) {
     params.emplace_back(
         msgpack::Array(request.bricks->begin(), request.bricks->end()));
@@ -186,12 +176,9 @@ SelectRequest SelectRequestFromParams(const msgpack::Array& params) {
     }
     request.isovalues.push_back(v.AsDouble());
   }
-  const msgpack::Value& tag = params[4];
-  if (!tag.IsInteger() || tag.AsDouble() < 0 ||
-      tag.AsDouble() > static_cast<double>(SelectionEncoding::kRunLength)) {
+  if (!params[4].IsInteger() || params[4].AsDouble() != kRunLengthTag) {
     throw DecodeError("select request: unknown encoding tag");
   }
-  request.encoding = static_cast<SelectionEncoding>(tag.AsUint());
   if (params.size() > 5 && !params[5].IsNil()) {
     std::vector<std::int64_t> bricks = BrickRestrictionFromValue(params[5]);
     if (!bricks.empty()) request.bricks = std::move(bricks);
@@ -331,61 +318,29 @@ std::uint64_t ReadVarint(ByteSpan data, size_t& pos) {
   }
 }
 
-Bytes EncodeSelection(const contour::Selection& selection,
-                      SelectionEncoding encoding) {
+Bytes EncodeSelection(const contour::Selection& selection) {
   const size_t count = selection.ids.size();
   VIZNDP_CHECK(selection.values.size() == static_cast<std::int64_t>(count));
   Bytes out;
-  out.push_back(static_cast<Byte>(encoding));
+  out.push_back(kRunLengthTag);
   out.push_back(static_cast<Byte>(selection.values.type()));
   AppendLE<std::uint64_t>(count, out);
-
-  switch (encoding) {
-    case SelectionEncoding::kIdValue:
-      for (const grid::PointId id : selection.ids) {
-        AppendLE<std::int64_t>(id, out);
-      }
-      break;
-    case SelectionEncoding::kDeltaVarint: {
-      grid::PointId prev = 0;
-      for (const grid::PointId id : selection.ids) {
-        VIZNDP_CHECK_MSG(id >= prev, "delta encoding requires sorted ids");
-        AppendVarint(static_cast<std::uint64_t>(id - prev), out);
-        prev = id;
-      }
-      break;
+  // (gap from previous run's end, run length) varint pairs.
+  grid::PointId prev_end = 0;
+  size_t i = 0;
+  while (i < count) {
+    const grid::PointId start = selection.ids[i];
+    VIZNDP_CHECK_MSG(start >= prev_end,
+                     "run-length encoding requires sorted unique ids");
+    size_t run = 1;
+    while (i + run < count &&
+           selection.ids[i + run] == start + static_cast<std::int64_t>(run)) {
+      ++run;
     }
-    case SelectionEncoding::kBitmap: {
-      const auto npoints = static_cast<size_t>(selection.dims.PointCount());
-      AppendLE<std::uint64_t>(npoints, out);
-      const size_t bitmap_at = out.size();
-      out.insert(out.end(), (npoints + 7) / 8, 0);
-      for (const grid::PointId id : selection.ids) {
-        out[bitmap_at + static_cast<size_t>(id) / 8] |=
-            static_cast<Byte>(1u << (static_cast<size_t>(id) % 8));
-      }
-      break;
-    }
-    case SelectionEncoding::kRunLength: {
-      // (gap from previous run's end, run length) varint pairs.
-      grid::PointId prev_end = 0;
-      size_t i = 0;
-      while (i < count) {
-        const grid::PointId start = selection.ids[i];
-        VIZNDP_CHECK_MSG(start >= prev_end,
-                         "run-length encoding requires sorted unique ids");
-        size_t run = 1;
-        while (i + run < count &&
-               selection.ids[i + run] == start + static_cast<std::int64_t>(run)) {
-          ++run;
-        }
-        AppendVarint(static_cast<std::uint64_t>(start - prev_end), out);
-        AppendVarint(run, out);
-        prev_end = start + static_cast<std::int64_t>(run);
-        i += run;
-      }
-      break;
-    }
+    AppendVarint(static_cast<std::uint64_t>(start - prev_end), out);
+    AppendVarint(run, out);
+    prev_end = start + static_cast<std::int64_t>(run);
+    i += run;
   }
   const ByteSpan raw = selection.values.raw();
   out.insert(out.end(), raw.begin(), raw.end());
@@ -394,91 +349,51 @@ Bytes EncodeSelection(const contour::Selection& selection,
 
 DecodedSelection DecodeSelection(ByteSpan payload, const grid::Dims& dims) {
   if (payload.size() < 10) throw DecodeError("selection payload too short");
-  const auto encoding = static_cast<SelectionEncoding>(payload[0]);
+  if (payload[0] != kRunLengthTag) {
+    throw DecodeError("unknown selection encoding tag");
+  }
+  // UInt8 is the last DataType.
+  if (payload[1] > static_cast<Byte>(grid::DataType::UInt8)) {
+    throw DecodeError("unknown selection data type");
+  }
   const auto type = static_cast<grid::DataType>(payload[1]);
   const std::uint64_t count = LoadLE<std::uint64_t>(payload.data() + 2);
   size_t pos = 10;
 
   // Bound before the reserve: a hostile count must get a typed rejection,
-  // not a bad_alloc. No selection can mark more ids than the grid has
-  // points (ids are validated against the same bound below).
-  if (count > static_cast<std::uint64_t>(dims.PointCount())) {
-    throw DecodeError("selection count exceeds grid point count");
+  // not a bad_alloc. Every id carries a value in the bytes left.
+  const size_t value_size = grid::DataTypeSize(type);
+  if (count > (payload.size() - pos) / value_size) {
+    throw DecodeError("selection count exceeds the payload");
   }
   DecodedSelection out;
   out.ids.reserve(count);
-  switch (encoding) {
-    case SelectionEncoding::kIdValue:
-      if (pos + count * 8 > payload.size()) {
-        throw DecodeError("id+value payload truncated");
-      }
-      for (std::uint64_t i = 0; i < count; ++i) {
-        out.ids.push_back(LoadLE<std::int64_t>(payload.data() + pos));
-        pos += 8;
-      }
-      break;
-    case SelectionEncoding::kDeltaVarint: {
-      grid::PointId prev = 0;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        prev += static_cast<grid::PointId>(ReadVarint(payload, pos));
-        out.ids.push_back(prev);
-      }
-      break;
+  // Each run is checked against the grid before it is added, so a
+  // hostile gap or run can neither overflow nor leave the grid.
+  const auto npoints = static_cast<std::uint64_t>(dims.PointCount());
+  std::uint64_t prev_end = 0;
+  while (out.ids.size() < count) {
+    const std::uint64_t gap = ReadVarint(payload, pos);
+    const std::uint64_t run = ReadVarint(payload, pos);
+    if (run == 0 || run > count - out.ids.size()) {
+      throw DecodeError("run-length selection run overruns count");
     }
-    case SelectionEncoding::kBitmap: {
-      if (pos + 8 > payload.size()) throw DecodeError("bitmap payload truncated");
-      const std::uint64_t npoints = LoadLE<std::uint64_t>(payload.data() + pos);
-      pos += 8;
-      if (npoints != static_cast<std::uint64_t>(dims.PointCount())) {
-        throw DecodeError("bitmap point count does not match grid");
-      }
-      const size_t bitmap_bytes = (npoints + 7) / 8;
-      if (pos + bitmap_bytes > payload.size()) {
-        throw DecodeError("bitmap payload truncated");
-      }
-      for (std::uint64_t id = 0; id < npoints; ++id) {
-        if (payload[pos + id / 8] & (1u << (id % 8))) {
-          out.ids.push_back(static_cast<grid::PointId>(id));
-        }
-      }
-      if (out.ids.size() != count) {
-        throw DecodeError("bitmap population does not match count");
-      }
-      pos += bitmap_bytes;
-      break;
+    if (gap > npoints - prev_end || run > npoints - prev_end - gap) {
+      throw DecodeError("selection id out of grid range");
     }
-    case SelectionEncoding::kRunLength: {
-      grid::PointId prev_end = 0;
-      while (out.ids.size() < count) {
-        const auto gap = static_cast<grid::PointId>(ReadVarint(payload, pos));
-        const std::uint64_t run = ReadVarint(payload, pos);
-        if (run == 0 || out.ids.size() + run > count) {
-          throw DecodeError("run-length selection run overruns count");
-        }
-        const grid::PointId start = prev_end + gap;
-        for (std::uint64_t r = 0; r < run; ++r) {
-          out.ids.push_back(start + static_cast<grid::PointId>(r));
-        }
-        prev_end = start + static_cast<grid::PointId>(run);
-      }
-      break;
+    const std::uint64_t start = prev_end + gap;
+    for (std::uint64_t id = start; id < start + run; ++id) {
+      out.ids.push_back(static_cast<grid::PointId>(id));
     }
-    default:
-      throw DecodeError("unknown selection encoding tag");
+    prev_end = start + run;
   }
 
-  const size_t value_bytes = count * grid::DataTypeSize(type);
-  if (pos + value_bytes != payload.size()) {
+  if (pos + count * value_size != payload.size()) {
     throw DecodeError("selection value block has wrong size");
   }
   out.values = grid::DataArray(
       "selection", type,
       Bytes(payload.begin() + static_cast<std::ptrdiff_t>(pos), payload.end()));
-  for (const grid::PointId id : out.ids) {
-    if (id < 0 || id >= dims.PointCount()) {
-      throw DecodeError("selection id out of grid range");
-    }
-  }
   return out;
 }
 

@@ -1,19 +1,14 @@
-// Wire encodings for pre-filter selections (the paper ships these through
-// rpclib/MessagePack). Three interchangeable layouts, compared by the
-// encoding ablation bench:
-//   kIdValue     — [count][ids as i64 LE][values raw]; simple, 12 B/point
-//                  for float32 fields.
-//   kDeltaVarint — [count][varint deltas of sorted ids][values raw];
-//                  ids cluster around interfaces, so deltas are small and
-//                  this typically runs ~5 B/point.
-//   kBitmap      — [one bit per grid point][values raw in id order]; wins
-//                  when selectivity is high (dense selections).
-//   kRunLength   — [(varint gap, varint run length) pairs][values raw];
-//                  the selection marks whole cell corners, so ids come in
-//                  x-contiguous runs and this usually beats delta-varint
-//                  (~0.5-1 B/point of id overhead). NdpClient's default.
-// Every payload starts with a 1-byte encoding tag + 1-byte data type, so
-// decoders self-describe.
+// Wire encoding for pre-filter selections (the paper ships these through
+// rpclib/MessagePack). One layout, run-length:
+//   [tag u8 = kRunLengthTag][dtype u8][count u64 LE]
+//   [(varint gap from the previous run's end, varint run length) pairs]
+//   [values raw, in id order]
+// The selection marks whole cell corners, so ids come in x-contiguous
+// runs and cost ~0.1 B/point on top of the values (4.0-4.2 B/point for
+// float32 fields, against 5 for delta-varint ids, 12 for i64 ids and
+// 7.5-12 for a grid bitmap; EXPERIMENTS.md, ablation B). The tag stays
+// on the wire, in the payload and in the request, so a decoder still
+// rejects a layout it does not speak.
 #pragma once
 
 #include <cstdint>
@@ -28,25 +23,18 @@
 
 namespace vizndp::ndp {
 
-enum class SelectionEncoding : std::uint8_t {
-  kIdValue = 0,
-  kDeltaVarint = 1,
-  kBitmap = 2,
-  kRunLength = 3,
-};
-
-const char* SelectionEncodingName(SelectionEncoding e);
+inline constexpr std::uint8_t kRunLengthTag = 3;
 
 struct DecodedSelection {
   std::vector<grid::PointId> ids;  // sorted ascending
   grid::DataArray values;
 };
 
-Bytes EncodeSelection(const contour::Selection& selection,
-                      SelectionEncoding encoding);
+Bytes EncodeSelection(const contour::Selection& selection);
 
-// `dims` must match the grid the selection was taken from (needed by the
-// bitmap layout). Throws DecodeError on malformed payloads.
+// `dims` must match the grid the selection was taken from: every id must
+// fall inside it. Throws DecodeError on malformed payloads, before any
+// allocation the payload's own size does not bound.
 DecodedSelection DecodeSelection(ByteSpan payload, const grid::Dims& dims);
 
 // Unsigned LEB128 helpers (shared with tests).
@@ -57,7 +45,7 @@ std::uint64_t ReadVarint(ByteSpan data, size_t& pos);
 //
 // Positional params, trailing optional slots omitted (a Nil holds slot 5
 // when slot 6 follows):
-//   [bucket, key, array, [isovalue...], encoding tag,
+//   [bucket, key, array, [isovalue...], kRunLengthTag,
 //    brick restriction, {"chunk_bricks": N, "resume_after": C}]
 // The restriction (scatter-gather sharding) limits the bricked
 // pre-filter to those brick ids; it names data, not placement, so any
@@ -73,7 +61,6 @@ struct SelectRequest {
   std::string key;
   std::string array;
   std::vector<double> isovalues;
-  SelectionEncoding encoding = SelectionEncoding::kRunLength;
   std::optional<std::vector<std::int64_t>> bricks;  // nullopt: all bricks
   std::optional<StreamParams> stream;               // nullopt: one-shot
 };
@@ -81,8 +68,8 @@ struct SelectRequest {
 // The one request codec: NdpClient builds with SelectRequestToParams;
 // NdpServer::Bind and the ndp-select fuzz target parse with
 // SelectRequestFromParams, which throws DecodeError on fewer than 5
-// params, a non-string name, a non-numeric isovalue, an encoding tag
-// above kRunLength, a restriction that is not Nil or an array of sorted,
+// params, a non-string name, a non-numeric isovalue, a tag other than
+// kRunLengthTag, a restriction that is not Nil or an array of sorted,
 // unique, non-negative ids (at most kMaxBrickRestriction; NdpServer
 // checks the upper bound against the brick count), or a stream map with
 // chunk_bricks outside [1, kMaxBrickRestriction] or resume_after < -1.

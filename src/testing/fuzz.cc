@@ -122,8 +122,7 @@ Bytes StreamFramesSeed() {
     cursor += 3;
     chunk.bricks = 2;
     chunk.selected = static_cast<std::int64_t>(sel.ids.size());
-    chunk.payload =
-        ndp::EncodeSelection(sel, ndp::SelectionEncoding::kRunLength);
+    chunk.payload = ndp::EncodeSelection(sel);
     frames.push_back(ndp::StreamChunkToValue(chunk));
   }
   frames.emplace_back(msgpack::Nil{});  // terminal marker

@@ -6,6 +6,7 @@
 #include "bench_util/testbed.h"
 #include "contour/marching_cubes.h"
 #include "io/vnd_format.h"
+#include "msgpack/pack.h"
 #include "ndp/catalog.h"
 #include "ndp/protocol.h"
 #include "net/inproc.h"
@@ -57,14 +58,11 @@ TEST(Varint, OverflowRejected) {
   EXPECT_THROW(ReadVarint(buf, pos), DecodeError);
 }
 
-class EncodingRoundTripTest
-    : public ::testing::TestWithParam<SelectionEncoding> {};
-
-TEST_P(EncodingRoundTripTest, DecodeRecoversSelection) {
+TEST(Encoding, RoundTripRecoversSelection) {
   const grid::Dims dims{9, 9, 9};
   const contour::Selection sel = MakeSelection(1, dims);
   ASSERT_GT(sel.ids.size(), 0u);
-  const Bytes payload = EncodeSelection(sel, GetParam());
+  const Bytes payload = EncodeSelection(sel);
   const DecodedSelection back = DecodeSelection(payload, dims);
   EXPECT_EQ(back.ids, sel.ids);
   EXPECT_EQ(back.values.raw().size(), sel.values.raw().size());
@@ -72,63 +70,131 @@ TEST_P(EncodingRoundTripTest, DecodeRecoversSelection) {
                          sel.values.raw().begin()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Encodings, EncodingRoundTripTest,
-                         ::testing::Values(SelectionEncoding::kIdValue,
-                                           SelectionEncoding::kDeltaVarint,
-                                           SelectionEncoding::kBitmap,
-                                           SelectionEncoding::kRunLength));
-
 TEST(Encoding, EmptySelection) {
   contour::Selection sel;
   sel.dims = {4, 4, 4};
   sel.total_points = 64;
   sel.values = grid::DataArray("f", grid::DataType::Float32, Bytes{});
-  for (const auto e : {SelectionEncoding::kIdValue,
-                       SelectionEncoding::kDeltaVarint,
-                       SelectionEncoding::kBitmap,
-                       SelectionEncoding::kRunLength}) {
-    const Bytes payload = EncodeSelection(sel, e);
-    const DecodedSelection back = DecodeSelection(payload, sel.dims);
-    EXPECT_TRUE(back.ids.empty());
-  }
+  const Bytes payload = EncodeSelection(sel);
+  const DecodedSelection back = DecodeSelection(payload, sel.dims);
+  EXPECT_TRUE(back.ids.empty());
 }
 
-TEST(Encoding, DeltaVarintIsSmallerThanIdValueForClusteredIds) {
-  const grid::Dims dims{20, 20, 20};
-  const contour::Selection sel = MakeSelection(2, dims);
-  const size_t idv = EncodeSelection(sel, SelectionEncoding::kIdValue).size();
-  const size_t dv =
-      EncodeSelection(sel, SelectionEncoding::kDeltaVarint).size();
-  EXPECT_LT(dv, idv);
+std::string Hex(ByteSpan bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const Byte b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+// The wire is pinned byte for byte: a selection payload and the select
+// request in its plain and fully optional forms, as older peers send and
+// expect them.
+TEST(Encoding, WireBytesArePinned) {
+  contour::Selection sel;
+  sel.dims = {4, 4, 4};
+  sel.total_points = 64;
+  sel.ids = {1, 2, 3, 9, 40, 41};
+  sel.values = grid::DataArray::FromVector(
+      "f", std::vector<float>{0.5f, 1.0f, -2.0f, 0.25f, 3.0f, 8.0f});
+  EXPECT_EQ(Hex(EncodeSelection(sel)),
+            "03" "00" "0600000000000000"  // tag, dtype, count
+            "0103" "0501" "1e02"          // (gap, run) pairs
+            "0000003f" "0000803f" "000000c0" "0000803e" "00004040" "00000041");
+
+  SelectRequest request;
+  request.bucket = "data";
+  request.key = "ts.vnd";
+  request.array = "v02";
+  request.isovalues = {0.5, 2.0};
+  const auto wire = [&] {
+    return Hex(msgpack::Encode(msgpack::Value(SelectRequestToParams(request))));
+  };
+  const std::string head =
+      "a464617461" "a674732e766e64" "a3763032"        // bucket, key, array
+      "92" "cb3fe0000000000000" "cb4000000000000000"  // isovalues
+      "03";                                           // the tag
+  EXPECT_EQ(wire(), "95" + head);
+  request.bricks = std::vector<std::int64_t>{0, 3};
+  request.stream = StreamParams{16, 2};
+  EXPECT_EQ(wire(), "97" + head + "920003" +
+                        "82" "ac6368756e6b5f627269636b73" "10"  // chunk_bricks
+                        "ac726573756d655f6166746572" "02");     // resume_after
+}
+
+// A payload header (tag, dtype, u64 count) followed by `tail`.
+Bytes PayloadWith(Byte tag, Byte dtype, std::uint64_t count,
+                  const Bytes& tail) {
+  Bytes payload(10 + tail.size());
+  payload[0] = tag;
+  payload[1] = dtype;
+  StoreLE<std::uint64_t>(count, payload.data() + 2);
+  std::copy(tail.begin(), tail.end(), payload.begin() + 10);
+  return payload;
 }
 
 TEST(Encoding, MalformedPayloadsThrow) {
   const grid::Dims dims{4, 4, 4};
   EXPECT_THROW(DecodeSelection(Bytes{0, 0}, dims), DecodeError);
-  // Unknown tag.
-  Bytes bad(16, 0);
-  bad[0] = 99;
-  EXPECT_THROW(DecodeSelection(bad, dims), DecodeError);
-  // Valid header claiming more ids than the payload carries.
   contour::Selection sel;
   sel.dims = dims;
   sel.total_points = 64;
   sel.ids = {1, 2, 3};
   sel.values = grid::DataArray::FromVector(
       "f", std::vector<float>{0.1f, 0.2f, 0.3f});
-  Bytes payload = EncodeSelection(sel, SelectionEncoding::kIdValue);
-  payload.resize(payload.size() - 5);
-  EXPECT_THROW(DecodeSelection(payload, dims), DecodeError);
+  const Bytes payload = EncodeSelection(sel);
+  ASSERT_NO_THROW(DecodeSelection(payload, dims));
+  // Any tag but run-length's.
+  for (const Byte tag : {0, 1, 2, 4, 99}) {
+    Bytes bad = payload;
+    bad[0] = tag;
+    EXPECT_THROW(DecodeSelection(bad, dims), DecodeError) << int{tag};
+  }
+  // An unknown data type byte.
+  Bytes bad_type = payload;
+  bad_type[1] = 9;
+  EXPECT_THROW(DecodeSelection(bad_type, dims), DecodeError);
+  // Valid header claiming more ids than the payload carries.
+  Bytes truncated = payload;
+  truncated.resize(truncated.size() - 5);
+  EXPECT_THROW(DecodeSelection(truncated, dims), DecodeError);
+  // A gap that would overflow int64 after a run ending at 6.
+  Bytes overflow;
+  for (const std::uint64_t v : {5ull, 1ull, (1ull << 63) - 1, 1ull}) {
+    AppendVarint(v, overflow);
+  }
+  overflow.resize(overflow.size() + 2 * sizeof(float));
+  EXPECT_THROW(DecodeSelection(PayloadWith(kRunLengthTag, 0, 2, overflow),
+                               dims),
+               DecodeError);
+  // Counts the payload's bytes cannot back, rejected before the ids are
+  // reserved: that reserve would take 2 GiB for a 1024x1024x256 grid,
+  // and throw bad_alloc for 2^59 ids.
+  EXPECT_THROW(DecodeSelection(PayloadWith(kRunLengthTag, 0, 1ull << 28,
+                                           Bytes{0, 1}),
+                               grid::Dims{1024, 1024, 256}),
+               DecodeError);
+  EXPECT_THROW(DecodeSelection(PayloadWith(kRunLengthTag, 0, 1ull << 59,
+                                           Bytes{0, 1}),
+                               grid::Dims{1 << 20, 1 << 20, 1 << 20}),
+               DecodeError);
 }
 
 TEST(Encoding, IdsOutsideGridRejected) {
   contour::Selection sel;
   sel.dims = {4, 4, 4};  // 64 points
   sel.total_points = 64;
+  sel.ids = {62, 63, 64};
+  sel.values = grid::DataArray::FromVector(
+      "f", std::vector<float>{1.0f, 2.0f, 3.0f});
+  const Bytes payload = EncodeSelection(sel);
+  EXPECT_THROW(DecodeSelection(payload, sel.dims), DecodeError);
   sel.ids = {70};
   sel.values = grid::DataArray::FromVector("f", std::vector<float>{1.0f});
-  const Bytes payload = EncodeSelection(sel, SelectionEncoding::kIdValue);
-  EXPECT_THROW(DecodeSelection(payload, sel.dims), DecodeError);
+  EXPECT_THROW(DecodeSelection(EncodeSelection(sel), sel.dims), DecodeError);
 }
 
 struct PopulatedTestbed {
@@ -157,7 +223,6 @@ TEST(NdpServer, SelectReturnsExpectedMetadata) {
   request.key = PopulatedTestbed::kKey;
   request.array = "v02";
   request.isovalues = {0.1};
-  request.encoding = SelectionEncoding::kDeltaVarint;
   const msgpack::Value reply = server.Select(request);
   const msgpack::Value& header = reply.At(kOneShotHeaderKey);
   const msgpack::Value& chunk = reply.At(kOneShotChunkKey);
@@ -320,29 +385,6 @@ TEST(NdpEndToEnd, MovesFarFewerBytesThanBaseline) {
   EXPECT_GT(baseline_bytes, 24u * 24 * 24 * 4);
   EXPECT_LT(ndp_bytes * 2, baseline_bytes);
   EXPECT_EQ(stats.payload_bytes + 256, stats.reply_bytes);
-}
-
-TEST(NdpEndToEnd, AllEncodingsGiveTheSameContour)
-{
-  PopulatedTestbed fx;
-  const std::vector<double> isovalues = {0.3};
-  contour::PolyData reference;
-  bool first = true;
-  for (const auto encoding : {SelectionEncoding::kIdValue,
-                              SelectionEncoding::kDeltaVarint,
-                              SelectionEncoding::kBitmap,
-                              SelectionEncoding::kRunLength}) {
-    fx.testbed.ndp_client().SetEncoding(encoding);
-    contour::PolyData poly = fx.testbed.ndp_client().Contour(
-        PopulatedTestbed::kKey, "v02", isovalues);
-    if (first) {
-      reference = std::move(poly);
-      first = false;
-    } else {
-      EXPECT_TRUE(poly.GeometricallyEquals(reference, 0.0))
-          << SelectionEncodingName(encoding);
-    }
-  }
 }
 
 TEST(NdpEndToEnd, MultiArrayPipelinesShareOneServer) {

@@ -70,17 +70,16 @@ SelectRequest Request(std::string key, std::vector<double> isovalues) {
 
 TEST(StreamCodec, SelectRequestRoundTripsAndRejectsHostileParams) {
   SelectRequest full = Request("ts.vnd", {0.2, 0.5});
-  full.encoding = SelectionEncoding::kBitmap;
   full.bricks = std::vector<std::int64_t>{1, 4};
   full.stream = StreamParams{7, 41};
   const msgpack::Array params = SelectRequestToParams(full);
   ASSERT_EQ(params.size(), 7u);
+  EXPECT_EQ(params[4].AsUint(), kRunLengthTag);
   const SelectRequest back = SelectRequestFromParams(params);
   EXPECT_EQ(back.bucket, "data");
   EXPECT_EQ(back.key, "ts.vnd");
   EXPECT_EQ(back.array, "v02");
   EXPECT_EQ(back.isovalues, full.isovalues);
-  EXPECT_EQ(back.encoding, SelectionEncoding::kBitmap);
   EXPECT_EQ(back.bricks, full.bricks);
   ASSERT_TRUE(back.stream.has_value());
   EXPECT_EQ(back.stream->chunk_bricks, 7);
@@ -112,15 +111,19 @@ TEST(StreamCodec, SelectRequestRoundTripsAndRejectsHostileParams) {
   zero_chunks.stream = StreamParams{0, -1};
   SelectRequest below_cursor = full;
   below_cursor.stream = StreamParams{4, -2};
-  const std::vector<msgpack::Array> hostile = {
+  std::vector<msgpack::Array> hostile = {
       msgpack::Array(params.begin(), params.begin() + 4),  // no tag
       with(1, msgpack::Value(7)),                           // key
       with(3, msgpack::Value(msgpack::Array{msgpack::Value("x")})),
-      with(4, msgpack::Value(std::uint64_t{4})),  // tag above kRunLength
-      with(5, msgpack::Value("bricks")),          // restriction
+      with(5, msgpack::Value("bricks")),  // restriction
       SelectRequestToParams(zero_chunks),
       SelectRequestToParams(below_cursor),
   };
+  // Any tag but run-length's: the retired layouts', the next one up, and
+  // a negative one.
+  for (const std::int64_t tag : {0, 1, 2, 4, -3}) {
+    hostile.push_back(with(4, msgpack::Value(tag)));
+  }
   for (const msgpack::Array& bad : hostile) {
     EXPECT_THROW((void)SelectRequestFromParams(bad), DecodeError)
         << msgpack::Value(bad).ToString();
@@ -151,7 +154,7 @@ StreamChunk TestChunk(std::int64_t cursor) {
   chunk.cursor = cursor;
   chunk.bricks = 1;
   chunk.selected = 16;
-  chunk.payload = EncodeSelection(sel, SelectionEncoding::kRunLength);
+  chunk.payload = EncodeSelection(sel);
   return chunk;
 }
 
@@ -270,7 +273,7 @@ TEST(StreamCodec, DecodeSelectionRejectsHostileCount) {
   // Regression: a wire-supplied count must be bounded before any
   // allocation — typed rejection, never bad_alloc.
   Bytes payload;
-  payload.push_back(static_cast<Byte>(SelectionEncoding::kRunLength));
+  payload.push_back(kRunLengthTag);
   payload.push_back(static_cast<Byte>(grid::DataType::Float32));
   for (int i = 0; i < 8; ++i) payload.push_back(0xff);  // count = 2^64-1
   payload.push_back(0x00);

@@ -6,7 +6,6 @@
 //   vizndp_tool contour --in FILE --array NAME --iso V[,V...]
 //                       [--obj FILE] [--ppm FILE]
 //   vizndp_tool select  --in FILE --array NAME --iso V[,V...]
-//                       [--encoding id+value|delta-varint|bitmap|run-length]
 //   vizndp_tool serve   --dir DIR [--port P] [--max-inflight N]
 //                       [--mem-budget-mb N] [--drain-ms N]  (storage node)
 //   vizndp_tool fetch   --host H --port P --key K --array NAME --iso V[,V...]
@@ -97,7 +96,7 @@ namespace {
                "  info    --in FILE\n"
                "  contour --in FILE --array NAME --iso V[,V...] [--obj FILE]\n"
                "          [--ppm FILE]\n"
-               "  select  --in FILE --array NAME --iso V[,V...] [--encoding E]\n"
+               "  select  --in FILE --array NAME --iso V[,V...]\n"
                "  serve   --dir DIR [--port P] [--timeout-ms N]\n"
                "          [--max-inflight N] [--mem-budget-mb N] [--drain-ms N]\n"
                "          [--scrub-ms N] [--store-fault SPEC]\n"
@@ -379,26 +378,17 @@ int CmdSelect(const Args& args) {
   const grid::DataArray data = reader.ReadArray(array);
   const contour::Selection sel =
       contour::SelectInterestingPoints(reader.header().dims, data, isos);
-
-  const std::map<std::string, ndp::SelectionEncoding> encodings = {
-      {"id+value", ndp::SelectionEncoding::kIdValue},
-      {"delta-varint", ndp::SelectionEncoding::kDeltaVarint},
-      {"bitmap", ndp::SelectionEncoding::kBitmap},
-      {"run-length", ndp::SelectionEncoding::kRunLength},
-  };
-  const std::string enc_name = args.Get("encoding").value_or("run-length");
-  const auto it = encodings.find(enc_name);
-  if (it == encodings.end()) Usage("unknown --encoding");
-  const Bytes payload = ndp::EncodeSelection(sel, it->second);
+  const Bytes payload = ndp::EncodeSelection(sel);
 
   std::printf("array %s: %zu of %lld points selected (%.4f%%)\n",
               array.c_str(), sel.ids.size(),
               static_cast<long long>(sel.total_points),
               100.0 * sel.Selectivity());
-  std::printf("payload (%s): %zu bytes = %.1fx reduction vs raw array\n",
-              enc_name.c_str(), payload.size(),
-              static_cast<double>(data.byte_size()) /
-                  static_cast<double>(std::max<size_t>(1, payload.size())));
+  std::printf(
+      "payload (run-length): %zu bytes = %.1fx reduction vs raw array\n",
+      payload.size(),
+      static_cast<double>(data.byte_size()) /
+          static_cast<double>(std::max<size_t>(1, payload.size())));
   return 0;
 }
 
