@@ -48,7 +48,7 @@ struct FleetScraperOptions {
   double slow_factor = 3.0;
   std::uint64_t slow_min_samples = 8;
   // Minimum fleet-merged window observations before the hedge hint is
-  // pushed (mirrors ShardedClientOptions::min_hedge_samples).
+  // pushed (the same 16 as ShardedNdpClient::kMinHedgeSamples).
   std::uint64_t hedge_min_samples = 16;
   // Objectives handed to the embedded SloTracker; empty = no SLOs.
   std::vector<obs::SloObjective> objectives;

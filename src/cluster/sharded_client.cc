@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -35,6 +36,21 @@ obs::WindowedHistogram& SubfetchHistogram() {
       "cluster_subfetch_seconds", obs::LatencyBounds());
 }
 
+// A server-reported application error (bad key or array; BusyError
+// excepted, that is admission control) fails identically on every
+// replica, so it propagates instead of failing over.
+bool IsApplicationError(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const BusyError&) {
+    return false;
+  } catch (const RpcError&) {
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
 }  // namespace
 
 ShardedNdpClient::ShardedNdpClient(
@@ -50,10 +66,7 @@ ShardedNdpClient::ShardedNdpClient(
   VIZNDP_CHECK_MSG(!servers_.empty(), "sharded client needs servers");
 }
 
-ShardedNdpClient::~ShardedNdpClient() {
-  Reap(/*wait=*/true);
-  parked_gauge_.Set(0);
-}
+ShardedNdpClient::~ShardedNdpClient() { Park({}, /*wait=*/true); }
 
 void ShardedNdpClient::MarkSuspect(int server, bool suspect) {
   std::lock_guard lk(suspect_mu_);
@@ -122,11 +135,8 @@ ndp::NdpClient::FileInfo ShardedNdpClient::Info(const std::string& key) {
           servers_[static_cast<size_t>(sv)]->Info(key);
       std::lock_guard lk(info_mu_);
       return info_cache_.emplace(key, std::move(info)).first->second;
-    } catch (const BusyError&) {
-      last = std::current_exception();
-    } catch (const RpcError&) {
-      throw;  // the server answered: bad key is bad on every replica
     } catch (const Error&) {
+      if (IsApplicationError(std::current_exception())) throw;
       last = std::current_exception();
     }
   }
@@ -179,7 +189,7 @@ std::optional<std::chrono::microseconds> ShardedNdpClient::HedgeDelay()
     // (it sees every node, not just the shards this client drew), then
     // this client's own sliding window, then the cumulative series, and
     // the floor while everything is cold.
-    ms = options_.hedge_floor_ms;
+    ms = kHedgeFloorMs;
     const double hint = hedge_hint_seconds_.load(std::memory_order_relaxed);
     const std::int64_t hint_at =
         hedge_hint_at_us_.load(std::memory_order_relaxed);
@@ -189,75 +199,49 @@ std::optional<std::chrono::microseconds> ShardedNdpClient::HedgeDelay()
             .count();
     const bool hint_fresh =
         hint > 0 && hint_at > 0 &&
-        now_us - hint_at <
-            1000 * static_cast<std::int64_t>(options_.hedge_hint_ttl_ms);
+        std::chrono::microseconds(now_us - hint_at) < kHedgeHintTtl;
     if (hint_fresh) {
-      ms = std::max(options_.hedge_floor_ms, 1e3 * hint);
+      ms = std::max(kHedgeFloorMs, 1e3 * hint);
     } else {
       const obs::MetricSnapshot window = subfetch_seconds_.WindowSnapshot();
-      if (window.count >= options_.min_hedge_samples) {
-        ms = std::max(
-            options_.hedge_floor_ms,
-            1e3 * obs::SnapshotQuantile(window, options_.hedge_quantile));
-      } else if (subfetch_seconds_.cumulative().count() >=
-                 options_.min_hedge_samples) {
-        ms = std::max(options_.hedge_floor_ms,
+      if (window.count >= kMinHedgeSamples) {
+        ms = std::max(kHedgeFloorMs,
+                      1e3 * obs::SnapshotQuantile(window, kHedgeQuantile));
+      } else if (subfetch_seconds_.cumulative().count() >= kMinHedgeSamples) {
+        ms = std::max(kHedgeFloorMs,
                       1e3 * obs::HistogramQuantile(
                                 subfetch_seconds_.cumulative(),
-                                options_.hedge_quantile));
+                                kHedgeQuantile));
       }
     }
   }
   return std::chrono::microseconds(static_cast<std::int64_t>(ms * 1e3));
 }
 
-void ShardedNdpClient::Park(std::vector<std::future<void>>&& futures) {
-  std::vector<std::future<void>> overflow;
+void ShardedNdpClient::Park(std::vector<std::future<void>> futures,
+                            bool wait) {
+  std::vector<std::future<void>> join;
   {
     std::lock_guard lk(pending_mu_);
-    for (std::future<void>& f : futures) {
-      if (!f.valid()) continue;
-      if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-        f.get();  // worker bodies never throw; this just releases state
-      } else {
-        pending_.push_back(std::move(f));
-      }
+    for (std::future<void>& f : futures) pending_.push_back(std::move(f));
+    std::vector<std::future<void>> keep;
+    for (std::future<void>& f : pending_) {
+      const bool ready =
+          f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+      (wait || ready ? join : keep).push_back(std::move(f));
     }
-    futures.clear();
     // Bound the parked set: past the cap, the oldest losers get joined
     // instead of accumulating threads without limit.
-    while (pending_.size() > kMaxParked) {
-      overflow.push_back(std::move(pending_.front()));
-      pending_.erase(pending_.begin());
+    while (keep.size() > kMaxParked) {
+      join.push_back(std::move(keep.front()));
+      keep.erase(keep.begin());
     }
+    pending_ = std::move(keep);
     parked_gauge_.Set(static_cast<double>(pending_.size()));
   }
-  // Join the overflow outside the lock; each join is bounded by the
-  // per-call timeout on the underlying clients.
-  for (std::future<void>& f : overflow) f.get();
-}
-
-void ShardedNdpClient::Reap(bool wait) {
-  std::vector<std::future<void>> grabbed;
-  {
-    std::lock_guard lk(pending_mu_);
-    grabbed.swap(pending_);
-  }
-  std::vector<std::future<void>> keep;
-  for (std::future<void>& f : grabbed) {
-    if (!f.valid()) continue;
-    if (wait ||
-        f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-      f.get();
-    } else {
-      keep.push_back(std::move(f));
-    }
-  }
-  {
-    std::lock_guard lk(pending_mu_);
-    for (std::future<void>& f : keep) pending_.push_back(std::move(f));
-    parked_gauge_.Set(static_cast<double>(pending_.size()));
-  }
+  // Join outside the lock; each join is bounded by the per-call timeout
+  // on the underlying clients.
+  for (std::future<void>& f : join) f.get();
 }
 
 void ShardedNdpClient::Merge::Deliver(const ndp::StreamHeader& from,
@@ -272,198 +256,161 @@ void ShardedNdpClient::Merge::Deliver(const ndp::StreamHeader& from,
   field->Scatter(selection.ids, selection.values);
 }
 
-ndp::PartialFetch ShardedNdpClient::HedgedFetch(
-    int shard, const std::vector<int>& chain, const std::string& key,
-    const std::string& array, const std::vector<double>& isovalues,
-    const std::vector<std::int64_t>* only_bricks) {
-  auto state = std::make_shared<Race>();
-  state->slots.resize(chain.size());
-  std::vector<std::future<void>> attempts;
-
-  // Worker threads inherit the caller's trace context so their spans and
-  // the server-side spans they trigger nest under this sub-fetch.
-  const obs::TraceContext parent_ctx = obs::CurrentTraceContext();
-  const std::vector<std::int64_t> bricks_copy =
-      only_bricks != nullptr ? *only_bricks : std::vector<std::int64_t>{};
-  const bool restricted = only_bricks != nullptr;
-
-  auto launch = [&](size_t slot_idx) {
-    const int sv = chain[slot_idx];
-    state->slots[slot_idx].server = sv;
-    std::shared_ptr<ndp::NdpClient> client =
-        servers_[static_cast<size_t>(sv)];
-    attempts.push_back(std::async(
-        std::launch::async,
-        [this, state, slot_idx, sv, client, key, array, isovalues,
-         bricks_copy, restricted, parent_ctx]() {
-          std::optional<obs::ScopedTraceContext> scope;
-          if (parent_ctx.valid()) scope.emplace(parent_ctx);
-          std::optional<ndp::PartialFetch> result;
-          std::exception_ptr error;
-          try {
-            result = client->FetchPartial(
-                key, array, isovalues, restricted ? &bricks_copy : nullptr);
-          } catch (const BusyError&) {
-            // An overloaded node is the one health signal an attempt
-            // sees directly; demote it for subsequent chains.
-            MarkSuspect(sv, true);
-            error = std::current_exception();
-          } catch (...) {
-            error = std::current_exception();
-          }
-          std::lock_guard lk(state->mu);
-          Slot& slot = state->slots[slot_idx];
-          slot.result = std::move(result);
-          slot.error = error;
-          slot.done = true;
-          state->cv.notify_all();
-        }));
-  };
-
-  const std::optional<std::chrono::microseconds> hedge_delay = HedgeDelay();
-  size_t next = 0;
-  launch(next++);
-  bool hedge_fired = false;
-  size_t hedge_slot = 0;
-
-  ndp::PartialFetch result;
-  int winner = -1;
-  {
-    std::unique_lock lk(state->mu);
-    for (;;) {
-      size_t done = 0;
-      std::exception_ptr last_error;
-      for (size_t i = 0; i < next; ++i) {
-        const Slot& slot = state->slots[i];
-        if (!slot.done) continue;
-        ++done;
-        if (slot.result.has_value() && winner < 0) {
-          winner = static_cast<int>(i);
-        }
-        if (slot.error != nullptr) last_error = slot.error;
-      }
-      if (winner >= 0) {
-        result = std::move(*state->slots[static_cast<size_t>(winner)].result);
-        break;
-      }
-      if (done == next) {
-        // Every launched attempt failed. A server-reported application
-        // error (bad key/array — BusyError excepted, that's admission
-        // control) would fail identically on every replica: propagate.
-        try {
-          std::rethrow_exception(last_error);
-        } catch (const BusyError&) {
-        } catch (const RpcError&) {
-          throw;
-        } catch (...) {
-        }
-        if (next >= chain.size()) std::rethrow_exception(last_error);
-        lk.unlock();
-        kFailover.Record("shard=" + ShardTag(shard) +
-                         " server=" + std::to_string(chain[next]));
-        launch(next++);
-        lk.lock();
-        continue;
-      }
-      // Something is still running. Fire the hedge once its delay
-      // elapses with no resolution; otherwise just wait for progress.
-      const size_t seen = done;
-      auto progressed = [&] {
-        size_t now_done = 0;
-        for (size_t i = 0; i < next; ++i) {
-          if (state->slots[i].done) ++now_done;
-        }
-        return now_done > seen;
-      };
-      if (!hedge_fired && hedge_delay.has_value() && next < chain.size()) {
-        if (!state->cv.wait_for(lk, *hedge_delay, progressed)) {
-          hedge_fired = true;
-          hedge_slot = next;
-          lk.unlock();
-          kHedge.Record("shard=" + ShardTag(shard) +
-                        " server=" + std::to_string(chain[next]));
-          launch(next++);
-          lk.lock();
-        }
-        continue;
-      }
-      state->cv.wait(lk, progressed);
-    }
+bool ShardedNdpClient::Walk::Claim(Attempt* a) {
+  std::lock_guard lk(mu);
+  if (winner == nullptr) {
+    winner = a;
+    won_at = std::chrono::steady_clock::now();
   }
-
-  if (hedge_fired) {
-    const bool hedge_won = winner == static_cast<int>(hedge_slot);
-    (hedge_won ? kHedgeWon : kHedgeLost)
-        .Record("shard=" + ShardTag(shard) + " server=" +
-                std::to_string(
-                    state->slots[static_cast<size_t>(winner)].server));
-  }
-
-  // Hand losers still in flight to the reaper; their slots stay alive
-  // through the shared Race until the worker finishes.
-  Park(std::move(attempts));
-  return result;
+  a->refused = winner != a;
+  return !a->refused;
 }
 
 ndp::StreamAccumulator ShardedNdpClient::SubFetch(
     int shard, const std::string& key, const std::string& array,
     const std::vector<double>& isovalues,
     const std::vector<std::int64_t>* only_bricks,
-    const std::vector<bool>& eligible, Merge& merge) {
+    const std::vector<bool>& eligible, const ndp::StreamOptions& stream,
+    Merge& merge) {
   const std::vector<int> chain =
       LiveChain(shard, eligible.empty() ? nullptr : &eligible);
   obs::DefaultRegistry()
       .GetCounter("cluster_subfetch_total", {{"shard", ShardTag(shard)}})
       .Increment();
   obs::Span span("cluster.shard" + ShardTag(shard));
+  const auto start = std::chrono::steady_clock::now();
 
-  if (stream_.chunk_bricks == 0) {
-    ndp::PartialFetch won =
-        HedgedFetch(shard, chain, key, array, isovalues, only_bricks);
-    span.End();
-    subfetch_seconds_.Observe(span.ElapsedSeconds());
-    obs::Span merge_span("cluster.merge");
-    // A slice with no straddling brick ships no chunk: nothing to merge.
-    if (won.acc.chunks > 0) merge.Deliver(won.acc.header, won.selection);
-    return std::move(won.acc);
-  }
-
-  ndp::StreamAccumulator acc;
-  acc.streamed = true;
-  const auto deliver = [&](ndp::DecodedSelection&& sel) {
-    merge.Deliver(acc.header, sel);
+  auto walk = std::make_shared<Walk>();
+  std::vector<std::future<void>> threads;
+  // Worker threads own copies of the request, and inherit the caller's
+  // trace context so their spans and the server-side spans they trigger
+  // nest under this sub-fetch.
+  std::optional<std::vector<std::int64_t>> bricks;
+  if (only_bricks != nullptr) bricks = *only_bricks;
+  const obs::TraceContext parent_ctx = obs::CurrentTraceContext();
+  const auto tag = [&](int server) {
+    return "shard=" + ShardTag(shard) + " server=" + std::to_string(server);
   };
-  std::exception_ptr last;
-  for (size_t i = 0; i < chain.size(); ++i) {
-    const int sv = chain[i];
-    if (i > 0) {
-      kFailover.Record("shard=" + ShardTag(shard) +
-                       " server=" + std::to_string(sv));
-      if (acc.got_header) {
-        // The hop continues a started stream from its cursor — a
-        // mid-stream resume on a different data copy, the recovery rung
-        // the per-node resume budget cannot provide.
-        kStreamResume.Record("key=" + key +
-                             " cursor=" + std::to_string(acc.cursor) +
-                             " server=" + std::to_string(sv));
+
+  // Starts `server` from `acc`; the caller holds walk->mu. Only the
+  // winner touches `merge`, and SubFetch returns only once its winner
+  // is done, so a loser left running never reaches the dead fetch.
+  const auto launch = [&](int server, ndp::StreamAccumulator acc) {
+    Walk::Attempt* a =
+        &walk->attempts.emplace_back(Walk::Attempt{server, std::move(acc)});
+    threads.push_back(std::async(
+        std::launch::async,
+        [this, walk, a, client = servers_[static_cast<size_t>(server)], key,
+         array, isovalues, bricks, parent_ctx, &merge] {
+          std::optional<obs::ScopedTraceContext> scope;
+          if (parent_ctx.valid()) scope.emplace(parent_ctx);
+          std::exception_ptr error;
+          try {
+            client->StreamSelect(
+                key, array, isovalues, bricks.has_value() ? &*bricks : nullptr,
+                a->acc, [&](ndp::DecodedSelection&& sel) {
+                  if (!walk->Claim(a)) return false;
+                  merge.Deliver(a->acc.header, sel);
+                  return true;
+                });
+          } catch (const BusyError&) {
+            // An overloaded node is the one health signal an attempt
+            // sees directly; demote it for subsequent chains.
+            MarkSuspect(a->server, true);
+            error = std::current_exception();
+          } catch (...) {
+            error = std::current_exception();
+          }
+          if (error == nullptr) walk->Claim(a);  // wins if no chunk came
+          std::lock_guard lk(walk->mu);
+          a->done = true;
+          a->error = error;
+          ++walk->finished;
+          walk->cv.notify_all();
+        }));
+    return a;
+  };
+  // A hop prefers an untried replica or a refused loser's (it is alive)
+  // to one whose attempt still runs undelivered (the hop would queue
+  // behind it on that node's client), and never takes a failed one.
+  const auto rank = [&](int server) {
+    int r = 0;  // 0 preferred, 1 last resort, 2 never
+    for (const Walk::Attempt& a : walk->attempts) {
+      if (a.server != server) continue;
+      if (a.error != nullptr) return 2;
+      if (!a.done && !a.refused) r = 1;
+    }
+    return r;
+  };
+
+  const std::optional<std::chrono::microseconds> hedge_delay = HedgeDelay();
+  ndp::StreamAccumulator fresh;
+  fresh.stream = stream;
+  std::unique_lock lk(walk->mu);
+  size_t next = 0;  // the chain's first replica not yet started
+  launch(chain[next++], fresh);
+  const Walk::Attempt* hedge = nullptr;
+  bool raced = false;
+  std::exception_ptr error;
+  for (;;) {
+    const std::uint64_t seen = walk->finished;
+    const auto changed = [&] { return walk->finished != seen; };
+    Walk::Attempt* winner = walk->winner;
+    if (winner != nullptr && !raced) {
+      raced = true;
+      if (hedge != nullptr) {
+        (winner == hedge ? kHedgeWon : kHedgeLost).Record(tag(winner->server));
       }
     }
-    try {
-      servers_[static_cast<size_t>(sv)]->StreamSelect(
-          key, array, isovalues, only_bricks, acc, deliver);
-      span.End();
-      subfetch_seconds_.Observe(span.ElapsedSeconds());
-      return acc;
-    } catch (const BusyError&) {
-      MarkSuspect(sv, true);
-      last = std::current_exception();
-    } catch (const RpcError&) {
-      throw;  // application error: identical on every replica
-    } catch (const Error&) {
-      last = std::current_exception();
+    if (winner != nullptr && winner->done) {
+      if (winner->error == nullptr) break;
+      // Hop: the winner died after delivering, so a replica continues
+      // its stream from the cursor instead of starting over.
+      const auto to =
+          std::min_element(chain.begin(), chain.end(),
+                           [&](int x, int y) { return rank(x) < rank(y); });
+      if (IsApplicationError(winner->error) || rank(*to) == 2) {
+        error = winner->error;
+        break;
+      }
+      kFailover.Record(tag(*to));
+      kStreamResume.Record("key=" + key +
+                           " cursor=" + std::to_string(winner->acc.cursor) +
+                           " server=" + std::to_string(*to));
+      walk->winner = launch(*to, winner->acc);
+    } else if (winner == nullptr &&
+               std::all_of(walk->attempts.begin(), walk->attempts.end(),
+                           [](const Walk::Attempt& a) { return a.done; })) {
+      // Every attempt failed before a win: fail over afresh.
+      const std::exception_ptr last = walk->attempts.back().error;
+      if (IsApplicationError(last) || next >= chain.size()) {
+        error = last;
+        break;
+      }
+      kFailover.Record(tag(chain[next]));
+      launch(chain[next++], fresh);
+    } else if (winner == nullptr && hedge == nullptr &&
+               hedge_delay.has_value() && next < chain.size()) {
+      // A win does not wake the walk: the timer just finds it.
+      if (!walk->cv.wait_for(lk, *hedge_delay, changed) &&
+          walk->winner == nullptr) {
+        kHedge.Record(tag(chain[next]));
+        hedge = launch(chain[next++], fresh);
+      }
+    } else {
+      walk->cv.wait(lk, changed);
     }
   }
-  std::rethrow_exception(last);
+  ndp::StreamAccumulator result;
+  if (error == nullptr) result = std::move(walk->winner->acc);
+  const std::chrono::duration<double> to_win = walk->won_at - start;
+  lk.unlock();
+  // Hand attempts still in flight to the reaper; what they touch stays
+  // alive through the shared Walk until they finish.
+  Park(std::move(threads));
+  if (error != nullptr) std::rethrow_exception(error);
+  subfetch_seconds_.Observe(to_win.count());
+  return result;
 }
 
 contour::SparseField ShardedNdpClient::FetchSparseField(
@@ -475,12 +422,13 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
     root.emplace(obs::TraceContext::Mint(/*sampled=*/true));
   }
   obs::Span total_span("cluster.fetch");
-  Reap(/*wait=*/false);
+  Park({});
 
   // One membership snapshot per fetch: placement, chains, and the
   // rescue rung below all answer to the same view, and no lock is held
-  // once it is taken.
+  // once it is taken. Likewise one snapshot of the reply shape.
   const std::vector<bool> eligible = Eligibility(fleet_view());
+  const ndp::StreamOptions stream = stream_;
 
   // Placement needs the brick decomposition; an unbricked array cannot
   // be sub-divided and routes whole to its rendezvous owner — as does an
@@ -513,12 +461,13 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
     const std::vector<std::int64_t>* restriction =
         whole_key ? nullptr : &bricks;
     futures.push_back(std::async(
-        std::launch::async, [this, shard = shard, &key, &array, &isovalues,
-                             restriction, parent_ctx, &eligible, &merge]() {
+        std::launch::async,
+        [this, shard = shard, &key, &array, &isovalues, restriction,
+         parent_ctx, &eligible, &stream, &merge]() {
           std::optional<obs::ScopedTraceContext> scope;
           if (parent_ctx.valid()) scope.emplace(parent_ctx);
           return SubFetch(shard, key, array, isovalues, restriction, eligible,
-                          merge);
+                          stream, merge);
         }));
   }
 
@@ -528,11 +477,8 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
   for (std::future<ndp::StreamAccumulator>& f : futures) {
     try {
       selects.push_back(f.get());
-    } catch (const BusyError&) {
-      shard_failure = std::current_exception();
-    } catch (const RpcError&) {
-      throw;  // application error: identical on every replica
     } catch (const Error&) {
+      if (IsApplicationError(std::current_exception())) throw;
       shard_failure = std::current_exception();
     }
   }
@@ -548,27 +494,25 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
     bool rescued = false;
     // Usable nodes first; the rest only as a last resort (the view may
     // be stale, and a "dead" node that answers is better than no data).
-    std::vector<int> rescue_order;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (int sv = 0; sv < server_count(); ++sv) {
-        if (eligible[static_cast<size_t>(sv)] == (pass == 0)) {
-          rescue_order.push_back(sv);
-        }
-      }
-    }
+    std::vector<int> rescue_order(servers_.size());
+    std::iota(rescue_order.begin(), rescue_order.end(), 0);
+    std::stable_partition(
+        rescue_order.begin(), rescue_order.end(),
+        [&](int sv) { return eligible[static_cast<size_t>(sv)]; });
     for (const int sv : rescue_order) {
-      if (rescued) break;
       try {
         obs::Span rescue_span("cluster.rescue");
         ndp::StreamAccumulator acc;
-        acc.streamed = stream_.chunk_bricks > 0;
+        acc.stream = stream;
         servers_[static_cast<size_t>(sv)]->StreamSelect(
             key, array, isovalues, nullptr, acc,
             [&](ndp::DecodedSelection&& sel) {
               merge.Deliver(acc.header, sel);
+              return true;
             });
         selects.push_back(std::move(acc));
         rescued = true;
+        break;
       } catch (const Error& e) {
         // Swallowed on purpose — the next server in the order is the
         // answer — but audited so a fetch that exhausts every rescue

@@ -4,16 +4,18 @@
 // single sparse field bit-identical to the one-server path.
 //
 // Tail-latency control (the reason this tier exists): each sub-request
-// is *hedged* — if a shard's primary replica has not answered within a
-// delay derived from the observed sub-fetch latency distribution, the
-// same request launches on the next replica and the first success wins.
-// The loser is abandoned (synchronous RPCs cannot be cancelled) and its
-// thread reaped asynchronously, so one slow or dead node costs one hedge
-// delay, not a timeout.
+// is *hedged* — if a shard's primary replica has delivered no data
+// within a delay derived from the observed sub-fetch latency
+// distribution, the same request launches on the next replica, and the
+// first to deliver a data chunk wins. A losing stream is cancelled with
+// the cancel frame at its next chunk; a losing one-shot call cannot be
+// cancelled, so its thread is reaped asynchronously. Either way one slow
+// or dead node costs one hedge delay, not a timeout.
 //
 // Failure ladder, in order, for each sub-request:
 //   1. primary replica          (per the ShardMap chain)
-//   2. remaining replicas       (hedge or sequential failover)
+//   2. remaining replicas       (hedge, failover, or a stream's hop
+//                                from its cursor)
 //   3. unrestricted rescue      (whole-dataset fetch from any live node)
 //   4. caller's baseline path   (NdpContourSource::SetFallback, as ever)
 // Geometry stays bit-identical at every rung: all rungs compute the same
@@ -24,6 +26,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <map>
 #include <memory>
@@ -40,16 +43,8 @@ namespace vizndp::cluster {
 
 struct ShardedClientOptions {
   // Hedge policy. Negative disables hedging; positive is a fixed delay
-  // in milliseconds; zero (default) adapts: the delay is the
-  // hedge_quantile of cluster_subfetch_seconds once min_hedge_samples
-  // observations exist, hedge_floor_ms while the histogram is cold.
+  // in milliseconds; zero (default) adapts (see HedgeDelay).
   double hedge_ms = 0;
-  double hedge_quantile = 0.95;
-  double hedge_floor_ms = 25.0;
-  std::uint64_t min_hedge_samples = 16;
-  // How long a SetHedgeHint value stays authoritative before the delay
-  // falls back to this client's own latency window.
-  double hedge_hint_ttl_ms = 10000.0;
 };
 
 // Drop-in NdpFetcher over a fleet of NDP servers. Every server must
@@ -82,12 +77,10 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   // Mid-stream recovery gets a deeper ladder than the per-node resume:
   // when a node's resume budget is exhausted the stream hops to the
   // next replica in the chain carrying its cursor, so a node killed at
-  // chunk k costs only the chunks in flight, not the shard. Streaming
-  // sub-fetches fail over sequentially instead of hedging — a hedge
-  // would ship every chunk twice, the exact cost streaming exists to
-  // avoid. Propagates the options to the per-server clients.
+  // chunk k costs only the chunks in flight, not the shard. A stream
+  // hedges only until its first data chunk, so it never ships a chunk
+  // twice. Propagates the options to the per-server clients.
   void SetStream(const ndp::StreamOptions& options);
-  const ndp::StreamOptions& stream() const { return stream_; }
 
   // Test hook: treat `server` as suspect without a probe.
   void MarkSuspect(int server, bool suspect = true);
@@ -104,16 +97,25 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   std::shared_ptr<const FleetView> fleet_view() const;
 
   // Fleet-wide windowed sub-fetch tail (seconds), normally pushed by a
-  // cluster::FleetScraper after each sweep. While fresh (hedge_hint_ttl_
-  // ms) it overrides the process-local latency window in HedgeDelay —
+  // cluster::FleetScraper after each sweep. While fresh (kHedgeHintTtl)
+  // it overrides the process-local latency window in HedgeDelay —
   // a hedging client benefits from latency every node observed, not
   // just the shards it happened to draw. <= 0 clears the hint.
   void SetHedgeHint(double seconds);
 
-  // The adaptive hedge delay the next sub-fetch would use (nullopt =
-  // hedging disabled). Public so tests and dashboards can read the
-  // policy without racing a fetch.
+  // The hedge delay the next sub-fetch would use (nullopt = hedging
+  // disabled). Public so tests and dashboards can read the policy
+  // without racing a fetch. With hedge_ms 0 it adapts: the
+  // kHedgeQuantile of cluster_subfetch_seconds once kMinHedgeSamples
+  // observations exist, never below kHedgeFloorMs (the delay while the
+  // histogram is cold).
   std::optional<std::chrono::microseconds> HedgeDelay() const;
+  static constexpr double kHedgeQuantile = 0.95;
+  static constexpr double kHedgeFloorMs = 25.0;
+  static constexpr std::uint64_t kMinHedgeSamples = 16;
+  // How long a SetHedgeHint value stays authoritative before the delay
+  // falls back to this client's own latency window.
+  static constexpr std::chrono::milliseconds kHedgeHintTtl{10000};
 
   const ShardMap& shard_map() const { return map_; }
   int server_count() const { return static_cast<int>(servers_.size()); }
@@ -122,17 +124,32 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   ndp::NdpClient::FileInfo Info(const std::string& key);
 
  private:
-  // One replica attempt's outcome, filled in by its worker thread.
-  struct Slot {
-    bool done = false;
-    int server = -1;
-    std::optional<ndp::PartialFetch> result;  // engaged iff success
-    std::exception_ptr error;                 // set iff failure
-  };
-  struct Race {
+  // One sub-fetch's replica walk, shared with its attempts' worker
+  // threads, so a losing attempt that outlives SubFetch touches only
+  // this object, its own copy of the request and its replica's client.
+  // `mu` guards every field but an attempt's `acc`, which only its
+  // thread writes until it is done.
+  struct Walk {
+    struct Attempt {
+      int server = -1;
+      ndp::StreamAccumulator acc;
+      bool done = false;
+      bool refused = false;  // lost the race: its deliver returned false
+      std::exception_ptr error = nullptr;  // set iff it failed
+    };
     std::mutex mu;
     std::condition_variable cv;
-    std::vector<Slot> slots;
+    std::deque<Attempt> attempts;  // a deque keeps addresses stable
+    // The first attempt to deliver a data chunk (or to finish with
+    // none), then each hop that continues its stream. Only the winner
+    // delivers; every other attempt's deliver returns false.
+    Attempt* winner = nullptr;
+    std::chrono::steady_clock::time_point won_at;  // what HedgeDelay adapts to
+    std::uint64_t finished = 0;  // attempts done; each one wakes the walk
+
+    // Makes `a` the winner if nobody has won yet, else marks it refused;
+    // true iff it is the winner.
+    bool Claim(Attempt* a);
   };
 
   // Shared scatter target of one fetch: shard workers deliver into it as
@@ -149,25 +166,20 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   };
 
   // One shard's slice (`only_bricks` nullptr = the whole dataset, for
-  // unbricked arrays), delivered into `merge`. One-shot: a hedged race
-  // over the replica chain (HedgedFetch), whose winner is then delivered.
-  // Streamed: the chain is walked in sequence, carrying the accumulator
-  // (cursor) across hops. Throws the last replica's error once the
-  // chain is exhausted. `eligible` is the fetch's view snapshot (empty =
-  // all servers).
+  // unbricked arrays), in the shape `stream` asks for, delivered into
+  // `merge` by the one replica walk over the shard's chain: its race,
+  // failover and hop rules are DESIGN.md §10's. Each attempt runs
+  // NdpClient::StreamSelect on one replica, on its own thread, with its
+  // own accumulator. Throws the last error once no replica is left, or
+  // at once for an application error. `eligible` is the fetch's view
+  // snapshot (empty = all servers).
   ndp::StreamAccumulator SubFetch(int shard, const std::string& key,
                                   const std::string& array,
                                   const std::vector<double>& isovalues,
                                   const std::vector<std::int64_t>* only_bricks,
                                   const std::vector<bool>& eligible,
+                                  const ndp::StreamOptions& stream,
                                   Merge& merge);
-
-  // Hedged, failing-over one-shot fetch of a slice over `chain`.
-  ndp::PartialFetch HedgedFetch(int shard, const std::vector<int>& chain,
-                                const std::string& key,
-                                const std::string& array,
-                                const std::vector<double>& isovalues,
-                                const std::vector<std::int64_t>* only_bricks);
 
   // Replica chain for `shard` over the eligible servers, with suspect
   // servers demoted to the back (skips counted and journaled).
@@ -178,14 +190,13 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   std::vector<bool> Eligibility(
       const std::shared_ptr<const FleetView>& view) const;
 
-  // Moves still-running attempt threads to pending_ and drops finished
-  // ones; called as each race resolves and from the destructor. The
-  // parked set is bounded by kMaxParked: over the cap, Park blocks on
-  // the oldest losers (bounded by the per-call timeout) instead of
+  // Adds `futures` to the parked set of attempt threads, then joins
+  // every finished one (all of them when `wait`, as the destructor
+  // does). The set is bounded by kMaxParked: over the cap, Park blocks
+  // on the oldest losers (bounded by the per-call timeout) instead of
   // accumulating threads without limit. The cluster_hedge_parked gauge
   // tracks the set's size.
-  void Park(std::vector<std::future<void>>&& futures);
-  void Reap(bool wait);
+  void Park(std::vector<std::future<void>> futures, bool wait = false);
 
   static constexpr size_t kMaxParked = 64;
 
@@ -208,7 +219,7 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   std::map<std::string, ndp::NdpClient::FileInfo> info_cache_;
 
   std::mutex pending_mu_;
-  std::vector<std::future<void>> pending_;  // abandoned hedge losers
+  std::vector<std::future<void>> pending_;  // hedge losers still running
 };
 
 }  // namespace vizndp::cluster

@@ -70,13 +70,10 @@ void AcceptTerminal(StreamAccumulator& acc, const Value& terminal) {
 }  // namespace
 
 void AddLoadStats(const StreamAccumulator& acc, NdpLoadStats& stats) {
-  stats.streamed = stats.streamed || acc.streamed;
-  stats.stream_cancelled = stats.stream_cancelled || acc.cancelled;
+  stats.streamed = stats.streamed || acc.streamed();
   stats.stream_chunks += acc.chunks;
   stats.stream_resumes += acc.resumes;
   stats.payload_bytes += acc.payload_bytes;
-  // Metadata is about 256 B per frame; the payload dominates.
-  stats.reply_bytes += acc.payload_bytes + 256 * acc.frames;
   stats.stored_bytes += acc.stored_bytes;
   stats.raw_bytes = std::max(stats.raw_bytes, acc.raw_bytes);
   stats.bricks_read += acc.bricks_read;
@@ -90,16 +87,6 @@ void AddLoadStats(const StreamAccumulator& acc, NdpLoadStats& stats) {
   stats.client_scatter_s += acc.scatter_s;
 }
 
-PartialFetch NdpClient::FetchPartial(const std::string& key,
-                                     const std::string& array,
-                                     const std::vector<double>& isovalues,
-                                     const std::vector<std::int64_t>* bricks) {
-  PartialFetch out;
-  StreamSelect(key, array, isovalues, bricks, out.acc,
-               [&](DecodedSelection&& sel) { out.selection = std::move(sel); });
-  return out;
-}
-
 bool NdpClient::AcceptMap(StreamAccumulator& acc, StreamDecoder& decoder,
                           Value map, const StreamDeliverFn& deliver,
                           const StreamHeaderFn& on_header) const {
@@ -111,14 +98,12 @@ bool NdpClient::AcceptMap(StreamAccumulator& acc, StreamDecoder& decoder,
     acc.decode_s += decode_span.ElapsedSeconds();
     return true;
   }
-  // The one-shot path reads no stream setting (FetchPartial's contract).
-  if (acc.streamed && cancel_ && cancel_()) return false;
   DecodedSelection sel = DecodeSelection(chunk->payload, acc.header.dims);
   decode_span.End();
   acc.decode_s += decode_span.ElapsedSeconds();
   const size_t points = sel.ids.size();
   obs::Span scatter_span("ndp.scatter");
-  deliver(std::move(sel));
+  if (!deliver(std::move(sel))) return false;
   scatter_span.End();
   acc.scatter_s += scatter_span.ElapsedSeconds();
   acc.cursor = chunk->cursor;
@@ -126,7 +111,7 @@ bool NdpClient::AcceptMap(StreamAccumulator& acc, StreamDecoder& decoder,
   acc.bricks_done += chunk->bricks;
   acc.shipped_points += points;
   acc.payload_bytes += chunk->payload.size();
-  if (acc.streamed && progress_) {
+  if (acc.streamed() && progress_) {
     progress_(StreamProgress{acc.chunks, acc.bricks_done,
                              acc.header.stream_bricks, acc.shipped_points,
                              acc.resumes});
@@ -143,52 +128,47 @@ void NdpClient::StreamSelectOnce(const std::string& key,
                                  const StreamHeaderFn& on_header) {
   SelectRequest request{bucket_, key, array, isovalues, {}, {}};
   if (only_bricks != nullptr) request.bricks = *only_bricks;
-  if (acc.streamed) {
-    request.stream = StreamParams{stream_.chunk_bricks, acc.cursor};
+  if (acc.streamed()) {
+    request.stream = StreamParams{acc.stream.chunk_bricks, acc.cursor};
   }
   StreamDecoder decoder(acc.cursor);
 
   // Each attempt's RPC exchange is one ndp.partial span (the unit a shard
   // sub-request traces as); a one-shot reply is decoded and delivered
-  // after it, its header and data maps in wire order.
-  if (!acc.streamed) {
+  // after it, its header and data maps in wire order. Its terminal
+  // summary is read first, so nothing fails once its chunk is delivered.
+  if (!acc.streamed()) {
     Value reply;
     {
       obs::Span rpc_span("ndp.partial");
       reply = client_->Call(kRpcNdpSelect, SelectRequestToParams(request),
                             CallOpts());
     }
-    acc.frames += 1;
+    AcceptTerminal(acc, reply);
     for (auto& [k, v] : reply.AsMutable<msgpack::Map>()) {
-      if (k == Value(kOneShotHeaderKey) || k == Value(kOneShotChunkKey)) {
-        AcceptMap(acc, decoder, std::move(v), deliver, on_header);
+      if ((k == Value(kOneShotHeaderKey) || k == Value(kOneShotChunkKey)) &&
+          !AcceptMap(acc, decoder, std::move(v), deliver, on_header)) {
+        return;
       }
     }
     decoder.Finish();
-    AcceptTerminal(acc, reply);
     return;
   }
 
   rpc::Client::StreamCallOptions copts;
   copts.timeout = options_.call_timeout;
-  copts.chunk_timeout = stream_.chunk_timeout;
-  bool cancelled = false;
+  copts.chunk_timeout = acc.stream.chunk_timeout;
   Value terminal;
   {
     obs::Span rpc_span("ndp.partial");
     terminal = client_->CallStreaming(
         kRpcNdpSelect, SelectRequestToParams(request), copts,
         [&](const msgpack::Value& chunk_map) -> bool {
-          acc.frames += 1;
           return AcceptMap(acc, decoder, chunk_map, deliver, on_header);
         },
-        &cancelled);
+        &acc.cancelled);
   }
-  acc.frames += 1;
-  if (cancelled) {
-    acc.cancelled = true;
-    return;
-  }
+  if (acc.cancelled) return;
   decoder.Finish();
   AcceptTerminal(acc, terminal);
 }
@@ -199,9 +179,14 @@ void NdpClient::StreamSelect(const std::string& key, const std::string& array,
                              StreamAccumulator& acc,
                              const StreamDeliverFn& deliver,
                              const StreamHeaderFn& on_header) {
+  bool refused = false;  // the caller cancelled: a lost drain never resumes
+  const StreamDeliverFn tracked = [&](DecodedSelection&& sel) {
+    refused = !deliver(std::move(sel));
+    return !refused;
+  };
   for (int attempt = 0;; ++attempt) {
     try {
-      StreamSelectOnce(key, array, isovalues, only_bricks, acc, deliver,
+      StreamSelectOnce(key, array, isovalues, only_bricks, acc, tracked,
                        on_header);
       return;
     } catch (const Error& e) {
@@ -215,7 +200,8 @@ void NdpClient::StreamSelect(const std::string& key, const std::string& array,
                                  nullptr ||
                              dynamic_cast<const TransientIoError*>(&e) !=
                                  nullptr;
-      if (!acc.streamed || !resumable || attempt >= stream_.max_resumes) {
+      if (refused || !acc.streamed() || !resumable ||
+          attempt >= acc.stream.max_resumes) {
         throw;
       }
       acc.resumes += 1;
@@ -242,13 +228,16 @@ contour::SparseField NdpClient::FetchSparseField(
   }
   obs::Span total_span("ndp.fetch");
   StreamAccumulator acc;
-  acc.streamed = stream_.chunk_bricks > 0;
+  acc.stream = stream_;
   // The field is built once the grid is known, outside the decode and
   // scatter spans: ndp.fetch's own time is the field build.
   std::optional<contour::SparseField> field;
   StreamSelect(
       key, array, isovalues, nullptr, acc,
-      [&](DecodedSelection&& sel) { field->Scatter(sel.ids, sel.values); },
+      [&](DecodedSelection&& sel) {
+        field->Scatter(sel.ids, sel.values);
+        return true;
+      },
       [&](const StreamHeader& h) { field.emplace(h.dims, h.dtype); });
   VIZNDP_CHECK_MSG(field.has_value(), "select produced no header");
   if (geometry != nullptr) *geometry = acc.header.geometry;

@@ -25,10 +25,6 @@ namespace vizndp::ndp {
 struct NdpClientOptions {
   // Per-RPC deadline; 0 blocks forever (the pre-fault-tolerance default).
   std::chrono::milliseconds call_timeout{0};
-  // TCP dial budget. Consumed by whoever dials (net::TcpOptions /
-  // vizndp_tool), not by NdpClient itself, but kept here so one struct
-  // configures the whole client path.
-  std::chrono::milliseconds connect_timeout{0};
   // Retry schedule applied to the underlying rpc::Client at construction.
   net::RetryPolicy retry{};
 };
@@ -70,13 +66,13 @@ using StreamProgressFn = std::function<void(const StreamProgress&)>;
 // reconstructs the same field.
 struct StreamAccumulator {
   std::int64_t cursor = -1;  // last brick id delivered
-  // The shape the caller asks for: chunk frames of stream().chunk_bricks
-  // bricks, or the one-shot reply. Fixed across resumes and hops.
-  bool streamed = false;
+  // The shape and resume budget asked for (chunk_bricks 0 = one-shot),
+  // fixed across resumes and hops: the only stream setting a select
+  // reads, so a select that outlives its caller never races SetStream.
+  StreamOptions stream;
   bool got_header = false;
-  bool cancelled = false;  // client-initiated cancel was acknowledged
+  bool cancelled = false;  // the server acknowledged a stream's cancel
   StreamHeader header;     // first attempt's header (authoritative)
-  std::uint64_t frames = 0;  // reply frames received
   std::uint64_t chunks = 0;
   std::uint64_t resumes = 0;
   std::uint64_t payload_bytes = 0;
@@ -91,6 +87,8 @@ struct StreamAccumulator {
   std::int64_t bricks_read = 0;
   double server_read_s = 0;
   double server_select_s = 0;
+
+  bool streamed() const { return stream.chunk_bricks > 0; }
 };
 
 // Per-phase accounting of one NDP data load (the paper's "data load
@@ -99,7 +97,6 @@ struct NdpLoadStats {
   std::uint64_t stored_bytes = 0;    // compressed bytes read on the server
   std::uint64_t raw_bytes = 0;       // decompressed array size
   std::uint64_t payload_bytes = 0;   // selection payload shipped to client
-  std::uint64_t reply_bytes = 0;     // estimate: payload + 256 B per frame
   std::uint64_t selected_points = 0;
   std::uint64_t total_points = 0;
   // Brick-indexed arrays only: how much of the array the server touched.
@@ -117,7 +114,6 @@ struct NdpLoadStats {
   bool used_fallback = false;
   // Reply-shape accounting: a one-shot load is one chunk.
   bool streamed = false;
-  bool stream_cancelled = false;
   std::uint64_t stream_chunks = 0;
   std::uint64_t stream_resumes = 0;
   // Distributed trace this load ran under (0 when tracing was off); the
@@ -159,14 +155,6 @@ class NdpFetcher {
 // selected_points is left to the caller, who deduplicates in the field.
 void AddLoadStats(const StreamAccumulator& acc, NdpLoadStats& stats);
 
-// One — possibly brick-restricted — one-shot ndp.select, decoded but
-// not scattered: the sharded client's hedge race needs a result it can
-// drop.
-struct PartialFetch {
-  StreamAccumulator acc;  // header, terminal summary and accounting
-  DecodedSelection selection;  // empty (acc.chunks == 0): none straddled
-};
-
 class NdpClient : public NdpFetcher {
  public:
   explicit NdpClient(std::shared_ptr<rpc::Client> client,
@@ -176,40 +164,38 @@ class NdpClient : public NdpFetcher {
   // Streaming mode: chunk_bricks > 0 turns FetchSparseField into a
   // chunked fetch with mid-stream recovery (see StreamSelect).
   void SetStream(const StreamOptions& options) { stream_ = options; }
-  const StreamOptions& stream() const { return stream_; }
 
-  // Per-chunk progress callback (streaming fetches only). Called on the
-  // fetch thread; keep it cheap.
+  // Per-chunk progress callback (streaming fetches only), after each
+  // delivered chunk. Called on the fetch thread; keep it cheap.
   void SetStreamProgress(StreamProgressFn fn) { progress_ = std::move(fn); }
-
-  // Client-side cancellation hook: polled before each data chunk is
-  // scattered; returning true sends the cancel frame and ends the fetch
-  // with whatever already arrived (StreamAccumulator::cancelled set,
-  // NdpLoadStats::stream_cancelled on the load).
-  void SetStreamCancel(std::function<bool()> fn) { cancel_ = std::move(fn); }
 
   // Each data chunk's decoded selection, handed over by StreamSelect
   // inside an "ndp.scatter" span; the accumulator's header has always
-  // arrived by the first call.
-  using StreamDeliverFn = std::function<void(DecodedSelection&&)>;
+  // arrived by the first call. Returning false is the one way to cancel
+  // a select, and leaves the chunk uncounted: a stream sends the cancel
+  // frame and drains to its terminal, a one-shot reply's remaining maps
+  // are dropped.
+  using StreamDeliverFn = std::function<bool(DecodedSelection&&)>;
   // Called once, when the first header arrives, before any delivery and
   // outside the scatter span: where a caller builds what it scatters
   // into.
   using StreamHeaderFn = std::function<void(const StreamHeader&)>;
 
-  // One ndp.select against this node, in the shape acc.streamed asks
-  // for, fed into `acc`: both shapes' header and data maps go through one
-  // StreamDecoder, each data chunk is decoded and delivered, and the
-  // terminal summary is added to the accumulator. A stream recovers
-  // mid-flight: on TimeoutError / StreamStallError / PeerClosedError /
-  // TransientIoError it re-issues the call with resume_after=<cursor>
-  // (ndp_stream_resume_total / ndp.stream_resume per attempt, up to
-  // stream().max_resumes), so chunks already delivered are never
-  // refetched. Other errors (a CRC mismatch is CorruptDataError), an
-  // exhausted resume budget, and any error of a one-shot call (the rpc
-  // client's retry policy covers those) propagate; ShardedNdpClient then
-  // hops to the next replica with the same accumulator. A
-  // client-initiated cancel returns with acc.cancelled set.
+  // One ndp.select against this node, optionally restricted to
+  // `only_bricks` (sorted brick ids; nullptr = the whole array), in the
+  // shape acc.stream asks for, fed into `acc`: both shapes' header and
+  // data maps go through one StreamDecoder, each data chunk is decoded
+  // and delivered, and the terminal summary is added to the
+  // accumulator. A stream recovers mid-flight: on TimeoutError /
+  // StreamStallError / PeerClosedError / TransientIoError it re-issues
+  // the call with resume_after=<cursor> (ndp_stream_resume_total /
+  // ndp.stream_resume per attempt, up to acc.stream.max_resumes), so
+  // chunks already delivered are never refetched. Other errors (a CRC
+  // mismatch is CorruptDataError), an exhausted resume budget, any error
+  // once `deliver` has refused a chunk (the caller cancelled, so a
+  // failed drain is not resumed), and any error of a one-shot call (the
+  // rpc client's retry policy covers those) propagate; ShardedNdpClient
+  // then hops to the next replica with the same accumulator.
   void StreamSelect(const std::string& key, const std::string& array,
                     const std::vector<double>& isovalues,
                     const std::vector<std::int64_t>* only_bricks,
@@ -223,15 +209,6 @@ class NdpClient : public NdpFetcher {
                                         const std::vector<double>& isovalues,
                                         grid::UniformGeometry* geometry,
                                         NdpLoadStats* stats = nullptr) override;
-
-  // A one-shot StreamSelect with a collecting deliver, optionally
-  // restricted to `only_bricks` (sorted brick ids; nullptr = whole
-  // array): the hedged scatter-gather sub-request. It reads no stream
-  // setting, so a hedge loser still running after its fetch returned
-  // never races a SetStream.
-  PartialFetch FetchPartial(const std::string& key, const std::string& array,
-                            const std::vector<double>& isovalues,
-                            const std::vector<std::int64_t>* only_bricks);
 
   // Near-data array statistics (ndp.stats): only the histogram crosses
   // the network, never the array.
@@ -364,8 +341,7 @@ class NdpClient : public NdpFetcher {
   // `decoder` (StreamDecoder::Feed, the only path from wire bytes to
   // chunk data) into the accumulator: a data chunk is decoded inside an
   // "ndp.decode" span, delivered inside an "ndp.scatter" span, and
-  // reported as progress. Returns false when the cancel hook asked to
-  // stop (streams only).
+  // reported as progress. Returns false when the deliver asked to stop.
   bool AcceptMap(StreamAccumulator& acc, StreamDecoder& decoder,
                  msgpack::Value map, const StreamDeliverFn& deliver,
                  const StreamHeaderFn& on_header) const;
@@ -375,7 +351,6 @@ class NdpClient : public NdpFetcher {
   NdpClientOptions options_;
   StreamOptions stream_;
   StreamProgressFn progress_;
-  std::function<bool()> cancel_;
 };
 
 // Quantile-based contour-value suggestions from near-data statistics.

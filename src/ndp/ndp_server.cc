@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 #include <optional>
-#include <thread>
 
 #include "common/error.h"
 #include "net/retry.h"
@@ -72,22 +71,17 @@ Value SnapshotsToValue(const std::vector<obs::MetricSnapshot>& snapshot) {
 
 // Mid-stream admission: a started stream must never shed — `!busy:`
 // tells the client "retry the whole call", and a retry would duplicate
-// the chunks already shipped. Wait briefly for budget to free up (other
-// streams release per batch, so turnover is fast); if the node stays
-// saturated, fail plain so the client resumes from its cursor instead
-// of restarting from scratch.
+// the chunks already shipped. Wait up to a second for budget to free up
+// (other streams release per batch, so turnover is fast); if the node
+// stays saturated, fail plain instead.
 rpc::MemoryBudget::Reservation ReserveMidStream(rpc::MemoryBudget& budget,
                                                 std::uint64_t bytes) {
-  for (int attempt = 0;; ++attempt) {
-    try {
-      return rpc::MemoryBudget::Reservation(budget, bytes);
-    } catch (const BusyError& e) {
-      if (attempt >= 200) {
-        throw Error(std::string("stream reservation starved mid-flight: ") +
-                    e.what());
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+  try {
+    return rpc::MemoryBudget::Reservation(budget, bytes,
+                                          std::chrono::seconds(1));
+  } catch (const BusyError& e) {
+    throw Error(std::string("stream reservation starved mid-flight: ") +
+                e.what());
   }
 }
 

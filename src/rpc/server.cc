@@ -116,12 +116,33 @@ void MemoryBudget::Release(std::uint64_t bytes) {
   const std::uint64_t before =
       in_use_.fetch_sub(bytes, std::memory_order_acq_rel);
   if (gauge_ != nullptr) gauge_->Set(static_cast<double>(before - bytes));
+  Wake();
+}
+
+void MemoryBudget::SetLimit(std::uint64_t limit_bytes) {
+  limit_.store(limit_bytes, std::memory_order_relaxed);
+  Wake();
+}
+
+void MemoryBudget::Wake() {
+  // Empty critical section: pairs with the predicate check in the
+  // Reservation wait, so a release cannot slip between a waiter's
+  // check and its wait.
+  { std::lock_guard<std::mutex> lock(wait_mu_); }
+  wait_cv_.notify_all();
 }
 
 MemoryBudget::Reservation::Reservation(MemoryBudget& budget,
-                                       std::uint64_t bytes)
+                                       std::uint64_t bytes,
+                                       std::chrono::milliseconds wait)
     : budget_(&budget), bytes_(bytes) {
-  if (!budget.TryReserve(bytes)) {
+  bool admitted = budget.TryReserve(bytes);  // the lock-free fast path
+  if (!admitted && wait.count() > 0) {
+    std::unique_lock<std::mutex> lock(budget.wait_mu_);
+    admitted = budget.wait_cv_.wait_for(
+        lock, wait, [&] { return budget.TryReserve(bytes); });
+  }
+  if (!admitted) {
     budget_ = nullptr;
     throw BusyError("memory budget exhausted (" + std::to_string(bytes) +
                     " bytes requested, " + std::to_string(budget.in_use()) +

@@ -20,6 +20,7 @@
 #include <condition_variable>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,17 +58,16 @@ struct ServerOptions {
 };
 
 // Tracks reservations of a shared byte budget (decompressed brick
-// memory). Lock-free; over-budget reservations fail instead of blocking,
-// so the caller can shed the request as retryable-busy rather than queue
-// unbounded work.
+// memory). Reserving is lock-free; an over-budget reservation fails
+// instead of blocking, so the caller can shed the request as
+// retryable-busy rather than queue unbounded work — unless the caller
+// asks to wait a bounded time for a Release or SetLimit to make room.
 class MemoryBudget {
  public:
   MemoryBudget() = default;
   explicit MemoryBudget(std::uint64_t limit_bytes) : limit_(limit_bytes) {}
 
-  void SetLimit(std::uint64_t limit_bytes) {
-    limit_.store(limit_bytes, std::memory_order_relaxed);
-  }
+  void SetLimit(std::uint64_t limit_bytes);
   std::uint64_t limit() const {
     return limit_.load(std::memory_order_relaxed);
   }
@@ -85,11 +85,12 @@ class MemoryBudget {
   void Release(std::uint64_t bytes);
 
   // RAII reservation: throws BusyError when the budget cannot admit
-  // `bytes`, releases on destruction.
+  // `bytes` within `wait` (0 = fail at once), releases on destruction.
   class Reservation {
    public:
     Reservation() = default;
-    Reservation(MemoryBudget& budget, std::uint64_t bytes);
+    Reservation(MemoryBudget& budget, std::uint64_t bytes,
+                std::chrono::milliseconds wait = {});
     ~Reservation();
 
     Reservation(Reservation&& other) noexcept;
@@ -103,9 +104,14 @@ class MemoryBudget {
   };
 
  private:
+  // Wakes reservations waiting for room (after a Release or SetLimit).
+  void Wake();
+
   std::atomic<std::uint64_t> limit_{0};
   std::atomic<std::uint64_t> in_use_{0};
   obs::Gauge* gauge_ = nullptr;
+  std::mutex wait_mu_;
+  std::condition_variable wait_cv_;
 };
 
 // Outbound side of one streaming reply (protocol.h: chunk frames

@@ -537,8 +537,10 @@ ChaosReport RunChaos(const ChaosOptions& options) {
         };
         if (!served()) {
           try {
-            cluster.server_client(i)->FetchPartial(kKey, "v02", kIsos,
-                                                   nullptr);
+            ndp::StreamAccumulator acc;
+            cluster.server_client(i)->StreamSelect(
+                kKey, "v02", kIsos, nullptr, acc,
+                [](ndp::DecodedSelection&&) { return true; });
           } catch (const Error& e) {
             violate(options.steps, "restarted node " + std::to_string(i) +
                                        " unusable after rejoin: " + e.what());
@@ -574,35 +576,28 @@ ChaosReport RunChaos(const ChaosOptions& options) {
           };
           const std::shared_ptr<ndp::NdpClient> direct =
               cluster.server_client(pick_alive());
-          ndp::StreamOptions fine;
-          fine.chunk_bricks = 1;  // maximize boundaries for the cancel
-          direct->SetStream(fine);
-          std::atomic<std::uint64_t> chunks_seen{0};
-          direct->SetStreamProgress(
-              [&](const ndp::StreamProgress& p) { chunks_seen = p.chunks; });
-          direct->SetStreamCancel([&] { return chunks_seen.load() >= 1; });
           const std::uint64_t cancels_before = cancelled_sum();
           const std::uint64_t cancel_seq = journal.LastSeq();
           bool landed = false;
           // A short stream can race to completion before the cancel
-          // frame lands; stream_cancelled says which way it went, so a
-          // lost race just reruns the drill.
+          // frame lands; acc.cancelled says which way it went, so a lost
+          // race just reruns the drill.
           for (int attempt = 0; attempt < 3 && !landed; ++attempt) {
-            chunks_seen = 0;
-            ndp::NdpLoadStats stats;
-            grid::UniformGeometry geo;
+            ndp::StreamAccumulator acc;
+            acc.stream.chunk_bricks = 1;  // maximize boundaries
             try {
-              (void)direct->FetchSparseField(kKey, "v02", kIsos, &geo,
-                                             &stats);
-              landed = stats.stream_cancelled;
+              // Cancels at the second data chunk.
+              direct->StreamSelect(kKey, "v02", kIsos, nullptr, acc,
+                                   [&](ndp::DecodedSelection&&) {
+                                     return acc.chunks == 0;
+                                   });
+              landed = acc.cancelled;
             } catch (const Error& e) {
               violate(drill_step,
                       std::string("cancel drill fetch failed: ") + e.what());
               break;
             }
           }
-          direct->SetStreamProgress({});
-          direct->SetStreamCancel({});
           const std::uint64_t cancel_delta = cancelled_sum() - cancels_before;
           const size_t cancel_events =
               journal.CountSince("ndp.stream_cancel", cancel_seq);

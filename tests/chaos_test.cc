@@ -46,6 +46,14 @@ void StoreDataset(storage::ObjectStore& store, const std::string& bucket,
   writer.WriteToStore(store, bucket, key);
 }
 
+// One one-shot select of ts.vnd against a single node, its chunks
+// dropped: the direct proof that the node serves.
+void Select(ndp::NdpClient& client, const std::vector<std::int64_t>* bricks) {
+  ndp::StreamAccumulator acc;
+  client.StreamSelect("ts.vnd", "v02", kIsos, bricks, acc,
+                      [](ndp::DecodedSelection&&) { return true; });
+}
+
 // Deterministic monitor driver: probe synchronously until `pred` holds.
 template <typename Pred>
 bool ProbeUntil(HealthMonitor& monitor, Pred pred, int max_sweeps = 20) {
@@ -198,9 +206,7 @@ TEST(Cluster, KillDetectRouteAroundAndRejoin) {
   if (cluster.ndp_server(1).metrics()
           .GetCounter("ndp_select_requests_total").value() == 0) {
     // This key's partition may give node 1 nothing; prove it directly.
-    EXPECT_NO_THROW(
-        cluster.server_client(1)->FetchPartial("ts.vnd", "v02", kIsos,
-                                               nullptr));
+    EXPECT_NO_THROW(Select(*cluster.server_client(1), nullptr));
   }
   EXPECT_GT(cluster.ndp_server(1).metrics()
                 .GetCounter("ndp_select_requests_total").value(), 0u);
@@ -381,9 +387,7 @@ TEST(Protocol, OutOfRangeRestrictionRejectedByServer) {
   StoreDataset(cluster.store(), cluster.bucket(), "ts.vnd", 16, 8);
   // 16^3 at 8^3 bricks = 8 bricks; id 9999 names none of them.
   const std::vector<std::int64_t> bogus = {9999};
-  EXPECT_THROW(
-      cluster.server_client(0)->FetchPartial("ts.vnd", "v02", kIsos, &bogus),
-      RpcError);
+  EXPECT_THROW(Select(*cluster.server_client(0), &bogus), RpcError);
 }
 
 // ---------------------------------------------------------------------------

@@ -46,6 +46,24 @@ std::uint64_t CounterValue(const std::string& name) {
   return obs::DefaultRegistry().GetCounter(name).value();
 }
 
+// One one-shot select of ts.vnd, optionally restricted to `bricks`, with
+// a collecting deliver: its accounting and its one chunk's selection.
+struct Collected {
+  ndp::StreamAccumulator acc;
+  ndp::DecodedSelection selection;  // empty when no brick straddled
+};
+
+Collected Collect(ndp::NdpClient& client,
+                  const std::vector<std::int64_t>* bricks) {
+  Collected out;
+  client.StreamSelect("ts.vnd", "v02", kIsos, bricks, out.acc,
+                      [&](ndp::DecodedSelection&& sel) {
+                        out.selection = std::move(sel);
+                        return true;
+                      });
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // ShardMap placement properties.
 
@@ -154,8 +172,7 @@ TEST(Cluster, RestrictionUnionMatchesFullSelection) {
   StoreDataset(cluster.store(), cluster.bucket(), "ts.vnd", 32, 8);
 
   auto client = cluster.server_client(0);
-  const ndp::PartialFetch full =
-      client->FetchPartial("ts.vnd", "v02", kIsos, nullptr);
+  const Collected full = Collect(*client, nullptr);
 
   const auto info = client->Info("ts.vnd");
   const auto* meta = info.Find("v02");
@@ -166,8 +183,7 @@ TEST(Cluster, RestrictionUnionMatchesFullSelection) {
   std::vector<grid::PointId> merged;
   for (const auto& slice : map.Partition("ts.vnd", meta->brick_count)) {
     if (slice.empty()) continue;
-    const ndp::PartialFetch part =
-        client->FetchPartial("ts.vnd", "v02", kIsos, &slice);
+    const Collected part = Collect(*client, &slice);
     merged.insert(merged.end(), part.selection.ids.begin(),
                   part.selection.ids.end());
     EXPECT_LE(part.acc.bricks_read, full.acc.bricks_read);
@@ -200,11 +216,11 @@ TEST(Cluster, MergeIsPermutationAndDuplicateInvariant) {
   const auto info = client->Info("ts.vnd");
   const auto* meta = info.Find("v02");
   ASSERT_NE(meta, nullptr);
-  std::vector<ndp::PartialFetch> partials;
+  std::vector<Collected> partials;
   for (const auto& slice : cluster.sharded_client()->shard_map().Partition(
            "ts.vnd", meta->brick_count)) {
     if (slice.empty()) continue;
-    partials.push_back(client->FetchPartial("ts.vnd", "v02", kIsos, &slice));
+    partials.push_back(Collect(*client, &slice));
   }
   ASSERT_GE(partials.size(), 2u);
 
@@ -321,40 +337,50 @@ TEST(Cluster, ApplicationErrorsPropagateInsteadOfFailingOver) {
 // ---------------------------------------------------------------------------
 // Hedging.
 
+// Both reply shapes race the same way: a stream hedges until its first
+// data chunk, and a losing stream is cancelled.
 TEST(Cluster, HedgeFiresOnSlowReplicaAndWins) {
-  ClusterTestbedConfig config;
-  config.servers = 3;
-  config.replicas = 2;
-  config.client_options.call_timeout = std::chrono::milliseconds(10000);
-  config.sharded.hedge_ms = 40;  // fixed: fire fast, deterministically
-  // Server 1 answers everything 400 ms late: any sub-request homed there
-  // hedges onto its replica, and the replica wins.
-  config.decorate = [](net::TransportPtr t, int server) -> net::TransportPtr {
-    if (server != 1) return t;
-    auto faulty = std::make_unique<net::FaultInjectingTransport>(std::move(t));
-    faulty->ScriptReceive(
-        {net::FaultAction::Delay(std::chrono::microseconds(400'000))},
-        /*loop_last=*/true);
-    return faulty;
-  };
-  ClusterTestbed cluster(config);
-  StoreDataset(cluster.store(), cluster.bucket(), "ts.vnd", 32, 8);
+  for (const std::int64_t chunk_bricks : {0, 1}) {
+    SCOPED_TRACE("chunk_bricks " + std::to_string(chunk_bricks));
+    ClusterTestbedConfig config;
+    config.servers = 3;
+    config.replicas = 2;
+    config.client_options.call_timeout = std::chrono::milliseconds(10000);
+    config.sharded.hedge_ms = 40;  // fixed: fire fast, deterministically
+    // Server 1 answers everything 400 ms late: any sub-request homed
+    // there hedges onto its replica, and the replica wins.
+    config.decorate = [](net::TransportPtr t,
+                         int server) -> net::TransportPtr {
+      if (server != 1) return t;
+      auto faulty =
+          std::make_unique<net::FaultInjectingTransport>(std::move(t));
+      faulty->ScriptReceive(
+          {net::FaultAction::Delay(std::chrono::microseconds(400'000))},
+          /*loop_last=*/true);
+      return faulty;
+    };
+    ClusterTestbed cluster(config);
+    StoreDataset(cluster.store(), cluster.bucket(), "ts.vnd", 32, 8);
 
-  const contour::PolyData reference =
-      cluster.server_client(0)->Contour("ts.vnd", "v02", kIsos);
+    const contour::PolyData reference =
+        cluster.server_client(0)->Contour("ts.vnd", "v02", kIsos);
+    ndp::StreamOptions so;
+    so.chunk_bricks = chunk_bricks;
+    cluster.sharded_client()->SetStream(so);
 
-  const std::uint64_t launched_before =
-      CounterValue("ndp_hedge_launched_total");
-  const std::uint64_t won_before = CounterValue("ndp_hedge_won_total");
-  const contour::PolyData hedged =
-      cluster.sharded_client()->Contour("ts.vnd", "v02", kIsos);
+    const std::uint64_t launched_before =
+        CounterValue("ndp_hedge_launched_total");
+    const std::uint64_t won_before = CounterValue("ndp_hedge_won_total");
+    const contour::PolyData hedged =
+        cluster.sharded_client()->Contour("ts.vnd", "v02", kIsos);
 
-  EXPECT_TRUE(hedged.GeometricallyEquals(reference, 0.0));
-  EXPECT_GT(CounterValue("ndp_hedge_launched_total"), launched_before);
-  EXPECT_GT(CounterValue("ndp_hedge_won_total"), won_before);
-  const std::string journal = obs::GlobalEventLog().Json();
-  EXPECT_NE(journal.find("cluster.hedge"), std::string::npos);
-  EXPECT_NE(journal.find("cluster.hedge_won"), std::string::npos);
+    EXPECT_TRUE(hedged.GeometricallyEquals(reference, 0.0));
+    EXPECT_GT(CounterValue("ndp_hedge_launched_total"), launched_before);
+    EXPECT_GT(CounterValue("ndp_hedge_won_total"), won_before);
+    const std::string journal = obs::GlobalEventLog().Json();
+    EXPECT_NE(journal.find("cluster.hedge"), std::string::npos);
+    EXPECT_NE(journal.find("cluster.hedge_won"), std::string::npos);
+  }
 }
 
 TEST(Cluster, NoHedgeWhenDisabled) {

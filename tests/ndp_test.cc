@@ -375,16 +375,14 @@ TEST(NdpEndToEnd, MovesFarFewerBytesThanBaseline) {
   const std::uint64_t baseline_bytes = fx.testbed.link().bytes_transferred();
 
   fx.testbed.link().Reset();
-  NdpLoadStats stats;
   (void)fx.testbed.ndp_client().Contour(PopulatedTestbed::kKey, "v02",
-                                        isovalues, &stats);
+                                        isovalues);
   const std::uint64_t ndp_bytes = fx.testbed.link().bytes_transferred();
 
   // The full v02 array is 24^3 * 4 B = 55 KiB; the selection is a small
   // fraction of it (paper Fig. 6).
   EXPECT_GT(baseline_bytes, 24u * 24 * 24 * 4);
   EXPECT_LT(ndp_bytes * 2, baseline_bytes);
-  EXPECT_EQ(stats.payload_bytes + 256, stats.reply_bytes);
 }
 
 TEST(NdpEndToEnd, MultiArrayPipelinesShareOneServer) {

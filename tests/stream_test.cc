@@ -10,10 +10,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "bench_util/testbed.h"
+#include "cluster/shard_map.h"
+#include "cluster/sharded_client.h"
 #include "common/error.h"
 #include "compress/checksum.h"
 #include "contour/marching_cubes.h"
@@ -314,7 +317,6 @@ TEST(Stream, StreamedFetchMatchesMonolithic) {
   EXPECT_EQ(geo.spacing[2], mono_geo.spacing[2]);
 
   EXPECT_TRUE(stats.streamed);
-  EXPECT_FALSE(stats.stream_cancelled);
   EXPECT_GE(stats.stream_chunks, 2u);
   EXPECT_EQ(stats.stream_resumes, 0u);
   EXPECT_EQ(stats.selected_points, mono_stats.selected_points);
@@ -576,11 +578,10 @@ TEST(Stream, ClientCancelStopsTheStreamAndIsAccounted) {
   Testbed bed;
   StoreDataset(bed.store(), bed.bucket(), "ts.vnd", 32, 4);
 
-  // The client's predicate runs before each data chunk is delivered, so
-  // it cancels when the second data chunk (chunk frame 3) arrives. The
-  // server end holds the third data chunk until that cancel frame is
-  // out, so the next chunk boundary must see it: the stream cannot
-  // finish first.
+  // The client's deliver returns false for the second data chunk (chunk
+  // frame 3), which cancels. The server end holds the third data chunk
+  // until that cancel frame is out, so the next chunk boundary must see
+  // it: the stream cannot finish first.
   CancelRig rig(bed, net::CreateInProcPair(), /*hold_chunk=*/4);
   NdpClient& client = *rig.client;
 
@@ -590,30 +591,27 @@ TEST(Stream, ClientCancelStopsTheStreamAndIsAccounted) {
           .value();
   const std::uint64_t seq = obs::GlobalEventLog().LastSeq();
 
-  StreamOptions so;
-  so.chunk_bricks = 1;
-  client.SetStream(so);
-  std::atomic<std::uint64_t> chunks_seen{0};
-  client.SetStreamProgress(
-      [&](const StreamProgress& p) { chunks_seen = p.chunks; });
-  client.SetStreamCancel([&] { return chunks_seen.load() >= 1; });
+  StreamAccumulator acc;
+  acc.stream.chunk_bricks = 1;
+  std::optional<contour::SparseField> partial;
+  client.StreamSelect(
+      "ts.vnd", "v02", kIsos, nullptr, acc,
+      [&](DecodedSelection&& sel) {
+        if (acc.chunks >= 1) return false;
+        partial->Scatter(sel.ids, sel.values);
+        return true;
+      },
+      [&](const StreamHeader& h) { partial.emplace(h.dims, h.dtype); });
 
-  NdpLoadStats stats;
-  grid::UniformGeometry geo;
-  const contour::SparseField partial =
-      client.FetchSparseField("ts.vnd", "v02", kIsos, &geo, &stats);
-
-  EXPECT_TRUE(stats.streamed);
-  EXPECT_TRUE(stats.stream_cancelled);
-  EXPECT_GE(stats.stream_chunks, 1u);
+  EXPECT_TRUE(acc.streamed());
+  EXPECT_TRUE(acc.cancelled);
+  EXPECT_GE(acc.chunks, 1u);
   // Partial by construction: the cancel landed mid-stream.
   NdpLoadStats full_stats;
-  client.SetStream(StreamOptions{});
-  client.SetStreamCancel({});
   grid::UniformGeometry full_geo;
   const contour::SparseField full = client.FetchSparseField(
       "ts.vnd", "v02", kIsos, &full_geo, &full_stats);
-  EXPECT_LT(partial.ValidCount(), full.ValidCount());
+  EXPECT_LT(partial->ValidCount(), full.ValidCount());
 
   // Cancellation is audited 1:1 — counter and journal event move
   // together (the chaos invariant).
@@ -622,6 +620,142 @@ TEST(Stream, ClientCancelStopsTheStreamAndIsAccounted) {
           .value(),
       cancels_before + 1);
   EXPECT_EQ(obs::GlobalEventLog().CountSince("ndp.stream_cancel", seq), 1u);
+}
+
+// Server end: as the first data chunk goes out, takes every byte the
+// stream's first batch left free and caps the budget at that hold, so
+// the next batch cannot reserve until the test releases it.
+class BudgetHoldTransport : public net::Transport {
+ public:
+  BudgetHoldTransport(net::TransportPtr inner, rpc::MemoryBudget& budget)
+      : inner_(std::move(inner)), budget_(budget) {}
+
+  void Send(ByteSpan frame) override {
+    if (FrameHasType(frame, rpc::kChunkType) && ++chunks_ == 2) {
+      std::lock_guard<std::mutex> lock(mu_);
+      const std::uint64_t free = budget_.limit() - budget_.in_use();
+      hold_.emplace(budget_, free);
+      budget_.SetLimit(free);
+      cv_.notify_all();
+    }
+    inner_->Send(frame);
+  }
+  Bytes Receive(net::Deadline deadline) override {
+    return inner_->Receive(deadline);
+  }
+  void Close() override { inner_->Close(); }
+
+  void WaitHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, 10s, [this] { return hold_.has_value(); });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    hold_.reset();
+  }
+
+ private:
+  net::TransportPtr inner_;
+  rpc::MemoryBudget& budget_;
+  int chunks_ = 0;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<rpc::MemoryBudget::Reservation> hold_;
+};
+
+// A streamed connection to the testbed's server whose NdpServer draws on
+// `budget`, held full from the second batch on.
+struct BudgetRig {
+  BudgetHoldTransport server_end;
+  std::unique_ptr<NdpClient> client;
+  std::thread serve;
+
+  BudgetRig(Testbed& bed, rpc::MemoryBudget& budget,
+            net::TransportPair pair = net::CreateInProcPair())
+      : server_end(std::move(pair.b), budget),
+        client(std::make_unique<NdpClient>(
+            std::make_shared<rpc::Client>(std::move(pair.a)),
+            bed.bucket())),
+        serve([this, &bed] { bed.rpc_server().ServeTransport(server_end); }) {
+    bed.ndp_server().SetMemoryBudget(&budget);
+  }
+
+  ~BudgetRig() {
+    client.reset();  // closes the client end: the serve loop returns
+    serve.join();
+  }
+
+  // Streams ts.vnd one brick per chunk with no resume budget, counting
+  // delivered chunks into `delivered`.
+  contour::SparseField Stream(StreamAccumulator& acc,
+                              std::atomic<int>& delivered) {
+    acc.stream.chunk_bricks = 1;
+    acc.stream.max_resumes = 0;
+    std::optional<contour::SparseField> field;
+    client->StreamSelect(
+        "ts.vnd", "v02", kIsos, nullptr, acc,
+        [&](DecodedSelection&& sel) {
+          field->Scatter(sel.ids, sel.values);
+          ++delivered;
+          return true;
+        },
+        [&](const StreamHeader& h) { field.emplace(h.dims, h.dtype); });
+    return std::move(*field);
+  }
+};
+
+// A started stream never sheds: its next batch waits for the budget
+// to free, and the stream completes from the same call.
+TEST(Stream, MidStreamReservationWaitsForARelease) {
+  rpc::MemoryBudget budget(1 << 20);
+  Testbed bed;
+  StoreDataset(bed.store(), bed.bucket(), "ts.vnd", 32, 4);
+  grid::UniformGeometry mono_geo;
+  const contour::SparseField mono =
+      bed.ndp_client().FetchSparseField("ts.vnd", "v02", kIsos, &mono_geo);
+
+  BudgetRig rig(bed, budget);
+  std::atomic<int> delivered{0};
+  int delivered_at_release = -1;
+  std::thread releaser([&] {
+    rig.server_end.WaitHeld();
+    std::this_thread::sleep_for(100ms);  // batch 2 waits for room
+    delivered_at_release = delivered.load();
+    rig.server_end.Release();
+  });
+  StreamAccumulator acc;
+  const contour::SparseField streamed = rig.Stream(acc, delivered);
+  releaser.join();
+
+  EXPECT_EQ(delivered_at_release, 1);  // batch 2 waited for the release
+  EXPECT_EQ(acc.resumes, 0u);
+  EXPECT_GE(delivered.load(), 2);
+  EXPECT_EQ(streamed.ValidCount(), mono.ValidCount());
+  EXPECT_TRUE(streamed.Contour(mono_geo, kIsos)
+                  .GeometricallyEquals(mono.Contour(mono_geo, kIsos), 0.0));
+}
+
+// A budget that never frees fails the stream after its bounded wait, as
+// a plain error: `!busy:` would tell the client to retry the whole call
+// and duplicate the chunks it already has.
+TEST(Stream, StarvedMidStreamReservationIsNotBusy) {
+  rpc::MemoryBudget budget(1 << 20);
+  Testbed bed;
+  StoreDataset(bed.store(), bed.bucket(), "ts.vnd", 32, 4);
+
+  BudgetRig rig(bed, budget);
+  std::atomic<int> delivered{0};
+  StreamAccumulator acc;
+  try {
+    (void)rig.Stream(acc, delivered);
+    ADD_FAILURE() << "a stream with a full budget completed";
+  } catch (const BusyError& e) {
+    ADD_FAILURE() << "mid-stream starvation shed as busy: " << e.what();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("starved"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(delivered.load(), 1);
 }
 
 // NdpClient over a fault-injected connection to the testbed's server.
@@ -888,6 +1022,235 @@ TEST(Stream, MidStreamDisconnectResumesOnReplica) {
   EXPECT_GE(CounterValue("cluster_failover_total"), failovers_before + 1);
   EXPECT_GE(obs::GlobalEventLog().CountSince("ndp.stream_resume", seq), 1u);
   EXPECT_GE(obs::GlobalEventLog().CountSince("cluster.failover", seq), 1u);
+}
+
+// While shut, holds back every frame of the connections it wraps.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool shut = false;
+
+  void Set(bool now_shut) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      shut = now_shut;
+    }
+    cv.notify_all();
+  }
+};
+
+class GateTransport : public net::Transport {
+ public:
+  GateTransport(net::TransportPtr inner, Gate& gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+
+  void Send(ByteSpan frame) override { inner_->Send(frame); }
+  void Close() override { inner_->Close(); }
+  Bytes Receive(net::Deadline deadline) override {
+    {
+      std::unique_lock<std::mutex> lock(gate_.mu);
+      gate_.cv.wait_for(lock, 10s, [this] { return !gate_.shut; });
+    }
+    return inner_->Receive(deadline);
+  }
+
+ private:
+  net::TransportPtr inner_;
+  Gate& gate_;
+};
+
+// A stream hedges until its first data chunk, and the hedge's loser is
+// still a replica: when the winner dies mid-stream, the stream hops to
+// the loser's node and continues from the winner's cursor.
+TEST(Stream, HedgeLoserContinuesTheWinnersStreamFromItsCursor) {
+  Gate gate;  // node 1's channel
+  ClusterTestbedConfig config;
+  config.servers = 2;
+  config.replicas = 2;
+  config.client_options.call_timeout = 5000ms;
+  config.client_options.retry.base_delay = 200us;
+  config.client_options.retry.jitter = 0.0;
+  config.sharded.hedge_ms = 30;
+  config.decorate = [&](net::TransportPtr inner, int server) {
+    return server == 1
+               ? std::make_unique<GateTransport>(std::move(inner), gate)
+               : std::move(inner);
+  };
+  ClusterTestbed cluster(config);
+  StoreDataset(cluster.store(), cluster.bucket(), "ts.vnd", 32, 8);
+  const contour::PolyData reference =
+      cluster.server_client(0)->Contour("ts.vnd", "v02", kIsos);
+  (void)cluster.sharded_client()->Info("ts.vnd");  // cached before faults
+
+  StreamOptions so;
+  so.chunk_bricks = 1;
+  so.max_resumes = 1;
+  cluster.sharded_client()->SetStream(so);
+  // Node 0 answers its first frame 80 ms late, so its shard hedges onto
+  // node 1, whose channel stays shut until node 0 has delivered: node 0
+  // wins and node 1's hedge loses. That first delivered chunk then cuts
+  // node 0's channel for good.
+  cluster.fault(0).ScriptReceive({net::FaultAction::Delay(80ms)});
+  gate.Set(/*now_shut=*/true);
+  std::atomic<bool> cut{false};
+  cluster.server_client(0)->SetStreamProgress([&](const StreamProgress&) {
+    if (cut.exchange(true)) return;
+    cluster.fault(0).ScriptReceive({net::FaultAction::Disconnect()});
+    gate.Set(/*now_shut=*/false);
+  });
+
+  const std::uint64_t launched_before =
+      CounterValue("ndp_hedge_launched_total");
+  const std::uint64_t lost_before = CounterValue("ndp_hedge_lost_total");
+  const std::uint64_t rescues_before =
+      CounterValue("cluster_unrestricted_fallback_total");
+  const std::uint64_t seq = obs::GlobalEventLog().LastSeq();
+  NdpLoadStats stats;
+  const contour::PolyData streamed =
+      cluster.sharded_client()->Contour("ts.vnd", "v02", kIsos, &stats);
+
+  ASSERT_TRUE(cut.load());  // node 0 really won and was cut mid-stream
+  EXPECT_TRUE(streamed.GeometricallyEquals(reference, 0.0));
+  EXPECT_FALSE(stats.used_fallback);
+  EXPECT_GT(CounterValue("ndp_hedge_launched_total"), launched_before);
+  EXPECT_GT(CounterValue("ndp_hedge_lost_total"), lost_before);
+  EXPECT_EQ(CounterValue("cluster_unrestricted_fallback_total"),
+            rescues_before);
+  // The hop's resume names node 1: the loser's replica took the cursor.
+  size_t hops_to_loser = 0;
+  for (const obs::LogEvent& e : obs::GlobalEventLog().Events()) {
+    hops_to_loser += e.seq > seq && e.name == "ndp.stream_resume" &&
+                     e.detail.ends_with(" server=1");
+  }
+  EXPECT_GE(hops_to_loser, 1u);
+}
+
+// A hedge loser is told to stop at its first chunk. When its drain
+// then stalls, the error ends the attempt: a select nobody wants is
+// never resumed, so it holds its node's client no longer than the
+// drain and adds no resume to the ladder's accounting.
+TEST(Stream, HedgeLoserWhoseDrainStallsIsNotResumed) {
+  const cluster::ShardMap map(2, 2);
+  const int primary = map.ShardOfKey("mono.vnd");
+  const int backup = 1 - primary;
+  Gate gate;  // the primary's channel
+  ClusterTestbedConfig config;
+  config.servers = 2;
+  config.replicas = 2;
+  config.client_options.call_timeout = 5000ms;
+  config.client_options.retry.base_delay = 200us;
+  config.client_options.retry.jitter = 0.0;
+  config.decorate = [&](net::TransportPtr inner, int server) {
+    return server == primary
+               ? std::make_unique<GateTransport>(std::move(inner), gate)
+               : std::move(inner);
+  };
+  ClusterTestbed cluster(config);
+  StoreDataset(cluster.store(), cluster.bucket(), "mono.vnd", 24,
+               /*brick_edge=*/0);
+  const contour::PolyData reference =
+      cluster.server_client(backup)->Contour("mono.vnd", "v02", kIsos);
+
+  cluster::ShardedClientOptions options;
+  options.hedge_ms = 30;
+  auto sharded = std::make_unique<cluster::ShardedNdpClient>(
+      std::vector{cluster.server_client(0), cluster.server_client(1)},
+      /*replicas=*/2, options);
+  (void)sharded->Info("mono.vnd");  // cached before faults
+  StreamOptions so;
+  so.chunk_bricks = 4;
+  so.chunk_timeout = 1s;
+  so.max_resumes = 2;
+  sharded->SetStream(so);
+  // The primary stays shut until the backup has delivered, so the
+  // hedge wins. The primary then gets its header and its one data
+  // chunk, which is refused, and its terminal comes too late for the
+  // chunk deadline: the drain stalls.
+  gate.Set(/*now_shut=*/true);
+  cluster.fault(primary).ScriptReceive(
+      {net::FaultAction::Pass(), net::FaultAction::Pass(),
+       net::FaultAction::Delay(3s)});
+  cluster.server_client(backup)->SetStreamProgress(
+      [&](const StreamProgress&) { gate.Set(/*now_shut=*/false); });
+
+  const std::uint64_t won_before = CounterValue("ndp_hedge_won_total");
+  const std::uint64_t resumes_before = CounterValue("ndp_stream_resume_total");
+  const std::uint64_t seq = obs::GlobalEventLog().LastSeq();
+  const contour::PolyData streamed =
+      sharded->Contour("mono.vnd", "v02", kIsos);
+  sharded.reset();  // joins the parked loser once its drain has ended
+
+  EXPECT_TRUE(streamed.GeometricallyEquals(reference, 0.0));
+  EXPECT_EQ(CounterValue("ndp_hedge_won_total"), won_before + 1);
+  // The loser's drain really stalled, and nothing resumed it.
+  EXPECT_GE(obs::GlobalEventLog().CountSince("rpc.stream_stall", seq), 1u);
+  EXPECT_EQ(obs::GlobalEventLog().CountSince("ndp.stream_resume", seq), 0u);
+  EXPECT_EQ(CounterValue("ndp_stream_resume_total"), resumes_before);
+}
+
+// A hop prefers an untried replica over one whose attempt is still
+// running without having delivered: that is usually the wedged primary
+// that caused the hedge, and the hop would queue behind it on that
+// node's client.
+TEST(Stream, HopPrefersAnUntriedReplicaToAWedgedPrimary) {
+  const cluster::ShardMap map(3, 3);
+  const std::vector<int> chain = map.ReplicaChain(map.ShardOfKey("mono.vnd"));
+  ASSERT_EQ(chain.size(), 3u);
+  const int wedged = chain[0];
+  const int winner = chain[1];
+  const int untried = chain[2];
+  Gate gate;  // the wedged primary's channel
+  ClusterTestbedConfig config;
+  config.servers = 3;
+  config.replicas = 3;
+  config.client_options.call_timeout = 5000ms;
+  config.client_options.retry.base_delay = 200us;
+  config.client_options.retry.jitter = 0.0;
+  config.sharded.hedge_ms = 30;
+  config.decorate = [&](net::TransportPtr inner, int server) {
+    return server == wedged
+               ? std::make_unique<GateTransport>(std::move(inner), gate)
+               : std::move(inner);
+  };
+  ClusterTestbed cluster(config);
+  StoreDataset(cluster.store(), cluster.bucket(), "mono.vnd", 24,
+               /*brick_edge=*/0);
+  const contour::PolyData reference =
+      cluster.server_client(untried)->Contour("mono.vnd", "v02", kIsos);
+  (void)cluster.sharded_client()->Info("mono.vnd");  // cached before faults
+
+  StreamOptions so;
+  so.chunk_bricks = 4;
+  so.max_resumes = 0;  // a cut winner fails at once and hops
+  cluster.sharded_client()->SetStream(so);
+  // The primary is shut for the whole fetch, so the hedge wins; its
+  // first delivered chunk then cuts its own channel.
+  gate.Set(/*now_shut=*/true);
+  std::atomic<bool> cut{false};
+  cluster.server_client(winner)->SetStreamProgress([&](const StreamProgress&) {
+    if (!cut.exchange(true)) {
+      cluster.fault(winner).ScriptReceive({net::FaultAction::Disconnect()});
+    }
+  });
+
+  const std::uint64_t seq = obs::GlobalEventLog().LastSeq();
+  NdpLoadStats stats;
+  const contour::PolyData streamed =
+      cluster.sharded_client()->Contour("mono.vnd", "v02", kIsos, &stats);
+  gate.Set(/*now_shut=*/false);  // lets the refused primary drain
+
+  ASSERT_TRUE(cut.load());
+  EXPECT_TRUE(streamed.GeometricallyEquals(reference, 0.0));
+  EXPECT_FALSE(stats.used_fallback);
+  size_t to_untried = 0;
+  size_t to_wedged = 0;
+  for (const obs::LogEvent& e : obs::GlobalEventLog().Events()) {
+    if (e.seq <= seq || e.name != "ndp.stream_resume") continue;
+    to_untried += e.detail.ends_with(" server=" + std::to_string(untried));
+    to_wedged += e.detail.ends_with(" server=" + std::to_string(wedged));
+  }
+  EXPECT_EQ(to_untried, 1u);
+  EXPECT_EQ(to_wedged, 0u);
 }
 
 }  // namespace

@@ -282,9 +282,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # Real multi-process run of the sharded serving tier: three storage
   # nodes on OS-assigned ports (parsed from the `port:` line), one node
   # killed before the fetch, another answering 300 ms late so the hedge
-  # fires. The degraded fetch must produce the same triangle count as
-  # the single-server reference, win at least one hedge, and record the
-  # failover in the event journal. Then the killed node is restarted on
+  # fires. The degraded fetch, one-shot and then streamed, must produce
+  # the same triangle count as the single-server reference and win at
+  # least one hedge; the one-shot run also records the failover in the
+  # event journal. Then the killed node is restarted on
   # its old port and must serve the full contour again — the TCP half of
   # the kill -> restart -> rejoin story.
   E2E_DIR="$(mktemp -d)"
@@ -322,6 +323,18 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   grep -Eq 'won [1-9][0-9]*' "$E2E_DIR/fetch.log"
   grep -q 'cluster.failover' "$E2E_DIR/journal.json"
   grep -q 'cluster.hedge_won' "$E2E_DIR/journal.json"
+  # The same degraded fleet, streamed at the default chunk size: a
+  # stream hedges until its first data chunk, so the backup must win
+  # here too, with the slow node's stream cancelled.
+  ./build-tsan/tools/vizndp_tool fetch \
+    --connect "127.0.0.1:$P0" --connect "127.0.0.1:$P1" \
+    --connect "127.0.0.1:$P2" --replicas 2 --hedge-ms 40 \
+    --shard-fault "1:recv.delay=300000+" --stream --no-progress \
+    --journal "$E2E_DIR/stream_journal.json" \
+    --key ts.vnd --array v02 --iso 0.5 --timeout-ms 10000 \
+    | tee "$E2E_DIR/stream_fetch.log"
+  grep -q "^NDP contour: $REF_TRIS triangles" "$E2E_DIR/stream_fetch.log"
+  grep -q 'cluster.hedge_won' "$E2E_DIR/stream_journal.json"
   # Restart the killed node on its old port; a late-starting server is
   # reachable because the client's transports dial lazily and re-dial
   # stale connections. The fresh incarnation must serve the contour.

@@ -495,12 +495,11 @@ int CmdFetch(const Args& args) {
   ndp::NdpClientOptions options;
   options.call_timeout =
       std::chrono::milliseconds(args.GetLong("timeout-ms", 0));
-  options.connect_timeout = options.call_timeout;
   options.retry.max_attempts =
       1 + static_cast<int>(std::max(0L, args.GetLong("retries", 0)));
 
   net::TcpOptions tcp_options;
-  tcp_options.connect_timeout = options.connect_timeout;
+  tcp_options.connect_timeout = options.call_timeout;
 
   // Endpoints: either the classic --host/--port single server, or one
   // --connect HOST:PORT per storage node of a sharded serving tier.
@@ -648,10 +647,9 @@ int CmdFetch(const Args& args) {
   const ndp::NdpLoadStats& stats = source.last_stats();
   if (show_progress) std::fprintf(stderr, "\n");
   if (stats.streamed) {
-    std::printf("stream: %llu chunk(s), %llu resume(s)%s\n",
+    std::printf("stream: %llu chunk(s), %llu resume(s)\n",
                 static_cast<unsigned long long>(stats.stream_chunks),
-                static_cast<unsigned long long>(stats.stream_resumes),
-                stats.stream_cancelled ? ", cancelled" : "");
+                static_cast<unsigned long long>(stats.stream_resumes));
   }
   if (stats.used_fallback) {
     std::printf("baseline contour (NDP path unavailable, fell back): "
@@ -733,9 +731,8 @@ std::vector<std::shared_ptr<ndp::NdpClient>> ScrapeClients(
     long timeout_ms) {
   ndp::NdpClientOptions options;
   options.call_timeout = std::chrono::milliseconds(timeout_ms);
-  options.connect_timeout = options.call_timeout;
   net::TcpOptions tcp_options;
-  tcp_options.connect_timeout = options.connect_timeout;
+  tcp_options.connect_timeout = options.call_timeout;
   std::vector<std::shared_ptr<ndp::NdpClient>> clients;
   for (const auto& [host, port] : endpoints) {
     auto dial = [host, port, tcp_options] {
