@@ -46,7 +46,7 @@ double MeanFetchSeconds(std::chrono::milliseconds probe_period,
   std::unique_ptr<cluster::HealthMonitor> monitor;
   if (probe_period.count() > 0) {
     std::vector<std::shared_ptr<ndp::NdpClient>> probes;
-    for (int i = 0; i < 3; ++i) probes.push_back(cluster.probe_client(i));
+    for (int i = 0; i < 3; ++i) probes.push_back(cluster.NewNodeClient(i));
     cluster::HealthMonitorOptions mopts;
     mopts.period = probe_period;
     monitor = std::make_unique<cluster::HealthMonitor>(std::move(probes),

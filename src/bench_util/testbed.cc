@@ -137,12 +137,6 @@ ClusterTestbed::ClusterTestbed(ClusterTestbedConfig config)
     node.client = std::make_shared<ndp::NdpClient>(
         std::make_shared<rpc::Client>(std::move(faulty)), config_.bucket,
         config_.client_options);
-    // Probe channel: its own connection, no decorator, no chaos faults.
-    node.probe = std::make_shared<ndp::NdpClient>(
-        std::make_shared<rpc::Client>(
-            std::make_unique<net::ReconnectingTransport>(
-                DialFactory(i, /*decorated=*/false))),
-        config_.bucket, config_.client_options);
     clients.push_back(node.client);
   }
   sharded_ = std::make_shared<cluster::ShardedNdpClient>(
@@ -197,13 +191,10 @@ bool ClusterTestbed::alive(int i) {
 ClusterTestbed::~ClusterTestbed() {
   // The sharded client may still hold abandoned hedge attempts against
   // these nodes; destroy it (joins them) before the serve loops exit.
-  // Any HealthMonitor on the probe clients must already be stopped by
-  // its owner (declare the monitor after the testbed).
+  // Any HealthMonitor on NewNodeClient channels must already be stopped
+  // by its owner (declare the monitor after the testbed).
   sharded_.reset();
-  for (auto& node : nodes_) {
-    node->client.reset();
-    node->probe.reset();
-  }
+  for (auto& node : nodes_) node->client.reset();
   for (size_t i = 0; i < nodes_.size(); ++i) {
     KillServer(static_cast<int>(i));
   }

@@ -119,10 +119,11 @@ class Testbed {
 // rpc::Server (throwing PeerClosedError while the node is down), so
 // KillServer → RestartServer round-trips without rebuilding clients —
 // the next call after a restart just redials. Each node additionally
-// exposes a dedicated probe client (for a cluster::HealthMonitor; stop
-// the monitor before destroying the testbed) and a persistent
-// FaultInjectingTransport handle wrapped around its data channel (for
-// the chaos harness to script delays/corruption mid-run).
+// exposes a persistent FaultInjectingTransport handle wrapped around its
+// data channel (for the chaos harness to script delays/corruption
+// mid-run), and NewNodeClient opens a dedicated channel to it (for a
+// cluster::HealthMonitor or FleetScraper; declare their owner after the
+// testbed, so it is destroyed first).
 struct ClusterTestbedConfig {
   int servers = 3;
   int replicas = 2;
@@ -193,13 +194,6 @@ class ClusterTestbed {
     return nodes_.at(static_cast<size_t>(i))->client;
   }
 
-  // Dedicated health-probe connection to node `i` — never shared with
-  // data fetches and never touched by chaos fault scripts, so a
-  // HealthMonitor sees the node's real state.
-  std::shared_ptr<ndp::NdpClient> probe_client(int i) {
-    return nodes_.at(static_cast<size_t>(i))->probe;
-  }
-
   // Persistent fault handle on node `i`'s data channel; survives
   // kill/restart cycles (it wraps the reconnecting transport, not one
   // connection).
@@ -208,11 +202,12 @@ class ClusterTestbed {
   }
 
   // A fresh dedicated client to node `i` over its own reconnecting
-  // channel — how a FleetScraper gets per-node scrape connections that
-  // never share a transport with the data path. When `fault` is
-  // non-null it receives a fault handle wrapped around this channel
-  // (owned by the returned client), so tests can slow one node's scrape
-  // RTT without touching its serving.
+  // channel — how a HealthMonitor gets its probe connections and a
+  // FleetScraper its scrape connections: never shared with data fetches
+  // and never touched by chaos fault scripts, so they see the node's
+  // real state. When `fault` is non-null it receives a fault handle
+  // wrapped around this channel (owned by the returned client), so
+  // tests can slow one node's scrape RTT without touching its serving.
   std::shared_ptr<ndp::NdpClient> NewNodeClient(
       int i, net::FaultInjectingTransport** fault = nullptr);
 
@@ -244,7 +239,6 @@ class ClusterTestbed {
     std::vector<std::thread> serve_threads;
     net::FaultInjectingTransport* fault = nullptr;  // owned by `client`
     std::shared_ptr<ndp::NdpClient> client;
-    std::shared_ptr<ndp::NdpClient> probe;
   };
 
   // (Re)creates node i's servers over the shared store; node.mu held.

@@ -1,12 +1,12 @@
 #include "cluster/fleet_scraper.h"
 
 #include <algorithm>
+#include <chrono>
 #include <iomanip>
 #include <sstream>
 #include <utility>
 
 #include "common/error.h"
-#include "net/retry.h"
 #include "obs/windowed.h"
 
 namespace vizndp::cluster {
@@ -89,24 +89,6 @@ FleetScraper::FleetScraper(std::vector<std::shared_ptr<ndp::NdpClient>> nodes,
         obs::Labels{{"node", NodeTag(static_cast<int>(i))}},
         "cluster.slow_node");
   }
-}
-
-FleetScraper::~FleetScraper() { Stop(); }
-
-void FleetScraper::SetSink(Sink sink) {
-  std::lock_guard lk(mu_);
-  sink_ = std::move(sink);
-}
-
-void FleetScraper::SetHedgeSink(HedgeSink sink) {
-  std::lock_guard lk(mu_);
-  hedge_sink_ = std::move(sink);
-}
-
-std::shared_ptr<const FleetScraper::FleetSnapshot> FleetScraper::latest()
-    const {
-  std::lock_guard lk(mu_);
-  return latest_;
 }
 
 std::shared_ptr<const FleetScraper::FleetSnapshot>
@@ -241,79 +223,7 @@ FleetScraper::ScrapeOnce() {
   snap->merged = obs::MergeSnapshots(sources, merge_options);
 
   snap->slo = slo_.Evaluate(snap->merged, snap->mono_s);
-
-  HedgeSink hedge;
-  Sink sink;
-  {
-    std::lock_guard lk(mu_);
-    latest_ = snap;
-    hedge = hedge_sink_;
-    sink = sink_;
-  }
-  // Hedge feeding: the fleet-merged windowed select p95, once warm.
-  if (hedge) {
-    if (const obs::MetricSnapshot* w = obs::FindMetric(
-            snap->merged, obs::WindowedName("ndp_select_seconds"))) {
-      if (w->count >= options_.hedge_min_samples) {
-        hedge(obs::SnapshotQuantile(*w, 0.95));
-      }
-    }
-  }
-  if (sink) sink(snap);
   return snap;
-}
-
-std::chrono::microseconds FleetScraper::JitteredPeriod(
-    std::uint64_t tick) const {
-  const auto base =
-      std::chrono::duration_cast<std::chrono::microseconds>(options_.period);
-  // Same seeded jitter as HealthMonitor: pure in (seed, tick), so a
-  // fixed-seed run sleeps the same schedule every time and distinct
-  // scrapers decorrelate.
-  const std::uint64_t r =
-      net::MixBits(options_.seed ^ (tick * 0x9E3779B97F4A7C15ull));
-  const double u = static_cast<double>(r >> 11) / 9007199254740992.0;
-  const double scale = 1.0 + options_.jitter_frac * (2.0 * u - 1.0);
-  auto out = std::chrono::microseconds(
-      static_cast<std::int64_t>(static_cast<double>(base.count()) * scale));
-  return out.count() > 0 ? out : std::chrono::microseconds(1);
-}
-
-void FleetScraper::Start() {
-  {
-    std::lock_guard lk(run_mu_);
-    if (running_) return;
-    running_ = true;
-  }
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void FleetScraper::Stop() {
-  {
-    std::lock_guard lk(run_mu_);
-    if (!running_) return;
-    running_ = false;
-  }
-  run_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-bool FleetScraper::running() const {
-  std::lock_guard lk(run_mu_);
-  return running_;
-}
-
-void FleetScraper::Loop() {
-  std::uint64_t tick = 0;
-  for (;;) {
-    {
-      std::unique_lock lk(run_mu_);
-      run_cv_.wait_for(lk, JitteredPeriod(++tick),
-                       [this] { return !running_; });
-      if (!running_) return;
-    }
-    ScrapeOnce();
-  }
 }
 
 namespace {

@@ -1,33 +1,29 @@
-// Fleet-wide metric aggregation: a scraper thread pulls ndp.metrics +
-// ndp.health from every node on a jittered timer (the HealthMonitor
-// pattern — dedicated per-node channels, never the data path), computes
-// per-node counter rates since the previous sweep, merges the per-node
-// snapshots into one fleet view (obs/merge.h), evaluates the SLO
-// tracker against it, and publishes the whole thing as an epoch-stamped
-// immutable FleetSnapshot. `vizndp_tool top` renders these; scripts
-// consume the ToJson/ToProm forms.
+// Fleet-wide metric aggregation: one synchronous sweep that its caller
+// paces (`vizndp_tool top` sleeps --interval-ms between sweeps, the
+// chaos harness sweeps at fixed points of a schedule). A sweep pulls
+// ndp.metrics + ndp.health from every node over dedicated per-node
+// channels (the HealthMonitor discipline, never the data path),
+// computes per-node counter rates since the previous sweep, merges the
+// per-node snapshots into one fleet view (obs/merge.h), evaluates the
+// SLO tracker against it, and returns the whole thing as an
+// epoch-stamped immutable FleetSnapshot. `vizndp_tool top` renders
+// these; scripts consume the FleetSnapshotJson/FleetSnapshotProm forms.
 //
 // Two control loops close here:
+//   - SLO tracking: the embedded SloTracker burns against the merged
+//     view, so scrape failures count as availability errors.
 //   - slow-node outlier detection: a node whose windowed p95 (its own
 //     ndp_select_seconds_window, or the scrape RTT when the node serves
 //     too little to have one) exceeds slow_factor x the fleet median is
 //     flagged — edge-triggered cluster_slow_node_total{node} +
 //     "cluster.slow_node" journal pair, cleared symmetrically.
-//   - hedge feeding: the fleet-merged windowed p95 of the sub-fetch /
-//     select tail is pushed to ShardedNdpClient::SetHedgeHint, replacing
-//     the hedger's process-local lifetime histogram with a fleet-wide
-//     sliding window.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ndp/ndp_client.h"
@@ -38,18 +34,10 @@
 namespace vizndp::cluster {
 
 struct FleetScraperOptions {
-  // Sweep interval; jittered like HealthMonitor so N scrapers with
-  // different seeds never hit the fleet in lockstep.
-  std::chrono::milliseconds period{1000};
-  double jitter_frac = 0.25;
-  std::uint64_t seed = 1;
   // Slow-node rule: windowed p95 > slow_factor x fleet median p95, with
   // at least slow_min_samples observations behind the node's window.
   double slow_factor = 3.0;
   std::uint64_t slow_min_samples = 8;
-  // Minimum fleet-merged window observations before the hedge hint is
-  // pushed (the same 16 as ShardedNdpClient::kMinHedgeSamples).
-  std::uint64_t hedge_min_samples = 16;
   // Objectives handed to the embedded SloTracker; empty = no SLOs.
   std::vector<obs::SloObjective> objectives;
 };
@@ -93,51 +81,24 @@ class FleetScraper {
     int reachable = 0;
   };
 
-  using Sink = std::function<void(std::shared_ptr<const FleetSnapshot>)>;
-  using HedgeSink = std::function<void(double seconds)>;
-
   // `nodes[i]` must talk to fleet node i on its own dedicated channel
   // with a finite call_timeout (scraping a dead node must fail fast,
   // not hang the sweep).
   explicit FleetScraper(std::vector<std::shared_ptr<ndp::NdpClient>> nodes,
                         FleetScraperOptions options = {});
-  ~FleetScraper();
 
   FleetScraper(const FleetScraper&) = delete;
   FleetScraper& operator=(const FleetScraper&) = delete;
 
-  // Receives every published snapshot. Set before Start().
-  void SetSink(Sink sink);
-  // Receives the fleet-merged windowed select p95 once it has
-  // hedge_min_samples behind it — wire to ShardedNdpClient::SetHedgeHint.
-  void SetHedgeSink(HedgeSink sink);
-
-  void Start();
-  void Stop();
-  bool running() const;
-
-  // One synchronous sweep; the scrape thread calls this on its timer.
-  // Tests and `top --once` call it directly instead of Start().
+  // One synchronous sweep; concurrent calls run one at a time, since
+  // rates and the slow-node edge compare against the previous sweep.
+  // The scraper's own series (fleet_scrape_total{node},
+  // fleet_scrape_failed_total{node}, windowed fleet_scrape_seconds{node})
+  // are merged into every snapshot, so the availability objective in
+  // DefaultFleetObjectives sees scrape failures as error events.
   std::shared_ptr<const FleetSnapshot> ScrapeOnce();
 
-  // Latest published snapshot (null before the first sweep).
-  std::shared_ptr<const FleetSnapshot> latest() const;
-
-  // Scraper-local metrics: fleet_scrape_total{node},
-  // fleet_scrape_failed_total{node}, fleet_scrape_seconds{node}
-  // (windowed). Merged into every FleetSnapshot, so the availability
-  // objective in DefaultFleetObjectives sees scrape failures as error
-  // events.
-  obs::Registry& metrics() { return metrics_; }
-
-  obs::SloTracker& slo() { return slo_; }
-
-  int node_count() const { return static_cast<int>(nodes_.size()); }
-
  private:
-  void Loop();
-  std::chrono::microseconds JitteredPeriod(std::uint64_t tick) const;
-
   std::vector<std::shared_ptr<ndp::NdpClient>> nodes_;
   FleetScraperOptions options_;
   obs::Registry metrics_;
@@ -149,16 +110,6 @@ class FleetScraper {
   std::vector<double> prev_mono_;   // per-node last-scrape time, 0 = none
   std::vector<bool> slow_;          // edge-trigger state per node
   std::vector<obs::Audit> slow_audits_;  // cluster_slow_node_total{node}
-
-  mutable std::mutex mu_;  // guards latest_, sinks
-  std::shared_ptr<const FleetSnapshot> latest_;
-  Sink sink_;
-  HedgeSink hedge_sink_;
-
-  mutable std::mutex run_mu_;
-  std::condition_variable run_cv_;
-  bool running_ = false;
-  std::thread thread_;
 };
 
 // Renderers shared by `vizndp_tool top` and tests.

@@ -169,50 +169,24 @@ void ShardedNdpClient::SetStream(const ndp::StreamOptions& options) {
   }
 }
 
-void ShardedNdpClient::SetHedgeHint(double seconds) {
-  hedge_hint_seconds_.store(seconds, std::memory_order_relaxed);
-  hedge_hint_at_us_.store(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count(),
-      std::memory_order_relaxed);
-}
-
 std::optional<std::chrono::microseconds> ShardedNdpClient::HedgeDelay()
     const {
   if (options_.hedge_ms < 0) return std::nullopt;
   double ms = options_.hedge_ms;
   if (ms == 0) {
-    // Adaptive: hedge at the tail of what sub-fetches normally take, so
-    // the backup fires only for genuinely slow replicas. Preference
-    // order: a fresh fleet-wide windowed p95 pushed by a FleetScraper
-    // (it sees every node, not just the shards this client drew), then
-    // this client's own sliding window, then the cumulative series, and
-    // the floor while everything is cold.
+    // Adaptive: hedge at the tail of what a walk normally takes to its
+    // win, so the backup fires only for genuinely slow replicas. The
+    // sliding window first, then the cumulative series, and the floor
+    // while both are cold.
     ms = kHedgeFloorMs;
-    const double hint = hedge_hint_seconds_.load(std::memory_order_relaxed);
-    const std::int64_t hint_at =
-        hedge_hint_at_us_.load(std::memory_order_relaxed);
-    const std::int64_t now_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-    const bool hint_fresh =
-        hint > 0 && hint_at > 0 &&
-        std::chrono::microseconds(now_us - hint_at) < kHedgeHintTtl;
-    if (hint_fresh) {
-      ms = std::max(kHedgeFloorMs, 1e3 * hint);
-    } else {
-      const obs::MetricSnapshot window = subfetch_seconds_.WindowSnapshot();
-      if (window.count >= kMinHedgeSamples) {
-        ms = std::max(kHedgeFloorMs,
-                      1e3 * obs::SnapshotQuantile(window, kHedgeQuantile));
-      } else if (subfetch_seconds_.cumulative().count() >= kMinHedgeSamples) {
-        ms = std::max(kHedgeFloorMs,
-                      1e3 * obs::HistogramQuantile(
-                                subfetch_seconds_.cumulative(),
-                                kHedgeQuantile));
-      }
+    const obs::MetricSnapshot window = subfetch_seconds_.WindowSnapshot();
+    if (window.count >= kMinHedgeSamples) {
+      ms = std::max(kHedgeFloorMs,
+                    1e3 * obs::SnapshotQuantile(window, kHedgeQuantile));
+    } else if (subfetch_seconds_.cumulative().count() >= kMinHedgeSamples) {
+      ms = std::max(kHedgeFloorMs,
+                    1e3 * obs::HistogramQuantile(
+                              subfetch_seconds_.cumulative(), kHedgeQuantile));
     }
   }
   return std::chrono::microseconds(static_cast<std::int64_t>(ms * 1e3));
@@ -254,6 +228,11 @@ void ShardedNdpClient::Merge::Deliver(const ndp::StreamHeader& from,
     throw Error("shards disagree on dataset shape — mixed replicas?");
   }
   field->Scatter(selection.ids, selection.values);
+}
+
+bool ShardedNdpClient::Walk::Wants(const Attempt* a) {
+  std::lock_guard lk(mu);
+  return winner == nullptr || winner == a;
 }
 
 bool ShardedNdpClient::Walk::Claim(Attempt* a) {
@@ -308,11 +287,13 @@ ndp::StreamAccumulator ShardedNdpClient::SubFetch(
           try {
             client->StreamSelect(
                 key, array, isovalues, bricks.has_value() ? &*bricks : nullptr,
-                a->acc, [&](ndp::DecodedSelection&& sel) {
+                a->acc,
+                [&](ndp::DecodedSelection&& sel) {
                   if (!walk->Claim(a)) return false;
                   merge.Deliver(a->acc.header, sel);
                   return true;
-                });
+                },
+                {}, [&] { return walk->Wants(a); });
           } catch (const BusyError&) {
             // An overloaded node is the one health signal an attempt
             // sees directly; demote it for subsequent chains.

@@ -5,10 +5,11 @@
 //
 // Tail-latency control (the reason this tier exists): each sub-request
 // is *hedged* — if a shard's primary replica has delivered no data
-// within a delay derived from the observed sub-fetch latency
-// distribution, the same request launches on the next replica, and the
-// first to deliver a data chunk wins. A losing stream is cancelled with
-// the cancel frame at its next chunk; a losing one-shot call cannot be
+// within a delay derived from how long earlier walks took to their win
+// (see HedgeDelay), the same request launches on the next replica, and
+// the first to deliver a data chunk wins. A losing stream is cancelled
+// with the cancel frame at its next chunk, and a loser that fails before
+// its first chunk is not resumed; a losing one-shot call cannot be
 // cancelled, so its thread is reaped asynchronously. Either way one slow
 // or dead node costs one hedge delay, not a timeout.
 //
@@ -22,7 +23,6 @@
 // selection invariant over the same stored values.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -96,26 +96,18 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   void SetFleetView(std::shared_ptr<const FleetView> view);
   std::shared_ptr<const FleetView> fleet_view() const;
 
-  // Fleet-wide windowed sub-fetch tail (seconds), normally pushed by a
-  // cluster::FleetScraper after each sweep. While fresh (kHedgeHintTtl)
-  // it overrides the process-local latency window in HedgeDelay —
-  // a hedging client benefits from latency every node observed, not
-  // just the shards it happened to draw. <= 0 clears the hint.
-  void SetHedgeHint(double seconds);
-
   // The hedge delay the next sub-fetch would use (nullopt = hedging
-  // disabled). Public so tests and dashboards can read the policy
-  // without racing a fetch. With hedge_ms 0 it adapts: the
-  // kHedgeQuantile of cluster_subfetch_seconds once kMinHedgeSamples
-  // observations exist, never below kHedgeFloorMs (the delay while the
-  // histogram is cold).
+  // disabled). Public so tests can read the policy without racing a
+  // fetch. A positive hedge_ms is the delay. With hedge_ms 0 it adapts
+  // to cluster_subfetch_seconds, the time each walk took to its win (a
+  // stream's first data chunk), which is the race the delay times: the
+  // kHedgeQuantile of the sliding window once it holds kMinHedgeSamples
+  // wins, else of the cumulative series once that does, and never below
+  // kHedgeFloorMs (the delay while both are cold).
   std::optional<std::chrono::microseconds> HedgeDelay() const;
   static constexpr double kHedgeQuantile = 0.95;
   static constexpr double kHedgeFloorMs = 25.0;
   static constexpr std::uint64_t kMinHedgeSamples = 16;
-  // How long a SetHedgeHint value stays authoritative before the delay
-  // falls back to this client's own latency window.
-  static constexpr std::chrono::milliseconds kHedgeHintTtl{10000};
 
   const ShardMap& shard_map() const { return map_; }
   int server_count() const { return static_cast<int>(servers_.size()); }
@@ -150,6 +142,9 @@ class ShardedNdpClient : public ndp::NdpFetcher {
     // Makes `a` the winner if nobody has won yet, else marks it refused;
     // true iff it is the winner.
     bool Claim(Attempt* a);
+    // Whether `a` may still resume: true while nobody has won or `a` is
+    // the winner. A loser that fails before its first chunk ends there.
+    bool Wants(const Attempt* a);
   };
 
   // Shared scatter target of one fetch: shard workers deliver into it as
@@ -206,8 +201,6 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   ndp::StreamOptions stream_;
   obs::WindowedHistogram& subfetch_seconds_;
   obs::Gauge& parked_gauge_;
-  std::atomic<double> hedge_hint_seconds_{0};
-  std::atomic<std::int64_t> hedge_hint_at_us_{0};
 
   mutable std::mutex view_mu_;
   std::shared_ptr<const FleetView> view_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <optional>
 
 #include "common/error.h"
@@ -11,7 +10,6 @@
 #include "obs/audit.h"
 #include "obs/context.h"
 #include "obs/trace.h"
-#include "rpc/trace_wire.h"
 
 namespace vizndp::ndp {
 
@@ -178,7 +176,8 @@ void NdpClient::StreamSelect(const std::string& key, const std::string& array,
                              const std::vector<std::int64_t>* only_bricks,
                              StreamAccumulator& acc,
                              const StreamDeliverFn& deliver,
-                             const StreamHeaderFn& on_header) {
+                             const StreamHeaderFn& on_header,
+                             const StreamWantedFn& wanted) {
   bool refused = false;  // the caller cancelled: a lost drain never resumes
   const StreamDeliverFn tracked = [&](DecodedSelection&& sel) {
     refused = !deliver(std::move(sel));
@@ -201,7 +200,7 @@ void NdpClient::StreamSelect(const std::string& key, const std::string& array,
                              dynamic_cast<const TransientIoError*>(&e) !=
                                  nullptr;
       if (refused || !acc.streamed() || !resumable ||
-          attempt >= acc.stream.max_resumes) {
+          attempt >= acc.stream.max_resumes || (wanted && !wanted())) {
         throw;
       }
       acc.resumes += 1;
@@ -331,40 +330,6 @@ std::string NdpClient::ScrapeMetricsFormatted(const std::string& format) {
   return reply.As<std::string>();
 }
 
-size_t NdpClient::ScrapeTrace(std::uint64_t trace_id) {
-  Array params;
-  if (trace_id != 0) params.emplace_back(trace_id);
-  const Value reply =
-      client_->Call(kRpcNdpTrace, std::move(params), CallOpts());
-  const std::vector<obs::DrainedEvent> events = rpc::EventsFromValue(reply);
-  if (events.empty()) return 0;
-
-  // The server clock is a foreign steady_clock domain. Shift its events
-  // so the newest one ends at the local "now": the scrape happens right
-  // after the traced work, so nesting and relative timing stay readable.
-  // (Spans that arrived through a reply piggyback instead get the real
-  // midpoint clock alignment — see obs/trace_merge.h.)
-  std::uint64_t min_start = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max_end = 0;
-  for (const obs::DrainedEvent& e : events) {
-    min_start = std::min(min_start, e.start_us);
-    max_end = std::max(max_end, e.start_us + e.dur_us);
-  }
-  obs::Tracer& tracer = obs::GlobalTracer();
-  const std::uint64_t span_len = max_end - min_start;
-  const std::uint64_t now = tracer.NowMicros();
-  const std::uint64_t base = now > span_len ? now - span_len : 0;
-  for (const obs::DrainedEvent& e : events) {
-    obs::Tracer::SpanIds ids;
-    ids.trace_id = e.trace_id;
-    ids.span_id = e.span_id;
-    ids.parent_span_id = e.parent_span_id;
-    tracer.Inject(e.track, e.name, base + (e.start_us - min_start), e.dur_us,
-                  ids);
-  }
-  return events.size();
-}
-
 NdpClient::HealthReport NdpClient::Health(std::uint64_t view_epoch) {
   Array params;
   if (view_epoch != 0) params.emplace_back(view_epoch);
@@ -398,17 +363,6 @@ NdpClient::HealthReport NdpClient::Health(std::uint64_t view_epoch) {
     report.window_p50 = window->At("p50").AsDouble();
     report.window_p95 = window->At("p95").AsDouble();
     report.window_p99 = window->At("p99").AsDouble();
-  }
-  if (const Value* slo = reply.Find("slo")) {
-    for (const Value& v : slo->As<Array>()) {
-      HealthReport::Slo s;
-      s.name = v.At("name").As<std::string>();
-      s.budget_remaining = v.At("budget_remaining").AsDouble();
-      s.burn_short = v.At("burn_short").AsDouble();
-      s.burn_long = v.At("burn_long").AsDouble();
-      s.alerting = v.At("alerting").As<bool>();
-      report.slo.push_back(std::move(s));
-    }
   }
   if (const Value* scrub = reply.Find("scrub")) {
     report.scrub_present = true;

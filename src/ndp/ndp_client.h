@@ -180,6 +180,10 @@ class NdpClient : public NdpFetcher {
   // outside the scatter span: where a caller builds what it scatters
   // into.
   using StreamHeaderFn = std::function<void(const StreamHeader&)>;
+  // Asked before each resume, never per chunk: false means the caller no
+  // longer wants the select (a hedge walk has a different winner), so its
+  // error propagates instead of resuming against this node.
+  using StreamWantedFn = std::function<bool()>;
 
   // One ndp.select against this node, optionally restricted to
   // `only_bricks` (sorted brick ids; nullptr = the whole array), in the
@@ -192,15 +196,17 @@ class NdpClient : public NdpFetcher {
   // ndp.stream_resume per attempt, up to acc.stream.max_resumes), so
   // chunks already delivered are never refetched. Other errors (a CRC
   // mismatch is CorruptDataError), an exhausted resume budget, any error
-  // once `deliver` has refused a chunk (the caller cancelled, so a
-  // failed drain is not resumed), and any error of a one-shot call (the
-  // rpc client's retry policy covers those) propagate; ShardedNdpClient
-  // then hops to the next replica with the same accumulator.
+  // once `deliver` has refused a chunk or `wanted` has said no (the
+  // caller cancelled, so a failed drain is not resumed), and any error
+  // of a one-shot call (the rpc client's retry policy covers those)
+  // propagate; ShardedNdpClient then hops to the next replica with the
+  // same accumulator.
   void StreamSelect(const std::string& key, const std::string& array,
                     const std::vector<double>& isovalues,
                     const std::vector<std::int64_t>* only_bricks,
                     StreamAccumulator& acc, const StreamDeliverFn& deliver,
-                    const StreamHeaderFn& on_header = {});
+                    const StreamHeaderFn& on_header = {},
+                    const StreamWantedFn& wanted = {});
 
   // Runs the pre-filter remotely and reconstructs the sparse field.
   // Grid geometry comes back in the reply. `stats` may be null.
@@ -258,17 +264,6 @@ class NdpClient : public NdpFetcher {
   // Prometheus exposition), for dashboards that want bytes, not values.
   std::string ScrapeMetricsFormatted(const std::string& format);
 
-  // Drains the storage node's span buffer over the ndp.trace RPC and
-  // merges the events into the local process tracer (for two-process
-  // setups; sampled requests already piggyback their own spans on the
-  // reply, so this catches only material outside any traced request). A
-  // nonzero `trace_id` pulls just that trace. Server timestamps live in
-  // a foreign clock domain, so they are shifted to end at the local
-  // "now" — good enough to read phase nesting, not a cross-node clock
-  // sync (piggybacked spans get the real midpoint alignment instead).
-  // Returns the event count.
-  size_t ScrapeTrace(std::uint64_t trace_id = 0);
-
   // ndp.health scrape: what the storage node is doing right now.
   struct HealthReport {
     bool draining = false;
@@ -300,16 +295,6 @@ class NdpClient : public NdpFetcher {
     double window_p50 = 0;
     double window_p95 = 0;
     double window_p99 = 0;
-    // Per-objective SLO state, present when the node is colocated with
-    // an SloTracker (NdpServer::SetSloStatusFn).
-    struct Slo {
-      std::string name;
-      double budget_remaining = 1.0;
-      double burn_short = 0;
-      double burn_long = 0;
-      bool alerting = false;
-    };
-    std::vector<Slo> slo;
     // Scrub-and-quarantine status (absent on servers without a
     // scrubber; scrub_present stays false then).
     bool scrub_present = false;

@@ -11,7 +11,6 @@
 #include "ndp/bricked_select.h"
 #include "obs/trace.h"
 #include "obs/windowed.h"
-#include "rpc/trace_wire.h"
 
 namespace vizndp::ndp {
 
@@ -384,17 +383,6 @@ void NdpServer::Bind(rpc::Server& server) {
     }
     return SnapshotsToValue(all);
   });
-  // Trace drain: ships (and clears) the storage node's span buffer so
-  // the client can merge the server half of a split-pipeline trace. A
-  // nonzero u64 in params[0] extracts only that trace's spans and leaves
-  // everything else buffered for other requests' scrapes.
-  server.Bind(kRpcNdpTrace, [](const Array& p) -> Value {
-    std::uint64_t trace_id = 0;
-    if (!p.empty() && p.at(0).IsInteger()) trace_id = p.at(0).AsUint();
-    return rpc::EventsToValue(trace_id != 0
-                                  ? obs::GlobalTracer().Extract(trace_id)
-                                  : obs::GlobalTracer().Drain());
-  });
   // Liveness summary: what is executing right now and under which trace,
   // so an operator staring at a slow client can jump straight from
   // "ndp.select, 2.3 s in flight, trace f00d..." to the merged timeline.
@@ -457,21 +445,6 @@ void NdpServer::Bind(rpc::Server& server) {
       window.emplace_back(Value("p99"),
                           Value(obs::SnapshotQuantile(w, 0.99)));
       reply.emplace_back(Value("window"), Value(std::move(window)));
-    }
-    // Per-objective SLO state when a tracker is colocated with this node.
-    if (slo_status_fn_) {
-      Array slo;
-      for (const obs::SloStatus& st : slo_status_fn_()) {
-        Map m;
-        m.emplace_back(Value("name"), Value(st.name));
-        m.emplace_back(Value("budget_remaining"),
-                       Value(st.budget_remaining));
-        m.emplace_back(Value("burn_short"), Value(st.burn_short));
-        m.emplace_back(Value("burn_long"), Value(st.burn_long));
-        m.emplace_back(Value("alerting"), Value(st.alerting));
-        slo.push_back(Value(std::move(m)));
-      }
-      reply.emplace_back(Value("slo"), Value(std::move(slo)));
     }
     // Scrub-and-quarantine status (absent when no scrubber is wired;
     // clients parse the keys they know).

@@ -10,7 +10,9 @@
 // inside — and maintains counters for bytes in/out, selected points,
 // and bricks skipped in metrics(). Bind() additionally exposes
 // the node's telemetry over the wire: ndp.metrics scrapes the metric
-// registries and ndp.trace drains the span buffer.
+// registries and ndp.health reports what the node is doing. A sampled
+// request's spans go back to the client on its own reply (the rpc
+// layer's piggyback), so no RPC drains the span buffer.
 //
 // Integrity: the pre-filter verifies per-brick CRCs and re-reads a
 // failing brick once (see bricked_select.h). A brick that stays corrupt
@@ -20,12 +22,10 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 
 #include "ndp/protocol.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "rpc/server.h"
 #include "storage/file_gateway.h"
 #include "storage/scrubber.h"
@@ -82,16 +82,8 @@ class NdpServer {
     scrubber_ = scrubber;
   }
 
-  // Optional SLO status source surfaced in ndp.health replies — a node
-  // colocated with an SloTracker (or tests) can publish per-objective
-  // budget/burn state to any health prober. Called on the dispatch
-  // thread, so it must be thread-safe (SloTracker::status is).
-  void SetSloStatusFn(std::function<std::vector<obs::SloStatus>()> fn) {
-    slo_status_fn_ = std::move(fn);
-  }
-
-  // Registers ndp.select, ndp.info, ndp.stats, ndp.metrics, and
-  // ndp.trace on `server`.
+  // Registers ndp.select, ndp.info, ndp.stats, ndp.metrics and
+  // ndp.health on `server`.
   void Bind(rpc::Server& server);
 
   // Handler core, exposed for tests: selects interesting points of
@@ -141,7 +133,6 @@ class NdpServer {
   rpc::MemoryBudget* mem_budget_ = nullptr;
   const storage::QuarantineSet* quarantine_ = nullptr;
   const storage::Scrubber* scrubber_ = nullptr;
-  std::function<std::vector<obs::SloStatus>()> slo_status_fn_;
   obs::Registry metrics_;
   obs::Audit stream_cancel_{metrics_, "ndp_stream_cancelled_total", {},
                             "ndp.stream_cancel"};

@@ -179,13 +179,11 @@ inline constexpr const char* kRpcNdpStats = "ndp.stats";
 // Observability scrapes: ndp.metrics returns the storage node's metric
 // registries (NDP + RPC + process substrate) — structured by default, or
 // rendered server-side when params[0] names a format ("text", "json",
-// "prom"). ndp.trace drains the span buffer so a client can merge the
-// server half of a trace into its own; a nonzero u64 in params[0]
-// restricts (and removes) just that trace's spans, leaving the rest
-// buffered. ndp.health summarizes liveness: draining flag, in-flight
-// handler table (method + trace_id + age), and memory-budget usage.
+// "prom"). ndp.health summarizes liveness: draining flag, in-flight
+// handler table (method + trace_id + age), and memory-budget usage. No
+// RPC drains spans: a sampled request's server spans ride back on its
+// own reply (rpc/trace_wire.h).
 inline constexpr const char* kRpcNdpMetrics = "ndp.metrics";
-inline constexpr const char* kRpcNdpTrace = "ndp.trace";
 inline constexpr const char* kRpcNdpHealth = "ndp.health";
 
 }  // namespace vizndp::ndp

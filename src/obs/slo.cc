@@ -167,18 +167,7 @@ std::vector<SloStatus> SloTracker::Evaluate(
       st.clear.Record(detail.str());
     }
     status.alerting = st.alerting;
-    st.last = status;
     out.push_back(std::move(status));
-  }
-  return out;
-}
-
-std::vector<SloStatus> SloTracker::status() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SloStatus> out;
-  out.reserve(states_.size());
-  for (const State& st : states_) {
-    if (st.have_prev) out.push_back(st.last);
   }
   return out;
 }

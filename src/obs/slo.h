@@ -90,11 +90,6 @@ class SloTracker {
   std::vector<SloStatus> Evaluate(const std::vector<MetricSnapshot>& snapshot,
                                   double now_s);
 
-  // Last evaluation's statuses (empty before the first Evaluate).
-  std::vector<SloStatus> status() const;
-
-  const std::vector<SloObjective>& objectives() const { return objectives_; }
-
  private:
   struct Sample {
     double t = 0;
@@ -109,11 +104,10 @@ class SloTracker {
     double prev_total = 0;
     std::deque<Sample> samples{};  // trailing budget_window_s
     bool alerting = false;
-    SloStatus last{};
   };
 
   std::vector<SloObjective> objectives_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::vector<State> states_;
 };
 

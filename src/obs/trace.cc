@@ -146,22 +146,6 @@ std::vector<DrainedEvent> Tracer::Collect(std::uint64_t trace_id) const {
   return out;
 }
 
-std::vector<DrainedEvent> Tracer::Extract(std::uint64_t trace_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<DrainedEvent> out;
-  std::vector<TraceEvent> rest;
-  for (TraceEvent& e : Linearized()) {
-    if (e.trace_id == trace_id) {
-      out.push_back(ToDrained(e, track_names_));
-    } else {
-      rest.push_back(std::move(e));
-    }
-  }
-  events_ = std::move(rest);
-  ring_next_ = 0;
-  return out;
-}
-
 std::vector<DrainedEvent> Tracer::ExtractSubtree(std::uint64_t trace_id,
                                                  std::uint64_t root_span_id) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -7,9 +7,9 @@
 // Distributed traces: when the calling thread carries a TraceContext
 // (see obs/context.h), every Span allocates a span id, parents itself
 // under the context's span, and tags its event with the trace id. The
-// tagged events survive Drain/Inject round trips, so a storage node's
-// spans merge into the client's buffer still carrying their identity,
-// and Collect/Extract can pull one request's spans out of the ring.
+// tagged events survive ExtractSubtree/Inject round trips, so a storage
+// node's spans merge into the client's buffer still carrying their
+// identity, and Collect can copy one request's spans out of the ring.
 //
 // Cost model: a Span always reads the monotonic clock (so phase timings
 // like NdpLoadStats can be populated from spans even when tracing is
@@ -44,8 +44,8 @@ struct TraceEvent {
 };
 
 // A drained event carries its track *name* so it can cross a process
-// boundary (the ndp.trace RPC and the reply piggyback ship these from
-// storage node to client).
+// boundary (the reply piggyback ships these from storage node to
+// client).
 struct DrainedEvent {
   std::string name;
   std::string track;
@@ -100,16 +100,12 @@ class Tracer {
   // Non-destructive copy of the events tagged with `trace_id`.
   std::vector<DrainedEvent> Collect(std::uint64_t trace_id) const;
 
-  // Destructive Collect: removes and returns the events tagged with
-  // `trace_id`, leaving everything else buffered. This is how a reply
-  // piggyback *moves* a request's spans to the client instead of
-  // copying them (so a shared in-proc tracer never sees duplicates).
-  std::vector<DrainedEvent> Extract(std::uint64_t trace_id);
-
-  // Extract narrowed to the descendants of `root_span_id`: only events
-  // whose parent chain leads to the root are moved out. This is what the
-  // reply piggyback actually uses — when client and server share one
-  // in-proc tracer, a plain Extract would also steal the client's
+  // Removes and returns the events of `trace_id` that descend from
+  // `root_span_id`, leaving everything else buffered. This is how a reply
+  // piggyback *moves* one attempt's server spans to the client instead
+  // of copying them (so a shared in-proc tracer never sees duplicates).
+  // Only the subtree moves: when client and server share one in-proc
+  // tracer, taking the whole trace would also steal the client's
   // already-recorded spans from *earlier attempts* of the same trace and
   // re-inject them clock-shifted. The server half of one attempt is
   // exactly the subtree under the request ctx's span.

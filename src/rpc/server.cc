@@ -304,9 +304,10 @@ Bytes Server::Dispatch(ByteSpan request_frame, net::Transport* transport) {
           // Invariant (overload_test pins it): `!busy:` means "the
           // handler never ran, retry blindly". A stream that already
           // emitted chunks has run, so a late budget failure must not
-          // masquerade as a shed — it becomes an ordinary handler error
-          // and the client resumes from its cursor instead of retrying
-          // the whole call.
+          // masquerade as a shed — it becomes an ordinary handler error.
+          // The client sees a plain RpcError, which it does not resume:
+          // NdpClient propagates it, and the sharded walk fails the
+          // fetch as an application error instead of failing over.
           error = std::string("stream failed mid-flight: ") + e.what();
           it->second.handler_error.Record("method=" + method);
         } else {

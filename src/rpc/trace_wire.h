@@ -1,9 +1,8 @@
 // msgpack marshalling for the trace material that crosses the RPC wire:
-// the request ctx map, the reply piggyback's span list, and the
-// ndp.trace drain all share these shapes. Span maps carry the same
-// name/track/ts/dur keys the pre-tracing ndp.trace used, plus the
-// distributed identity ("trace"/"span"/"parent"); readers tolerate the
-// ids being absent so a new client can drain an old server.
+// the request ctx map and the reply piggyback's span list. Span maps
+// carry name/track/ts/dur keys plus the distributed identity
+// ("trace"/"span"/"parent"); readers tolerate the ids being absent and
+// read such a span as untagged.
 #pragma once
 
 #include <vector>

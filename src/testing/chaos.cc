@@ -160,7 +160,7 @@ ChaosReport RunChaos(const ChaosOptions& options) {
 
       std::vector<std::shared_ptr<ndp::NdpClient>> probes;
       for (int i = 0; i < options.servers; ++i) {
-        probes.push_back(cluster.probe_client(i));
+        probes.push_back(cluster.NewNodeClient(i));
       }
       cluster::HealthMonitorOptions mopts;
       mopts.period = options.probe_period;
@@ -176,14 +176,13 @@ ChaosReport RunChaos(const ChaosOptions& options) {
           });
       // The observability plane rides along on its own per-node scrape
       // channels (never the data path, never the probe channels). The
-      // harness drives ScrapeOnce at controlled points instead of
-      // Start(), so every SLO evaluation is schedule-deterministic.
+      // harness sweeps at controlled points, so every SLO evaluation is
+      // schedule-deterministic.
       std::vector<std::shared_ptr<ndp::NdpClient>> scrape_clients;
       for (int i = 0; i < options.servers; ++i) {
         scrape_clients.push_back(cluster.NewNodeClient(i));
       }
       cluster::FleetScraperOptions fleet_opts;
-      fleet_opts.seed = options.seed + static_cast<std::uint64_t>(sched);
       fleet_opts.objectives = {ChaosAvailabilityObjective()};
       cluster::FleetScraper scraper(std::move(scrape_clients), fleet_opts);
 

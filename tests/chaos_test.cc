@@ -160,7 +160,7 @@ TEST(Cluster, KillDetectRouteAroundAndRejoin) {
       cluster.server_client(0)->Contour("ts.vnd", "v02", kIsos);
 
   std::vector<std::shared_ptr<ndp::NdpClient>> probes;
-  for (int i = 0; i < 3; ++i) probes.push_back(cluster.probe_client(i));
+  for (int i = 0; i < 3; ++i) probes.push_back(cluster.NewNodeClient(i));
   HealthMonitorOptions mopts;
   mopts.suspect_after = 1;
   mopts.dead_after = 2;
@@ -219,7 +219,7 @@ TEST(Cluster, ViewEpochsClimbMonotonically) {
   ClusterTestbed cluster(config);
 
   std::vector<std::shared_ptr<ndp::NdpClient>> probes;
-  for (int i = 0; i < 2; ++i) probes.push_back(cluster.probe_client(i));
+  for (int i = 0; i < 2; ++i) probes.push_back(cluster.NewNodeClient(i));
   HealthMonitorOptions mopts;
   mopts.suspect_after = 1;
   mopts.dead_after = 1;
@@ -257,7 +257,7 @@ TEST(Cluster, MonitorThreadDetectsAndHealsOnItsOwn) {
   StoreDataset(cluster.store(), cluster.bucket(), "ts.vnd", 16, 8);
 
   std::vector<std::shared_ptr<ndp::NdpClient>> probes;
-  for (int i = 0; i < 3; ++i) probes.push_back(cluster.probe_client(i));
+  for (int i = 0; i < 3; ++i) probes.push_back(cluster.NewNodeClient(i));
   HealthMonitorOptions mopts;
   mopts.period = std::chrono::milliseconds(10);
   mopts.suspect_after = 1;
@@ -322,12 +322,13 @@ TEST(Cluster, HealthReportsIdentityAndEchoedEpoch) {
   ClusterTestbedConfig config;
   config.servers = 2;
   ClusterTestbed cluster(config);
+  const std::shared_ptr<ndp::NdpClient> probe = cluster.NewNodeClient(0);
 
-  const ndp::NdpClient::HealthReport a = cluster.probe_client(0)->Health(7);
+  const ndp::NdpClient::HealthReport a = probe->Health(7);
   EXPECT_NE(a.node_id, 0u);
   EXPECT_EQ(cluster.ndp_server(0).seen_view_epoch(), 7u);
   // Epochs only ratchet up: an older prober cannot regress the node.
-  (void)cluster.probe_client(0)->Health(3);
+  (void)probe->Health(3);
   EXPECT_EQ(cluster.ndp_server(0).seen_view_epoch(), 7u);
 
   // A restart mints a new identity — the silent-restart tripwire.
@@ -336,7 +337,7 @@ TEST(Cluster, HealthReportsIdentityAndEchoedEpoch) {
   // The very first call after the restart must succeed: the send lands
   // on the stale connection, and ReconnectingTransport re-dials and
   // re-sends transparently (the frame never left, so it is no retry).
-  const ndp::NdpClient::HealthReport b = cluster.probe_client(0)->Health();
+  const ndp::NdpClient::HealthReport b = probe->Health();
   EXPECT_NE(b.node_id, 0u);
   EXPECT_NE(b.node_id, a.node_id);
 }

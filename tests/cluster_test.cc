@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <numeric>
 #include <set>
 
@@ -395,6 +396,74 @@ TEST(Cluster, NoHedgeWhenDisabled) {
       CounterValue("ndp_hedge_launched_total");
   cluster.sharded_client()->Contour("ts.vnd", "v02", kIsos);
   EXPECT_EQ(CounterValue("ndp_hedge_launched_total"), launched_before);
+}
+
+// The hedge delay's ladder, rung by rung: fixed, window, cumulative,
+// floor. cluster_subfetch_seconds (each walk's time to its win) is
+// process-wide, so every expectation is taken from its own snapshot.
+TEST(Cluster, HedgeDelayFollowsItsLadder) {
+  constexpr double kFloorMs = ShardedNdpClient::kHedgeFloorMs;
+  constexpr double kQuantile = ShardedNdpClient::kHedgeQuantile;
+  const auto us = [](double ms) { return static_cast<std::int64_t>(ms * 1e3); };
+  ClusterTestbedConfig config;
+  config.servers = 3;
+  config.replicas = 2;
+  config.client_options.call_timeout = std::chrono::milliseconds(10000);
+  config.sharded.hedge_ms = -1;  // feeds wins, never races
+  ClusterTestbed cluster(config);
+  StoreDataset(cluster.store(), cluster.bucket(), "ts.vnd", 16, 8);
+  const auto with_hedge_ms = [&](double hedge_ms) {
+    ShardedClientOptions options;
+    options.hedge_ms = hedge_ms;
+    return std::make_unique<ShardedNdpClient>(
+        std::vector{cluster.server_client(0), cluster.server_client(1),
+                    cluster.server_client(2)},
+        /*replicas=*/2, options);
+  };
+
+  EXPECT_FALSE(with_hedge_ms(-1)->HedgeDelay().has_value());
+  EXPECT_EQ(with_hedge_ms(40)->HedgeDelay().value().count(), us(40));
+
+  // Reads the delay; never fetches, so never adds a win of its own.
+  const std::unique_ptr<ShardedNdpClient> adaptive = with_hedge_ms(0);
+  obs::WindowedHistogram& wins = obs::DefaultRegistry().GetWindowedHistogram(
+      "cluster_subfetch_seconds", obs::LatencyBounds());
+
+  // Wins faster than the floor: the delay is the floor. They are
+  // observed directly: how long a real in-proc win takes depends on the
+  // host, and a sanitizer build can take longer than the floor.
+  wins.AdvanceEpochsForTest(1000);  // empties the window
+  for (std::uint64_t i = 0; i < ShardedNdpClient::kMinHedgeSamples; ++i) {
+    wins.Observe(1e-3);
+  }
+  const obs::MetricSnapshot fast = wins.WindowSnapshot();
+  ASSERT_LT(1e3 * obs::SnapshotQuantile(fast, kQuantile), kFloorMs);
+  EXPECT_EQ(adaptive->HedgeDelay().value().count(), us(kFloorMs));
+
+  // Every node answers 40 ms late: once kMinHedgeSamples wins slower
+  // than the floor are in the window, its tail sets the delay.
+  for (int i = 0; i < cluster.server_count(); ++i) {
+    cluster.fault(i).ScriptReceive(
+        {net::FaultAction::Delay(std::chrono::milliseconds(40))},
+        /*loop_last=*/true);
+  }
+  const std::uint64_t target =
+      wins.WindowCount() + ShardedNdpClient::kMinHedgeSamples;
+  while (wins.WindowCount() < target) {
+    (void)cluster.sharded_client()->Contour("ts.vnd", "v02", kIsos);
+  }
+  const obs::MetricSnapshot slow = wins.WindowSnapshot();
+  const std::int64_t window_rung =
+      us(std::max(kFloorMs, 1e3 * obs::SnapshotQuantile(slow, kQuantile)));
+  EXPECT_EQ(adaptive->HedgeDelay().value().count(), window_rung);
+  EXPECT_GT(window_rung, us(kFloorMs));
+
+  // The window empties; the cumulative series still holds every win.
+  wins.AdvanceEpochsForTest(1000);
+  ASSERT_EQ(wins.WindowCount(), 0u);
+  EXPECT_EQ(adaptive->HedgeDelay().value().count(),
+            us(std::max(kFloorMs, 1e3 * obs::HistogramQuantile(
+                                            wins.cumulative(), kQuantile))));
 }
 
 // Losing every replica of a shard falls to the unrestricted rescue rung:

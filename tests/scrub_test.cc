@@ -277,8 +277,9 @@ TEST(ClusterHealth, ScrubStatusSurfacesInHealth) {
   writer.SetBrickSize(8);
   writer.WriteToStore(cluster.store(), cluster.bucket(), kKey);
 
+  const std::shared_ptr<ndp::NdpClient> probe = cluster.NewNodeClient(0);
   cluster.scrubber(0).RunPassNow();
-  const auto health = cluster.probe_client(0)->Health();
+  const auto health = probe->Health();
   ASSERT_TRUE(health.scrub_present);
   EXPECT_EQ(health.scrub_passes, 1u);
   EXPECT_GT(health.scrub_bricks_checked, 0u);

@@ -1125,67 +1125,82 @@ TEST(Stream, HedgeLoserContinuesTheWinnersStreamFromItsCursor) {
   EXPECT_GE(hops_to_loser, 1u);
 }
 
-// A hedge loser is told to stop at its first chunk. When its drain
-// then stalls, the error ends the attempt: a select nobody wants is
-// never resumed, so it holds its node's client no longer than the
-// drain and adds no resume to the ladder's accounting.
+// A hedge loser is never resumed, so it holds its node's client no
+// longer than its own call and adds no resume to the ladder's
+// accounting. It learns that it lost at its first chunk, when its
+// deliver is refused, or, if it fails before any chunk, when it asks the
+// walk whether to resume. The primary's stall comes either in the drain
+// after its refused chunk (its terminal is late) or before its header
+// (its first frame is late).
 TEST(Stream, HedgeLoserWhoseDrainStallsIsNotResumed) {
   const cluster::ShardMap map(2, 2);
   const int primary = map.ShardOfKey("mono.vnd");
   const int backup = 1 - primary;
-  Gate gate;  // the primary's channel
-  ClusterTestbedConfig config;
-  config.servers = 2;
-  config.replicas = 2;
-  config.client_options.call_timeout = 5000ms;
-  config.client_options.retry.base_delay = 200us;
-  config.client_options.retry.jitter = 0.0;
-  config.decorate = [&](net::TransportPtr inner, int server) {
-    return server == primary
-               ? std::make_unique<GateTransport>(std::move(inner), gate)
-               : std::move(inner);
+  struct Case {
+    const char* stalls;
+    std::vector<net::FaultAction> primary_receives;
   };
-  ClusterTestbed cluster(config);
-  StoreDataset(cluster.store(), cluster.bucket(), "mono.vnd", 24,
-               /*brick_edge=*/0);
-  const contour::PolyData reference =
-      cluster.server_client(backup)->Contour("mono.vnd", "v02", kIsos);
+  const std::vector<Case> cases = {
+      {"in the drain",
+       {net::FaultAction::Pass(), net::FaultAction::Pass(),
+        net::FaultAction::Delay(3s)}},
+      {"before the header", {net::FaultAction::Delay(3s)}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string("the primary stalls ") + c.stalls);
+    Gate gate;  // the primary's channel
+    ClusterTestbedConfig config;
+    config.servers = 2;
+    config.replicas = 2;
+    config.client_options.call_timeout = 5000ms;
+    config.client_options.retry.base_delay = 200us;
+    config.client_options.retry.jitter = 0.0;
+    config.decorate = [&](net::TransportPtr inner, int server) {
+      return server == primary
+                 ? std::make_unique<GateTransport>(std::move(inner), gate)
+                 : std::move(inner);
+    };
+    ClusterTestbed cluster(config);
+    StoreDataset(cluster.store(), cluster.bucket(), "mono.vnd", 24,
+                 /*brick_edge=*/0);
+    const contour::PolyData reference =
+        cluster.server_client(backup)->Contour("mono.vnd", "v02", kIsos);
 
-  cluster::ShardedClientOptions options;
-  options.hedge_ms = 30;
-  auto sharded = std::make_unique<cluster::ShardedNdpClient>(
-      std::vector{cluster.server_client(0), cluster.server_client(1)},
-      /*replicas=*/2, options);
-  (void)sharded->Info("mono.vnd");  // cached before faults
-  StreamOptions so;
-  so.chunk_bricks = 4;
-  so.chunk_timeout = 1s;
-  so.max_resumes = 2;
-  sharded->SetStream(so);
-  // The primary stays shut until the backup has delivered, so the
-  // hedge wins. The primary then gets its header and its one data
-  // chunk, which is refused, and its terminal comes too late for the
-  // chunk deadline: the drain stalls.
-  gate.Set(/*now_shut=*/true);
-  cluster.fault(primary).ScriptReceive(
-      {net::FaultAction::Pass(), net::FaultAction::Pass(),
-       net::FaultAction::Delay(3s)});
-  cluster.server_client(backup)->SetStreamProgress(
-      [&](const StreamProgress&) { gate.Set(/*now_shut=*/false); });
+    cluster::ShardedClientOptions options;
+    options.hedge_ms = 30;
+    auto sharded = std::make_unique<cluster::ShardedNdpClient>(
+        std::vector{cluster.server_client(0), cluster.server_client(1)},
+        /*replicas=*/2, options);
+    (void)sharded->Info("mono.vnd");  // cached before faults
+    StreamOptions so;
+    so.chunk_bricks = 4;
+    so.chunk_timeout = 1s;
+    so.max_resumes = 2;
+    sharded->SetStream(so);
+    // The primary stays shut until the backup has delivered, so the
+    // hedge wins. Then the primary's late frame outlives the chunk
+    // deadline: in the drain, after its header and its one data chunk
+    // (which is refused), or at its header, before it delivers anything.
+    gate.Set(/*now_shut=*/true);
+    cluster.fault(primary).ScriptReceive(c.primary_receives);
+    cluster.server_client(backup)->SetStreamProgress(
+        [&](const StreamProgress&) { gate.Set(/*now_shut=*/false); });
 
-  const std::uint64_t won_before = CounterValue("ndp_hedge_won_total");
-  const std::uint64_t resumes_before = CounterValue("ndp_stream_resume_total");
-  const std::uint64_t seq = obs::GlobalEventLog().LastSeq();
-  const contour::PolyData streamed =
-      sharded->Contour("mono.vnd", "v02", kIsos);
-  sharded.reset();  // joins the parked loser once its drain has ended
+    const std::uint64_t won_before = CounterValue("ndp_hedge_won_total");
+    const std::uint64_t resumes_before =
+        CounterValue("ndp_stream_resume_total");
+    const std::uint64_t seq = obs::GlobalEventLog().LastSeq();
+    const contour::PolyData streamed =
+        sharded->Contour("mono.vnd", "v02", kIsos);
+    sharded.reset();  // joins the parked loser once its call has ended
 
-  EXPECT_TRUE(streamed.GeometricallyEquals(reference, 0.0));
-  EXPECT_EQ(CounterValue("ndp_hedge_won_total"), won_before + 1);
-  // The loser's drain really stalled, and nothing resumed it.
-  EXPECT_GE(obs::GlobalEventLog().CountSince("rpc.stream_stall", seq), 1u);
-  EXPECT_EQ(obs::GlobalEventLog().CountSince("ndp.stream_resume", seq), 0u);
-  EXPECT_EQ(CounterValue("ndp_stream_resume_total"), resumes_before);
+    EXPECT_TRUE(streamed.GeometricallyEquals(reference, 0.0));
+    EXPECT_EQ(CounterValue("ndp_hedge_won_total"), won_before + 1);
+    // The loser really stalled, and nothing resumed it.
+    EXPECT_GE(obs::GlobalEventLog().CountSince("rpc.stream_stall", seq), 1u);
+    EXPECT_EQ(obs::GlobalEventLog().CountSince("ndp.stream_resume", seq), 0u);
+    EXPECT_EQ(CounterValue("ndp_stream_resume_total"), resumes_before);
+  }
 }
 
 // A hop prefers an untried replica over one whose attempt is still

@@ -324,7 +324,7 @@ TEST(TraceChoreography, FaultyFetchYieldsAttemptSpansWireLegsAndEventSequence) {
             2u);
 
   // The merged timeline exports exactly what `vizndp_tool fetch
-  // --trace-merged` writes: all three tracks plus this trace's id.
+  // --trace` writes: all three tracks plus this trace's id.
   const std::string json = obs::GlobalTracer().ChromeJson();
   for (const char* track : {"client", "server", "wire"}) {
     EXPECT_NE(json.find("\"name\":\"" + std::string(track) + "\""),
@@ -533,38 +533,6 @@ TEST(TraceHealth, InflightTableNamesBlockedHandlerWithItsTraceId) {
   }
   s1.join();
   s2.join();
-}
-
-// ---------------------------------------------------------------------
-// ndp.trace with a trace_id filter moves exactly that trace's events.
-// ---------------------------------------------------------------------
-
-TEST(TraceScrape, TraceRpcFiltersByTraceIdAndLeavesTheRest) {
-  ObsGuard guard;
-  storage::MemoryObjectStore store;
-  store.CreateBucket("data");
-  rpc::Server server;
-  ndp::NdpServer ndp_server{storage::FileGateway(store, "data")};
-  ndp_server.Bind(server);
-  net::TransportPair pair = net::CreateInProcPair();
-  std::thread serve([&, t = std::move(pair.b)] { server.ServeTransport(*t); });
-
-  using Ids = obs::Tracer::SpanIds;
-  obs::GlobalTracer().Inject("server", "x.read", 10, 5, Ids{111, 1001, 0});
-  obs::GlobalTracer().Inject("server", "x.scan", 20, 5, Ids{111, 1002, 1001});
-  obs::GlobalTracer().Inject("server", "y.read", 30, 5, Ids{222, 2001, 0});
-
-  {
-    ndp::NdpClient ndp(std::make_shared<rpc::Client>(std::move(pair.a)),
-                       "data");
-    EXPECT_EQ(ndp.ScrapeTrace(111), 2u);
-  }
-  serve.join();
-
-  // Trace 111 moved out of the "server's" buffer and back in through the
-  // client-side merge; 222 never left.
-  EXPECT_EQ(obs::GlobalTracer().Collect(111).size(), 2u);
-  EXPECT_EQ(obs::GlobalTracer().Collect(222).size(), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -254,10 +254,13 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   rm -rf "$E2E_DIR"
   trap - EXIT
 
-  stage "tsan e2e: fetch --trace-merged over TCP with faults"
+  stage "tsan e2e: fetch --trace over TCP with faults"
   # Real two-process run of the distributed-tracing path: a TCP storage
-  # node, a lossy client connection, and a merged-timeline export. The
-  # grep asserts the file is Chrome-tracing JSON with all three tracks.
+  # node, a lossy client connection, and a merged-timeline export. An
+  # untraced fetch goes first, so the node's span ring also holds
+  # another request's spans. The greps assert the file is Chrome-tracing
+  # JSON with all three tracks, and holds only this fetch: exactly one
+  # server-side ndp.select span, the one its reply carried back.
   E2E_DIR="$(mktemp -d)"
   trap 'kill "${SERVE_PID:-}" 2> /dev/null || true; rm -rf "$E2E_DIR"' EXIT
   mkdir -p "$E2E_DIR/data"
@@ -267,14 +270,18 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   SERVE_PID=$!
   sleep 1
   ./build-tsan/tools/vizndp_tool fetch --port 47899 --key ts.vnd \
+    --array v02 --iso 0.5 --timeout-ms 5000 > /dev/null
+  ./build-tsan/tools/vizndp_tool fetch --port 47899 --key ts.vnd \
     --array v02 --iso 0.5 --timeout-ms 5000 --retries 2 \
-    --fault send.drop*1 --trace-merged "$E2E_DIR/trace.json"
+    --fault send.drop*1 --trace "$E2E_DIR/trace.json"
   kill -INT "$SERVE_PID"
   wait "$SERVE_PID"
   grep -q '"traceEvents"' "$E2E_DIR/trace.json"
   for track in client server wire; do
     grep -q "\"name\":\"$track\"" "$E2E_DIR/trace.json"
   done
+  SELECTS="$(grep -o '"name":"ndp.select"' "$E2E_DIR/trace.json" | wc -l)"
+  [[ "$SELECTS" -eq 1 ]]
   rm -rf "$E2E_DIR"
   trap - EXIT
 
