@@ -101,6 +101,21 @@ void BM_SparseFieldContour(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseFieldContour);
 
+// The sparse contour alone, over a field built and scattered once.
+void BM_SparseFieldContourOnly(benchmark::State& state) {
+  const grid::Dataset& ds = ImpactData();
+  const double isos[] = {0.1};
+  const grid::DataArray& v02 = ds.GetArray("v02");
+  const contour::SparseField field = contour::SparseField::FromSelection(
+      contour::SelectInterestingPoints(ds.dims(), v02, isos), v02.type());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(field.Contour(ds.geometry(), isos));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          field.ValidCount());
+}
+BENCHMARK(BM_SparseFieldContourOnly);
+
 void BM_SelectionEncode(benchmark::State& state) {
   const grid::Dataset& ds = ImpactData();
   const double isos[] = {0.1};

@@ -1,12 +1,14 @@
 // Internal marching-squares cell processor, shared by the dense filter
 // (marching_squares.cc) and the NDP post-filter's 2D sparse path
 // (sparse_field.cc) — mirroring mc_core.h so both paths emit identical
-// geometry from identical inputs.
+// geometry from identical inputs. Edge vertices are shared through
+// mc_core.h's EdgeWindow, one dimension down: two point rows, j and j+1,
+// with 2 slots per point (16 * nx bytes).
 #pragma once
 
-#include <unordered_map>
+#include <array>
 
-#include "contour/mc_core.h"  // detail::Inside
+#include "contour/mc_core.h"  // detail::Inside, detail::EdgeWindow
 #include "contour/polydata.h"
 #include "grid/dims.h"
 
@@ -43,14 +45,31 @@ class SquareCellProcessor {
  public:
   SquareCellProcessor(const grid::Dims& dims, const Geo& geo, const T* values,
                       PolyData& out)
-      : dims_(dims), geo_(geo), values_(values), out_(out) {}
+      : dims_(dims),
+        geo_(geo),
+        values_(values),
+        out_(out),
+        window_(2 * dims.nx, out) {
+    for (size_t e = 0; e < 4; ++e) {
+      std::uint8_t lo = static_cast<std::uint8_t>(kSqEdgeCorners[e][0]);
+      std::uint8_t hi = static_cast<std::uint8_t>(kSqEdgeCorners[e][1]);
+      if (dims.Index(kCornerOffsets[lo][0], kCornerOffsets[lo][1]) >
+          dims.Index(kCornerOffsets[hi][0], kCornerOffsets[hi][1])) {
+        std::swap(lo, hi);
+      }
+      const auto& a = kCornerOffsets[lo];
+      const int axis = a[0] != kCornerOffsets[hi][0] ? 0 : 1;
+      edges_[e] = {lo, hi, a[1], a[0] * 2 + axis};
+    }
+  }
 
   void BeginIsovalue(double iso) {
     iso_ = iso;
-    edge_vertices_.clear();
+    window_.Reset();
   }
 
   void ProcessCell(std::int64_t i, std::int64_t j) {
+    window_.MoveTo(j);
     const grid::PointId corner_ids[4] = {
         dims_.Index(i, j), dims_.Index(i + 1, j), dims_.Index(i + 1, j + 1),
         dims_.Index(i, j + 1)};
@@ -64,7 +83,8 @@ class SquareCellProcessor {
     if (case_index == 0 || case_index == 15) return;
 
     const auto emit = [&](int ea, int eb) {
-      out_.AddLine(VertexOnEdge(ea, corner_ids), VertexOnEdge(eb, corner_ids));
+      out_.AddLine(VertexOnEdge(ea, i, j, corner_values),
+                   VertexOnEdge(eb, i, j, corner_values));
     };
     if (case_index == 5 || case_index == 10) {
       const double center = 0.25 * (corner_values[0] + corner_values[1] +
@@ -96,22 +116,28 @@ class SquareCellProcessor {
   }
 
  private:
-  PolyData::Index VertexOnEdge(int e, const grid::PointId* corner_ids) {
-    grid::PointId pa = corner_ids[kSqEdgeCorners[static_cast<size_t>(e)][0]];
-    grid::PointId pb = corner_ids[kSqEdgeCorners[static_cast<size_t>(e)][1]];
-    if (pa > pb) std::swap(pa, pb);
-    const int axis = (pb - pa == 1) ? 0 : 1;
-    const std::int64_t key = pa * 2 + axis;
-    const auto [it, inserted] = edge_vertices_.try_emplace(key, 0);
-    if (!inserted) return it->second;
-    const double va = static_cast<double>(values_[pa]);
-    const double vb = static_cast<double>(values_[pb]);
-    const double t = (iso_ - va) / (vb - va);
-    const auto a_pos = geo_.PointPosition(dims_, pa);
-    const auto b_pos = geo_.PointPosition(dims_, pb);
-    it->second = out_.AddPoint({a_pos[0] + t * (b_pos[0] - a_pos[0]),
-                                a_pos[1] + t * (b_pos[1] - a_pos[1]), 0.0});
-    return it->second;
+  // A cell edge from its lower corner (smaller point id) to its upper one.
+  struct Edge {
+    std::uint8_t lo;
+    std::uint8_t hi;
+    std::uint8_t layer;  // window layer of `lo`: 0 is row j, 1 is j+1
+    std::int64_t slot;   // slot offset from the cell's own within a layer
+  };
+
+  PolyData::Index VertexOnEdge(int e, std::int64_t i, std::int64_t j,
+                               const double* corner_values) {
+    const Edge& edge = edges_[static_cast<size_t>(e)];
+    return window_.Vertex(edge.layer, i * 2 + edge.slot, [&] {
+      const double va = corner_values[edge.lo];
+      const double vb = corner_values[edge.hi];
+      const double t = (iso_ - va) / (vb - va);
+      const auto& a = kCornerOffsets[edge.lo];
+      const auto& b = kCornerOffsets[edge.hi];
+      const auto a_pos = geo_.PointPosition(i + a[0], j + a[1], 0);
+      const auto b_pos = geo_.PointPosition(i + b[0], j + b[1], 0);
+      return out_.AddPoint({a_pos[0] + t * (b_pos[0] - a_pos[0]),
+                            a_pos[1] + t * (b_pos[1] - a_pos[1]), 0.0});
+    });
   }
 
   grid::Dims dims_;
@@ -119,7 +145,8 @@ class SquareCellProcessor {
   const T* values_;
   PolyData& out_;
   double iso_ = 0.0;
-  std::unordered_map<std::int64_t, PolyData::Index> edge_vertices_;
+  std::array<Edge, 4> edges_{};
+  EdgeWindow window_;
 };
 
 }  // namespace vizndp::contour::detail

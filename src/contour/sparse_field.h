@@ -6,7 +6,10 @@
 //
 // Memory follows the selection, not the grid: only the pages Scatter
 // writes become resident, plus the validity bitmap of one bit per grid
-// point (2 MiB at 256^3).
+// point (2 MiB at 256^3). Each Contour call adds its cell processor's
+// edge-vertex window of two point slices, 24 * nx * ny bytes (1.5 MiB at
+// 256^2; see mc_core.h), which is smaller than the bitmap only when
+// nz > 192.
 #pragma once
 
 #include <memory>

@@ -61,11 +61,11 @@ struct UniformGeometry {
   std::array<double, 3> origin = {0.0, 0.0, 0.0};
   std::array<double, 3> spacing = {1.0, 1.0, 1.0};
 
-  std::array<double, 3> PointPosition(const Dims& dims, PointId id) const {
-    const auto c = dims.Coords(id);
-    return {origin[0] + spacing[0] * static_cast<double>(c[0]),
-            origin[1] + spacing[1] * static_cast<double>(c[1]),
-            origin[2] + spacing[2] * static_cast<double>(c[2])};
+  std::array<double, 3> PointPosition(std::int64_t i, std::int64_t j,
+                                      std::int64_t k) const {
+    return {origin[0] + spacing[0] * static_cast<double>(i),
+            origin[1] + spacing[1] * static_cast<double>(j),
+            origin[2] + spacing[2] * static_cast<double>(k)};
   }
 
   constexpr bool operator==(const UniformGeometry&) const = default;

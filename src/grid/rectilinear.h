@@ -35,10 +35,11 @@ class RectilinearGeometry {
                      "coordinate arrays do not match grid dims");
   }
 
-  std::array<double, 3> PointPosition(const Dims& dims, PointId id) const {
-    const auto c = dims.Coords(id);
-    return {x_[static_cast<size_t>(c[0])], y_[static_cast<size_t>(c[1])],
-            z_[static_cast<size_t>(c[2])]};
+  // Point (i, j, k) sits at (x[i], y[j], z[k]).
+  std::array<double, 3> PointPosition(std::int64_t i, std::int64_t j,
+                                      std::int64_t k) const {
+    return {x_[static_cast<size_t>(i)], y_[static_cast<size_t>(j)],
+            z_[static_cast<size_t>(k)]};
   }
 
   const std::vector<double>& x() const { return x_; }

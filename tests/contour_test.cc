@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <random>
 #include <set>
 #include <string>
+#include <unordered_map>
 
 #include "contour/components.h"
 #include "contour/contour_filter.h"
@@ -14,6 +16,7 @@
 #include "contour/ms_core.h"
 #include "contour/select.h"
 #include "contour/sparse_field.h"
+#include "grid/rectilinear.h"
 
 namespace vizndp::contour {
 namespace {
@@ -516,6 +519,363 @@ TEST_P(SparseEquivalence2DTest, NdpContourMatchesDense2D) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseEquivalence2DTest,
                          ::testing::Range(3000u, 3010u));
+
+// Reference cell processors, independent of the ones under test: edge
+// vertices are deduplicated in a hash map keyed by (lower point id, axis)
+// and positioned from the point ids. The dense filters and the sparse
+// post-filter share one processor, so comparing them with each other
+// cannot catch a dedup bug common to both; comparing each with these can.
+template <typename Geo>
+std::array<double, 3> PositionOfId(const grid::Dims& d, const Geo& geo,
+                                   grid::PointId id) {
+  const auto [i, j, k] = d.Coords(id);
+  return geo.PointPosition(i, j, k);
+}
+
+template <typename T, typename Geo>
+class RefCellProcessor {
+ public:
+  RefCellProcessor(const grid::Dims& dims, const Geo& geo, const T* values,
+                   PolyData& out)
+      : dims_(dims), geo_(geo), values_(values), out_(out) {}
+
+  void BeginIsovalue(double iso) {
+    iso_ = iso;
+    edge_vertices_.clear();
+  }
+
+  void ProcessCell(std::int64_t i, std::int64_t j, std::int64_t k) {
+    grid::PointId corner_ids[8];
+    T corner_values[8];
+    unsigned case_index = 0;
+    for (int c = 0; c < 8; ++c) {
+      const auto& off = kCornerOffsets[static_cast<size_t>(c)];
+      const grid::PointId id = dims_.Index(i + off[0], j + off[1], k + off[2]);
+      corner_ids[c] = id;
+      corner_values[c] = values_[id];
+      if (detail::Inside(corner_values[c], iso_)) case_index |= 1u << c;
+    }
+    const std::uint16_t edge_mask = kMcEdgeTable[case_index];
+    if (edge_mask == 0) return;
+    PolyData::Index edge_point[12];
+    for (int e = 0; e < 12; ++e) {
+      if (edge_mask & (1u << e)) {
+        edge_point[e] = VertexOnEdge(e, corner_ids, corner_values);
+      }
+    }
+    const auto& tris = kMcTriTable[case_index];
+    for (int t = 0; tris[static_cast<size_t>(t)] != -1; t += 3) {
+      out_.AddTriangle(edge_point[tris[static_cast<size_t>(t)]],
+                       edge_point[tris[static_cast<size_t>(t + 1)]],
+                       edge_point[tris[static_cast<size_t>(t + 2)]]);
+    }
+  }
+
+ private:
+  PolyData::Index VertexOnEdge(int e, const grid::PointId* corner_ids,
+                               const T* corner_values) {
+    const int ca = kEdgeCorners[static_cast<size_t>(e)][0];
+    const int cb = kEdgeCorners[static_cast<size_t>(e)][1];
+    grid::PointId pa = corner_ids[ca];
+    grid::PointId pb = corner_ids[cb];
+    double va = static_cast<double>(corner_values[ca]);
+    double vb = static_cast<double>(corner_values[cb]);
+    if (pa > pb) {
+      std::swap(pa, pb);
+      std::swap(va, vb);
+    }
+    const std::int64_t stride = pb - pa;
+    const int axis = stride == 1 ? 0 : (stride == dims_.nx ? 1 : 2);
+    const auto [it, inserted] = edge_vertices_.try_emplace(pa * 3 + axis, 0);
+    if (!inserted) return it->second;
+    const double t = (iso_ - va) / (vb - va);
+    const auto a_pos = PositionOfId(dims_, geo_, pa);
+    const auto b_pos = PositionOfId(dims_, geo_, pb);
+    it->second = out_.AddPoint({a_pos[0] + t * (b_pos[0] - a_pos[0]),
+                                a_pos[1] + t * (b_pos[1] - a_pos[1]),
+                                a_pos[2] + t * (b_pos[2] - a_pos[2])});
+    return it->second;
+  }
+
+  grid::Dims dims_;
+  const Geo& geo_;
+  const T* values_;
+  PolyData& out_;
+  double iso_ = 0.0;
+  std::unordered_map<std::int64_t, PolyData::Index> edge_vertices_;
+};
+
+template <typename T, typename Geo>
+class RefSquareCellProcessor {
+ public:
+  RefSquareCellProcessor(const grid::Dims& dims, const Geo& geo,
+                         const T* values, PolyData& out)
+      : dims_(dims), geo_(geo), values_(values), out_(out) {}
+
+  void BeginIsovalue(double iso) {
+    iso_ = iso;
+    edge_vertices_.clear();
+  }
+
+  void ProcessCell(std::int64_t i, std::int64_t j) {
+    const grid::PointId corner_ids[4] = {
+        dims_.Index(i, j), dims_.Index(i + 1, j), dims_.Index(i + 1, j + 1),
+        dims_.Index(i, j + 1)};
+    double corner_values[4];
+    unsigned case_index = 0;
+    for (int c = 0; c < 4; ++c) {
+      corner_values[c] = static_cast<double>(values_[corner_ids[c]]);
+      if (detail::Inside(corner_values[c], iso_)) case_index |= 1u << c;
+    }
+    if (case_index == 0 || case_index == 15) return;
+    const auto emit = [&](int ea, int eb) {
+      out_.AddLine(VertexOnEdge(ea, corner_ids), VertexOnEdge(eb, corner_ids));
+    };
+    if (case_index == 5 || case_index == 10) {
+      const double center = 0.25 * (corner_values[0] + corner_values[1] +
+                                    corner_values[2] + corner_values[3]);
+      const bool center_inside = detail::Inside(center, iso_);
+      if (case_index == 5) {
+        if (center_inside) {
+          emit(3, 2);
+          emit(1, 0);
+        } else {
+          emit(3, 0);
+          emit(1, 2);
+        }
+      } else {
+        if (center_inside) {
+          emit(0, 3);
+          emit(2, 1);
+        } else {
+          emit(0, 1);
+          emit(2, 3);
+        }
+      }
+      return;
+    }
+    const auto& segs = detail::kSqSegments[case_index];
+    for (int s = 0; segs[static_cast<size_t>(s)] != -1; s += 2) {
+      emit(segs[static_cast<size_t>(s)], segs[static_cast<size_t>(s + 1)]);
+    }
+  }
+
+ private:
+  PolyData::Index VertexOnEdge(int e, const grid::PointId* corner_ids) {
+    grid::PointId pa =
+        corner_ids[detail::kSqEdgeCorners[static_cast<size_t>(e)][0]];
+    grid::PointId pb =
+        corner_ids[detail::kSqEdgeCorners[static_cast<size_t>(e)][1]];
+    if (pa > pb) std::swap(pa, pb);
+    const int axis = (pb - pa == 1) ? 0 : 1;
+    const auto [it, inserted] = edge_vertices_.try_emplace(pa * 2 + axis, 0);
+    if (!inserted) return it->second;
+    const double va = static_cast<double>(values_[pa]);
+    const double vb = static_cast<double>(values_[pb]);
+    const double t = (iso_ - va) / (vb - va);
+    const auto a_pos = PositionOfId(dims_, geo_, pa);
+    const auto b_pos = PositionOfId(dims_, geo_, pb);
+    it->second = out_.AddPoint({a_pos[0] + t * (b_pos[0] - a_pos[0]),
+                                a_pos[1] + t * (b_pos[1] - a_pos[1]), 0.0});
+    return it->second;
+  }
+
+  grid::Dims dims_;
+  const Geo& geo_;
+  const T* values_;
+  PolyData& out_;
+  double iso_ = 0.0;
+  std::unordered_map<std::int64_t, PolyData::Index> edge_vertices_;
+};
+
+// The reference contour of `values` in cell-scan order; with `field`, only
+// over the cells all of whose corners the field holds, as the sparse
+// post-filter visits them.
+template <typename T, typename Geo>
+PolyData ReferenceContour(const grid::Dims& d, const Geo& geo,
+                          const std::vector<T>& values,
+                          std::span<const double> isos,
+                          const SparseField* field = nullptr) {
+  const auto complete = [&](std::int64_t i, std::int64_t j, std::int64_t k) {
+    const size_t corners = d.Is2D() ? 4 : 8;
+    for (size_t c = 0; field != nullptr && c < corners; ++c) {
+      const auto& off = kCornerOffsets[c];
+      if (!field->IsValid(d.Index(i + off[0], j + off[1], k + off[2]))) {
+        return false;
+      }
+    }
+    return true;
+  };
+  PolyData out;
+  if (d.Is2D()) {
+    RefSquareCellProcessor<T, Geo> processor(d, geo, values.data(), out);
+    for (const double iso : isos) {
+      processor.BeginIsovalue(iso);
+      for (std::int64_t j = 0; j + 1 < d.ny; ++j) {
+        for (std::int64_t i = 0; i + 1 < d.nx; ++i) {
+          if (complete(i, j, 0)) processor.ProcessCell(i, j);
+        }
+      }
+    }
+    return out;
+  }
+  RefCellProcessor<T, Geo> processor(d, geo, values.data(), out);
+  for (const double iso : isos) {
+    processor.BeginIsovalue(iso);
+    for (std::int64_t k = 0; k + 1 < d.nz; ++k) {
+      for (std::int64_t j = 0; j + 1 < d.ny; ++j) {
+        for (std::int64_t i = 0; i + 1 < d.nx; ++i) {
+          if (complete(i, j, k)) processor.ProcessCell(i, j, k);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Exact equality: every point's bits in the same order, and the same
+// triangles and lines over the same indices.
+void ExpectIdentical(const PolyData& got, const PolyData& want) {
+  const auto bits = [](const Vec3& p) {
+    return std::array<std::uint64_t, 3>{std::bit_cast<std::uint64_t>(p.x),
+                                        std::bit_cast<std::uint64_t>(p.y),
+                                        std::bit_cast<std::uint64_t>(p.z)};
+  };
+  ASSERT_EQ(got.PointCount(), want.PointCount());
+  for (size_t p = 0; p < got.PointCount(); ++p) {
+    ASSERT_EQ(bits(got.points()[p]), bits(want.points()[p])) << "point " << p;
+  }
+  EXPECT_EQ(got.triangles(), want.triangles());
+  EXPECT_EQ(got.lines(), want.lines());
+}
+
+template <typename T>
+std::vector<T> RandomField(const grid::Dims& d, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<T> f(static_cast<size_t>(d.PointCount()));
+  for (auto& v : f) v = static_cast<T>(rng() % 1000) / static_cast<T>(999);
+  return f;
+}
+
+grid::RectilinearGeometry RandomStretch(const grid::Dims& d, unsigned seed) {
+  std::mt19937 rng(seed);
+  const auto axis = [&](std::int64_t n) {
+    std::vector<double> c(static_cast<size_t>(n));
+    for (size_t i = 1; i < c.size(); ++i) {
+      c[i] = c[i - 1] + 0.25 + static_cast<double>(rng() % 100) / 37.0;
+    }
+    return c;
+  };
+  return grid::RectilinearGeometry(axis(d.nx), axis(d.ny), axis(d.nz));
+}
+
+// The dense filter, and the post-filter over the pre-filter's selection,
+// each equal the reference contour exactly.
+template <typename T, typename Geo>
+void ExpectMatchesReference(const grid::Dims& d, const Geo& geo,
+                            const std::vector<T>& f,
+                            const std::vector<double>& isos) {
+  const auto a = grid::DataArray::FromVector("f", f);
+  const PolyData dense =
+      d.Is2D() ? MarchingSquares(d, geo, a, isos) : MarchingCubes(d, geo, a, isos);
+  ExpectIdentical(dense, ReferenceContour(d, geo, f, isos));
+  const SparseField sparse =
+      SparseField::FromSelection(SelectInterestingPoints(d, a, isos), a.type());
+  ExpectIdentical(sparse.Contour(geo, isos),
+                  ReferenceContour(d, geo, f, isos, &sparse));
+}
+
+template <typename T>
+void ExpectMatchesReferenceOnBothGeometries(const grid::Dims& d,
+                                            unsigned seed,
+                                            const std::vector<double>& isos) {
+  SCOPED_TRACE(d.ToString() + " seed " + std::to_string(seed) +
+               (sizeof(T) == 4 ? " float32" : " float64"));
+  const std::vector<T> f = RandomField<T>(d, seed);
+  ExpectMatchesReference(d, grid::UniformGeometry{{1.0, -2.0, 0.5},
+                                                  {0.3, 1.7, 2.0}},
+                         f, isos);
+  ExpectMatchesReference(d, RandomStretch(d, seed), f, isos);
+}
+
+class ReferenceEquivalenceTest : public ::testing::TestWithParam<unsigned> {};
+
+// The edge-vertex window against the hash-map reference on the
+// SparseEquivalence seeds: 3D and 2D, float32 and float64, uniform and
+// rectilinear, dense and sparse.
+TEST_P(ReferenceEquivalenceTest, DenseAndSparseMatchTheReferenceExactly) {
+  const std::vector<double> isos = {0.15, 0.5, 0.85};
+  for (const grid::Dims d : {grid::Dims{13, 11, 9}, grid::Dims{17, 13, 1}}) {
+    ExpectMatchesReferenceOnBothGeometries<float>(d, GetParam(), isos);
+    ExpectMatchesReferenceOnBothGeometries<double>(d, GetParam(), isos);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceEquivalenceTest,
+                         ::testing::Range(2000u, 2016u));
+
+TEST(ReferenceEquivalence, ThinGridsAndIsovaluesCrossingTheSameEdges) {
+  // The repeated isovalue crosses exactly the edges of the first pass, so
+  // its vertices must be new ones. On grids two points thick along z (or
+  // y in 2D) every pass stays in one window, which only BeginIsovalue
+  // resets.
+  const std::vector<double> isos = {0.5, 0.5, 0.3};
+  for (const grid::Dims d :
+       {grid::Dims{2, 2, 2}, grid::Dims{2, 7, 6}, grid::Dims{7, 2, 6},
+        grid::Dims{7, 6, 2}, grid::Dims{2, 2, 1}, grid::Dims{2, 9, 1},
+        grid::Dims{9, 2, 1}}) {
+    for (unsigned seed = 0; seed < 8; ++seed) {
+      ExpectMatchesReferenceOnBothGeometries<float>(d, seed, isos);
+      ExpectMatchesReferenceOnBothGeometries<double>(d, seed, isos);
+    }
+  }
+}
+
+TEST(ReferenceEquivalence, SparseWalkThatSkipsASlabOrRow) {
+  // Complete cells in slab (3D) or row (2D) 2 at i % 4 == 0, and in 4 at
+  // i % 4 == 1, none in 3: the walk jumps from 2 to 4, and both visit the
+  // edges on columns i % 4 == 1 at the same (i, j) slots.
+  const std::vector<double> isos = {0.2, 0.5, 0.8};
+  for (const grid::Dims d : {grid::Dims{14, 9, 8}, grid::Dims{14, 8, 1}}) {
+    const std::vector<float> f = RandomField<float>(d, 77);
+    SparseField field(d, grid::DataType::Float32);
+    std::vector<grid::PointId> ids;
+    std::vector<float> vals;
+    for (grid::PointId id = 0; id < d.PointCount(); ++id) {
+      const auto [i, j, k] = d.Coords(id);
+      const std::int64_t layer = d.Is2D() ? j : k;
+      if (((layer == 2 || layer == 3) && i % 4 <= 1) ||
+          ((layer == 4 || layer == 5) && (i % 4 == 1 || i % 4 == 2))) {
+        ids.push_back(id);
+        vals.push_back(f[static_cast<size_t>(id)]);
+      }
+    }
+    field.Scatter(ids, grid::DataArray::FromVector("v", vals));
+
+    std::set<std::int64_t> layers;
+    for (std::int64_t k = 0; k + 1 < std::max<std::int64_t>(d.nz, 2); ++k) {
+      for (std::int64_t j = 0; j + 1 < d.ny; ++j) {
+        for (std::int64_t i = 0; i + 1 < d.nx; ++i) {
+          bool complete = true;
+          for (size_t c = 0; c < (d.Is2D() ? 4u : 8u); ++c) {
+            const auto& off = kCornerOffsets[c];
+            complete = complete &&
+                       field.IsValid(d.Index(i + off[0], j + off[1], k + off[2]));
+          }
+          if (complete) layers.insert(d.Is2D() ? j : k);
+        }
+      }
+    }
+    ASSERT_EQ(layers, (std::set<std::int64_t>{2, 4})) << d.ToString();
+
+    const grid::UniformGeometry geo;
+    ExpectIdentical(field.Contour(geo, isos),
+                    ReferenceContour(d, geo, f, isos, &field));
+    const grid::RectilinearGeometry stretched = RandomStretch(d, 78);
+    ExpectIdentical(field.Contour(stretched, isos),
+                    ReferenceContour(d, stretched, f, isos, &field));
+  }
+}
 
 TEST(SparseField, ScatterAndValidity) {
   SparseField field(grid::Dims{4, 4, 4}, grid::DataType::Float32);

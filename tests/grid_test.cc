@@ -56,11 +56,10 @@ TEST(Dims, Contains) {
 }
 
 TEST(UniformGeometry, PointPositions) {
-  const Dims d{3, 3, 3};
   UniformGeometry g;
   g.origin = {10.0, 20.0, 30.0};
   g.spacing = {0.5, 1.0, 2.0};
-  const auto p = g.PointPosition(d, d.Index(2, 1, 1));
+  const auto p = g.PointPosition(2, 1, 1);
   EXPECT_DOUBLE_EQ(p[0], 11.0);
   EXPECT_DOUBLE_EQ(p[1], 21.0);
   EXPECT_DOUBLE_EQ(p[2], 32.0);

@@ -54,8 +54,7 @@ TEST(RectilinearGeometry, ValidatesDims) {
 TEST(RectilinearGeometry, PointPositions) {
   const grid::RectilinearGeometry geo({0.0, 1.0, 4.0}, {10.0, 20.0},
                                       {100.0});
-  const grid::Dims d{3, 2, 1};
-  const auto p = geo.PointPosition(d, d.Index(2, 1, 0));
+  const auto p = geo.PointPosition(2, 1, 0);
   EXPECT_DOUBLE_EQ(p[0], 4.0);
   EXPECT_DOUBLE_EQ(p[1], 20.0);
   EXPECT_DOUBLE_EQ(p[2], 100.0);
