@@ -15,7 +15,6 @@ namespace vizndp::bench_util {
 class Stopwatch {
  public:
   Stopwatch() : start_(std::chrono::steady_clock::now()) {}
-  void Restart() { start_ = std::chrono::steady_clock::now(); }
   double Seconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start_)

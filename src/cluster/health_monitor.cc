@@ -202,9 +202,10 @@ std::chrono::microseconds HealthMonitor::JitteredPeriod(
   // Seeded jitter: uniform in [1 - j, 1 + j] as a pure function of
   // (seed, tick), so a fixed-seed run sleeps the same schedule every
   // time and distinct monitors decorrelate.
+  constexpr double kJitterFrac = 0.25;
   const std::uint64_t r = net::MixBits(options_.seed ^ (tick * 0x9E3779B97F4A7C15ull));
   const double u = static_cast<double>(r >> 11) / 9007199254740992.0;  // [0,1)
-  const double scale = 1.0 + options_.jitter_frac * (2.0 * u - 1.0);
+  const double scale = 1.0 + kJitterFrac * (2.0 * u - 1.0);
   auto out = std::chrono::microseconds(
       static_cast<std::int64_t>(static_cast<double>(base.count()) * scale));
   return out.count() > 0 ? out : std::chrono::microseconds(1);

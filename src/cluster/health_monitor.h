@@ -37,10 +37,9 @@
 namespace vizndp::cluster {
 
 struct HealthMonitorOptions {
-  // Probe sweep interval; each sleep is jittered by ±jitter_frac so N
-  // monitors with different seeds never sweep in lockstep.
+  // Probe sweep interval; each sleep is jittered by ±25% so N monitors
+  // with different seeds never sweep in lockstep.
   std::chrono::milliseconds period{100};
-  double jitter_frac = 0.25;
   std::uint64_t seed = 1;
   // Consecutive failed probes before live → suspect, and total suspicion
   // before suspect → dead. Healthy probes decay suspicion by one.

@@ -20,7 +20,6 @@ class ContourFilter {
   void SetIsovalues(std::vector<double> isovalues) {
     isovalues_ = std::move(isovalues);
   }
-  void AddIsovalue(double iso) { isovalues_.push_back(iso); }
   const std::vector<double>& isovalues() const { return isovalues_; }
 
   // Contours `array_name` from the dataset.

@@ -33,15 +33,6 @@ struct Selection {
                : static_cast<double>(ids.size()) /
                      static_cast<double>(total_points);
   }
-
-  // Paper's Fig. 6 unit: permillage (parts per thousand).
-  double SelectivityPermille() const { return 1000.0 * Selectivity(); }
-
-  // Bytes of payload (ids + values) before any wire encoding.
-  std::uint64_t PayloadBytes() const {
-    return ids.size() * sizeof(grid::PointId) +
-           static_cast<std::uint64_t>(values.byte_size());
-  }
 };
 
 // Works for 3D grids and 2D grids (nz == 1); multi-isovalue: a point is

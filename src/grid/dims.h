@@ -71,18 +71,4 @@ struct UniformGeometry {
   constexpr bool operator==(const UniformGeometry&) const = default;
 };
 
-// The axis-aligned edges leaving a point in the +x/+y/+z directions. Every
-// grid edge is owned by exactly one point this way, which the pre-filter
-// uses to enumerate edges without duplication.
-enum class Axis : std::uint8_t { X = 0, Y = 1, Z = 2 };
-
-inline const char* AxisName(Axis a) {
-  switch (a) {
-    case Axis::X: return "x";
-    case Axis::Y: return "y";
-    case Axis::Z: return "z";
-  }
-  return "?";
-}
-
 }  // namespace vizndp::grid

@@ -1,6 +1,5 @@
 #include "io/vtk_ascii.h"
 
-#include <fstream>
 #include <iomanip>
 #include <istream>
 #include <ostream>
@@ -36,14 +35,6 @@ void WriteLegacyVtk(std::ostream& os, const grid::Dataset& dataset,
          << ((i + 1) % 8 == 0 || i + 1 == array.size() ? '\n' : ' ');
     }
   }
-}
-
-void WriteLegacyVtkFile(const std::string& path, const grid::Dataset& dataset,
-                        const std::string& title) {
-  std::ofstream os(path);
-  VIZNDP_CHECK_MSG(os.good(), "cannot open " + path);
-  WriteLegacyVtk(os, dataset, title);
-  VIZNDP_CHECK_MSG(os.good(), "short write to " + path);
 }
 
 namespace {
@@ -150,12 +141,6 @@ grid::Dataset ReadLegacyVtk(std::istream& is) {
     throw DecodeError("legacy VTK: no POINT_DATA section");
   }
   return dataset;
-}
-
-grid::Dataset ReadLegacyVtkFile(const std::string& path) {
-  std::ifstream is(path);
-  VIZNDP_CHECK_MSG(is.good(), "cannot open " + path);
-  return ReadLegacyVtk(is);
 }
 
 }  // namespace vizndp::io

@@ -1,7 +1,6 @@
 // Legacy-VTK ASCII interop: writes a Dataset as a "# vtk DataFile
-// Version 3.0" STRUCTURED_POINTS file (openable in ParaView/VisIt), and
-// writes contour PolyData as legacy POLYDATA. Used by the examples to
-// produce externally inspectable output.
+// Version 3.0" STRUCTURED_POINTS file (openable in ParaView/VisIt) and
+// reads that subset back.
 #pragma once
 
 #include <iosfwd>
@@ -15,14 +14,9 @@ namespace vizndp::io {
 void WriteLegacyVtk(std::ostream& os, const grid::Dataset& dataset,
                     const std::string& title = "vizndp dataset");
 
-void WriteLegacyVtkFile(const std::string& path, const grid::Dataset& dataset,
-                        const std::string& title = "vizndp dataset");
-
 // Parses a legacy ASCII STRUCTURED_POINTS file (the subset WriteLegacyVtk
 // emits: DIMENSIONS/ORIGIN/SPACING + POINT_DATA SCALARS float|double).
 // Throws DecodeError on malformed input.
 grid::Dataset ReadLegacyVtk(std::istream& is);
-
-grid::Dataset ReadLegacyVtkFile(const std::string& path);
 
 }  // namespace vizndp::io

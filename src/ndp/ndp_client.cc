@@ -132,43 +132,35 @@ void NdpClient::StreamSelectOnce(const std::string& key,
   StreamDecoder decoder(acc.cursor);
 
   // Each attempt's RPC exchange is one ndp.partial span (the unit a shard
-  // sub-request traces as); a one-shot reply is decoded and delivered
-  // after it, its header and data maps in wire order. Its terminal
-  // summary is read first, so nothing fails once its chunk is delivered.
-  if (!acc.streamed()) {
-    Value reply;
-    {
-      obs::Span rpc_span("ndp.partial");
-      reply = client_->Call(kRpcNdpSelect, SelectRequestToParams(request),
-                            CallOpts());
-    }
-    AcceptTerminal(acc, reply);
-    for (auto& [k, v] : reply.AsMutable<msgpack::Map>()) {
-      if ((k == Value(kOneShotHeaderKey) || k == Value(kOneShotChunkKey)) &&
-          !AcceptMap(acc, decoder, std::move(v), deliver, on_header)) {
-        return;
-      }
-    }
-    decoder.Finish();
-    return;
-  }
-
-  rpc::Client::StreamCallOptions copts;
-  copts.timeout = options_.call_timeout;
-  copts.chunk_timeout = acc.stream.chunk_timeout;
+  // sub-request traces as), and only the call depends on the reply shape.
+  // A one-shot's header and data maps ride in its terminal, after whose
+  // summary they are accepted, so nothing fails once its chunk is
+  // delivered.
+  Array params = SelectRequestToParams(request);
   Value terminal;
   {
     obs::Span rpc_span("ndp.partial");
-    terminal = client_->CallStreaming(
-        kRpcNdpSelect, SelectRequestToParams(request), copts,
-        [&](const msgpack::Value& chunk_map) -> bool {
-          return AcceptMap(acc, decoder, chunk_map, deliver, on_header);
-        },
-        &acc.cancelled);
+    terminal =
+        acc.streamed()
+            ? client_->CallStreaming(
+                  kRpcNdpSelect, std::move(params),
+                  {options_.call_timeout, acc.stream.chunk_timeout},
+                  [&](const Value& chunk_map) {
+                    return AcceptMap(acc, decoder, chunk_map, deliver,
+                                     on_header);
+                  },
+                  &acc.cancelled)
+            : client_->Call(kRpcNdpSelect, std::move(params), CallOpts());
   }
   if (acc.cancelled) return;
-  decoder.Finish();
   AcceptTerminal(acc, terminal);
+  for (auto& [k, v] : terminal.AsMutable<msgpack::Map>()) {
+    if ((k == Value(kOneShotHeaderKey) || k == Value(kOneShotChunkKey)) &&
+        !AcceptMap(acc, decoder, std::move(v), deliver, on_header)) {
+      return;
+    }
+  }
+  decoder.Finish();
 }
 
 void NdpClient::StreamSelect(const std::string& key, const std::string& array,

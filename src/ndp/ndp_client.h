@@ -314,8 +314,9 @@ class NdpClient : public NdpFetcher {
     return rpc::CallOptions{options_.call_timeout, /*idempotent=*/true};
   }
 
-  // One call attempt feeding the accumulator from its current cursor;
-  // throws on any failure (StreamSelect resumes streams).
+  // One call attempt, either reply shape, feeding the accumulator from
+  // its current cursor; throws on any failure (StreamSelect resumes
+  // streams).
   void StreamSelectOnce(const std::string& key, const std::string& array,
                         const std::vector<double>& isovalues,
                         const std::vector<std::int64_t>* only_bricks,

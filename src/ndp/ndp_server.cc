@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <optional>
 
@@ -319,13 +320,18 @@ msgpack::Value NdpServer::Stats(const std::string& key,
   }
 
   std::vector<std::uint64_t> histogram(static_cast<size_t>(bins), 0);
+  std::uint64_t count = 0;  // the values binned: NaNs are skipped
   const double width = hi > lo ? (hi - lo) / bins : 1.0;
   const auto accumulate = [&](auto view) {
     for (const auto v : view) {
       const double d = static_cast<double>(v);
-      auto bin = static_cast<std::int64_t>((d - lo) / width);
-      bin = std::clamp<std::int64_t>(bin, 0, bins - 1);
+      if (std::isnan(d)) continue;
+      // Clamped before the cast, which a non-finite double would make
+      // undefined: with ±inf in the range the position is ±inf or NaN,
+      // and fmax takes a NaN position to bin 0.
+      const double bin = std::fmin(std::fmax((d - lo) / width, 0.0), bins - 1);
       ++histogram[static_cast<size_t>(bin)];
+      ++count;
     }
   };
   switch (data.type()) {
@@ -337,8 +343,7 @@ msgpack::Value NdpServer::Stats(const std::string& key,
   Map reply;
   reply.emplace_back(Value("min"), Value(lo));
   reply.emplace_back(Value("max"), Value(hi));
-  reply.emplace_back(Value("count"),
-                     Value(static_cast<std::uint64_t>(data.size())));
+  reply.emplace_back(Value("count"), Value(count));
   Array counts;
   counts.reserve(histogram.size());
   for (const std::uint64_t c : histogram) counts.emplace_back(c);

@@ -72,27 +72,18 @@ storage::ScrubObjectReport ScrubVndObject(const storage::FileGateway& gateway,
     // the budget admits the whole stored array at once.
     const io::BrickEntry& last = entries.back();
     const std::uint64_t span = last.offset + last.stored_size;
-    bool coalesced = false;
-    if (budget == nullptr) {
-      coalesced = true;
-    } else {
+    rpc::MemoryBudget::Reservation whole;
+    bool admitted = budget == nullptr;
+    if (!admitted) {
       try {
-        const rpc::MemoryBudget::Reservation reservation(*budget, span);
-        const Bytes all = reader.ReadArrayRange(meta.name, 0, span);
-        for (size_t b = 0; b < entries.size(); ++b) {
-          const io::BrickEntry& entry = entries[b];
-          ReconcileBrick(key, meta, b,
-                         ByteSpan(all).subspan(entry.offset,
-                                               entry.stored_size),
-                         quarantine, report);
-        }
-        continue;
+        whole = rpc::MemoryBudget::Reservation(*budget, span);
+        admitted = true;
       } catch (const BusyError&) {
         // Fall through to the per-brick ladder below: smaller
         // reservations may still fit.
       }
     }
-    if (coalesced) {
+    if (admitted) {
       const Bytes all = reader.ReadArrayRange(meta.name, 0, span);
       for (size_t b = 0; b < entries.size(); ++b) {
         const io::BrickEntry& entry = entries[b];

@@ -11,19 +11,6 @@
 
 namespace vizndp::net {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kPass: return "pass";
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kDelay: return "delay";
-    case FaultKind::kDuplicate: return "duplicate";
-    case FaultKind::kTruncate: return "truncate";
-    case FaultKind::kBitFlip: return "bit_flip";
-    case FaultKind::kDisconnect: return "disconnect";
-  }
-  return "?";
-}
-
 FaultInjectingTransport::FaultInjectingTransport(TransportPtr inner)
     : inner_(std::move(inner)) {}
 

@@ -36,8 +36,6 @@ enum class FaultKind : std::uint8_t {
   kDisconnect,
 };
 
-const char* FaultKindName(FaultKind kind);
-
 struct FaultAction {
   FaultKind kind = FaultKind::kPass;
   std::chrono::microseconds delay{0};  // kDelay

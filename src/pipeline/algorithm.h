@@ -22,11 +22,6 @@ class DataObject {
   DataObject(grid::Dataset dataset) : v_(std::move(dataset)) {}
   DataObject(contour::PolyData poly) : v_(std::move(poly)) {}
 
-  bool IsDataset() const { return std::holds_alternative<grid::Dataset>(v_); }
-  bool IsPolyData() const {
-    return std::holds_alternative<contour::PolyData>(v_);
-  }
-
   const grid::Dataset& AsDataset() const;
   const contour::PolyData& AsPolyData() const;
 

@@ -52,10 +52,6 @@ class ContourStage final : public Algorithm {
     filter_.SetIsovalues(std::move(isovalues));
     Modified();
   }
-  void SetArrayName(std::string name) {
-    array_name_ = std::move(name);
-    Modified();
-  }
 
   std::string Name() const override { return "ContourStage(" + array_name_ + ")"; }
   int InputPortCount() const override { return 1; }

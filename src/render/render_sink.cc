@@ -6,7 +6,7 @@ pipeline::DataObjectPtr RenderSink::Execute(
     const std::vector<pipeline::DataObjectPtr>& inputs) {
   const contour::PolyData& poly = inputs.at(0)->AsPolyData();
   Framebuffer fb(width_, height_);
-  RenderPolyData(poly, camera_, material_, fb);
+  RenderPolyData(poly, camera_, Material{}, fb);
   fb.WritePpm(path_);
   last_coverage_ = fb.CoverageFraction();
   return inputs.at(0);

@@ -16,15 +16,6 @@ class RenderSink final : public pipeline::Algorithm {
         width_(width),
         height_(height) {}
 
-  void SetMaterial(const Material& m) {
-    material_ = m;
-    Modified();
-  }
-  void SetPath(std::string path) {
-    path_ = std::move(path);
-    Modified();
-  }
-
   // Valid after Update(); lets tests assert something was drawn.
   double last_coverage() const { return last_coverage_; }
 
@@ -40,7 +31,6 @@ class RenderSink final : public pipeline::Algorithm {
   Camera camera_;
   int width_;
   int height_;
-  Material material_;
   double last_coverage_ = 0.0;
 };
 

@@ -2,7 +2,8 @@
 // rpclib's `client.call(name, args...)`, plus the fault-tolerance layer:
 // per-call deadlines (TimeoutError), retry with exponential backoff for
 // idempotent calls, and stale-reply discarding so a duplicated or
-// late-arriving response frame never corrupts a later call.
+// late-arriving response frame never corrupts a later call. Every
+// attempt of Call and every CallStreaming reads its reply in one place.
 #pragma once
 
 #include <chrono>
@@ -19,8 +20,8 @@
 namespace vizndp::rpc {
 
 struct CallOptions {
-  // Per-call receive deadline; 0 falls back to the client default (whose
-  // own 0 means block forever, the pre-fault-tolerance behaviour).
+  // Per-attempt receive deadline; 0 blocks forever (the
+  // pre-fault-tolerance behaviour).
   std::chrono::milliseconds timeout{0};
   // Only idempotent calls may be retried: a retry re-executes the
   // handler, which must be harmless. All NDP reads qualify; writes
@@ -32,12 +33,6 @@ class Client {
  public:
   explicit Client(net::TransportPtr transport)
       : transport_(std::move(transport)) {}
-
-  // Default deadline applied when CallOptions.timeout is 0.
-  void SetDefaultTimeout(std::chrono::milliseconds timeout) {
-    std::lock_guard<std::mutex> lock(mu_);
-    default_timeout_ = timeout;
-  }
 
   // Retry schedule for idempotent calls (max_attempts = 1 disables).
   void SetRetryPolicy(const net::RetryPolicy& policy) {
@@ -66,7 +61,7 @@ class Client {
   using ChunkCallback = std::function<bool(const msgpack::Value& chunk)>;
 
   struct StreamCallOptions {
-    // Overall deadline for the whole stream (0 = client default).
+    // Overall deadline for the whole stream (0 = none).
     std::chrono::milliseconds timeout{0};
     // Progress deadline: the longest wait for the *next* frame before
     // the stream counts as wedged (StreamStallError); 0 disables. Kept
@@ -75,11 +70,11 @@ class Client {
     std::chrono::milliseconds chunk_timeout{0};
   };
 
-  // Streaming call (protocol.h chunk frames): blocks until the terminal
-  // response, invoking `on_chunk` per chunk. Single attempt by design —
+  // Streaming call (protocol.h chunk frames): one attempt of Call that
+  // also hands each chunk to `on_chunk`. Single attempt by design —
   // mid-stream recovery is the caller's job, because only the caller
-  // holds the resume cursor. A server that ignores the stream request
-  // simply sends a monolithic response, which is returned with zero
+  // holds the resume cursor. A monolithic response (a one-shot reply,
+  // or a server that ignores the stream request) is returned with zero
   // chunk callbacks. Throws StreamStallError (chunk_timeout elapsed,
   // overall deadline not yet reached), TimeoutError (overall deadline),
   // or the same typed errors as Call. When the stream ends because
@@ -92,9 +87,13 @@ class Client {
                                bool* cancelled_out = nullptr);
 
  private:
-  msgpack::Value CallOnce(const std::string& method,
-                          const msgpack::Array& params,
-                          net::Deadline deadline);
+  // Sends one request and reads frames up to its terminal response: the
+  // only reader of reply frames. An empty `on_chunk` marks every chunk
+  // frame stale; any TimeoutError but a stall is the caller's to audit.
+  msgpack::Value Exchange(const std::string& method,
+                          const msgpack::Array& params, net::Deadline overall,
+                          std::chrono::milliseconds chunk_timeout,
+                          const ChunkCallback& on_chunk, bool* cancelled);
   // The audits of this client's error paths, in its registry. Every
   // counter but the stale-reply count is keyed by method.
   obs::Audit MethodAudit(const char* counter, const std::string& method,
@@ -112,7 +111,6 @@ class Client {
   std::mutex mu_;
   net::TransportPtr transport_;
   std::uint64_t next_msgid_ = 1;
-  std::chrono::milliseconds default_timeout_{0};
   net::RetryPolicy retry_;
   obs::Registry* metrics_ = nullptr;
 };

@@ -25,19 +25,6 @@ const char* OpName(StoreOp op) {
 
 }  // namespace
 
-const char* StoreFaultKindName(StoreFaultKind kind) {
-  switch (kind) {
-    case StoreFaultKind::kPass: return "pass";
-    case StoreFaultKind::kEio: return "eio";
-    case StoreFaultKind::kFatal: return "fatal";
-    case StoreFaultKind::kShort: return "short";
-    case StoreFaultKind::kDelay: return "delay";
-    case StoreFaultKind::kFlip: return "flip";
-    case StoreFaultKind::kStatLie: return "lie";
-  }
-  return "?";
-}
-
 void FaultInjectingStore::Script(StoreOp op,
                                  std::vector<StoreFaultAction> script,
                                  bool loop_last) {

@@ -38,8 +38,6 @@ enum class StoreFaultKind : std::uint8_t {
   kStatLie,  // Stat size += delta
 };
 
-const char* StoreFaultKindName(StoreFaultKind kind);
-
 // Which operations a script entry applies to. `kRead` matches both Get
 // and GetRange; `kAny` matches every store call.
 enum class StoreOp : std::uint8_t {

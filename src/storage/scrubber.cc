@@ -1,5 +1,6 @@
 #include "storage/scrubber.h"
 
+#include <string_view>
 #include <utility>
 
 #include "common/error.h"
@@ -25,6 +26,9 @@ obs::Counter& PassCounter() {
 
 const obs::Audit kObjectError("scrub_object_error_total",
                                "scrub.object_error");
+
+// Only VND objects carry brick CRCs to verify.
+constexpr std::string_view kScrubbedSuffix = ".vnd";
 
 }  // namespace
 
@@ -102,12 +106,7 @@ ScrubObjectReport Scrubber::RunPassNow() {
   }
   std::uint64_t objects = 0;
   for (const ObjectInfo& info : keys) {
-    const std::string& suffix = options_.key_suffix;
-    if (info.key.size() < suffix.size() ||
-        info.key.compare(info.key.size() - suffix.size(), suffix.size(),
-                         suffix) != 0) {
-      continue;
-    }
+    if (!info.key.ends_with(kScrubbedSuffix)) continue;
     ++objects;
     try {
       const ScrubObjectReport report = verifier_(info.key);
@@ -120,9 +119,6 @@ ScrubObjectReport Scrubber::RunPassNow() {
       // Unreadable or unparseable object: the serving path has its own
       // ladder for this; scrubbing moves on and retries next pass.
       kObjectError.Record("key=" + info.key);
-    }
-    if (options_.per_object_pause.count() > 0) {
-      std::this_thread::sleep_for(options_.per_object_pause);
     }
   }
   PassCounter().Increment();
@@ -146,12 +142,13 @@ ScrubStatus Scrubber::status() const {
 }
 
 std::chrono::milliseconds Scrubber::NextSleep(std::uint64_t pass) {
-  // Jitter is a pure function of (seed, pass) so a seeded run replays:
-  // uniform in [period * (1 - jitter), period].
+  // Jitter is a pure function of (seed, pass) so a run replays: uniform
+  // in [period * (1 - jitter), period].
+  constexpr double kJitter = 0.5;
+  constexpr std::uint64_t kSeed = 0x9E3779B97F4A7C15ull;
   const double u =
-      static_cast<double>(net::MixBits(options_.seed ^ pass) >> 11) *
-      0x1.0p-53;
-  const double scale = 1.0 - options_.jitter * u;
+      static_cast<double>(net::MixBits(kSeed ^ pass) >> 11) * 0x1.0p-53;
+  const double scale = 1.0 - kJitter * u;
   const auto ms = static_cast<std::int64_t>(
       static_cast<double>(options_.period.count()) * scale);
   return std::chrono::milliseconds(ms < 1 ? 1 : ms);

@@ -77,15 +77,8 @@ using ScrubVerifier = std::function<ScrubObjectReport(const std::string& key)>;
 
 struct ScrubberOptions {
   // Base sleep between passes; actual sleep is uniform in
-  // [period * (1 - jitter), period], seeded so runs replay.
+  // [period / 2, period], seeded so runs replay.
   std::chrono::milliseconds period{5000};
-  double jitter = 0.5;
-  std::uint64_t seed = 0x9E3779B97F4A7C15ull;
-  // Only keys with this suffix are scrubbed ("" = whole catalog).
-  std::string key_suffix = ".vnd";
-  // Optional pause between objects, to keep a large catalog's scrub
-  // from monopolizing the store.
-  std::chrono::microseconds per_object_pause{0};
 };
 
 // Cumulative scrub state, surfaced through ndp.health.

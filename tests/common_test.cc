@@ -4,7 +4,6 @@
 
 #include "common/bytes.h"
 #include "common/error.h"
-#include "common/hexdump.h"
 #include "common/sim_time.h"
 
 namespace vizndp {
@@ -68,20 +67,6 @@ TEST(Error, HierarchyIsCatchable) {
   EXPECT_THROW(throw DecodeError("x"), Error);
   EXPECT_THROW(throw IoError("x"), Error);
   EXPECT_THROW(throw RpcError("x"), Error);
-}
-
-TEST(HexDump, RendersOffsetsAndAscii) {
-  const Bytes data = ToBytes("Hello, world! This is a hexdump test.");
-  const std::string dump = HexDump(data);
-  EXPECT_NE(dump.find("00000000"), std::string::npos);
-  EXPECT_NE(dump.find("Hello, w"), std::string::npos);
-  EXPECT_NE(dump.find("48 65 6c 6c"), std::string::npos);
-}
-
-TEST(HexDump, ElidesLongInput) {
-  const Bytes data(1000, 0x41);
-  const std::string dump = HexDump(data, 64);
-  EXPECT_NE(dump.find("936 more bytes"), std::string::npos);
 }
 
 TEST(AtomicSeconds, AccumulatesAcrossThreads) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <random>
 #include <thread>
 
@@ -442,18 +444,35 @@ TEST(NdpStats, SuggestIsovaluesSpansTheDistribution) {
   EXPECT_GT(poly.TriangleCount(), 0u);
 }
 
-TEST(NdpStats, BinCountsMatchKnownSyntheticArray) {
-  // 4^3 points with values 0..63: four bins over [0, 63] must each hold
-  // exactly 16 values (bin width 15.75; value 63 clamps into the last).
-  Testbed testbed;
+// 4^3 points with values 0..63, stored as array "ramp" of "ramp.vnd"
+// after `edit` has changed some of them.
+void StoreRamp(Testbed& testbed,
+               const std::function<void(std::vector<float>&)>& edit = {}) {
   grid::Dataset ds(grid::Dims{4, 4, 4});
   std::vector<float> values(64);
   for (size_t i = 0; i < values.size(); ++i) {
     values[i] = static_cast<float>(i);
   }
+  if (edit) edit(values);
   ds.AddArray(grid::DataArray::FromVector("ramp", values));
   io::VndWriter writer(ds);
   writer.WriteToStore(testbed.store(), testbed.bucket(), "ramp.vnd");
+}
+
+std::uint64_t HistogramSum(const msgpack::Value& stats_reply) {
+  std::uint64_t sum = 0;
+  for (const msgpack::Value& bin :
+       stats_reply.At("histogram").As<msgpack::Array>()) {
+    sum += bin.AsUint();
+  }
+  return sum;
+}
+
+TEST(NdpStats, BinCountsMatchKnownSyntheticArray) {
+  // Four bins over [0, 63] must each hold exactly 16 values (bin width
+  // 15.75; value 63 clamps into the last).
+  Testbed testbed;
+  StoreRamp(testbed);
 
   NdpServer server(testbed.LocalGateway());
   const msgpack::Value reply = server.Stats("ramp.vnd", "ramp", 4);
@@ -469,6 +488,40 @@ TEST(NdpStats, BinCountsMatchKnownSyntheticArray) {
   EXPECT_EQ(obs::FindMetric(server.metrics().Snapshot(),
                             "ndp_stats_index_fastpath_total"),
             nullptr);
+}
+
+TEST(NdpStats, NanValuesAreSkipped) {
+  // The count is what was binned, so it equals the histogram's sum, as
+  // SuggestIsovalues assumes.
+  Testbed testbed;
+  StoreRamp(testbed, [](std::vector<float>& values) {
+    values[10] = std::numeric_limits<float>::quiet_NaN();
+  });
+  NdpServer server(testbed.LocalGateway());
+  const msgpack::Value reply = server.Stats("ramp.vnd", "ramp", 4);
+  EXPECT_DOUBLE_EQ(reply.At("min").AsDouble(), 0.0);
+  EXPECT_DOUBLE_EQ(reply.At("max").AsDouble(), 63.0);
+  EXPECT_EQ(reply.At("count").AsUint(), 63u);
+  EXPECT_EQ(HistogramSum(reply), 63u);
+  EXPECT_EQ(reply.At("histogram").As<msgpack::Array>()[0].AsUint(), 15u);
+}
+
+TEST(NdpStats, InfiniteRangeStaysDefined) {
+  // An infinite range makes every bin position infinite or NaN; each
+  // must still land in a bin, never reach the integer cast unclamped.
+  Testbed testbed;
+  StoreRamp(testbed, [](std::vector<float>& values) {
+    values.front() = -std::numeric_limits<float>::infinity();
+    values.back() = std::numeric_limits<float>::infinity();
+  });
+  NdpServer server(testbed.LocalGateway());
+  const msgpack::Value reply = server.Stats("ramp.vnd", "ramp", 4);
+  EXPECT_EQ(reply.At("min").AsDouble(),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(reply.At("max").AsDouble(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(reply.At("count").AsUint(), 64u);
+  EXPECT_EQ(HistogramSum(reply), 64u);
 }
 
 TEST(NdpStats, BrickIndexedFileUsesHeaderRangeFastPath) {

@@ -176,7 +176,6 @@ struct FaultedServedPair {
     faults = faulty.get();
     client = std::make_unique<Client>(std::move(faulty));
     client->SetMetrics(&metrics);
-    client->SetDefaultTimeout(200ms);
     net::RetryPolicy policy;
     policy.max_attempts = 4;
     policy.base_delay = 200us;
@@ -227,8 +226,9 @@ TEST(RpcRetry, DuplicatedReplyIsDiscardedNotMismatched) {
   sp.faults->ScriptReceive({net::FaultAction::Duplicate()});
   // Call 1's reply arrives twice. Call 2 must skip the stale duplicate
   // (older msgid) and still find its own reply.
-  EXPECT_EQ(sp.client->Call("echo", Array{Value(1)}).AsInt(), 1);
-  EXPECT_EQ(sp.client->Call("echo", Array{Value(2)}).AsInt(), 2);
+  const CallOptions opts{.timeout = 200ms};
+  EXPECT_EQ(sp.client->Call("echo", Array{Value(1)}, opts).AsInt(), 1);
+  EXPECT_EQ(sp.client->Call("echo", Array{Value(2)}, opts).AsInt(), 2);
   EXPECT_DOUBLE_EQ(sp.Counter("rpc_stale_replies_total"), 1.0);
 }
 
@@ -267,7 +267,9 @@ TEST(RpcRetry, ServerErrorsAreNeverRetried) {
     ++runs;
     throw std::runtime_error("kaboom");
   });
-  EXPECT_THROW(sp.client->Call("boom", {}, {.idempotent = true}), RpcError);
+  EXPECT_THROW(
+      sp.client->Call("boom", {}, {.timeout = 200ms, .idempotent = true}),
+      RpcError);
   // The server is alive and answered: retrying would re-run the failing
   // handler for nothing.
   EXPECT_EQ(runs, 1);

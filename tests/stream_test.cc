@@ -851,6 +851,46 @@ TEST(Stream, StallResumesFromCursorAndCompletes) {
   EXPECT_GE(faulty.RpcCounter("rpc_stream_stalls_total{method=ndp.select}"), 1.0);
 }
 
+TEST(Stream, PlainCallAfterAbandonedStreamSkipsItsLeftovers) {
+  Testbed bed;
+  StoreDataset(bed.store(), bed.bucket(), "ts.vnd", 32, 4);
+
+  StreamOptions so;
+  so.chunk_bricks = 1;
+  so.chunk_timeout = 100ms;
+  so.max_resumes = 0;  // the stalled stream is abandoned, not resumed
+  FaultyStreamClient faulty(bed, so);
+  // The header and first chunk arrive, the next frame is held past the
+  // progress deadline (and lost), and the rest of the stream still comes.
+  faulty.faults->ScriptReceive({net::FaultAction::Pass(),
+                                net::FaultAction::Pass(),
+                                net::FaultAction::Delay(1000ms)});
+  grid::UniformGeometry geo;
+  EXPECT_THROW((void)faulty.client->FetchSparseField("ts.vnd", "v02", kIsos,
+                                                     &geo, nullptr),
+               StreamStallError);
+  // Let the handler finish first: while it still emits, the server reads
+  // any frame but a cancel as a stray between chunks and drops it.
+  for (int i = 0; i < 500 && bed.rpc_server().inflight() > 0; ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+  ASSERT_EQ(bed.rpc_server().inflight(), 0);
+  EXPECT_DOUBLE_EQ(faulty.RpcCounter("rpc_stale_replies_total"), 0.0);
+
+  // The next plain call on the same client reads the stream's remaining
+  // chunks and terminal, each one stale, and then its own reply.
+  const std::uint64_t frames_before = faulty.faults->stats().frames_received;
+  const NdpClient::FileInfo info = faulty.client->Info("ts.vnd");
+  EXPECT_EQ(info.dims, (grid::Dims{32, 32, 32}));
+  ASSERT_EQ(info.arrays.size(), 1u);
+  EXPECT_EQ(info.arrays[0].name, "v02");
+  const std::uint64_t leftovers =
+      faulty.faults->stats().frames_received - frames_before - 1;
+  EXPECT_GE(leftovers, 2u);  // at least one chunk and the terminal
+  EXPECT_DOUBLE_EQ(faulty.RpcCounter("rpc_stale_replies_total"),
+                   static_cast<double>(leftovers));
+}
+
 // ---------------------------------------------------------------------------
 // Sharded streaming.
 

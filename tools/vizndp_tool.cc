@@ -160,8 +160,8 @@ namespace {
                "  --stream         per-brick-batch chunk frames instead of one\n"
                "                   monolithic reply; a lost stream resumes from\n"
                "                   the last cursor (same node, then replicas)\n"
-               "  --chunk-bricks N straddling bricks per chunk (default 16;\n"
-               "                   implies --stream)\n"
+               "  --chunk-bricks N straddling bricks per chunk, N >= 1\n"
+               "                   (default 16; implies --stream)\n"
                "  --chunk-timeout-ms N  per-chunk progress deadline: a stream\n"
                "                   with no frame for N ms fails typed and\n"
                "                   resumes (0 = only the overall deadline)\n"
@@ -485,6 +485,23 @@ std::pair<std::string, std::uint16_t> ParseEndpoint(const std::string& spec) {
           static_cast<std::uint16_t>(std::atoi(spec.c_str() + colon + 1))};
 }
 
+// Endpoints for fetch and the observability commands: repeatable
+// --connect H:P (one per storage node), falling back to the classic
+// --host/--port single server.
+std::vector<std::pair<std::string, std::uint16_t>> ScrapeEndpoints(
+    const Args& args) {
+  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
+  for (const std::string& spec : args.GetAll("connect")) {
+    endpoints.push_back(ParseEndpoint(spec));
+  }
+  if (endpoints.empty()) {
+    endpoints.emplace_back(
+        args.Get("host").value_or("127.0.0.1"),
+        static_cast<std::uint16_t>(args.GetLong("port", 47801)));
+  }
+  return endpoints;
+}
+
 int CmdFetch(const Args& args) {
   ndp::NdpClientOptions options;
   options.call_timeout =
@@ -495,17 +512,18 @@ int CmdFetch(const Args& args) {
   net::TcpOptions tcp_options;
   tcp_options.connect_timeout = options.call_timeout;
 
-  // Endpoints: either the classic --host/--port single server, or one
-  // --connect HOST:PORT per storage node of a sharded serving tier.
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-  for (const std::string& spec : args.GetAll("connect")) {
-    endpoints.push_back(ParseEndpoint(spec));
+  // Streaming mode: --stream (or --chunk-bricks, which implies it)
+  // switches the fetch to chunked replies with cursor resume.
+  const bool want_stream = args.Has("stream") || args.Has("chunk-bricks");
+  ndp::StreamOptions stream_options;
+  if (want_stream) {
+    stream_options.chunk_bricks = args.GetLong("chunk-bricks", 16);
+    if (stream_options.chunk_bricks < 1) Usage("--chunk-bricks must be >= 1");
+    stream_options.chunk_timeout =
+        std::chrono::milliseconds(args.GetLong("chunk-timeout-ms", 0));
   }
-  if (endpoints.empty()) {
-    endpoints.emplace_back(
-        args.Get("host").value_or("127.0.0.1"),
-        static_cast<std::uint16_t>(args.GetLong("port", 47801)));
-  }
+
+  const auto endpoints = ScrapeEndpoints(args);
 
   // --shard-fault I:SPEC injects faults into server I's connection only
   // (e.g. --shard-fault 1:recv.delay=300 makes shard 1 slow enough that
@@ -554,22 +572,16 @@ int CmdFetch(const Args& args) {
         options));
   }
 
-  // Streaming mode: --stream (or --chunk-bricks, which implies it)
-  // switches the fetch to chunked replies with cursor resume. The
-  // progress line answers "is anything happening?" during a long fetch
-  // — chunks, bricks, points so far — without waiting for completion.
-  const bool want_stream = args.Has("stream") || args.Has("chunk-bricks");
+  // The progress line answers "is anything happening?" during a long
+  // streamed fetch — chunks, bricks, points so far — without waiting for
+  // completion.
   const bool show_progress = want_stream && !args.Has("no-progress");
-  ndp::StreamOptions stream_options;
   struct ProgressAgg {
     std::mutex mu;
     std::vector<ndp::StreamProgress> per_client;
   };
   auto agg = std::make_shared<ProgressAgg>();
   if (want_stream) {
-    stream_options.chunk_bricks = args.GetLong("chunk-bricks", 16);
-    stream_options.chunk_timeout =
-        std::chrono::milliseconds(args.GetLong("chunk-timeout-ms", 0));
     agg->per_client.resize(clients.size());
     for (size_t i = 0; i < clients.size(); ++i) {
       clients[i]->SetStream(stream_options);
@@ -687,22 +699,6 @@ int CmdFetch(const Args& args) {
     std::printf("trace %s\n", obs::TraceIdHex(stats.trace_id).c_str());
   }
   return 0;
-}
-
-// Endpoints for the observability commands: repeatable --connect H:P,
-// falling back to the classic --host/--port single server.
-std::vector<std::pair<std::string, std::uint16_t>> ScrapeEndpoints(
-    const Args& args) {
-  std::vector<std::pair<std::string, std::uint16_t>> endpoints;
-  for (const std::string& spec : args.GetAll("connect")) {
-    endpoints.push_back(ParseEndpoint(spec));
-  }
-  if (endpoints.empty()) {
-    endpoints.emplace_back(
-        args.Get("host").value_or("127.0.0.1"),
-        static_cast<std::uint16_t>(args.GetLong("port", 47801)));
-  }
-  return endpoints;
 }
 
 // One dedicated reconnecting client per endpoint — a dead node fails
