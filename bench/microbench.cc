@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the substrate layers: codec
-// throughput (compress + decompress per input family), selection scan
-// rate, marching cubes rate, msgpack packing, and the selection wire
+// throughput (compress + decompress per input family, and LZ4 over the
+// bricks a select decodes), selection scan rate, the bricked select,
+// marching cubes rate, msgpack packing, and the selection wire
 // encodings. These are the numbers that explain where the milliseconds
 // in the figure benches go.
 #include <benchmark/benchmark.h>
@@ -13,10 +14,12 @@
 #include "contour/sparse_field.h"
 #include "msgpack/pack.h"
 #include "msgpack/unpack.h"
+#include "ndp/bricked_select.h"
 #include "ndp/protocol.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/impact.h"
+#include "storage/memory_store.h"
 
 namespace {
 
@@ -58,6 +61,81 @@ void BM_CodecDecompress(benchmark::State& state, const std::string& name) {
 BENCHMARK_CAPTURE(BM_CodecDecompress, gzip, std::string("gzip"));
 BENCHMARK_CAPTURE(BM_CodecDecompress, lz4, std::string("lz4"));
 BENCHMARK_CAPTURE(BM_CodecDecompress, rle, std::string("rle"));
+
+// The shape the storage node decodes and classifies: the bricks of a
+// 64^3 v02 whose [min, max] straddles iso 0.1, LZ4 at brick edge 16.
+struct StraddlingBricks {
+  StraddlingBricks();
+
+  storage::MemoryObjectStore store;
+  std::unique_ptr<io::VndReader> reader;
+  ndp::BrickPlan plan;
+  std::vector<Bytes> stored;  // each planned brick's stored bytes
+  std::uint64_t raw_bytes = 0;
+};
+
+const double kBrickIsos[] = {0.1};
+
+std::unique_ptr<io::VndReader> WriteBricked(storage::MemoryObjectStore& store) {
+  store.CreateBucket("data");
+  io::VndWriter writer(ImpactData());
+  writer.SetCodec(compress::MakeCodec("lz4"));
+  writer.SetBrickSize(16);
+  writer.WriteToStore(store, "data", "b.vnd");
+  return std::make_unique<io::VndReader>(
+      storage::FileGateway(store, "data").Open("b.vnd"));
+}
+
+StraddlingBricks::StraddlingBricks()
+    : reader(WriteBricked(store)),
+      plan(ndp::PlanBricks(ImpactData().dims(),
+                           *reader->header().Find("v02"), kBrickIsos)) {
+  const io::ArrayMeta& meta = *reader->header().Find("v02");
+  for (size_t i = 0; i < plan.bricks.size(); ++i) {
+    const io::BrickEntry& e =
+        meta.bricks->entries[static_cast<size_t>(plan.bricks[i])];
+    stored.push_back(reader->ReadArrayRange("v02", e.offset, e.stored_size));
+    raw_bytes += plan.SlabBytes(i, i + 1, meta.type);
+  }
+}
+
+const StraddlingBricks& Bricks() {
+  static const StraddlingBricks bricks;
+  return bricks;
+}
+
+// LZ4 decode of the straddling bricks, each into one reused buffer.
+void BM_Lz4DecompressBricks(benchmark::State& state) {
+  const StraddlingBricks& bricks = Bricks();
+  const auto codec = compress::MakeCodec("lz4");
+  Bytes slab;
+  for (auto _ : state) {
+    for (size_t i = 0; i < bricks.stored.size(); ++i) {
+      slab.resize(bricks.plan.SlabBytes(i, i + 1, grid::DataType::Float32));
+      codec->DecompressInto(bricks.stored[i], slab);
+      benchmark::DoNotOptimize(slab.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bricks.raw_bytes));
+  state.counters["bricks"] = static_cast<double>(bricks.stored.size());
+}
+BENCHMARK(BM_Lz4DecompressBricks);
+
+// The server's whole select over the same bricks as one batch: the
+// store read, CRC, decode, classify and dedup of ndp::SelectBricks.
+void BM_SelectBricks(benchmark::State& state) {
+  const StraddlingBricks& bricks = Bricks();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ndp::SelectBricks(*bricks.reader, "v02",
+                                               kBrickIsos, bricks.plan,
+                                               bricks.plan.bricks));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bricks.raw_bytes));
+}
+BENCHMARK(BM_SelectBricks);
 
 void BM_SelectInterestingPoints(benchmark::State& state) {
   const grid::Dataset& ds = ImpactData();

@@ -1,5 +1,7 @@
 #include "compress/codec.h"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -54,6 +56,14 @@ class InstrumentedCodec final : public Codec {
     return out;
   }
 
+  void DecompressInto(ByteSpan input, MutableByteSpan out) const override {
+    obs::Span span("codec.decompress:" + inner_->name());
+    inner_->DecompressInto(input, out);
+    span.End();
+    decompress_bytes_.Increment(out.size());
+    decompress_seconds_.Observe(span.ElapsedSeconds());
+  }
+
  private:
   CodecPtr inner_;
   obs::Labels labels_;
@@ -73,6 +83,16 @@ CodecPtr MakeRawCodec(const std::string& name) {
 }
 
 }  // namespace
+
+void Codec::DecompressInto(ByteSpan input, MutableByteSpan out) const {
+  const Bytes decoded = Decompress(input, out.size(), out.size());
+  if (decoded.size() != out.size()) {
+    throw DecodeError(name() + " decoded " + std::to_string(decoded.size()) +
+                      " bytes into a " + std::to_string(out.size()) +
+                      "-byte buffer");
+  }
+  std::copy(decoded.begin(), decoded.end(), out.begin());
+}
 
 CodecPtr MakeCodec(const std::string& name) {
   return std::make_shared<InstrumentedCodec>(MakeRawCodec(name));

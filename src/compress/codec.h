@@ -38,6 +38,12 @@ class Codec {
   // on corrupt input.
   virtual Bytes Decompress(ByteSpan input, size_t size_hint = 0,
                            size_t max_output = 0) const = 0;
+
+  // Decompresses into exactly `out`, which is both the expected size and
+  // the output budget: input that decodes to any other size is rejected
+  // with DecodeError. The default decodes with Decompress and copies
+  // once; a codec that can write in place overrides it.
+  virtual void DecompressInto(ByteSpan input, MutableByteSpan out) const;
 };
 
 using CodecPtr = std::shared_ptr<const Codec>;

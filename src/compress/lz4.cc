@@ -1,6 +1,8 @@
 #include "compress/lz4.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "common/error.h"
 
@@ -16,6 +18,26 @@ constexpr size_t kLastLiterals = 5;
 constexpr size_t kMatchSafeMargin = 12;
 
 constexpr int kHashLog = 16;
+
+// Margins of the per-sequence fast path. The input must hold its 16-byte
+// literal copy and the 2-byte offset after at most 14 literal bytes; the
+// output, the literal copy and the 18-byte match copy after it. So no
+// copy in the fast path needs a test of its own.
+constexpr std::ptrdiff_t kFastInputMargin = 18;
+constexpr std::ptrdiff_t kFastOutputMargin = 48;
+
+// The extension bytes after a length nibble of 15: each 255 adds 255 and
+// continues, the first byte below 255 ends the length.
+size_t ReadLengthExtension(const Byte*& ip, const Byte* iend) {
+  size_t len = 0;
+  Byte b = 0;
+  do {
+    if (ip >= iend) throw DecodeError("lz4 block truncated");
+    b = *ip++;
+    len += b;
+  } while (b == 255);
+  return len;
+}
 
 std::uint32_t Load32(const Byte* p) {
   std::uint32_t v;
@@ -130,58 +152,90 @@ Bytes Lz4CompressBlock(ByteSpan input, int acceleration) {
   return out;
 }
 
-Bytes Lz4DecompressBlock(ByteSpan block, size_t decompressed_size) {
-  Bytes out;
-  out.reserve(decompressed_size);
-  size_t pos = 0;
-  const size_t n = block.size();
-  auto read_byte = [&]() -> Byte {
-    if (pos >= n) throw DecodeError("lz4 block truncated");
-    return block[pos++];
-  };
-  auto read_length = [&](size_t base_len) -> size_t {
-    size_t len = base_len;
-    if (base_len == 15) {
-      Byte b;
-      do {
-        b = read_byte();
-        len += b;
-      } while (b == 255);
-    }
-    return len;
-  };
+void Lz4DecompressBlock(ByteSpan block, MutableByteSpan out) {
+  const Byte* ip = block.data();
+  const Byte* const iend = ip + block.size();
+  Byte* const ostart = out.data();
+  Byte* op = ostart;
+  Byte* const oend = ostart + out.size();
 
-  while (pos < n) {
-    const Byte token = read_byte();
-    const size_t lit_len = read_length(token >> 4);
-    if (pos + lit_len > n) throw DecodeError("lz4 literal run overruns block");
-    if (lit_len > decompressed_size - out.size()) {
+  while (ip < iend) {
+    const Byte token = *ip++;
+    size_t lit_len = token >> 4;
+    size_t match_len = token & 0x0F;
+
+    // Most sequences carry a short literal and a short match. With both
+    // nibbles below 15 and both buffers past their margins, none of the
+    // checks below but the offset's can fail, so the literal goes as one
+    // fixed 16-byte copy and the match, at most 18 bytes, as fixed 8- or
+    // 4-byte copies (byte by byte below offset 4). A fixed copy may write
+    // past the sequence's end; later sequences overwrite those bytes, and
+    // a block that stops short is rejected.
+    if (lit_len < 15 && match_len < 15 && iend - ip >= kFastInputMargin &&
+        oend - op >= kFastOutputMargin) {
+      std::memcpy(op, ip, 16);
+      op += lit_len;
+      ip += lit_len;
+      const size_t offset =
+          static_cast<size_t>(ip[0]) | (static_cast<size_t>(ip[1]) << 8);
+      ip += 2;
+      if (offset == 0 || offset > static_cast<size_t>(op - ostart)) {
+        throw DecodeError("lz4 match offset out of range");
+      }
+      match_len += kMinMatch;
+      const Byte* const match = op - offset;
+      // Each fixed copy reads only bytes written before it starts, which
+      // an offset of at least its width guarantees.
+      if (offset >= 8) {
+        std::memcpy(op, match, 8);
+        std::memcpy(op + 8, match + 8, 8);
+        std::memcpy(op + 16, match + 16, 2);
+      } else if (offset >= 4) {
+        for (int i = 0; i < 16; i += 4) std::memcpy(op + i, match + i, 4);
+        std::memcpy(op + 16, match + 16, 2);
+      } else {
+        for (size_t i = 0; i < match_len; ++i) op[i] = match[i];
+      }
+      op += match_len;
+      continue;
+    }
+
+    if (lit_len == 15) lit_len += ReadLengthExtension(ip, iend);
+    if (lit_len > static_cast<size_t>(iend - ip)) {
+      throw DecodeError("lz4 literal run overruns block");
+    }
+    if (lit_len > static_cast<size_t>(oend - op)) {
       throw DecodeError("lz4 output exceeds declared size");
     }
-    out.insert(out.end(), block.begin() + static_cast<std::ptrdiff_t>(pos),
-               block.begin() + static_cast<std::ptrdiff_t>(pos + lit_len));
-    pos += lit_len;
-    if (pos >= n) break;  // final sequence carries no match
-    const size_t offset = static_cast<size_t>(read_byte()) |
-                          (static_cast<size_t>(read_byte()) << 8);
-    if (offset == 0 || offset > out.size()) {
+    std::copy_n(ip, lit_len, op);
+    op += lit_len;
+    ip += lit_len;
+    if (ip >= iend) break;  // final sequence carries no match
+    if (iend - ip < 2) throw DecodeError("lz4 block truncated");
+    const size_t offset =
+        static_cast<size_t>(ip[0]) | (static_cast<size_t>(ip[1]) << 8);
+    ip += 2;
+    if (offset == 0 || offset > static_cast<size_t>(op - ostart)) {
       throw DecodeError("lz4 match offset out of range");
     }
-    const size_t match_len = read_length(token & 0x0F) + kMinMatch;
-    if (match_len > decompressed_size - out.size()) {
+    if (match_len == 15) match_len += ReadLengthExtension(ip, iend);
+    match_len += kMinMatch;
+    if (match_len > static_cast<size_t>(oend - op)) {
       throw DecodeError("lz4 output exceeds declared size");
     }
-    size_t from = out.size() - offset;
-    for (size_t i = 0; i < match_len; ++i) {
-      out.push_back(out[from++]);
+    const Byte* const match = op - offset;
+    if (offset >= match_len) {
+      std::memcpy(op, match, match_len);
+    } else {
+      for (size_t i = 0; i < match_len; ++i) op[i] = match[i];
     }
+    op += match_len;
   }
-  if (out.size() != decompressed_size) {
+  if (op != oend) {
     throw DecodeError("lz4 decompressed size mismatch: got " +
-                      std::to_string(out.size()) + ", want " +
-                      std::to_string(decompressed_size));
+                      std::to_string(op - ostart) + ", want " +
+                      std::to_string(out.size()));
   }
-  return out;
 }
 
 Bytes Lz4Codec::Compress(ByteSpan input) const {
@@ -196,13 +250,22 @@ Bytes Lz4Codec::Decompress(ByteSpan input, size_t,
                            size_t max_output) const {
   if (input.size() < 8) throw DecodeError("lz4 frame too short");
   // The size prefix is untrusted: check it against the budget *before*
-  // Lz4DecompressBlock reserves that many bytes (a length-lie here was a
-  // one-frame OOM).
+  // allocating that many bytes (a length-lie here was a one-frame OOM).
   const std::uint64_t size = LoadLE<std::uint64_t>(input.data());
   if (size > ResolveOutputBudget(max_output)) {
     throw DecodeError("lz4 declared size exceeds output budget");
   }
-  return Lz4DecompressBlock(input.subspan(8), static_cast<size_t>(size));
+  Bytes out(static_cast<size_t>(size));
+  DecompressInto(input, out);
+  return out;
+}
+
+void Lz4Codec::DecompressInto(ByteSpan input, MutableByteSpan out) const {
+  if (input.size() < 8) throw DecodeError("lz4 frame too short");
+  if (LoadLE<std::uint64_t>(input.data()) != out.size()) {
+    throw DecodeError("lz4 declared size differs from the buffer");
+  }
+  Lz4DecompressBlock(input.subspan(8), out);
 }
 
 }  // namespace vizndp::compress

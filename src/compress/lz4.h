@@ -21,16 +21,19 @@ class Lz4Codec final : public Codec {
   Bytes Compress(ByteSpan input) const override;
   Bytes Decompress(ByteSpan input, size_t size_hint = 0,
                    size_t max_output = 0) const override;
+  // Also rejects a frame whose declared size differs from out.size().
+  void DecompressInto(ByteSpan input, MutableByteSpan out) const override;
 
  private:
   int acceleration_;
 };
 
 // Raw block routines (no size prefix), exposed for tests. The decoder
-// never produces more than `decompressed_size` bytes — a stream that
-// tries is rejected mid-decode, so the size doubles as the allocation
-// bound (the codec checks it against the output budget before calling).
+// fills exactly `out`: a block that would write past its end is
+// rejected mid-decode and one that ends short is rejected at the end,
+// so the buffer doubles as the allocation bound (the codec checks the
+// declared size against the output budget before allocating it).
 Bytes Lz4CompressBlock(ByteSpan input, int acceleration = 1);
-Bytes Lz4DecompressBlock(ByteSpan block, size_t decompressed_size);
+void Lz4DecompressBlock(ByteSpan block, MutableByteSpan out);
 
 }  // namespace vizndp::compress

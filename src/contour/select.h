@@ -10,8 +10,12 @@
 // identical* to the full-data contour: a cell reconstructs iff all its
 // corners arrived, and a cell with any missing corner is guaranteed
 // non-mixed (mixed ⇒ all corners selected), so skipping it is exact.
+// "Inside" is marching cubes' own predicate, double(value) >= v, so a NaN
+// corner is outside every isovalue here exactly as it is there.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -46,5 +50,25 @@ Selection SelectInterestingPoints(const grid::Dims& dims,
 std::int64_t CountInterestingPoints(const grid::Dims& dims,
                                     const grid::DataArray& array,
                                     std::span<const double> isovalues);
+
+// Bit planes of the classify, one bit per point and 64-point words per
+// x-row: "inside" for the isovalue at hand and "selected" for the slab.
+// A caller that classifies many slabs keeps one and reuses its memory.
+struct ClassifyPlanes {
+  std::vector<std::uint64_t> inside;
+  std::vector<std::uint64_t> marks;
+};
+
+// The classify behind both functions above and the bricked pre-filter.
+// `values` is a slab of `slab` points per axis (x fastest) whose first
+// point is `origin` of the `grid` grid. Appends each selected point of
+// the slab to `ids` (its id in `grid`) and `picked` (its value), in
+// ascending id order. T is float or double.
+template <typename T>
+void SelectSlab(const grid::Dims& grid, const grid::Dims& slab,
+                const std::array<std::int64_t, 3>& origin,
+                std::span<const T> values, std::span<const double> isovalues,
+                ClassifyPlanes& planes, std::vector<grid::PointId>& ids,
+                std::vector<T>& picked);
 
 }  // namespace vizndp::contour

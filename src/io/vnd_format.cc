@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/error.h"
 #include "compress/checksum.h"
@@ -94,6 +95,28 @@ Bytes ExtractSlab(const grid::Dims& dims, const BrickGrid::Extent& e,
   return slab;
 }
 
+// A brick's [min, max] as PlanBricks' straddle test must see it.
+// Marching cubes counts a NaN corner as outside every isovalue, so a NaN
+// is recorded as -inf: a brick whose only values below an isovalue are
+// NaN still straddles it, and an all-NaN brick, [-inf, -inf], never does.
+std::pair<double, double> BrickRange(const grid::DataArray& slab) {
+  const auto nans = [](auto values) {
+    std::int64_t count = 0;
+    for (const auto v : values) count += v != v;  // true for NaN only
+    return count;
+  };
+  std::int64_t nan_count = 0;
+  switch (slab.type()) {
+    case grid::DataType::Float32: nan_count = nans(slab.View<float>()); break;
+    case grid::DataType::Float64: nan_count = nans(slab.View<double>()); break;
+    default: break;
+  }
+  const auto [lo, hi] = slab.Range();  // skips NaN
+  if (nan_count == 0) return {lo, hi};
+  const double inf = std::numeric_limits<double>::infinity();
+  return {-inf, nan_count == slab.size() ? -inf : hi};
+}
+
 void DepositSlab(const grid::Dims& dims, const BrickGrid::Extent& e,
                  size_t elem_size, ByteSpan slab, Bytes& dense) {
   ForEachSlabRow(dims, e, elem_size,
@@ -154,7 +177,7 @@ Bytes VndWriter::Serialize() const {
         const BrickGrid::Extent e = bgrid.BrickExtent(b);
         const Bytes slab = ExtractSlab(dataset_.dims(), e, elem, array.raw());
         const grid::DataArray slab_array("", array.type(), slab);
-        const auto [lo, hi] = slab_array.Range();
+        const auto [lo, hi] = BrickRange(slab_array);
         const Bytes stored = codec->Compress(slab);
         const std::uint32_t brick_crc =
             index.has_crc ? compress::Crc32(stored) : 0;

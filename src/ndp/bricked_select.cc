@@ -1,7 +1,10 @@
 #include "ndp/bricked_select.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
+#include <utility>
 
 #include "common/error.h"
 #include "compress/checksum.h"
@@ -29,6 +32,49 @@ bool Straddles(const io::BrickEntry& brick,
   });
 }
 
+// Sorts the batch's (id, value) pairs by id and drops the ghost points
+// that two bricks both selected; their values are the same stored value.
+// An LSD radix sort, 8 bits a pass over the bits an id of the grid can
+// use, on 32-bit keys, which make a float pair 8 bytes. They always fit:
+// ValidateHeader caps an array at kDefaultDecompressBudget (1 GiB), so
+// a grid holds at most 2^28 four-byte points.
+template <typename T>
+void DropGhostDuplicates(std::int64_t point_count,
+                         std::vector<grid::PointId>& ids,
+                         std::vector<T>& values) {
+  if (ids.empty()) return;
+  VIZNDP_CHECK(point_count <= (std::int64_t{1} << 32));
+  struct Pair {
+    std::uint32_t id;
+    T value;
+  };
+  const size_t n = ids.size();
+  std::vector<Pair> pairs(n);
+  std::vector<Pair> sorted(n);
+  for (size_t i = 0; i < n; ++i) {
+    pairs[i] = {static_cast<std::uint32_t>(ids[i]), values[i]};
+  }
+  const int key_bits =
+      std::bit_width(static_cast<std::uint32_t>(point_count - 1));
+  for (int shift = 0; shift < key_bits; shift += 8) {
+    std::array<size_t, 256> start{};
+    for (const Pair& p : pairs) ++start[(p.id >> shift) & 0xFF];
+    if (start[(pairs[0].id >> shift) & 0xFF] == n) continue;  // one digit
+    size_t sum = 0;
+    for (size_t& s : start) sum += std::exchange(s, sum);
+    for (const Pair& p : pairs) sorted[start[(p.id >> shift) & 0xFF]++] = p;
+    pairs.swap(sorted);
+  }
+  ids.clear();
+  values.clear();
+  for (const Pair& p : pairs) {
+    const grid::PointId id = p.id;
+    if (!ids.empty() && ids.back() == id) continue;
+    ids.push_back(id);
+    values.push_back(p.value);
+  }
+}
+
 template <typename T>
 contour::Selection SelectBricksT(const io::VndReader& reader,
                                  const std::string& array,
@@ -41,10 +87,13 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
                                  const std::string& quarantine_key) {
   const grid::Dims dims = reader.header().dims;
 
-  // (id, value) pairs from every brick of the batch; ghost points
-  // selected by two bricks dedup after the sort (their values are
-  // identical).
-  std::vector<std::pair<grid::PointId, T>> picked;
+  // The selected (id, value) pairs of every brick of the batch. Each
+  // brick decodes into the one slab buffer, which the classify reads
+  // while it is still in cache; the buffers live for this call only.
+  std::vector<grid::PointId> ids;
+  std::vector<T> values;
+  std::vector<T> slab;
+  contour::ClassifyPlanes planes;
   std::vector<std::int64_t> needed(batch.begin(), batch.end());
   local.bricks_read = static_cast<std::int64_t>(needed.size());
 
@@ -54,34 +103,25 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
   // Decompress + scan one brick whose stored bytes already verified.
   auto scan_brick = [&](std::int64_t b, ByteSpan brick_bytes) {
     const io::BrickGrid::Extent e = bgrid.BrickExtent(b);
-    const size_t slab_bytes = static_cast<size_t>(e.PointCount()) * sizeof(T);
     const auto t_decompress = std::chrono::steady_clock::now();
-    Bytes raw;
+    slab.resize(static_cast<size_t>(e.PointCount()));
     try {
-      raw = codec->Decompress(brick_bytes, slab_bytes, slab_bytes);
+      codec->DecompressInto(
+          brick_bytes, MutableByteSpan(reinterpret_cast<Byte*>(slab.data()),
+                                       slab.size() * sizeof(T)));
     } catch (const DecodeError& err) {
       // v1 files carry no brick CRC, so corruption surfaces here
       // instead; route it into the same recovery ladder.
       throw CorruptDataError(std::string("brick decode failed: ") +
                              err.what());
     }
-    if (raw.size() != slab_bytes) {
-      throw CorruptDataError("brick decompressed to wrong size: " + array);
-    }
-    const grid::DataArray slab(array, meta.type, std::move(raw));
     local.read_seconds += SecondsSince(t_decompress);
 
     const auto t_scan = std::chrono::steady_clock::now();
     const grid::Dims slab_dims{e.x1 - e.x0 + 1, e.y1 - e.y0 + 1,
                                e.z1 - e.z0 + 1};
-    const contour::Selection slab_selection =
-        contour::SelectInterestingPoints(slab_dims, slab, isovalues);
-    const auto values = slab_selection.values.template View<T>();
-    for (size_t i = 0; i < slab_selection.ids.size(); ++i) {
-      const auto c = slab_dims.Coords(slab_selection.ids[i]);
-      picked.emplace_back(dims.Index(e.x0 + c[0], e.y0 + c[1], e.z0 + c[2]),
-                          values[i]);
-    }
+    contour::SelectSlab<T>(dims, slab_dims, {e.x0, e.y0, e.z0}, slab,
+                           isovalues, planes, ids, values);
     local.scan_seconds += SecondsSince(t_scan);
   };
 
@@ -174,24 +214,13 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
     cursor = run_end;
   }
 
-  std::sort(picked.begin(), picked.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  picked.erase(std::unique(picked.begin(), picked.end(),
-                           [](const auto& a, const auto& b) {
-                             return a.first == b.first;
-                           }),
-               picked.end());
+  // One brick's ids are already ascending and unique.
+  if (batch.size() > 1) DropGhostDuplicates(dims.PointCount(), ids, values);
 
   contour::Selection out;
   out.dims = dims;
   out.total_points = dims.PointCount();
-  out.ids.reserve(picked.size());
-  std::vector<T> values;
-  values.reserve(picked.size());
-  for (const auto& [id, value] : picked) {
-    out.ids.push_back(id);
-    values.push_back(value);
-  }
+  out.ids = std::move(ids);
   out.values = grid::DataArray::FromVector(array, std::move(values));
   return out;
 }

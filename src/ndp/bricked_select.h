@@ -6,7 +6,8 @@
 //
 // Exactness: a grid cell belongs to exactly one brick (bricks own
 // disjoint cell ranges and store a one-point ghost layer), and a skipped
-// brick's [min, max] bounds every cell inside it, so skipped bricks
+// brick's [min, max] bounds every cell inside it (the index records a
+// NaN, which is outside every isovalue, as -inf), so skipped bricks
 // contain no mixed cells. The resulting selection is identical to the
 // dense SelectInterestingPoints.
 //

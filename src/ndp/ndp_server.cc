@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include "common/error.h"
@@ -298,26 +297,8 @@ msgpack::Value NdpServer::Stats(const std::string& key,
   const io::ArrayMeta* meta = reader.header().Find(array);
   VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + array + "' in VND file");
 
-  // Brick-indexed fast path: the header already carries per-brick
-  // min/max, so the global range needs no data pass at all.
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  bool range_from_index = false;
-  if (meta->bricks.has_value() && !meta->bricks->entries.empty()) {
-    for (const io::BrickEntry& e : meta->bricks->entries) {
-      lo = std::min(lo, e.min);
-      hi = std::max(hi, e.max);
-    }
-    range_from_index = true;
-    metrics_.GetCounter("ndp_stats_index_fastpath_total").Increment();
-  }
-
   const grid::DataArray data = reader.ReadArray(array);
-  if (!range_from_index) {
-    const auto [dlo, dhi] = data.Range();
-    lo = dlo;
-    hi = dhi;
-  }
+  const auto [lo, hi] = data.Range();
 
   std::vector<std::uint64_t> histogram(static_cast<size_t>(bins), 0);
   std::uint64_t count = 0;  // the values binned: NaNs are skipped

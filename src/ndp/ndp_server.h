@@ -117,14 +117,14 @@ class NdpServer {
 
   // Near-data array statistics: min/max and a value histogram computed on
   // the storage node (the interactive front end uses these to suggest
-  // contour values without ever moving the array). For brick-indexed
-  // arrays the min/max comes straight from the header index.
+  // contour values without ever moving the array). The min/max comes
+  // from the same data pass as the histogram; NaN values are skipped.
   msgpack::Value Stats(const std::string& key, const std::string& array,
                        int bins);
 
   // Pre-filter metrics: ndp_select_requests_total, ndp_bytes_in_total,
   // ndp_bytes_out_total, ndp_selected_points_total,
-  // ndp_bricks_skipped_total, ndp_stats_index_fastpath_total, ...
+  // ndp_bricks_skipped_total, ...
   obs::Registry& metrics() { return metrics_; }
   const obs::Registry& metrics() const { return metrics_; }
 

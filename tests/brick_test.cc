@@ -2,10 +2,14 @@
 // attacks the paper's "NDP is lower-bounded by local read time" limit).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <random>
 #include <set>
 
 #include "bench_util/testbed.h"
+#include "contour/marching_cubes.h"
+#include "contour/sparse_field.h"
 #include "io/vnd_format.h"
 #include "ndp/bricked_select.h"
 #include "sim/impact.h"
@@ -195,6 +199,51 @@ TEST(BrickedSelect, SkipsBricksOutsideTheValueRange) {
   const contour::Selection dense = contour::SelectInterestingPoints(
       ds.dims(), reader.ReadArray("v03"), isos);
   EXPECT_EQ(sel.ids, dense.ids);
+}
+
+TEST(BrickedSelect, BrickWhoseOnlyLowValueIsNanIsRead) {
+  // Marching cubes counts a NaN corner as outside, so the brick holding
+  // the NaN at (24, 24, 24) has mixed cells although its other values
+  // are all above the isovalue. The brick index records a NaN as -inf,
+  // so the brick straddles and the sparse contour is the dense one.
+  storage::MemoryObjectStore store;
+  store.CreateBucket("data");
+  const grid::Dims dims{33, 33, 33};
+  grid::Dataset ds(dims);
+  std::vector<float> f(static_cast<size_t>(dims.PointCount()), 0.5f);
+  f[static_cast<size_t>(dims.Index(2, 2, 2))] = 0.0f;
+  f[static_cast<size_t>(dims.Index(24, 24, 24))] =
+      std::numeric_limits<float>::quiet_NaN();
+  ds.AddArray(grid::DataArray::FromVector("f", f));
+  io::VndWriter writer(ds);
+  writer.SetCodec(compress::MakeCodec("lz4"));
+  writer.SetBrickSize(16);
+  writer.WriteToStore(store, "data", "b.vnd");
+
+  io::VndReader reader(storage::FileGateway(store, "data").Open("b.vnd"));
+  const std::vector<double> isos = {0.1};
+  ndp::BrickedSelectStats stats;
+  const contour::Selection sel =
+      ndp::SelectInterestingPointsBricked(reader, "f", isos, &stats);
+  EXPECT_EQ(stats.bricks_total, 8);
+  EXPECT_EQ(stats.bricks_read, 2);
+
+  const grid::UniformGeometry geo;
+  const contour::PolyData dense =
+      contour::MarchingCubes(dims, geo, ds.GetArray("f"), isos);
+  const contour::PolyData ndp =
+      contour::SparseField::FromSelection(sel, grid::DataType::Float32)
+          .Contour(geo, isos);
+  EXPECT_EQ(dense.TriangleCount(), 16u);
+  EXPECT_EQ(ndp.TriangleCount(), dense.TriangleCount());
+  EXPECT_EQ(ndp.triangles(), dense.triangles());
+  ASSERT_EQ(ndp.PointCount(), dense.PointCount());
+  for (size_t p = 0; p < ndp.PointCount(); ++p) {
+    EXPECT_EQ(std::memcmp(&ndp.points()[p], &dense.points()[p],
+                          sizeof(contour::Vec3)),
+              0)
+        << "point " << p;
+  }
 }
 
 TEST(BrickedNdp, EndToEndContourIdenticalAndCheaper) {

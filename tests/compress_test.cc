@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <random>
 
 #include "compress/checksum.h"
@@ -9,9 +11,14 @@
 #include "compress/lz4.h"
 #include "compress/rle.h"
 #include "compress/zlib_stream.h"
+#include "testing/fuzz.h"
 
 #ifdef VIZNDP_HAVE_ZLIB
 #include <zlib.h>
+#endif
+
+#ifndef VIZNDP_FUZZ_CORPUS_DIR
+#error "build must define VIZNDP_FUZZ_CORPUS_DIR"
 #endif
 
 namespace vizndp::compress {
@@ -71,6 +78,17 @@ TEST_P(CodecRoundTripTest, DecodeRecoversInput) {
   const Bytes compressed = codec->Compress(input);
   const Bytes output = codec->Decompress(compressed, input.size());
   EXPECT_EQ(output, input);
+  Bytes into(input.size());
+  codec->DecompressInto(compressed, into);
+  EXPECT_EQ(into, input);
+  // The buffer is the expected size: one byte more or less is a decode
+  // error.
+  Bytes larger(input.size() + 1);
+  EXPECT_THROW(codec->DecompressInto(compressed, larger), DecodeError);
+  if (!input.empty()) {
+    Bytes smaller(input.size() - 1);
+    EXPECT_THROW(codec->DecompressInto(compressed, smaller), DecodeError);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -233,30 +251,36 @@ TEST(Deflate, WeCanInflateZlibOutput) {
 }
 #endif  // VIZNDP_HAVE_ZLIB
 
+Bytes DecodeBlock(ByteSpan block, size_t size) {
+  Bytes out(size);
+  Lz4DecompressBlock(block, out);
+  return out;
+}
+
 TEST(Lz4, BlockFormatEssentials) {
   // "aaaaaaaaaaaaaaaaaaaaaaaa" compresses to one short match sequence.
   const Bytes input(24, 'a');
   const Bytes block = Lz4CompressBlock(input);
   EXPECT_LT(block.size(), input.size());
-  EXPECT_EQ(Lz4DecompressBlock(block, input.size()), input);
+  EXPECT_EQ(DecodeBlock(block, input.size()), input);
 }
 
 TEST(Lz4, RejectsBadOffset) {
   // token: 0 literals, match len 4; offset 5 with empty history.
   const Bytes bad = {0x00, 0x05, 0x00};
-  EXPECT_THROW(Lz4DecompressBlock(bad, 4), DecodeError);
+  EXPECT_THROW(DecodeBlock(bad, 4), DecodeError);
 }
 
 TEST(Lz4, RejectsZeroOffset) {
   const Bytes bad = {0x00, 0x00, 0x00};
-  EXPECT_THROW(Lz4DecompressBlock(bad, 4), DecodeError);
+  EXPECT_THROW(DecodeBlock(bad, 4), DecodeError);
 }
 
 TEST(Lz4, RejectsSizeMismatch) {
   const Bytes input(100, 'x');
   const Bytes block = Lz4CompressBlock(input);
-  EXPECT_THROW(Lz4DecompressBlock(block, 99), DecodeError);
-  EXPECT_THROW(Lz4DecompressBlock(block, 101), DecodeError);
+  EXPECT_THROW(DecodeBlock(block, 99), DecodeError);
+  EXPECT_THROW(DecodeBlock(block, 101), DecodeError);
 }
 
 TEST(Lz4, OverlappingMatchesDecodeCorrectly) {
@@ -267,7 +291,208 @@ TEST(Lz4, OverlappingMatchesDecodeCorrectly) {
   input.insert(input.end(), {'e', 'n', 'd', '!', '!', '?', '.', ',', ';',
                              ':', 'a', 'b', 'c'});
   const Bytes block = Lz4CompressBlock(input);
-  EXPECT_EQ(Lz4DecompressBlock(block, input.size()), input);
+  EXPECT_EQ(DecodeBlock(block, input.size()), input);
+}
+
+// The block decoder before its per-sequence fast path, kept as the
+// oracle: a bounds check per input byte, a push_back per match byte.
+Bytes ReferenceLz4DecompressBlock(ByteSpan block, size_t decompressed_size) {
+  Bytes out;
+  out.reserve(decompressed_size);
+  size_t pos = 0;
+  const size_t n = block.size();
+  auto read_byte = [&]() -> Byte {
+    if (pos >= n) throw DecodeError("lz4 block truncated");
+    return block[pos++];
+  };
+  auto read_length = [&](size_t base_len) -> size_t {
+    size_t len = base_len;
+    if (base_len == 15) {
+      Byte b;
+      do {
+        b = read_byte();
+        len += b;
+      } while (b == 255);
+    }
+    return len;
+  };
+
+  while (pos < n) {
+    const Byte token = read_byte();
+    const size_t lit_len = read_length(token >> 4);
+    if (pos + lit_len > n) throw DecodeError("lz4 literal run overruns block");
+    if (lit_len > decompressed_size - out.size()) {
+      throw DecodeError("lz4 output exceeds declared size");
+    }
+    out.insert(out.end(), block.begin() + static_cast<std::ptrdiff_t>(pos),
+               block.begin() + static_cast<std::ptrdiff_t>(pos + lit_len));
+    pos += lit_len;
+    if (pos >= n) break;  // final sequence carries no match
+    const size_t offset = static_cast<size_t>(read_byte()) |
+                          (static_cast<size_t>(read_byte()) << 8);
+    if (offset == 0 || offset > out.size()) {
+      throw DecodeError("lz4 match offset out of range");
+    }
+    const size_t match_len = read_length(token & 0x0F) + 4;
+    if (match_len > decompressed_size - out.size()) {
+      throw DecodeError("lz4 output exceeds declared size");
+    }
+    size_t from = out.size() - offset;
+    for (size_t i = 0; i < match_len; ++i) {
+      out.push_back(out[from++]);
+    }
+  }
+  if (out.size() != decompressed_size) {
+    throw DecodeError("lz4 decompressed size mismatch: got " +
+                      std::to_string(out.size()) + ", want " +
+                      std::to_string(decompressed_size));
+  }
+  return out;
+}
+
+// A decode's result: its bytes, or the DecodeError it threw.
+struct Outcome {
+  bool accepted = false;
+  Bytes bytes;
+  std::string error;
+};
+
+template <typename Decode>
+Outcome Run(Decode&& decode) {
+  try {
+    return {true, decode(), ""};
+  } catch (const DecodeError& err) {
+    return {false, {}, err.what()};
+  }
+}
+
+void ExpectSameOutcome(const Outcome& got, const Outcome& want) {
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.error, want.error);
+}
+
+// The raw block at `size` through both decoders.
+void ExpectBlockMatchesReference(ByteSpan block, size_t size) {
+  SCOPED_TRACE("block of " + std::to_string(block.size()) + " bytes at " +
+               std::to_string(size));
+  ExpectSameOutcome(
+      Run([&] { return DecodeBlock(block, size); }),
+      Run([&] { return ReferenceLz4DecompressBlock(block, size); }));
+}
+
+// A frame through Decompress, DecompressInto a buffer of its declared
+// size, and the old codec's frame check around the oracle.
+void ExpectFrameMatchesReference(ByteSpan frame, size_t max_output) {
+  const Lz4Codec codec;
+  const Outcome want = Run([&] {
+    if (frame.size() < 8) throw DecodeError("lz4 frame too short");
+    const std::uint64_t size = LoadLE<std::uint64_t>(frame.data());
+    if (size > max_output) {
+      throw DecodeError("lz4 declared size exceeds output budget");
+    }
+    return ReferenceLz4DecompressBlock(frame.subspan(8), size);
+  });
+  ExpectSameOutcome(Run([&] { return codec.Decompress(frame, 0, max_output); }),
+                    want);
+  if (frame.size() >= 8 && LoadLE<std::uint64_t>(frame.data()) <= max_output) {
+    ExpectSameOutcome(Run([&] {
+                        Bytes out(LoadLE<std::uint64_t>(frame.data()));
+                        codec.DecompressInto(frame, out);
+                        return out;
+                      }),
+                      want);
+  }
+}
+
+// Runs of short periods between random bytes: matches at offsets 1-20,
+// many of them below the 8 bytes the fast path's wide copy needs.
+Bytes PeriodicInput(size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  Bytes out;
+  while (out.size() < n) {
+    const size_t period = 1 + rng() % 20;
+    const size_t run = rng() % 64;
+    for (size_t i = 0; i < period; ++i) out.push_back(static_cast<Byte>(rng()));
+    for (size_t i = 0; i < run; ++i) out.push_back(out[out.size() - period]);
+  }
+  out.resize(n);
+  return out;
+}
+
+TEST(Lz4Reference, RoundTripsAroundTheFastPathMarginsMatch) {
+  // Sizes across the 16-byte literal copy and the 18- and 48-byte
+  // margins, every input family, and every truncation of each block.
+  for (size_t size = 0; size <= 160; ++size) {
+    for (int kind = 0; kind < 6; ++kind) {
+      const auto seed = static_cast<unsigned>(size * 31 + kind);
+      const Bytes input = kind == 5 ? PeriodicInput(size, seed)
+                                    : MakeInput(static_cast<InputKind>(kind),
+                                                size, seed);
+      const Bytes block = Lz4CompressBlock(input);
+      ASSERT_EQ(DecodeBlock(block, input.size()), input);
+      for (size_t cut = 0; cut <= block.size(); ++cut) {
+        ExpectBlockMatchesReference(ByteSpan(block).first(cut), input.size());
+      }
+      ExpectBlockMatchesReference(block, input.size() + 1);
+      if (!input.empty()) ExpectBlockMatchesReference(block, input.size() - 1);
+    }
+  }
+}
+
+TEST(Lz4Reference, LargeInputsMatch) {
+  for (const size_t size : {4095u, 4096u, 65535u, 65536u, 300000u}) {
+    for (int kind = 0; kind < 6; ++kind) {
+      const auto seed = static_cast<unsigned>(size + kind);
+      const Bytes input = kind == 5 ? PeriodicInput(size, seed)
+                                    : MakeInput(static_cast<InputKind>(kind),
+                                                size, seed);
+      ExpectFrameMatchesReference(Lz4Codec().Compress(input), input.size());
+    }
+  }
+}
+
+TEST(Lz4Reference, CompressTestBlocksMatch) {
+  // The hand-made blocks of the tests above.
+  ExpectBlockMatchesReference(Bytes{0x00, 0x05, 0x00}, 4);
+  ExpectBlockMatchesReference(Bytes{0x00, 0x00, 0x00}, 4);
+  ExpectBlockMatchesReference(Bytes{0xF0}, 15);
+  ExpectBlockMatchesReference(Bytes{0x10, 'a', 0x01, 0x00}, 5);
+  ExpectFrameMatchesReference(Bytes{1, 2, 3}, kDefaultDecompressBudget);
+}
+
+TEST(Lz4Reference, MutationStormMatches) {
+  // The fuzz stage's lz4 storm, seed for seed.
+  for (const testing::FuzzTarget& target : testing::BuiltinFuzzTargets()) {
+    if (target.name != "lz4") continue;
+    const Bytes seed = target.seed_input();
+    testing::FuzzRng rng(20260805);
+    for (int i = 0; i < 1500; ++i) {
+      const Bytes mutated = testing::MutateBytes(seed, rng);
+      ExpectFrameMatchesReference(mutated, testing::kFuzzOutputBudget);
+    }
+    return;
+  }
+  FAIL() << "no lz4 fuzz target";
+}
+
+TEST(Lz4Reference, FuzzCorpusMatches) {
+  // Every corpus entry, as a frame and as a raw block at a few sizes.
+  size_t entries = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(VIZNDP_FUZZ_CORPUS_DIR)) {
+    if (entry.path().extension() != ".bin") continue;
+    SCOPED_TRACE(entry.path().string());
+    std::ifstream in(entry.path(), std::ios::binary);
+    const Bytes data((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    ExpectFrameMatchesReference(data, testing::kFuzzOutputBudget);
+    for (const size_t size : {0u, 16u, 64u, 4096u}) {
+      ExpectBlockMatchesReference(data, size);
+    }
+    ++entries;
+  }
+  EXPECT_GE(entries, 10u);
 }
 
 TEST(Lz4, FrameCarriesDecompressedSize) {

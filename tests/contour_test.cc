@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <set>
 #include <string>
@@ -875,6 +876,216 @@ TEST(ReferenceEquivalence, SparseWalkThatSkipsASlabOrRow) {
     ExpectIdentical(field.Contour(stretched, isos),
                     ReferenceContour(d, stretched, f, isos, &field));
   }
+}
+
+// The selection before the bit-plane classify, kept as the oracle: one
+// byte per point, marked from each cell's min and max, then a gather. It
+// agrees with marching cubes' predicate on NaN-free fields only.
+template <typename T>
+void ReferenceMarkInterestingPoints(const grid::Dims& dims,
+                                    std::span<const T> values,
+                                    std::span<const double> isovalues,
+                                    std::vector<std::uint8_t>& selected) {
+  const auto mixed = [&](double lo, double hi) {
+    for (const double iso : isovalues) {
+      if (lo < iso && hi >= iso) return true;
+    }
+    return false;
+  };
+  const std::int64_t nx = dims.nx;
+  const std::int64_t ny = dims.ny;
+  const std::int64_t nz = dims.nz;
+  const T* const v = values.data();
+  if (dims.Is2D()) {
+    for (std::int64_t j = 0; j + 1 < ny; ++j) {
+      const std::int64_t r0 = j * nx;
+      const std::int64_t r1 = (j + 1) * nx;
+      for (std::int64_t i = 0; i + 1 < nx; ++i) {
+        const double c0 = v[r0 + i], c1 = v[r0 + i + 1];
+        const double c2 = v[r1 + i], c3 = v[r1 + i + 1];
+        const double lo = std::min(std::min(c0, c1), std::min(c2, c3));
+        const double hi = std::max(std::max(c0, c1), std::max(c2, c3));
+        if (mixed(lo, hi)) {
+          for (const std::int64_t p :
+               {r0 + i, r0 + i + 1, r1 + i, r1 + i + 1}) {
+            selected[static_cast<size_t>(p)] = 1;
+          }
+        }
+      }
+    }
+    return;
+  }
+  for (std::int64_t k = 0; k + 1 < nz; ++k) {
+    for (std::int64_t j = 0; j + 1 < ny; ++j) {
+      for (std::int64_t i = 0; i + 1 < nx; ++i) {
+        double lo = std::numeric_limits<double>::infinity();
+        double hi = -std::numeric_limits<double>::infinity();
+        for (const auto& off : kCornerOffsets) {
+          const double c =
+              v[dims.Index(i + off[0], j + off[1], k + off[2])];
+          lo = std::min(lo, c);
+          hi = std::max(hi, c);
+        }
+        if (mixed(lo, hi)) {
+          for (const auto& off : kCornerOffsets) {
+            selected[static_cast<size_t>(
+                dims.Index(i + off[0], j + off[1], k + off[2]))] = 1;
+          }
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+Selection ReferenceGatherSelection(const grid::Dims& dims,
+                                   const std::vector<T>& values,
+                                   const std::vector<std::uint8_t>& selected) {
+  Selection out;
+  out.dims = dims;
+  out.total_points = dims.PointCount();
+  std::vector<T> picked;
+  for (std::int64_t id = 0; id < dims.PointCount(); ++id) {
+    if (selected[static_cast<size_t>(id)]) {
+      out.ids.push_back(id);
+      picked.push_back(values[static_cast<size_t>(id)]);
+    }
+  }
+  out.values = grid::DataArray::FromVector("f", std::move(picked));
+  return out;
+}
+
+// Random values, a third of them from a pool that holds each isovalue's
+// nearest T values on both sides and the extremes of T, so the classify
+// meets every edge of its >= predicate.
+template <typename T>
+std::vector<T> PredicateEdgeField(const grid::Dims& d, unsigned seed,
+                                  std::span<const double> isos) {
+  constexpr T kInf = std::numeric_limits<T>::infinity();
+  std::vector<T> pool = {T{0}, T{1}, T{-1}, std::numeric_limits<T>::max(),
+                         std::numeric_limits<T>::lowest(), kInf, -kInf};
+  for (const double iso : isos) {
+    if (!(std::abs(iso) <= std::numeric_limits<T>::max())) continue;
+    const T near = static_cast<T>(iso);
+    pool.insert(pool.end(), {near, std::nextafter(near, kInf),
+                             std::nextafter(near, -kInf)});
+  }
+  std::mt19937 rng(seed);
+  std::vector<T> f(static_cast<size_t>(d.PointCount()));
+  for (auto& v : f) {
+    v = rng() % 3 == 0 ? pool[rng() % pool.size()]
+                       : static_cast<T>(rng() % 1000) / static_cast<T>(999);
+  }
+  return f;
+}
+
+// A smooth field: few mixed cells, long runs of empty words.
+template <typename T>
+std::vector<T> WaveField(const grid::Dims& d) {
+  std::vector<T> f(static_cast<size_t>(d.PointCount()));
+  for (std::int64_t k = 0; k < d.nz; ++k) {
+    for (std::int64_t j = 0; j < d.ny; ++j) {
+      for (std::int64_t i = 0; i < d.nx; ++i) {
+        f[static_cast<size_t>(d.Index(i, j, k))] = static_cast<T>(
+            std::sin(0.21 * static_cast<double>(i)) +
+            std::cos(0.37 * static_cast<double>(j)) *
+                std::sin(0.5 + 0.29 * static_cast<double>(k)));
+      }
+    }
+  }
+  return f;
+}
+
+template <typename T>
+void ExpectSelectionMatchesReference(const grid::Dims& d,
+                                     const std::vector<T>& f,
+                                     const std::vector<double>& isos) {
+  std::vector<std::uint8_t> selected(static_cast<size_t>(d.PointCount()), 0);
+  ReferenceMarkInterestingPoints<T>(d, f, isos, selected);
+  const Selection want = ReferenceGatherSelection(d, f, selected);
+  const auto a = grid::DataArray::FromVector("f", f);
+  const Selection got = SelectInterestingPoints(d, a, isos);
+  ASSERT_EQ(got.ids, want.ids);
+  EXPECT_EQ(got.values, want.values);
+  EXPECT_EQ(CountInterestingPoints(d, a, isos),
+            static_cast<std::int64_t>(want.ids.size()));
+}
+
+// The bit-plane classify against the byte-mask oracle on NaN-free
+// fields: rows that end inside, at and just past a 64-point word, 2D and
+// thin grids, float32 and float64, and isovalues at, between and beyond
+// float's values.
+TEST(SelectionReference, BitPlanesMatchTheByteMask) {
+  const std::vector<std::vector<double>> iso_sets = {
+      {0.1},
+      {0.7},
+      {0.1, 0.5, 0.9},
+      {1e39},
+      {-1e39},
+      {0.3, 1e39, -1e39},
+      {std::numeric_limits<double>::infinity()},
+      {-std::numeric_limits<double>::infinity()},
+      {}};
+  const std::vector<grid::Dims> dims = {
+      {1, 3, 3},   {2, 2, 2},   {3, 4, 5},   {63, 3, 4},  {64, 3, 3},
+      {65, 3, 4},  {127, 2, 3}, {128, 3, 2}, {129, 4, 3}, {200, 2, 2},
+      {65, 1, 3},  {64, 2, 2},  {1, 5, 1},   {63, 4, 1},  {64, 3, 1},
+      {65, 5, 1},  {129, 7, 1}, {2, 9, 1},   {9, 2, 1},   {5, 1, 1}};
+  for (const grid::Dims& d : dims) {
+    for (const std::vector<double>& isos : iso_sets) {
+      for (unsigned seed = 0; seed < 3; ++seed) {
+        SCOPED_TRACE(d.ToString() + " seed " + std::to_string(seed) +
+                     " isos " + std::to_string(isos.size()) + " from " +
+                     (isos.empty() ? "-" : std::to_string(isos.front())));
+        ExpectSelectionMatchesReference(
+            d, PredicateEdgeField<float>(d, seed, isos), isos);
+        ExpectSelectionMatchesReference(
+            d, PredicateEdgeField<double>(d, seed, isos), isos);
+      }
+      ExpectSelectionMatchesReference(d, WaveField<float>(d), isos);
+      ExpectSelectionMatchesReference(d, WaveField<double>(d), isos);
+    }
+  }
+}
+
+TEST(SelectionReference, SeedsMatchTheByteMask) {
+  const std::vector<double> isos = {0.15, 0.5, 0.85};
+  for (unsigned seed = 2000; seed < 2016; ++seed) {
+    for (const grid::Dims d : {grid::Dims{13, 11, 9}, grid::Dims{17, 13, 1},
+                               grid::Dims{70, 5, 4}}) {
+      ExpectSelectionMatchesReference(d, RandomField<float>(d, seed), isos);
+      ExpectSelectionMatchesReference(d, RandomField<double>(d, seed), isos);
+    }
+  }
+}
+
+// Marching cubes counts a NaN corner as outside every isovalue, and so
+// must the selection, or a cell it drops is missing from the NDP contour.
+// A grid of 0.5 at iso 0.1 with 0.0 at point 0 and a NaN at each
+// position in turn: the sparse contour is the dense one, bit for bit.
+void ExpectNanPositionsMatchDense(const grid::Dims& d) {
+  const std::vector<double> isos = {0.1};
+  const grid::UniformGeometry geo;
+  for (grid::PointId nan_at = 0; nan_at < d.PointCount(); ++nan_at) {
+    SCOPED_TRACE("NaN at point " + std::to_string(nan_at));
+    std::vector<float> f(static_cast<size_t>(d.PointCount()), 0.5f);
+    f[0] = 0.0f;
+    f[static_cast<size_t>(nan_at)] = std::numeric_limits<float>::quiet_NaN();
+    const auto a = grid::DataArray::FromVector("f", f);
+    const PolyData dense = d.Is2D() ? MarchingSquares(d, geo, a, isos)
+                                    : MarchingCubes(d, geo, a, isos);
+    const SparseField sparse = SparseField::FromSelection(
+        SelectInterestingPoints(d, a, isos), a.type());
+    ExpectIdentical(sparse.Contour(geo, isos), dense);
+  }
+}
+
+TEST(SelectionNan, EveryNanPositionMatchesDense3D) {
+  ExpectNanPositionsMatchDense(grid::Dims{3, 3, 3});
+}
+
+TEST(SelectionNan, EveryNanPositionMatchesDense2D) {
+  ExpectNanPositionsMatchDense(grid::Dims{3, 3, 1});
 }
 
 TEST(SparseField, ScatterAndValidity) {

