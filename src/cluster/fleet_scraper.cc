@@ -124,12 +124,6 @@ FleetScraper::ScrapeOnce() {
           .Increment();
     } else {
       snap->reachable++;
-      if (ns.health.window_present) {
-        ns.window_p50 = ns.health.window_p50;
-        ns.window_p95 = ns.health.window_p95;
-        ns.window_p99 = ns.health.window_p99;
-        ns.window_count = ns.health.window_count;
-      }
       // Rates and the error ratio: deltas against this node's previous
       // sweep, clamped at zero so a restart (counter reset) reads as
       // quiet, not as a negative storm.
@@ -174,8 +168,8 @@ FleetScraper::ScrapeOnce() {
   for (const NodeSample& ns : snap->nodes) {
     if (!ns.reachable) continue;
     double signal = 0;
-    if (ns.window_count >= options_.slow_min_samples) {
-      signal = ns.window_p95;
+    if (ns.health.window_count >= options_.slow_min_samples) {
+      signal = ns.health.window_p95;
     } else {
       const obs::MetricSnapshot rtt =
           metrics_
@@ -277,13 +271,12 @@ std::string FleetSnapshotJson(const FleetScraper::FleetSnapshot& snapshot) {
           << ",\"view_epoch\":" << ns.health.view_epoch
           << ",\"uptime_s\":" << ns.health.uptime_s
           << ",\"error_ratio\":" << ns.error_ratio
-          << ",\"slow\":" << (ns.slow ? "true" : "false");
-      if (ns.health.window_present) {
-        out << ",\"window\":{\"seconds\":" << ns.health.window_seconds
-            << ",\"count\":" << ns.window_count << ",\"p50_s\":" << ns.window_p50
-            << ",\"p95_s\":" << ns.window_p95 << ",\"p99_s\":" << ns.window_p99
-            << "}";
-      }
+          << ",\"slow\":" << (ns.slow ? "true" : "false")
+          << ",\"window\":{\"seconds\":" << ns.health.window_seconds
+          << ",\"count\":" << ns.health.window_count
+          << ",\"p50_s\":" << ns.health.window_p50
+          << ",\"p95_s\":" << ns.health.window_p95
+          << ",\"p99_s\":" << ns.health.window_p99 << "}";
       if (ns.health.scrub_present) {
         out << ",\"scrub\":{\"running\":"
             << (ns.health.scrub_running ? "true" : "false")
@@ -369,9 +362,10 @@ std::string FleetSnapshotText(const FleetScraper::FleetSnapshot& snapshot) {
       out << std::setw(7) << "-";
     }
     out << std::setprecision(2);
-    if (ns.health.window_present && ns.window_count > 0) {
-      out << std::setw(9) << Ms(ns.window_p50) << std::setw(9)
-          << Ms(ns.window_p95) << std::setw(9) << Ms(ns.window_p99);
+    if (ns.health.window_count > 0) {
+      out << std::setw(9) << Ms(ns.health.window_p50) << std::setw(9)
+          << Ms(ns.health.window_p95) << std::setw(9)
+          << Ms(ns.health.window_p99);
     } else {
       out << std::setw(9) << "-" << std::setw(9) << "-" << std::setw(9) << "-";
     }

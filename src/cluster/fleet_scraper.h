@@ -61,9 +61,6 @@ class FleetScraper {
     // Counter rates (events/second since the previous sweep), keyed by
     // canonical name; empty on the first sweep and while unreachable.
     std::map<std::string, double> rates;
-    // Windowed pre-filter quantiles as the node reported them.
-    double window_p50 = 0, window_p95 = 0, window_p99 = 0;
-    std::uint64_t window_count = 0;
     // rpc error fraction since the previous sweep.
     double error_ratio = 0;
     bool slow = false;  // flagged by the outlier rule this sweep

@@ -126,7 +126,7 @@ bool HealthMonitor::ProbeOnce() {
 
     NodeCell& cell = cells_[i];
     const NodeState before = cell.state;
-    if (healthy && node_id != 0) {
+    if (healthy) {
       if (cell.identity != 0 && node_id != cell.identity &&
           NodeUsable(cell.state)) {
         // The node restarted between two probes without ever looking

@@ -14,8 +14,7 @@ namespace vizndp::io {
 namespace {
 
 constexpr Byte kMagic[4] = {'V', 'N', 'D', 'F'};
-constexpr std::uint32_t kVersionV1 = 1;
-constexpr std::uint32_t kVersionLatest = 2;  // adds per-brick crc32
+constexpr std::uint32_t kVersion = 2;  // the only one: bricks carry a crc32
 constexpr size_t kPreambleSize = 12;  // magic + version + header size
 
 msgpack::Array DoubleTriple(const std::array<double, 3>& v) {
@@ -139,12 +138,6 @@ void VndWriter::SetArrayCodec(const std::string& array,
   overrides_.emplace_back(array, std::move(codec));
 }
 
-void VndWriter::SetFormatVersion(std::uint32_t version) {
-  VIZNDP_CHECK_MSG(version == kVersionV1 || version == kVersionLatest,
-                   "unsupported VND format version " + std::to_string(version));
-  version_ = version;
-}
-
 Bytes VndWriter::Serialize() const {
   // Compress every array first so offsets and sizes are known.
   struct Blob {
@@ -169,7 +162,6 @@ Bytes VndWriter::Serialize() const {
       const BrickGrid bgrid(dataset_.dims(), brick_edge_);
       BrickIndex index;
       index.edge = brick_edge_;
-      index.has_crc = version_ >= 2;
       index.entries.reserve(static_cast<size_t>(bgrid.BrickCount()));
       const size_t elem = grid::DataTypeSize(array.type());
       std::uint64_t brick_offset = 0;
@@ -179,10 +171,8 @@ Bytes VndWriter::Serialize() const {
         const grid::DataArray slab_array("", array.type(), slab);
         const auto [lo, hi] = BrickRange(slab_array);
         const Bytes stored = codec->Compress(slab);
-        const std::uint32_t brick_crc =
-            index.has_crc ? compress::Crc32(stored) : 0;
         index.entries.push_back(
-            {brick_offset, stored.size(), lo, hi, brick_crc});
+            {brick_offset, stored.size(), lo, hi, compress::Crc32(stored)});
         brick_offset += stored.size();
         blob_crc.Update(stored);
         blob.stored.insert(blob.stored.end(), stored.begin(), stored.end());
@@ -237,13 +227,10 @@ Bytes VndWriter::Serialize() const {
       msgpack::Array entries;
       entries.reserve(blob.meta.bricks->entries.size());
       for (const BrickEntry& entry : blob.meta.bricks->entries) {
-        msgpack::Array fields{
+        entries.push_back(msgpack::Value(msgpack::Array{
             msgpack::Value(entry.offset), msgpack::Value(entry.stored_size),
-            msgpack::Value(entry.min), msgpack::Value(entry.max)};
-        if (blob.meta.bricks->has_crc) {
-          fields.push_back(msgpack::Value(std::uint64_t{entry.crc32}));
-        }
-        entries.push_back(msgpack::Value(std::move(fields)));
+            msgpack::Value(entry.min), msgpack::Value(entry.max),
+            msgpack::Value(std::uint64_t{entry.crc32})}));
       }
       m.emplace_back(msgpack::Value("bricks"),
                      msgpack::Value(std::move(entries)));
@@ -258,7 +245,7 @@ Bytes VndWriter::Serialize() const {
   Bytes out;
   out.reserve(kPreambleSize + header_bytes.size() + offset);
   out.insert(out.end(), kMagic, kMagic + 4);
-  AppendLE<std::uint32_t>(version_, out);
+  AppendLE<std::uint32_t>(kVersion, out);
   AppendLE<std::uint32_t>(static_cast<std::uint32_t>(header_bytes.size()), out);
   out.insert(out.end(), header_bytes.begin(), header_bytes.end());
   for (const Blob& blob : blobs) {
@@ -352,13 +339,12 @@ VndHeader ParseHeaderBytes(ByteSpan preamble, ByteSpan header_bytes,
     throw DecodeError("not a VND file (bad magic)");
   }
   const std::uint32_t version = LoadLE<std::uint32_t>(preamble.data() + 4);
-  if (version != kVersionV1 && version != kVersionLatest) {
+  if (version != kVersion) {
     throw DecodeError("unsupported VND version " + std::to_string(version));
   }
 
   const msgpack::Value root = msgpack::Decode(header_bytes);
   VndHeader h;
-  h.version = version;
   const auto& dims = root.At("dims").As<msgpack::Array>();
   if (dims.size() != 3) FailHeader("dims must have three axes");
   h.dims = {dims[0].AsInt(), dims[1].AsInt(), dims[2].AsInt()};
@@ -376,19 +362,13 @@ VndHeader ParseHeaderBytes(ByteSpan preamble, ByteSpan header_bytes,
     if (const msgpack::Value* edge = item.Find("brick_edge")) {
       BrickIndex index;
       index.edge = static_cast<std::int32_t>(edge->AsInt());
-      index.has_crc = version >= 2;
-      const size_t entry_fields = version >= 2 ? 5 : 4;
       for (const msgpack::Value& entry : item.At("bricks").As<msgpack::Array>()) {
         const auto& fields = entry.As<msgpack::Array>();
-        if (fields.size() != entry_fields) {
-          FailHeader("malformed brick entry: " + m.name);
-        }
-        BrickEntry e{fields[0].AsUint(), fields[1].AsUint(),
-                     fields[2].AsDouble(), fields[3].AsDouble(), 0};
-        if (index.has_crc) {
-          e.crc32 = static_cast<std::uint32_t>(fields[4].AsUint());
-        }
-        index.entries.push_back(e);
+        if (fields.size() != 5) FailHeader("malformed brick entry: " + m.name);
+        index.entries.push_back(
+            {fields[0].AsUint(), fields[1].AsUint(), fields[2].AsDouble(),
+             fields[3].AsDouble(),
+             static_cast<std::uint32_t>(fields[4].AsUint())});
       }
       m.bricks = std::move(index);
     }
@@ -505,43 +485,6 @@ Bytes VndReader::ReadArrayRange(const std::string& name, std::uint64_t offset,
     throw DecodeError("array range truncated: " + name);
   }
   return out;
-}
-
-bool VndReader::HasBricks(const std::string& name) const {
-  const ArrayMeta* meta = header_.Find(name);
-  VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + name + "' in VND file");
-  return meta->bricks.has_value();
-}
-
-grid::DataArray VndReader::ReadBrick(const std::string& name,
-                                     std::int64_t brick) const {
-  const ArrayMeta* meta = header_.Find(name);
-  VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + name + "' in VND file");
-  VIZNDP_CHECK_MSG(meta->bricks.has_value(),
-                   "array '" + name + "' is not bricked");
-  const BrickGrid bgrid(header_.dims, meta->bricks->edge);
-  VIZNDP_CHECK(brick >= 0 &&
-               brick < static_cast<std::int64_t>(meta->bricks->entries.size()));
-  const BrickEntry& entry = meta->bricks->entries[static_cast<size_t>(brick)];
-  const Bytes stored = file_.ReadAt(
-      header_.blob_base + meta->offset + entry.offset, entry.stored_size);
-  if (stored.size() != entry.stored_size) {
-    throw CorruptDataError("brick blob truncated: " + name);
-  }
-  // Verify *before* decompressing: the decoder never sees corrupt bytes.
-  if (meta->bricks->has_crc && compress::Crc32(stored) != entry.crc32) {
-    throw CorruptDataError("brick CRC mismatch: " + name + " brick " +
-                           std::to_string(brick));
-  }
-  const BrickGrid::Extent e = bgrid.BrickExtent(brick);
-  const size_t slab_bytes =
-      static_cast<size_t>(e.PointCount()) * grid::DataTypeSize(meta->type);
-  const compress::CodecPtr codec = compress::MakeCodec(meta->codec);
-  Bytes slab = codec->Decompress(stored, slab_bytes, slab_bytes);
-  if (slab.size() != slab_bytes) {
-    throw CorruptDataError("brick decompressed to wrong size: " + name);
-  }
-  return grid::DataArray(name, meta->type, std::move(slab));
 }
 
 grid::Dataset VndReader::ReadSelected(

@@ -8,7 +8,7 @@
 //
 // Layout (all little-endian):
 //   bytes 0..3   magic "VNDF"
-//   bytes 4..7   u32 format version (2; v1 files still read)
+//   bytes 4..7   u32 format version (2; a reader rejects any other)
 //   bytes 8..11  u32 header byte count H
 //   bytes 12..12+H-1  header: one msgpack map (see below)
 //   then the array blobs, at header-recorded offsets from the blob base.
@@ -21,13 +21,12 @@
 //                ?"brick_edge": u32,
 //                ?"bricks": [[offset, size, min, max, crc32], ...]}, ...]}
 //
-// Format v2 adds the per-brick crc32 (v1 brick entries are 4-tuples with
-// no checksum): the bricked fast path reads a handful of bricks, never
-// the whole blob, so without it a flipped bit inside one compressed
-// brick sailed straight into the decoder. Readers verify whichever
-// checksums the file carries *before* decompressing and throw
-// CorruptDataError on mismatch; the whole-blob crc32 is retained in both
-// versions. Every header field is validated against the file size on
+// Every brick entry carries the crc32 of its stored bytes: the bricked
+// fast path reads a handful of bricks, never the whole blob, so the
+// whole-blob crc32 alone would let a flipped bit inside one compressed
+// brick sail straight into the decoder. Readers verify the checksum of
+// whatever they read *before* decompressing and throw CorruptDataError
+// on mismatch. Every header field is validated against the file size on
 // open, so a hostile header cannot drive out-of-range ranged reads or
 // oversized allocations.
 //
@@ -55,7 +54,7 @@ struct BrickEntry {
   std::uint64_t stored_size = 0;
   double min = 0.0;
   double max = 0.0;
-  std::uint32_t crc32 = 0;  // of the stored brick bytes (format v2+)
+  std::uint32_t crc32 = 0;  // of the stored brick bytes
 };
 
 // Brick decomposition of one array. Bricks partition the *cells* into
@@ -64,9 +63,6 @@ struct BrickEntry {
 // one brick.
 struct BrickIndex {
   std::int32_t edge = 0;
-  // False for v1 files: entries carry no crc32, so per-brick reads
-  // cannot be integrity-checked (the whole-blob CRC still is).
-  bool has_crc = false;
   std::vector<BrickEntry> entries;  // bi + nbx * (bj + nby * bk) order
 };
 
@@ -111,8 +107,6 @@ struct VndHeader {
   const ArrayMeta* Find(const std::string& name) const;
   // Offset of the blob base from the start of the file.
   std::uint64_t blob_base = 0;
-  // Format version the file was written with (1 or 2).
-  std::uint32_t version = 2;
 };
 
 class VndWriter {
@@ -127,10 +121,6 @@ class VndWriter {
   // 16-64 cells. Applies to every array in the file.
   void SetBrickSize(std::int32_t edge) { brick_edge_ = edge; }
 
-  // Format version to emit (2, the default, adds per-brick checksums;
-  // 1 reproduces the legacy layout for back-compat tests and tooling).
-  void SetFormatVersion(std::uint32_t version);
-
   Bytes Serialize() const;
 
   // Serializes and stores as `bucket/key` in one call.
@@ -142,7 +132,6 @@ class VndWriter {
   compress::CodecPtr default_codec_ = std::make_shared<compress::NullCodec>();
   std::vector<std::pair<std::string, compress::CodecPtr>> overrides_;
   std::int32_t brick_edge_ = 0;
-  std::uint32_t version_ = 2;
 };
 
 class VndReader {
@@ -158,13 +147,6 @@ class VndReader {
   // Ranged-reads, integrity-checks, and decompresses one array (bricked
   // arrays are reassembled into the dense layout).
   grid::DataArray ReadArray(const std::string& name) const;
-
-  bool HasBricks(const std::string& name) const;
-
-  // Fetches and decompresses one brick's point slab (row-major within the
-  // brick extent). Only that brick's bytes leave the store.
-  grid::DataArray ReadBrick(const std::string& name,
-                            std::int64_t brick) const;
 
   // Raw ranged read within one array's stored blob (offsets relative to
   // the blob start). Used to coalesce multi-brick fetches.

@@ -98,7 +98,6 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
   local.bricks_read = static_cast<std::int64_t>(needed.size());
 
   const compress::CodecPtr codec = compress::MakeCodec(meta.codec);
-  const bool has_crc = meta.bricks->has_crc;
 
   // Decompress + scan one brick whose stored bytes already verified.
   auto scan_brick = [&](std::int64_t b, ByteSpan brick_bytes) {
@@ -110,8 +109,8 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
           brick_bytes, MutableByteSpan(reinterpret_cast<Byte*>(slab.data()),
                                        slab.size() * sizeof(T)));
     } catch (const DecodeError& err) {
-      // v1 files carry no brick CRC, so corruption surfaces here
-      // instead; route it into the same recovery ladder.
+      // Bytes that pass their CRC yet fail to decode are corrupt data
+      // too, and the caller's recovery is the same.
       throw CorruptDataError(std::string("brick decode failed: ") +
                              err.what());
     }
@@ -149,7 +148,7 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
           reader.ReadArrayRange(array, entry.offset, entry.stored_size);
       local.bytes_read += stored.size();
       local.read_seconds += SecondsSince(t_read);
-      if (has_crc && compress::Crc32(stored) != entry.crc32) {
+      if (compress::Crc32(stored) != entry.crc32) {
         throw CorruptDataError("quarantined brick still corrupt: " + array +
                                " brick " + std::to_string(b));
       }
@@ -186,14 +185,14 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
           meta.bricks->entries[static_cast<size_t>(b)];
 
       // Verify-then-decompress, with one recovery re-read. The brick CRC
-      // (format v2) is checked *before* the decoder touches the bytes;
-      // on mismatch the brick alone is fetched again — a transient flip
-      // heals, persistent corruption throws CorruptDataError.
+      // is checked *before* the decoder touches the bytes; on mismatch
+      // the brick alone is fetched again — a transient flip heals,
+      // persistent corruption throws CorruptDataError.
       const auto t_decompress = std::chrono::steady_clock::now();
       ByteSpan brick_bytes = ByteSpan(run).subspan(
           entry.offset - first.offset, entry.stored_size);
       Bytes reread;
-      if (has_crc && compress::Crc32(brick_bytes) != entry.crc32) {
+      if (compress::Crc32(brick_bytes) != entry.crc32) {
         const std::string detail =
             "array=" + array + " brick=" + std::to_string(b);
         ++local.corrupt_bricks;

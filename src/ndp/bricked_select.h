@@ -68,14 +68,13 @@ BrickPlan PlanBricks(const grid::Dims& dims, const io::ArrayMeta& meta,
 // read with ReadArray (blob CRC) and scanned densely; that is the one
 // branch on the array's layout.
 //
-// Integrity: each brick is CRC-verified before decompression (format v2
-// files). A failing brick is re-read from the store once — transient
-// corruption (a flipped bit on the wire or in a cache) heals here — and
-// a brick that fails twice throws CorruptDataError, which crosses the
-// wire typed; the recovery for it is a different data copy (a replica,
-// or the client's baseline read). Both events are counted in the stats
-// and in obs::DefaultRegistry() (corrupt_brick_total /
-// brick_reread_total).
+// Integrity: each brick is CRC-verified before decompression. A failing
+// brick is re-read from the store once — transient corruption (a flipped
+// bit on the wire or in a cache) heals here — and a brick that fails
+// twice throws CorruptDataError, which crosses the wire typed; the
+// recovery for it is a different data copy (a replica, or the client's
+// baseline read). Both events are counted in the stats and in
+// obs::DefaultRegistry() (corrupt_brick_total / brick_reread_total).
 //
 // Quarantine: bricks the scrubber flagged corrupt-at-rest (`quarantine`
 // keyed by `quarantine_key`) are excluded from the coalesced runs —

@@ -272,12 +272,8 @@ NdpClient::FileInfo NdpClient::Info(const std::string& key) {
     a.name = v.At("name").As<std::string>();
     a.raw_size = v.At("raw_size").AsUint();
     a.stored_size = v.At("stored_size").AsUint();
-    // Pre-sharding servers don't report the brick decomposition; treat
-    // their arrays as monolithic (no sub-request sharding).
-    if (const Value* b = v.Find("bricks")) a.brick_count = b->AsInt();
-    if (const Value* e = v.Find("brick_edge")) {
-      a.brick_edge = static_cast<std::int32_t>(e->AsInt());
-    }
+    a.brick_count = v.At("bricks").AsInt();
+    a.brick_edge = static_cast<std::int32_t>(v.At("brick_edge").AsInt());
     info.arrays.push_back(std::move(a));
   }
   return info;
@@ -332,11 +328,8 @@ NdpClient::HealthReport NdpClient::Health(std::uint64_t view_epoch) {
   report.inflight = reply.At("inflight").AsInt();
   report.mem_in_use = reply.At("mem_in_use").AsUint();
   report.mem_limit = reply.At("mem_limit").AsUint();
-  // Optional keys: absent on pre-self-healing servers.
-  if (const Value* v = reply.Find("node_id")) report.node_id = v->AsUint();
-  if (const Value* v = reply.Find("view_epoch")) {
-    report.view_epoch = v->AsUint();
-  }
+  report.node_id = reply.At("node_id").AsUint();
+  report.view_epoch = reply.At("view_epoch").AsUint();
   for (const Value& v : reply.At("requests").As<Array>()) {
     HealthReport::Request r;
     r.method = v.At("method").As<std::string>();
@@ -344,18 +337,14 @@ NdpClient::HealthReport NdpClient::Health(std::uint64_t view_epoch) {
     r.age_us = v.At("age_us").AsUint();
     report.requests.push_back(std::move(r));
   }
-  if (const Value* v = reply.Find("wall_s")) report.wall_s = v->AsDouble();
-  if (const Value* v = reply.Find("uptime_s")) {
-    report.uptime_s = v->AsDouble();
-  }
-  if (const Value* window = reply.Find("window")) {
-    report.window_present = true;
-    report.window_seconds = window->At("seconds").AsDouble();
-    report.window_count = window->At("count").AsUint();
-    report.window_p50 = window->At("p50").AsDouble();
-    report.window_p95 = window->At("p95").AsDouble();
-    report.window_p99 = window->At("p99").AsDouble();
-  }
+  report.wall_s = reply.At("wall_s").AsDouble();
+  report.uptime_s = reply.At("uptime_s").AsDouble();
+  const Value& window = reply.At("window");
+  report.window_seconds = window.At("seconds").AsDouble();
+  report.window_count = window.At("count").AsUint();
+  report.window_p50 = window.At("p50").AsDouble();
+  report.window_p95 = window.At("p95").AsDouble();
+  report.window_p99 = window.At("p99").AsDouble();
   if (const Value* scrub = reply.Find("scrub")) {
     report.scrub_present = true;
     report.scrub_running = scrub->At("running").As<bool>();

@@ -236,6 +236,7 @@ class NdpClient : public NdpFetcher {
   // ndp.info scrape: dims plus per-array layout, including the brick
   // decomposition a sharded client partitions over (brick_count 0 =
   // monolithic blob, no sub-request sharding possible for that array).
+  // Every key is required: a reply missing one throws.
   struct FileInfo {
     grid::Dims dims;
     struct Array {
@@ -264,18 +265,17 @@ class NdpClient : public NdpFetcher {
   // Prometheus exposition), for dashboards that want bytes, not values.
   std::string ScrapeMetricsFormatted(const std::string& format);
 
-  // ndp.health scrape: what the storage node is doing right now.
+  // ndp.health scrape: what the storage node is doing right now. Every
+  // key but "scrub" is required: a reply missing one throws.
   struct HealthReport {
     bool draining = false;
     std::int64_t inflight = 0;
     std::uint64_t mem_in_use = 0;
     std::uint64_t mem_limit = 0;
-    // Server-incarnation identity (0 from pre-self-healing servers): a
-    // changed id between two probes means the node restarted even if it
-    // was never caught down.
+    // Server-incarnation identity (never 0): a changed id between two
+    // probes means the node restarted even if it was never caught down.
     std::uint64_t node_id = 0;
-    // Highest cluster view epoch the server has heard from any prober
-    // (0 from old servers).
+    // Highest cluster view epoch the server has heard from any prober.
     std::uint64_t view_epoch = 0;
     struct Request {
       std::string method;
@@ -283,13 +283,11 @@ class NdpClient : public NdpFetcher {
       std::uint64_t age_us = 0;
     };
     std::vector<Request> requests;
-    // Clock stamps (0 from pre-fleet-observability servers).
+    // Clock stamps.
     double wall_s = 0;
     double uptime_s = 0;
     // Sliding-window latency summary of the node's pre-filter
-    // (ndp_select_seconds_window); window_present stays false on old
-    // servers.
-    bool window_present = false;
+    // (ndp_select_seconds_window).
     double window_seconds = 0;
     std::uint64_t window_count = 0;
     double window_p50 = 0;
@@ -306,7 +304,7 @@ class NdpClient : public NdpFetcher {
     std::uint64_t scrub_quarantined = 0;
   };
   // `view_epoch` (nonzero) piggybacks the caller's cluster view epoch
-  // on the probe; old servers ignore the extra param.
+  // on the probe.
   HealthReport Health(std::uint64_t view_epoch = 0);
 
  private:

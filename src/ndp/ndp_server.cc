@@ -21,8 +21,8 @@ using msgpack::Value;
 std::uint64_t MintNodeId() {
   // Clock entropy mixed with a per-process counter: two incarnations in
   // the same process (testbed restart) and two processes started the
-  // same nanosecond both still differ. Never 0 — 0 means "no identity"
-  // on the wire.
+  // same nanosecond both still differ. Never 0 — the health monitor
+  // reads 0 as "no identity seen yet".
   static std::atomic<std::uint64_t> salt{0};
   const auto now = std::chrono::steady_clock::now().time_since_epoch();
   const std::uint64_t id = net::MixBits(
@@ -403,15 +403,13 @@ void NdpServer::Bind(rpc::Server& server) {
     reply.emplace_back(Value("mem_limit"),
                        Value(server.memory_budget().limit()));
     reply.emplace_back(Value("requests"), Value(std::move(requests)));
-    // Node identity + epoch echo (new in the self-healing tier; old
-    // clients parse the keys they know and skip these).
+    // Node identity + epoch echo, for the health monitor.
     reply.emplace_back(Value("node_id"), Value(node_id_));
     reply.emplace_back(Value("view_epoch"),
                        Value(seen_view_epoch_.load(
                            std::memory_order_relaxed)));
     // Clock stamps plus the sliding-window latency summary of the
-    // pre-filter (new in the fleet-observability tier; clients parse
-    // the keys they know). The window quantiles are what FleetScraper's
+    // pre-filter. The window quantiles are what FleetScraper's
     // slow-node detector and `vizndp_tool top` read per probe.
     reply.emplace_back(Value("wall_s"), Value(obs::WallTimeSeconds()));
     reply.emplace_back(Value("uptime_s"),
@@ -432,8 +430,8 @@ void NdpServer::Bind(rpc::Server& server) {
                           Value(obs::SnapshotQuantile(w, 0.99)));
       reply.emplace_back(Value("window"), Value(std::move(window)));
     }
-    // Scrub-and-quarantine status (absent when no scrubber is wired;
-    // clients parse the keys they know).
+    // Scrub-and-quarantine status, the one optional key: absent when no
+    // scrubber is wired.
     if (scrubber_ != nullptr) {
       const storage::ScrubStatus s = scrubber_->status();
       Map scrub;

@@ -61,7 +61,7 @@ storage::ScrubObjectReport ScrubVndObject(const storage::FileGateway& gateway,
   storage::ScrubObjectReport report;
   const io::VndReader reader(gateway.Open(key));
   for (const io::ArrayMeta& meta : reader.header().arrays) {
-    if (!meta.bricks.has_value() || !meta.bricks->has_crc) continue;
+    if (!meta.bricks.has_value()) continue;
     const auto& entries = meta.bricks->entries;
     if (entries.empty()) continue;
 

@@ -108,6 +108,13 @@ msgpack::Value Client::Exchange(const std::string& method,
   transport_->Send(msgpack::Encode(msgpack::Value(std::move(request))));
 
   bool cancel_sent = false;
+  const auto send_cancel = [&] {
+    cancel_sent = true;
+    msgpack::Array cancel;
+    cancel.emplace_back(kCancelType);
+    cancel.emplace_back(msgid);
+    transport_->Send(msgpack::Encode(msgpack::Value(std::move(cancel))));
+  };
   for (;;) {
     // Per-frame deadline: the sooner of the overall deadline and the
     // chunk progress deadline, remembering which one is binding so a
@@ -130,6 +137,15 @@ msgpack::Value Client::Exchange(const std::string& method,
       if (!stall_binding) throw;
       MethodAudit("rpc_stream_stalls_total", method, "rpc.stream_stall")
           .Record("method=" + method);
+      // Abandoned: cancel the stream, so the server stops at its next
+      // chunk instead of emitting the rest ahead of this connection's
+      // next request. A failed send must not hide the stall.
+      if (!cancel_sent) {
+        try {
+          send_cancel();
+        } catch (const Error&) {
+        }
+      }
       throw StreamStallError("stream '" + method +
                              "' stalled: no frame within " +
                              std::to_string(chunk_timeout.count()) + " ms");
@@ -150,11 +166,7 @@ msgpack::Value Client::Exchange(const std::string& method,
     if (type == kChunkType) {
       if (fields.size() < 3) throw RpcError("malformed chunk frame");
       if (!cancel_sent && !on_chunk(fields[2])) {
-        msgpack::Array cancel;
-        cancel.emplace_back(kCancelType);
-        cancel.emplace_back(msgid);
-        transport_->Send(msgpack::Encode(msgpack::Value(std::move(cancel))));
-        cancel_sent = true;
+        send_cancel();
         // Keep draining: the terminal frame must be consumed so the
         // connection stays framed for the next call.
       }

@@ -76,10 +76,11 @@ class Client {
   // holds the resume cursor. A monolithic response (a one-shot reply,
   // or a server that ignores the stream request) is returned with zero
   // chunk callbacks. Throws StreamStallError (chunk_timeout elapsed,
-  // overall deadline not yet reached), TimeoutError (overall deadline),
-  // or the same typed errors as Call. When the stream ends because
-  // `on_chunk` returned false, `*cancelled_out` is set and the returned
-  // value is Nil. Thread-safe (serialized with Call).
+  // overall deadline not yet reached; the stream's cancel frame goes
+  // out first), TimeoutError (overall deadline), or the same typed
+  // errors as Call. When the stream ends because `on_chunk` returned
+  // false, `*cancelled_out` is set and the returned value is Nil.
+  // Thread-safe (serialized with Call).
   msgpack::Value CallStreaming(const std::string& method,
                                msgpack::Array params,
                                const StreamCallOptions& options,

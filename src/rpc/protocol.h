@@ -53,6 +53,9 @@ inline constexpr std::int64_t kResponseType = 1;
 // the rpc layer treats it as opaque. A cancel frame asks the server to
 // stop producing: the server abandons remaining work and closes the
 // stream with a terminal error response carrying the cancelled prefix.
+// A request frame that arrives while a stream still emits is served
+// after that stream's terminal; a client that gives up on a stalled
+// stream cancels it first, so that wait ends at the next chunk.
 inline constexpr std::int64_t kChunkType = 2;
 inline constexpr std::int64_t kCancelType = 3;
 

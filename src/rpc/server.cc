@@ -22,13 +22,28 @@ namespace {
 // TcpRpcServer::Stop() forever.
 constexpr std::chrono::milliseconds kServeTick{50};
 
+// The msgid of a cancel frame; nullopt for any other frame, undecodable
+// ones included (the serve loop judges those).
+std::optional<std::uint64_t> CancelMsgid(ByteSpan frame) {
+  try {
+    const msgpack::Value value = msgpack::Decode(frame);
+    const auto& fields = value.As<msgpack::Array>();
+    if (fields.size() >= 2 && fields[0].AsInt() == kCancelType) {
+      return fields[1].AsUint();
+    }
+  } catch (const Error&) {
+  }
+  return std::nullopt;
+}
+
 // StreamSink bound to one request's transport and msgid. Lives entirely
 // on the dispatch thread: the serve loop is parked inside Dispatch while
 // the handler runs, so Send/Receive here never race it.
 class TransportStreamSink : public StreamSink {
  public:
-  TransportStreamSink(net::Transport& transport, std::uint64_t msgid)
-      : transport_(transport), msgid_(msgid) {}
+  TransportStreamSink(net::Transport& transport, std::uint64_t msgid,
+                      std::optional<Bytes>& pushback)
+      : transport_(transport), msgid_(msgid), pushback_(pushback) {}
 
   bool Emit(const msgpack::Value& chunk) override {
     PollCancel();
@@ -57,11 +72,15 @@ class TransportStreamSink : public StreamSink {
   bool Cancelled() const override { return cancelled_ || dead_; }
 
   // Non-blocking drain of frames the client pushed while the handler
-  // computed a batch: a cancel frame for this stream flips cancelled_.
-  // The already-expired deadline never blocks, and on an idle connection
-  // it fires at a frame boundary, so the transport stays framed.
+  // computed a batch. This stream's cancel flips cancelled_, and a stale
+  // cancel for an earlier stream is dropped. Any other frame is the
+  // client's next request (one it sent after giving up on this stream):
+  // it goes to `pushback_`, which the serve loop reads before the
+  // transport, and the drain stops there. The already-expired deadline
+  // never blocks, and on an idle connection it fires at a frame
+  // boundary, so the transport stays framed.
   void PollCancel() {
-    if (cancelled_ || dead_) return;
+    if (cancelled_ || dead_ || pushback_.has_value()) return;
     for (;;) {
       Bytes frame;
       try {
@@ -72,26 +91,22 @@ class TransportStreamSink : public StreamSink {
         dead_ = true;  // peer closed mid-stream: abandon remaining work
         return;
       }
-      try {
-        const msgpack::Value value = msgpack::Decode(frame);
-        const auto& fields = value.As<msgpack::Array>();
-        if (fields.size() >= 2 && fields[0].AsInt() == kCancelType &&
-            fields[1].AsUint() == msgid_) {
-          cancelled_ = true;
-          return;
-        }
-      } catch (const Error&) {
-        dead_ = true;  // garbage between frames poisons this stream only
+      const std::optional<std::uint64_t> cancel = CancelMsgid(frame);
+      if (!cancel.has_value()) {
+        pushback_ = std::move(frame);
         return;
       }
-      // Anything else (a stale cancel for an earlier stream) is dropped:
-      // a client never pipelines a new request before the terminal frame.
+      if (*cancel == msgid_) {
+        cancelled_ = true;
+        return;
+      }
     }
   }
 
  private:
   net::Transport& transport_;
   const std::uint64_t msgid_;
+  std::optional<Bytes>& pushback_;
   bool cancelled_ = false;
   bool dead_ = false;
 };
@@ -226,7 +241,7 @@ Bytes Server::Dispatch(ByteSpan request_frame) {
   return Dispatch(request_frame, nullptr);
 }
 
-Bytes Server::Dispatch(ByteSpan request_frame, net::Transport* transport) {
+Bytes Server::Dispatch(ByteSpan request_frame, Connection* connection) {
   // Receive timestamp for the reply piggyback (this server's clock; the
   // client aligns it with the NTP midpoint — see obs/trace_merge.h).
   const std::uint64_t t_recv = obs::GlobalTracer().NowMicros();
@@ -286,8 +301,9 @@ Bytes Server::Dispatch(ByteSpan request_frame, net::Transport* transport) {
             inflight_token, InflightRequest{method, ctx.trace_id, t_recv});
       }
       std::unique_ptr<TransportStreamSink> sink;
-      if (transport != nullptr && it->second.streaming) {
-        sink = std::make_unique<TransportStreamSink>(*transport, msgid);
+      if (connection != nullptr && it->second.streaming) {
+        sink = std::make_unique<TransportStreamSink>(
+            connection->transport, msgid, connection->pushback);
       }
       try {
         result = it->second.streaming
@@ -410,6 +426,7 @@ bool Server::Stop() {
 void Server::ServeTransport(net::Transport& transport) {
   // Dispatch spans from this thread render on the "server" trace track.
   obs::GlobalTracer().SetThreadTrack("server");
+  Connection connection{transport, std::nullopt};
   for (;;) {
     // Checked every round, not only on an idle tick: a peer that sends
     // faster than kServeTick (a 20ms health prober, say) would otherwise
@@ -420,14 +437,19 @@ void Server::ServeTransport(net::Transport& transport) {
       return;
     }
     Bytes request;
-    try {
-      // Ticked rather than fully blocking so a stopped server's worker
-      // threads become joinable even when their connections sit idle.
-      request = transport.Receive(net::DeadlineAfter(kServeTick));
-    } catch (const TimeoutError&) {
-      continue;
-    } catch (const Error&) {
-      return;  // peer closed
+    if (connection.pushback.has_value()) {
+      request = std::move(*connection.pushback);
+      connection.pushback.reset();
+    } else {
+      try {
+        // Ticked rather than fully blocking so a stopped server's worker
+        // threads become joinable even when their connections sit idle.
+        request = transport.Receive(net::DeadlineAfter(kServeTick));
+      } catch (const TimeoutError&) {
+        continue;
+      } catch (const Error&) {
+        return;  // peer closed
+      }
     }
     if (request.size() > options_.max_frame_bytes) {
       // An in-proc peer can bypass the TCP-level frame cap, so enforce it
@@ -438,7 +460,7 @@ void Server::ServeTransport(net::Transport& transport) {
     }
     Bytes response;
     try {
-      response = Dispatch(request, &transport);
+      response = Dispatch(request, &connection);
     } catch (const Error&) {
       // Undecodable/malformed frame: drop the connection, keep serving
       // others. Before this guard, one garbage frame killed the thread.

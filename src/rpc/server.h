@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -169,15 +170,6 @@ class Server {
   // many threads at once (that is what the in-flight cap is for).
   Bytes Dispatch(ByteSpan request_frame);
 
-  // Transport-aware dispatch: identical, except a streaming handler gets
-  // a live StreamSink that emits chunk frames on `transport` and polls
-  // it (non-blocking, between frames) for cancel frames. Returns the
-  // terminal response frame, or empty Bytes for a frame that needs no
-  // reply (a stray cancel for an already-closed stream). ServeTransport
-  // uses this overload; chunk emission happens on the caller's thread,
-  // so Send never races the serve loop's Receive.
-  Bytes Dispatch(ByteSpan request_frame, net::Transport* transport);
-
   // Graceful drain: immediately sheds every new request with a busy
   // reply, then waits up to options().drain_deadline for in-flight
   // handlers to finish. Returns true when the server drained fully
@@ -220,6 +212,23 @@ class Server {
   const obs::Registry& metrics() const { return metrics_; }
 
  private:
+  // One served connection: its transport, and a request frame a stream's
+  // cancel poll read off it between chunks, which the serve loop takes
+  // before reading the transport again.
+  struct Connection {
+    net::Transport& transport;
+    std::optional<Bytes> pushback;
+  };
+
+  // Dispatch for ServeTransport: a streaming handler gets a live
+  // StreamSink that emits chunk frames on the connection's transport and
+  // polls it (non-blocking, between frames) for cancel frames. Returns
+  // the terminal response frame, or empty Bytes for a frame that needs
+  // no reply (a stray cancel for an already-closed stream). Chunk
+  // emission happens on the serve loop's thread, so Send never races its
+  // Receive.
+  Bytes Dispatch(ByteSpan request_frame, Connection* connection);
+
   // Handler plus its metric handles, resolved once at Bind. Exactly one
   // of handler / streaming is set; three audits share rpc_errors_total.
   struct Bound {

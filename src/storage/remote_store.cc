@@ -1,9 +1,5 @@
 #include "storage/remote_store.h"
 
-#include <string_view>
-
-#include "common/error.h"
-
 namespace vizndp::storage {
 
 using msgpack::Array;
@@ -23,22 +19,7 @@ void RemoteObjectStore::CreateBucket(const std::string& bucket) {
 }
 
 bool RemoteObjectStore::BucketExists(const std::string& bucket) const {
-  try {
-    return client_->Call("store.exists_bucket", Array{Value(bucket)})
-        .As<bool>();
-  } catch (const BusyError&) {
-    throw;
-  } catch (const RpcError& e) {
-    // Backward compatibility: a server predating store.exists_bucket
-    // answers unknown-method, which maps to the historical permissive
-    // behavior (buckets are created idempotently, so callers only probe
-    // before a CreateBucket anyway). Other RPC failures propagate.
-    if (std::string_view(e.what()).find("unknown method") !=
-        std::string_view::npos) {
-      return true;
-    }
-    throw;
-  }
+  return client_->Call("store.exists_bucket", Array{Value(bucket)}).As<bool>();
 }
 
 void RemoteObjectStore::Put(const std::string& bucket, const std::string& key,

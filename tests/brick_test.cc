@@ -85,7 +85,9 @@ TEST_P(BrickRoundTripTest, BrickedFileReadsBackDense) {
   writer.WriteToStore(store, "data", "b.vnd");
 
   io::VndReader reader(storage::FileGateway(store, "data").Open("b.vnd"));
-  EXPECT_TRUE(reader.HasBricks("v02"));
+  const io::ArrayMeta* meta = reader.header().Find("v02");
+  ASSERT_NE(meta, nullptr);
+  EXPECT_TRUE(meta->bricks.has_value());
   const grid::Dataset back = reader.ReadAll();
   EXPECT_EQ(back, ds);
 }
@@ -94,33 +96,6 @@ INSTANTIATE_TEST_SUITE_P(
     CodecsAndEdges, BrickRoundTripTest,
     ::testing::Combine(::testing::Values("none", "gzip", "lz4"),
                        ::testing::Values(4, 8, 32)));
-
-TEST(Brick, ReadBrickReturnsCorrectSlab) {
-  storage::MemoryObjectStore store;
-  store.CreateBucket("data");
-  grid::Dataset ds(grid::Dims{6, 6, 6});
-  std::vector<float> f(216);
-  for (size_t i = 0; i < f.size(); ++i) f[i] = static_cast<float>(i);
-  ds.AddArray(grid::DataArray::FromVector("f", f));
-  io::VndWriter writer(ds);
-  writer.SetBrickSize(3);
-  writer.WriteToStore(store, "data", "b.vnd");
-
-  io::VndReader reader(storage::FileGateway(store, "data").Open("b.vnd"));
-  const BrickGrid g(ds.dims(), 3);
-  // Brick 1 covers x cells [3,5): points x in [3,5], y,z in [0,3].
-  const auto e = g.BrickExtent(1);
-  const grid::DataArray slab = reader.ReadBrick("f", 1);
-  ASSERT_EQ(slab.size(), e.PointCount());
-  const auto values = slab.View<float>();
-  size_t idx = 0;
-  for (std::int64_t k = e.z0; k <= e.z1; ++k)
-    for (std::int64_t j = e.y0; j <= e.y1; ++j)
-      for (std::int64_t i = e.x0; i <= e.x1; ++i) {
-        ASSERT_EQ(values[idx++],
-                  f[static_cast<size_t>(ds.dims().Index(i, j, k))]);
-      }
-}
 
 TEST(Brick, HeaderRecordsMinMax) {
   storage::MemoryObjectStore store;

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "io/vnd_format.h"
-#include "io/vtk_ascii.h"
 #include "sim/impact.h"
 #include "storage/memory_store.h"
 
@@ -161,72 +158,6 @@ TEST(Vnd, ImpactDatasetRoundTrip) {
   VndReader reader(fx.gateway().Open("impact.vnd"));
   EXPECT_EQ(reader.ArrayNames().size(), 11u);
   EXPECT_EQ(reader.ReadAll(), ds);
-}
-
-TEST(VtkAscii, WriteReadRoundTrip) {
-  sim::ImpactConfig cfg;
-  cfg.n = 10;
-  const grid::Dataset ds =
-      sim::GenerateImpactTimestep(cfg, 24006, {"v02", "v03"});
-  std::stringstream buffer;
-  WriteLegacyVtk(buffer, ds);
-  const grid::Dataset back = ReadLegacyVtk(buffer);
-  EXPECT_EQ(back.dims(), ds.dims());
-  EXPECT_EQ(back.geometry(), ds.geometry());
-  ASSERT_EQ(back.ArrayCount(), 2u);
-  // Float values written at full precision round-trip exactly.
-  EXPECT_EQ(back.GetArray("v02"), ds.GetArray("v02"));
-  EXPECT_EQ(back.GetArray("v03"), ds.GetArray("v03"));
-}
-
-TEST(VtkAscii, DoubleArraysRoundTrip) {
-  grid::Dataset ds(grid::Dims{3, 3, 1});
-  ds.AddArray(grid::DataArray::FromVector<double>(
-      "d", {0.1, 1.0 / 3.0, 2e-17, 3.0, 4.0, 5.0, 6.0, 7.0, 8.5}));
-  std::stringstream buffer;
-  WriteLegacyVtk(buffer, ds);
-  const grid::Dataset back = ReadLegacyVtk(buffer);
-  EXPECT_EQ(back.GetArray("d"), ds.GetArray("d"));
-}
-
-TEST(VtkAscii, RejectsMalformedFiles) {
-  const auto parse = [](const std::string& text) {
-    std::stringstream ss(text);
-    return ReadLegacyVtk(ss);
-  };
-  EXPECT_THROW(parse("not a vtk file"), DecodeError);
-  EXPECT_THROW(parse("# vtk DataFile Version 3.0\nt\nBINARY\n"), DecodeError);
-  EXPECT_THROW(parse("# vtk DataFile Version 3.0\nt\nASCII\n"
-                     "DATASET POLYDATA\n"),
-               DecodeError);
-  // POINT_DATA disagreeing with DIMENSIONS.
-  EXPECT_THROW(parse("# vtk DataFile Version 3.0\nt\nASCII\n"
-                     "DATASET STRUCTURED_POINTS\nDIMENSIONS 2 2 2\n"
-                     "ORIGIN 0 0 0\nSPACING 1 1 1\nPOINT_DATA 7\n"),
-               DecodeError);
-  // Truncated scalar data.
-  EXPECT_THROW(parse("# vtk DataFile Version 3.0\nt\nASCII\n"
-                     "DATASET STRUCTURED_POINTS\nDIMENSIONS 2 2 1\n"
-                     "ORIGIN 0 0 0\nSPACING 1 1 1\nPOINT_DATA 4\n"
-                     "SCALARS x float 1\nLOOKUP_TABLE default\n1 2 3\n"),
-               DecodeError);
-}
-
-TEST(VtkAscii, EmitsLegacyHeader) {
-  grid::Dataset ds(grid::Dims{2, 2, 2});
-  ds.set_geometry({{0, 0, 0}, {0.5, 0.5, 0.5}});
-  ds.AddArray(grid::DataArray::FromVector(
-      "v02", std::vector<float>{0, 1, 2, 3, 4, 5, 6, 7}));
-  std::ostringstream os;
-  WriteLegacyVtk(os, ds, "unit test");
-  const std::string text = os.str();
-  EXPECT_NE(text.find("# vtk DataFile Version 3.0"), std::string::npos);
-  EXPECT_NE(text.find("DATASET STRUCTURED_POINTS"), std::string::npos);
-  EXPECT_NE(text.find("DIMENSIONS 2 2 2"), std::string::npos);
-  EXPECT_NE(text.find("SPACING 0.5 0.5 0.5"), std::string::npos);
-  EXPECT_NE(text.find("POINT_DATA 8"), std::string::npos);
-  EXPECT_NE(text.find("SCALARS v02 float 1"), std::string::npos);
-  EXPECT_NE(text.find("LOOKUP_TABLE default"), std::string::npos);
 }
 
 }  // namespace

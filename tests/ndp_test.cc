@@ -237,28 +237,28 @@ TEST(NdpServer, SelectReturnsExpectedMetadata) {
             reply.At("raw_bytes").AsUint());
 }
 
-// An rpc::Server whose ndp.select is `handler`, and an NdpClient over an
+// An rpc::Server whose `method` is `handler`, and an NdpClient over an
 // in-proc connection to it: a storage node that misbehaves on purpose.
-struct FakeSelectNode {
+struct FakeNode {
   rpc::Server server;
   std::thread serve;
   std::shared_ptr<NdpClient> client;
 
-  explicit FakeSelectNode(rpc::Server::Handler handler) {
-    server.Bind(kRpcNdpSelect, std::move(handler));
+  FakeNode(const std::string& method, rpc::Server::Handler handler) {
+    server.Bind(method, std::move(handler));
     net::TransportPair pair = net::CreateInProcPair();
     serve = std::thread(
         [this, t = std::move(pair.b)] { server.ServeTransport(*t); });
     client = std::make_shared<NdpClient>(
         std::make_shared<rpc::Client>(std::move(pair.a)), "data");
   }
-  ~FakeSelectNode() {
+  ~FakeNode() {
     client.reset();
     server.Stop();
     serve.join();
   }
-  FakeSelectNode(const FakeSelectNode&) = delete;
-  FakeSelectNode& operator=(const FakeSelectNode&) = delete;
+  FakeNode(const FakeNode&) = delete;
+  FakeNode& operator=(const FakeNode&) = delete;
 };
 
 // A one-shot reply carries the stream's data map, so its payload is
@@ -267,7 +267,7 @@ struct FakeSelectNode {
 TEST(NdpOneShot, FlippedPayloadBitFailsItsCrcAndFallsBack) {
   PopulatedTestbed fx("lz4");
   const std::vector<double> isovalues = {0.5};
-  FakeSelectNode node([&](const msgpack::Array& p) {
+  FakeNode node(kRpcNdpSelect, [&](const msgpack::Array& p) {
     msgpack::Value reply =
         fx.testbed.ndp_server().Select(SelectRequestFromParams(p));
     for (auto& [k, chunk] : reply.AsMutable<msgpack::Map>()) {
@@ -307,7 +307,7 @@ TEST(NdpOneShot, HostileHeaderDimsAreADecodeError) {
   constexpr std::int64_t kHuge = std::int64_t{1} << 20;
   for (const grid::Dims dims : {grid::Dims{-1, 1, 1},
                                 grid::Dims{kHuge, kHuge, kHuge}}) {
-    FakeSelectNode node([dims](const msgpack::Array&) {
+    FakeNode node(kRpcNdpSelect, [dims](const msgpack::Array&) {
       StreamHeader header;
       header.dims = dims;
       header.total_points = dims.PointCount();
@@ -326,6 +326,41 @@ TEST(NdpOneShot, HostileHeaderDimsAreADecodeError) {
                  DecodeError)
         << dims.nx;
   }
+}
+
+void EraseKey(msgpack::Value& map, const char* key) {
+  std::erase_if(map.AsMutable<msgpack::Map>(), [&](const auto& entry) {
+    return entry.first == msgpack::Value(key);
+  });
+}
+
+// The client reads every key NdpServer always sends as required: a reply
+// that lacks one is an Error, not a report filled in with zeros. Each
+// stub serves a real node's reply, first whole, then less one key.
+TEST(NdpClientParse, ReplyMissingARequiredKeyThrows) {
+  PopulatedTestbed fx;
+  rpc::Client node(fx.testbed.ConnectToServer());
+
+  msgpack::Value health = node.Call(kRpcNdpHealth);
+  FakeNode health_stub(kRpcNdpHealth,
+                       [&](const msgpack::Array&) { return health; });
+  EXPECT_NO_THROW((void)health_stub.client->Health());
+  EraseKey(health, "window");
+  EXPECT_THROW((void)health_stub.client->Health(), Error);
+
+  msgpack::Value info =
+      node.Call(kRpcNdpInfo, {msgpack::Value(fx.testbed.bucket()),
+                              msgpack::Value(PopulatedTestbed::kKey)});
+  FakeNode info_stub(kRpcNdpInfo,
+                     [&](const msgpack::Array&) { return info; });
+  EXPECT_NO_THROW((void)info_stub.client->Info(PopulatedTestbed::kKey));
+  for (auto& [key, arrays] : info.AsMutable<msgpack::Map>()) {
+    if (key != msgpack::Value("arrays")) continue;
+    for (msgpack::Value& array : arrays.AsMutable<msgpack::Array>()) {
+      EraseKey(array, "bricks");
+    }
+  }
+  EXPECT_THROW((void)info_stub.client->Info(PopulatedTestbed::kKey), Error);
 }
 
 TEST(NdpServer, InfoListsArrays) {

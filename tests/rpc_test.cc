@@ -3,12 +3,17 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <tuple>
+#include <vector>
 
+#include "msgpack/pack.h"
+#include "msgpack/unpack.h"
 #include "net/fault.h"
 #include "net/inproc.h"
 #include "net/retry.h"
 #include "obs/metrics.h"
 #include "rpc/client.h"
+#include "rpc/protocol.h"
 #include "rpc/server.h"
 
 namespace vizndp::rpc {
@@ -340,6 +345,65 @@ TEST(RpcServer, GarbageFrameClosesConnectionNotServer) {
   EXPECT_DOUBLE_EQ(malformed->value, 1.0);
   client.reset();  // closes the channel so the serve loop exits
   good_thread.join();
+}
+
+// A request the server reads between a stream's chunks, with no cancel
+// ahead of it, is neither dropped nor served mid-stream: the stream runs
+// to its terminal, and the request is answered right after it.
+TEST(RpcServer, RequestReadBetweenChunksIsServedAfterTheStream) {
+  Server server;
+  server.Bind("ok", [](const Array&) { return Value(7); });
+  std::atomic<bool> second_sent{false};
+  server.BindStreaming("stream", [&](const Array&, StreamSink* sink) {
+    for (int i = 0; i < 3; ++i) {
+      // The second request is on the wire before chunk 1 polls for a
+      // cancel, so that poll (or chunk 0's) reads it.
+      while (i == 1 && !second_sent.load()) std::this_thread::yield();
+      if (!sink->Emit(Value(i))) return Value("cancelled");
+    }
+    return Value("done");
+  });
+  net::TransportPair pair = net::CreateInProcPair();
+  std::thread serve_thread(
+      [&server, t = std::shared_ptr<net::Transport>(std::move(pair.a))] {
+        server.ServeTransport(*t);
+      });
+  const auto request = [&](std::uint64_t msgid, const char* method) {
+    pair.b->Send(msgpack::Encode(Value(Array{
+        Value(kRequestType), Value(msgid), Value(method), Value(Array{})})));
+  };
+  request(1, "stream");
+  request(2, "ok");
+  second_sent.store(true);
+
+  // (type, msgid, result) of every frame, in arrival order.
+  using Frame = std::tuple<std::int64_t, std::uint64_t, Value>;
+  std::vector<Frame> frames;
+  for (int i = 0; i < 5; ++i) {
+    Bytes bytes;
+    try {
+      bytes = pair.b->Receive(net::DeadlineAfter(2000ms));
+    } catch (const TimeoutError&) {
+      ADD_FAILURE() << "frame " << i << " never arrived";
+      break;
+    }
+    const Value frame = msgpack::Decode(bytes);
+    const Array& f = frame.As<Array>();
+    const bool response = f[0].AsInt() == kResponseType;
+    if (response) {
+      EXPECT_TRUE(f[2].IsNil());
+    }
+    frames.emplace_back(f[0].AsInt(), f[1].AsUint(), response ? f[3] : f[2]);
+  }
+  EXPECT_EQ(frames, (std::vector<Frame>{
+                        {kChunkType, 1, Value(0)},
+                        {kChunkType, 1, Value(1)},
+                        {kChunkType, 1, Value(2)},
+                        {kResponseType, 1, Value("done")},
+                        {kResponseType, 2, Value(7)},
+                    }));
+  pair.b->Close();
+  serve_thread.join();
 }
 
 TEST(RpcServer, RequestDeadlineOverrunReportedAsError) {

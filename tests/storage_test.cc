@@ -287,31 +287,6 @@ TEST(RemoteStore, BucketExistsCrossesTheWire) {
   EXPECT_FALSE(fx.remote->BucketExists("never-created"));
 }
 
-TEST(RemoteStore, BucketExistsUnknownMethodMapsToTrue) {
-  // An old server without store.exists_bucket answers "unknown method";
-  // the client maps that to the old permissive behavior (assume the
-  // bucket is there) instead of failing the caller.
-  MemoryObjectStore backing;
-  backing.CreateBucket("b");
-  rpc::Server server;
-  server.Bind(kRpcStoreGet, [&backing](const msgpack::Array& p) {
-    return msgpack::Value(
-        backing.Get(p.at(0).As<std::string>(), p.at(1).As<std::string>()));
-  });  // deliberately NOT BindObjectStoreRpc: simulates a pre-upgrade peer
-  net::TransportPair pair = net::CreateInProcPair();
-  std::thread server_thread(
-      [&server, t = std::shared_ptr<net::Transport>(std::move(pair.a))] {
-        server.ServeTransport(*t);
-      });
-  {
-    RemoteObjectStore remote(
-        std::make_shared<rpc::Client>(std::move(pair.b)));
-    EXPECT_TRUE(remote.BucketExists("b"));
-    EXPECT_TRUE(remote.BucketExists("anything-at-all"));
-  }
-  server_thread.join();
-}
-
 TEST(RemoteStore, GetMovesFullObjectAcrossLink) {
   net::SimulatedLink link;
   RemoteFixture fx(&link);

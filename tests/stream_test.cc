@@ -869,8 +869,9 @@ TEST(Stream, PlainCallAfterAbandonedStreamSkipsItsLeftovers) {
   EXPECT_THROW((void)faulty.client->FetchSparseField("ts.vnd", "v02", kIsos,
                                                      &geo, nullptr),
                StreamStallError);
-  // Let the handler finish first: while it still emits, the server reads
-  // any frame but a cancel as a stray between chunks and drops it.
+  // Let the handler stop first (the stall cancelled the stream, unless
+  // it had already ended), so every frame it leaves is on the wire
+  // before the next call goes out.
   for (int i = 0; i < 500 && bed.rpc_server().inflight() > 0; ++i) {
     std::this_thread::sleep_for(10ms);
   }
@@ -889,6 +890,95 @@ TEST(Stream, PlainCallAfterAbandonedStreamSkipsItsLeftovers) {
   EXPECT_GE(leftovers, 2u);  // at least one chunk and the terminal
   EXPECT_DOUBLE_EQ(faulty.RpcCounter("rpc_stale_replies_total"),
                    static_cast<double>(leftovers));
+}
+
+// Every server-side store read of `bed` takes 5 ms, so a 32^3 select in
+// one-brick chunks still emits for a good while after a 100 ms stall.
+void SlowStoreReads(Testbed& bed) {
+  bed.store_fault().Script(storage::StoreOp::kRead,
+                           {storage::StoreFaultAction::Delay(5ms)},
+                           /*loop_last=*/true);
+}
+
+std::uint64_t ServerCancels(Testbed& bed) {
+  return bed.ndp_server()
+      .metrics()
+      .GetCounter("ndp_stream_cancelled_total")
+      .value();
+}
+
+// A plain call sent while the abandoned stream's handler still emits is
+// answered as soon as the stream stops: the stalled client cancelled it,
+// so no deadline runs out and nothing is retried.
+TEST(Stream, PlainCallWhileAbandonedStreamEmitsIsAnswered) {
+  Testbed bed;
+  StoreDataset(bed.store(), bed.bucket(), "ts.vnd", 32, 4);
+  SlowStoreReads(bed);
+
+  StreamOptions so;
+  so.chunk_bricks = 1;
+  so.chunk_timeout = 100ms;
+  so.max_resumes = 0;
+  FaultyStreamClient faulty(bed, so);  // call_timeout 5 s, 2 attempts
+  faulty.faults->ScriptReceive({net::FaultAction::Pass(),
+                                net::FaultAction::Pass(),
+                                net::FaultAction::Delay(1000ms)});
+  const std::uint64_t cancels_before = ServerCancels(bed);
+  grid::UniformGeometry geo;
+  EXPECT_THROW((void)faulty.client->FetchSparseField("ts.vnd", "v02", kIsos,
+                                                     &geo, nullptr),
+               StreamStallError);
+
+  const std::uint64_t seq = obs::GlobalEventLog().LastSeq();
+  const auto start = std::chrono::steady_clock::now();
+  const NdpClient::FileInfo info = faulty.client->Info("ts.vnd");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(info.dims, (grid::Dims{32, 32, 32}));
+  EXPECT_LT(elapsed, 2s);
+  EXPECT_DOUBLE_EQ(faulty.RpcCounter("rpc_timeouts_total{method=ndp.info}"),
+                   0.0);
+  EXPECT_DOUBLE_EQ(faulty.RpcCounter("rpc_retries_total{method=ndp.info}"),
+                   0.0);
+  EXPECT_EQ(obs::GlobalEventLog().CountSince("rpc.timeout", seq), 0u);
+  EXPECT_EQ(obs::GlobalEventLog().CountSince("rpc.retry", seq), 0u);
+  // The handler was still emitting when the cancel came, and the server
+  // counted it once, where it read it.
+  EXPECT_EQ(ServerCancels(bed), cancels_before + 1);
+}
+
+// The resume a stall triggers reaches the server while the abandoned
+// stream's handler still emits. The stall's cancel stops that stream,
+// so the resume is served next and completes without a second stall.
+TEST(Stream, ResumeWhileAbandonedStreamEmitsCompletes) {
+  Testbed bed;
+  StoreDataset(bed.store(), bed.bucket(), "ts.vnd", 32, 4);
+  grid::UniformGeometry mono_geo;
+  const contour::SparseField mono = bed.ndp_client().FetchSparseField(
+      "ts.vnd", "v02", kIsos, &mono_geo, nullptr);
+  SlowStoreReads(bed);
+
+  StreamOptions so;
+  so.chunk_bricks = 1;
+  so.chunk_timeout = 100ms;
+  so.max_resumes = 3;
+  FaultyStreamClient faulty(bed, so);
+  faulty.faults->ScriptReceive({net::FaultAction::Pass(),
+                                net::FaultAction::Pass(),
+                                net::FaultAction::Delay(1000ms)});
+  const std::uint64_t seq = obs::GlobalEventLog().LastSeq();
+  NdpLoadStats stats;
+  grid::UniformGeometry geo;
+  const contour::SparseField streamed = faulty.client->FetchSparseField(
+      "ts.vnd", "v02", kIsos, &geo, &stats);
+
+  EXPECT_EQ(stats.stream_resumes, 1u);
+  EXPECT_EQ(obs::GlobalEventLog().CountSince("ndp.stream_resume", seq), 1u);
+  EXPECT_DOUBLE_EQ(
+      faulty.RpcCounter("rpc_stream_stalls_total{method=ndp.select}"), 1.0);
+  EXPECT_EQ(obs::GlobalEventLog().CountSince("rpc.stream_stall", seq), 1u);
+  EXPECT_EQ(streamed.ValidCount(), mono.ValidCount());
+  EXPECT_TRUE(streamed.Contour(geo, kIsos)
+                  .GeometricallyEquals(mono.Contour(mono_geo, kIsos), 0.0));
 }
 
 // ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ Bytes MakeBrickedImage() {
   io::VndWriter writer(ds);
   writer.SetCodec(compress::MakeCodec("lz4"));
   writer.SetBrickSize(4);
-  writer.SetFormatVersion(2);
   return writer.Serialize();
 }
 

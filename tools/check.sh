@@ -50,10 +50,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # the full-read oracle, without the 256^3 timed run.
   bash e2e_bench/run.sh --selftest
 
-  stage "asan/ubsan: obs + net + rpc + fault + integrity + trace + storage + ndp + compress + brick + contour + fuzz"
+  stage "asan/ubsan: obs + net + rpc + fault + io + integrity + trace + storage + ndp + compress + brick + contour + fuzz"
   cmake --preset asan > /dev/null
   cmake --build build-asan -j"$(nproc)" --target obs_test net_test rpc_test \
-    fault_test fuzz_test integrity_test trace_test storage_test \
+    fault_test fuzz_test io_test integrity_test trace_test storage_test \
     store_fault_test scrub_test ndp_test compress_test brick_test \
     contour_test rectilinear_test vizndp_tool
   ./build-asan/tests/obs_test
@@ -61,6 +61,9 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-asan/tests/rpc_test
   ./build-asan/tests/fault_test
   ./build-asan/tests/fuzz_test
+  # The VND header parse and every codec's VND round trip, next to the
+  # hostile headers integrity_test feeds the same parser.
+  ./build-asan/tests/io_test
   ./build-asan/tests/integrity_test
   ./build-asan/tests/trace_test
   # The storage-fault suites (`ctest -L storage`): injected EIO/rot/short
