@@ -46,7 +46,6 @@ void BM_CodecCompress(benchmark::State& state, const std::string& name) {
 }
 BENCHMARK_CAPTURE(BM_CodecCompress, gzip, std::string("gzip"));
 BENCHMARK_CAPTURE(BM_CodecCompress, lz4, std::string("lz4"));
-BENCHMARK_CAPTURE(BM_CodecCompress, rle, std::string("rle"));
 
 void BM_CodecDecompress(benchmark::State& state, const std::string& name) {
   const auto codec = compress::MakeCodec(name);
@@ -60,7 +59,6 @@ void BM_CodecDecompress(benchmark::State& state, const std::string& name) {
 }
 BENCHMARK_CAPTURE(BM_CodecDecompress, gzip, std::string("gzip"));
 BENCHMARK_CAPTURE(BM_CodecDecompress, lz4, std::string("lz4"));
-BENCHMARK_CAPTURE(BM_CodecDecompress, rle, std::string("rle"));
 
 // The shape the storage node decodes and classifies: the bricks of a
 // 64^3 v02 whose [min, max] straddles iso 0.1, LZ4 at brick edge 16.

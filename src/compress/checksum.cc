@@ -167,23 +167,4 @@ std::uint32_t Crc32(ByteSpan data, std::uint32_t crc) {
   return c ^ 0xFFFFFFFFu;
 }
 
-std::uint32_t Adler32(ByteSpan data, std::uint32_t adler) {
-  constexpr std::uint32_t kMod = 65521;
-  std::uint32_t a = adler & 0xFFFFu;
-  std::uint32_t b = (adler >> 16) & 0xFFFFu;
-  size_t i = 0;
-  while (i < data.size()) {
-    // Largest run before a can overflow 32 bits is 5552 per RFC 1950.
-    const size_t run = std::min<size_t>(5552, data.size() - i);
-    for (size_t j = 0; j < run; ++j) {
-      a += data[i + j];
-      b += a;
-    }
-    a %= kMod;
-    b %= kMod;
-    i += run;
-  }
-  return (b << 16) | a;
-}
-
 }  // namespace vizndp::compress

@@ -1,4 +1,4 @@
-// CRC-32 (IEEE, as used by gzip) and Adler-32 (as used by zlib streams).
+// CRC-32 (IEEE, as used by gzip).
 #pragma once
 
 #include <cstdint>
@@ -9,9 +9,6 @@ namespace vizndp::compress {
 
 // Incremental CRC-32: pass the previous return value as `crc` to continue.
 std::uint32_t Crc32(ByteSpan data, std::uint32_t crc = 0);
-
-// Incremental Adler-32; initial value is 1.
-std::uint32_t Adler32(ByteSpan data, std::uint32_t adler = 1);
 
 // Streaming CRC-32 (init/update/final) for multi-GB blobs that never sit
 // in one buffer: a VND writer checksums each compressed brick as it is

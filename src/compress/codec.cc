@@ -7,8 +7,6 @@
 #include "common/error.h"
 #include "compress/gzip.h"
 #include "compress/lz4.h"
-#include "compress/rle.h"
-#include "compress/zlib_stream.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -77,8 +75,6 @@ CodecPtr MakeRawCodec(const std::string& name) {
   if (name == "none") return std::make_shared<NullCodec>();
   if (name == "gzip") return std::make_shared<GzipCodec>();
   if (name == "lz4") return std::make_shared<Lz4Codec>();
-  if (name == "rle") return std::make_shared<RleCodec>();
-  if (name == "zlib") return std::make_shared<ZlibCodec>();
   throw Error("unknown codec: '" + name + "'");
 }
 
@@ -99,7 +95,7 @@ CodecPtr MakeCodec(const std::string& name) {
 }
 
 std::vector<std::string> RegisteredCodecNames() {
-  return {"none", "gzip", "lz4", "rle", "zlib"};
+  return {"none", "gzip", "lz4"};
 }
 
 }  // namespace vizndp::compress

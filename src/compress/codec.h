@@ -25,7 +25,7 @@ class Codec {
  public:
   virtual ~Codec() = default;
 
-  // Stable identifier persisted in file headers ("none", "gzip", "lz4", "rle").
+  // Stable identifier persisted in file headers ("none", "gzip", "lz4").
   virtual std::string name() const = 0;
 
   virtual Bytes Compress(ByteSpan input) const = 0;

@@ -1,5 +1,5 @@
 // DEFLATE compressor: LZ77 with hash-chain match finding (zlib-style
-// greedy/lazy), followed by per-block entropy coding that picks the
+// lazy parse), followed by per-block entropy coding that picks the
 // cheapest of stored / fixed-Huffman / dynamic-Huffman encodings.
 #include "compress/deflate.h"
 
@@ -83,27 +83,11 @@ struct Token {
   std::uint16_t dist;
 };
 
-struct LevelParams {
-  int max_chain;   // how many hash-chain candidates to try
-  int good_match;  // stop chaining early once a match this long is found
-  bool lazy;       // one-step lazy evaluation
-};
-
-LevelParams ParamsForLevel(int level) {
-  level = std::clamp(level, 1, 9);
-  static constexpr std::array<LevelParams, 9> kParams = {{
-      {4, 8, false},
-      {8, 16, false},
-      {16, 32, false},
-      {32, 32, true},
-      {64, 64, true},
-      {128, 128, true},
-      {256, 128, true},
-      {1024, 258, true},
-      {4096, 258, true},
-  }};
-  return kParams[static_cast<size_t>(level - 1)];
-}
+// zlib's level 6: how many hash-chain candidates to try, and the match
+// length that ends the chain walk early and is committed without a lazy
+// look at the next position.
+constexpr int kMaxChain = 128;
+constexpr int kGoodMatch = 128;
 
 constexpr int kHashBits = 15;
 constexpr std::uint32_t kHashSize = 1u << kHashBits;
@@ -119,9 +103,8 @@ std::uint32_t Hash3(const Byte* p) {
 // enforced when walking chains).
 class MatchFinder {
  public:
-  explicit MatchFinder(ByteSpan input, LevelParams params)
-      : input_(input), params_(params), head_(kHashSize, -1),
-        prev_(kWindowSize, -1) {}
+  explicit MatchFinder(ByteSpan input)
+      : input_(input), head_(kHashSize, -1), prev_(kWindowSize, -1) {}
 
   void Insert(std::int64_t pos) {
     if (pos + kMinMatch > static_cast<std::int64_t>(input_.size())) return;
@@ -145,7 +128,7 @@ class MatchFinder {
     std::int64_t cand = head_[Hash3(input_.data() + pos)];
     int best_len = kMinMatch - 1;
     std::int64_t best_pos = -1;
-    int chain = params_.max_chain;
+    int chain = kMaxChain;
     const Byte* const cur = input_.data() + pos;
     while (cand >= 0 && cand > min_pos && chain-- > 0) {
       if (cand != pos) {
@@ -157,7 +140,7 @@ class MatchFinder {
           if (len > best_len) {
             best_len = len;
             best_pos = cand;
-            if (len >= params_.good_match || len == limit) break;
+            if (len >= kGoodMatch || len == limit) break;
           }
         }
       }
@@ -172,16 +155,15 @@ class MatchFinder {
 
  private:
   ByteSpan input_;
-  LevelParams params_;
   std::vector<std::int64_t> head_;
   std::vector<std::int64_t> prev_;
 };
 
-// Tokenizes `input` with greedy or one-step-lazy parsing.
-std::vector<Token> Tokenize(ByteSpan input, const LevelParams& params) {
+// Tokenizes `input` with one-step-lazy parsing.
+std::vector<Token> Tokenize(ByteSpan input) {
   std::vector<Token> tokens;
   tokens.reserve(input.size() / 3 + 16);
-  MatchFinder finder(input, params);
+  MatchFinder finder(input);
   const std::int64_t n = static_cast<std::int64_t>(input.size());
   std::int64_t pos = 0;
   Token pending = {0, 0};  // match deferred by lazy evaluation
@@ -209,7 +191,7 @@ std::vector<Token> Tokenize(ByteSpan input, const LevelParams& params) {
       continue;
     }
     if (match.len >= kMinMatch) {
-      if (params.lazy && match.len < params.good_match && pos + 1 < n) {
+      if (match.len < kGoodMatch && pos + 1 < n) {
         pending = match;
         have_pending = true;
         finder.Insert(pos);
@@ -487,7 +469,7 @@ void EmitBlock(BitWriter& w, Bytes& out, ByteSpan block_input,
 
 }  // namespace
 
-Bytes DeflateCompress(ByteSpan input, const DeflateOptions& options) {
+Bytes DeflateCompress(ByteSpan input) {
   Bytes out;
   out.reserve(input.size() / 3 + 64);
   BitWriter w(out);
@@ -502,11 +484,10 @@ Bytes DeflateCompress(ByteSpan input, const DeflateOptions& options) {
     return out;
   }
 
-  const LevelParams params = ParamsForLevel(options.level);
   // Tokenize the whole input once (matches may then cross block
   // boundaries, which DEFLATE permits), then entropy-code in slabs so each
   // slab gets Huffman tables fitted to its local statistics.
-  const std::vector<Token> tokens = Tokenize(input, params);
+  const std::vector<Token> tokens = Tokenize(input);
 
   constexpr size_t kBlockInputTarget = 128 * 1024;
   size_t tok_begin = 0;

@@ -1,19 +1,14 @@
-// Raw DEFLATE (RFC 1951) streams — the bare compressed format without any
-// gzip/zlib framing. GzipCodec wraps these with the RFC 1952 member format.
+// Raw DEFLATE (RFC 1951) streams — the bare compressed format without
+// framing. GzipCodec wraps these with the RFC 1952 member format.
 #pragma once
 
 #include "common/bytes.h"
 
 namespace vizndp::compress {
 
-// 1 (fastest, short hash chains) .. 9 (best ratio, long chains + lazy
-// matching). Mirrors zlib's level semantics coarsely.
-struct DeflateOptions {
-  int level = 6;
-};
-
-// Produces a complete raw DEFLATE stream for `input`.
-Bytes DeflateCompress(ByteSpan input, const DeflateOptions& options = {});
+// Produces a complete raw DEFLATE stream for `input`, with the match
+// search of zlib's default level 6.
+Bytes DeflateCompress(ByteSpan input);
 
 // Inflates a complete raw DEFLATE stream. `size_hint` (optional) reserves
 // the output buffer. Throws DecodeError on malformed input. When

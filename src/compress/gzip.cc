@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "compress/checksum.h"
+#include "compress/deflate.h"
 
 namespace vizndp::compress {
 
@@ -27,10 +28,10 @@ Bytes GzipCodec::Compress(ByteSpan input) const {
   out.push_back(kMethodDeflate);
   out.push_back(0);                    // FLG: no optional fields
   AppendLE<std::uint32_t>(0, out);     // MTIME: unset
-  out.push_back(options_.level >= 8 ? 2 : (options_.level <= 2 ? 4 : 0));  // XFL
+  out.push_back(0);                    // XFL: neither fastest nor best
   out.push_back(255);                  // OS: unknown
 
-  Bytes body = DeflateCompress(input, options_);
+  Bytes body = DeflateCompress(input);
   out.insert(out.end(), body.begin(), body.end());
 
   AppendLE<std::uint32_t>(Crc32(input), out);

@@ -5,21 +5,15 @@
 #pragma once
 
 #include "compress/codec.h"
-#include "compress/deflate.h"
 
 namespace vizndp::compress {
 
 class GzipCodec final : public Codec {
  public:
-  explicit GzipCodec(int level = 6) : options_{level} {}
-
   std::string name() const override { return "gzip"; }
   Bytes Compress(ByteSpan input) const override;
   Bytes Decompress(ByteSpan input, size_t size_hint = 0,
                    size_t max_output = 0) const override;
-
- private:
-  DeflateOptions options_;
 };
 
 }  // namespace vizndp::compress

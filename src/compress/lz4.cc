@@ -80,7 +80,7 @@ void EmitSequence(ByteSpan literals, size_t match_len, size_t offset,
 
 }  // namespace
 
-Bytes Lz4CompressBlock(ByteSpan input, int acceleration) {
+Bytes Lz4CompressBlock(ByteSpan input) {
   Bytes out;
   out.reserve(input.size() / 2 + 16);
   const size_t n = input.size();
@@ -98,14 +98,13 @@ Bytes Lz4CompressBlock(ByteSpan input, int acceleration) {
   const Byte* const base = input.data();
   size_t anchor = 0;
   size_t pos = 0;
-  const int accel = std::max(1, acceleration);
 
   while (pos < match_limit) {
-    // Search with step acceleration (LZ4's "skip faster over
-    // incompressible data" heuristic).
+    // LZ4's skip over incompressible data: the search step starts at 1
+    // and grows by one every 64 misses.
     size_t match_pos = 0;
     size_t search = pos;
-    int step_counter = accel << 6;
+    int step_counter = 1 << 6;
     bool found = false;
     while (search < match_limit) {
       const std::uint32_t h = Hash4(base + search);
@@ -241,7 +240,7 @@ void Lz4DecompressBlock(ByteSpan block, MutableByteSpan out) {
 Bytes Lz4Codec::Compress(ByteSpan input) const {
   Bytes out;
   AppendLE<std::uint64_t>(input.size(), out);
-  Bytes block = Lz4CompressBlock(input, acceleration_);
+  Bytes block = Lz4CompressBlock(input);
   out.insert(out.end(), block.begin(), block.end());
   return out;
 }

@@ -13,19 +13,12 @@ namespace vizndp::compress {
 
 class Lz4Codec final : public Codec {
  public:
-  // acceleration >= 1: larger values skip more aggressively over
-  // incompressible regions (mirrors LZ4_compress_fast semantics).
-  explicit Lz4Codec(int acceleration = 1) : acceleration_(acceleration) {}
-
   std::string name() const override { return "lz4"; }
   Bytes Compress(ByteSpan input) const override;
   Bytes Decompress(ByteSpan input, size_t size_hint = 0,
                    size_t max_output = 0) const override;
   // Also rejects a frame whose declared size differs from out.size().
   void DecompressInto(ByteSpan input, MutableByteSpan out) const override;
-
- private:
-  int acceleration_;
 };
 
 // Raw block routines (no size prefix), exposed for tests. The decoder
@@ -33,7 +26,7 @@ class Lz4Codec final : public Codec {
 // rejected mid-decode and one that ends short is rejected at the end,
 // so the buffer doubles as the allocation bound (the codec checks the
 // declared size against the output budget before allocating it).
-Bytes Lz4CompressBlock(ByteSpan input, int acceleration = 1);
+Bytes Lz4CompressBlock(ByteSpan input);
 void Lz4DecompressBlock(ByteSpan block, MutableByteSpan out);
 
 }  // namespace vizndp::compress

@@ -279,7 +279,8 @@ std::uint64_t CheckedMul(std::uint64_t a, std::uint64_t b,
 // sizes whose allocation alone would take the process down. Called on
 // every open; a header that passes here is safe to hand to the reader's
 // arithmetic (offsets sum without overflow, bricks stay inside their
-// array, raw sizes match the grid).
+// array, raw sizes match the grid) and names only codecs this build
+// decodes.
 void ValidateHeader(const VndHeader& h, std::uint64_t file_size) {
   if (h.dims.nx < 1 || h.dims.ny < 1 || h.dims.nz < 1) {
     FailHeader("non-positive dims");
@@ -291,8 +292,12 @@ void ValidateHeader(const VndHeader& h, std::uint64_t file_size) {
                  static_cast<std::uint64_t>(h.dims.nz), "dims overflow");
 
   const std::uint64_t blob_bytes = file_size - h.blob_base;
+  const std::vector<std::string> codecs = compress::RegisteredCodecNames();
   std::uint64_t prev_end = 0;
   for (const ArrayMeta& m : h.arrays) {
+    if (std::find(codecs.begin(), codecs.end(), m.codec) == codecs.end()) {
+      FailHeader("unknown codec '" + m.codec + "': " + m.name);
+    }
     const std::uint64_t expected_raw =
         CheckedMul(points, grid::DataTypeSize(m.type),
                    ("raw size overflow: " + m.name).c_str());

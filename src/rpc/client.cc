@@ -134,18 +134,19 @@ msgpack::Value Client::Exchange(const std::string& method,
     try {
       reply = transport_->Receive(frame_deadline);
     } catch (const TimeoutError&) {
-      if (!stall_binding) throw;
-      MethodAudit("rpc_stream_stalls_total", method, "rpc.stream_stall")
-          .Record("method=" + method);
-      // Abandoned: cancel the stream, so the server stops at its next
-      // chunk instead of emitting the rest ahead of this connection's
-      // next request. A failed send must not hide the stall.
-      if (!cancel_sent) {
+      // Abandoned, on either deadline: cancel the stream, so the server
+      // stops at its next chunk instead of emitting the rest ahead of
+      // this connection's next request. A failed send must not hide the
+      // timeout. A plain call has no stream to cancel.
+      if (on_chunk && !cancel_sent) {
         try {
           send_cancel();
         } catch (const Error&) {
         }
       }
+      if (!stall_binding) throw;
+      MethodAudit("rpc_stream_stalls_total", method, "rpc.stream_stall")
+          .Record("method=" + method);
       throw StreamStallError("stream '" + method +
                              "' stalled: no frame within " +
                              std::to_string(chunk_timeout.count()) + " ms");

@@ -7,8 +7,6 @@
 #include "compress/deflate.h"
 #include "compress/gzip.h"
 #include "compress/lz4.h"
-#include "compress/rle.h"
-#include "compress/zlib_stream.h"
 #include "io/vnd_format.h"
 #include "msgpack/pack.h"
 #include "msgpack/unpack.h"
@@ -238,25 +236,11 @@ std::vector<FuzzTarget> BuiltinFuzzTargets() {
                        compress::GzipCodec().Decompress(input, 0, max_output);
                      }});
 
-  targets.push_back({"zlib",
-                     [] { return compress::ZlibCodec().Compress(
-                         PatternPayload(4096)); },
-                     [](ByteSpan input, size_t max_output) {
-                       compress::ZlibCodec().Decompress(input, 0, max_output);
-                     }});
-
   targets.push_back({"lz4",
                      [] { return compress::Lz4Codec().Compress(
                          PatternPayload(4096)); },
                      [](ByteSpan input, size_t max_output) {
                        compress::Lz4Codec().Decompress(input, 0, max_output);
-                     }});
-
-  targets.push_back({"rle",
-                     [] { return compress::RleCodec().Compress(
-                         PatternPayload(4096)); },
-                     [](ByteSpan input, size_t max_output) {
-                       compress::RleCodec().Decompress(input, 0, max_output);
                      }});
 
   targets.push_back({"msgpack", [] { return MsgpackSeed(); },

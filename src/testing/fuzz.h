@@ -1,9 +1,10 @@
 // Deterministic mutation fuzzer for every decoder that parses bytes it
-// did not write: the DEFLATE/gzip/zlib inflaters, the LZ4 and RLE block
-// decoders, the msgpack unpacker, and the VND header parser. Each target
-// starts from a *valid* seed input (so mutations reach deep parse paths
-// instead of dying at the magic check) and hammers it with truncations,
-// bit flips, splices, and length lies.
+// did not write: the DEFLATE and gzip inflaters, the LZ4 block decoder,
+// the msgpack unpacker, the NDP select parameters and stream frames, and
+// the VND header parser. Each target starts from a *valid* seed input
+// (so mutations reach deep parse paths instead of dying at the magic
+// check) and hammers it with truncations, bit flips, splices, and length
+// lies.
 //
 // The contract under fuzz: hostile input is rejected with a typed
 // vizndp::Error under a hard output budget — never a crash, hang,
@@ -59,8 +60,7 @@ struct FuzzTarget {
   std::function<void(ByteSpan input, size_t max_output)> run;
 };
 
-// inflate, gzip, zlib, lz4, rle, msgpack, ndp-select, ndp-stream,
-// vnd-header.
+// inflate, gzip, lz4, msgpack, ndp-select, ndp-stream, vnd-header.
 std::vector<FuzzTarget> BuiltinFuzzTargets();
 
 struct FuzzReport {

@@ -9,8 +9,6 @@
 #include "compress/deflate.h"
 #include "compress/gzip.h"
 #include "compress/lz4.h"
-#include "compress/rle.h"
-#include "compress/zlib_stream.h"
 #include "testing/fuzz.h"
 
 #ifdef VIZNDP_HAVE_ZLIB
@@ -93,7 +91,7 @@ TEST_P(CodecRoundTripTest, DecodeRecoversInput) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCodecs, CodecRoundTripTest,
-    ::testing::Combine(::testing::Values("none", "gzip", "lz4", "rle", "zlib"),
+    ::testing::Combine(::testing::Values("none", "gzip", "lz4"),
                        ::testing::Range(0, 5),
                        ::testing::Values<size_t>(0, 1, 2, 13, 255, 4096,
                                                  65535, 65536, 300000)));
@@ -110,12 +108,6 @@ TEST(Checksum, Crc32Incremental) {
   const std::uint32_t part1 = Crc32(ByteSpan(data).first(10));
   const std::uint32_t part2 = Crc32(ByteSpan(data).subspan(10), part1);
   EXPECT_EQ(whole, part2);
-}
-
-TEST(Checksum, Adler32KnownVector) {
-  // Adler32("Wikipedia") = 0x11E60398.
-  EXPECT_EQ(Adler32(AsBytes(std::string_view("Wikipedia"))), 0x11E60398u);
-  EXPECT_EQ(Adler32(ByteSpan{}), 1u);
 }
 
 TEST(Gzip, ProducesValidMemberHeader) {
@@ -175,15 +167,6 @@ TEST(Deflate, CompressesStructuredDataWell) {
   const Bytes input = MakeInput(InputKind::kRuns, 100000, 3);
   const Bytes compressed = DeflateCompress(input);
   EXPECT_LT(compressed.size(), input.size() / 20);
-}
-
-TEST(Deflate, LevelsTradeRatioForEffort) {
-  const Bytes input = MakeInput(InputKind::kText, 200000, 4);
-  const Bytes fast = DeflateCompress(input, {.level = 1});
-  const Bytes best = DeflateCompress(input, {.level = 9});
-  EXPECT_EQ(InflateRaw(fast, input.size()), input);
-  EXPECT_EQ(InflateRaw(best, input.size()), input);
-  EXPECT_LE(best.size(), fast.size());
 }
 
 TEST(Deflate, RejectsReservedBlockType) {
@@ -503,83 +486,6 @@ TEST(Lz4, FrameCarriesDecompressedSize) {
   EXPECT_THROW(codec.Decompress(Bytes{1, 2, 3}), DecodeError);
 }
 
-TEST(Lz4, AccelerationTradesRatioForSpeed) {
-  const Bytes input = MakeInput(InputKind::kText, 300000, 9);
-  const Lz4Codec normal(1);
-  const Lz4Codec fast(32);
-  const Bytes a = normal.Compress(input);
-  const Bytes b = fast.Compress(input);
-  EXPECT_EQ(normal.Decompress(a), input);
-  EXPECT_EQ(fast.Decompress(b), input);
-  EXPECT_LE(a.size(), b.size());
-}
-
-TEST(Rle, CompressesRunsHard) {
-  const RleCodec codec;
-  const Bytes input(10000, 0x55);
-  const Bytes compressed = codec.Compress(input);
-  EXPECT_LT(compressed.size(), 200u);
-  EXPECT_EQ(codec.Decompress(compressed, input.size()), input);
-}
-
-TEST(Rle, LiteralRunBoundaries) {
-  const RleCodec codec;
-  // 129 distinct bytes forces a literal-run split at 128.
-  Bytes input;
-  for (int i = 0; i < 129; ++i) input.push_back(static_cast<Byte>(i));
-  const Bytes compressed = codec.Compress(input);
-  EXPECT_EQ(codec.Decompress(compressed, input.size()), input);
-}
-
-TEST(Rle, TruncatedInputThrows) {
-  const RleCodec codec;
-  EXPECT_THROW(codec.Decompress(Bytes{0x05, 'a'}, 0), DecodeError);  // wants 6
-  EXPECT_THROW(codec.Decompress(Bytes{0x80}, 0), DecodeError);  // repeat, no byte
-}
-
-TEST(Zlib, HeaderCheckBytes) {
-  const ZlibCodec codec;
-  const Bytes out = codec.Compress(ToBytes("zlib framed"));
-  ASSERT_GE(out.size(), 7u);
-  EXPECT_EQ(out[0] & 0x0F, 8);                      // deflate
-  EXPECT_EQ((out[0] * 256 + out[1]) % 31, 0);       // FCHECK
-}
-
-TEST(Zlib, DetectsCorruption) {
-  const ZlibCodec codec;
-  const Bytes input = MakeInput(InputKind::kText, 4000, 21);
-  Bytes compressed = codec.Compress(input);
-  compressed[1] ^= 0x01;  // break FCHECK
-  EXPECT_THROW(codec.Decompress(compressed, input.size()), DecodeError);
-  Bytes bad_body = codec.Compress(input);
-  bad_body[bad_body.size() / 2] ^= 0xFF;
-  EXPECT_THROW(codec.Decompress(bad_body, input.size()), DecodeError);
-}
-
-#ifdef VIZNDP_HAVE_ZLIB
-TEST(Zlib, InteroperatesWithLibz) {
-  const Bytes input = MakeInput(InputKind::kFloatLike, 120000, 22);
-  // Ours -> libz.
-  const ZlibCodec codec;
-  const Bytes ours = codec.Compress(input);
-  uLongf dest_len = static_cast<uLongf>(input.size() + 64);
-  Bytes dest(dest_len);
-  ASSERT_EQ(uncompress(dest.data(), &dest_len, ours.data(),
-                       static_cast<uLong>(ours.size())),
-            Z_OK);
-  dest.resize(dest_len);
-  EXPECT_EQ(dest, input);
-  // libz -> ours.
-  uLongf comp_len = compressBound(static_cast<uLong>(input.size()));
-  Bytes libz_out(comp_len);
-  ASSERT_EQ(compress2(libz_out.data(), &comp_len, input.data(),
-                      static_cast<uLong>(input.size()), 6),
-            Z_OK);
-  libz_out.resize(comp_len);
-  EXPECT_EQ(codec.Decompress(libz_out, input.size()), input);
-}
-#endif  // VIZNDP_HAVE_ZLIB
-
 TEST(CodecRegistry, KnowsAllCodecs) {
   for (const std::string& name : RegisteredCodecNames()) {
     const CodecPtr codec = MakeCodec(name);
@@ -588,9 +494,49 @@ TEST(CodecRegistry, KnowsAllCodecs) {
   EXPECT_THROW(MakeCodec("zstd"), Error);
 }
 
+TEST(Codec, OutputBytesArePinned) {
+  // The size and CRC-32 of what gzip and LZ4 write: any change to
+  // either compressor's match search or framing shows here as other
+  // bytes. The inputs run from empty, through one shorter than LZ4's
+  // 13-byte match margin and incompressible noise, to ones DEFLATE
+  // splits into several 128 KiB blocks.
+  struct Pin {
+    const char* codec;
+    InputKind kind;
+    size_t size;
+    size_t stored_size;
+    std::uint32_t crc;
+  };
+  const Pin pins[] = {
+      {"gzip", InputKind::kText, 0, 20, 0x45378550u},
+      {"gzip", InputKind::kText, 12, 32, 0xc64613a4u},
+      {"gzip", InputKind::kLowEntropy, 4096, 1373, 0x5f9cc1d5u},
+      {"gzip", InputKind::kRandom, 70000, 70094, 0xbb1b7245u},
+      {"gzip", InputKind::kRuns, 100000, 530, 0xb6fcac4fu},
+      {"gzip", InputKind::kText, 200000, 669, 0xd1638645u},
+      {"gzip", InputKind::kFloatLike, 300000, 56433, 0xf6df43c8u},
+      {"lz4", InputKind::kText, 0, 9, 0xe60914aeu},
+      {"lz4", InputKind::kText, 12, 21, 0x01e5eec1u},
+      {"lz4", InputKind::kLowEntropy, 4096, 2903, 0x85154b51u},
+      {"lz4", InputKind::kRandom, 70000, 70284, 0x5370977cu},
+      {"lz4", InputKind::kRuns, 100000, 473, 0xdaa36f5au},
+      {"lz4", InputKind::kText, 200000, 848, 0x6c3c4045u},
+      {"lz4", InputKind::kFloatLike, 300000, 174352, 0xcf77cdddu},
+  };
+  for (const Pin& pin : pins) {
+    const Bytes input = MakeInput(pin.kind, pin.size, 23);
+    const Bytes out = MakeCodec(pin.codec)->Compress(input);
+    SCOPED_TRACE(std::string(pin.codec) + " kind " +
+                 std::to_string(static_cast<int>(pin.kind)) + " size " +
+                 std::to_string(pin.size));
+    EXPECT_EQ(out.size(), pin.stored_size);
+    EXPECT_EQ(Crc32(out), pin.crc);
+  }
+}
+
 TEST(CodecRatios, OrderingMatchesPaperExpectations) {
   // On low-entropy quantized data (like volume fractions) GZip should
-  // out-compress LZ4, and both should beat RLE on mixed content.
+  // out-compress LZ4.
   const Bytes input = MakeInput(InputKind::kLowEntropy, 500000, 10);
   const size_t gz = MakeCodec("gzip")->Compress(input).size();
   const size_t lz = MakeCodec("lz4")->Compress(input).size();

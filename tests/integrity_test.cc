@@ -260,17 +260,31 @@ msgpack::Map BaseHeader(std::int64_t nx, std::int64_t ny, std::int64_t nz) {
 }
 
 msgpack::Value ArrayEntry(const std::string& name, std::uint64_t raw,
-                          std::uint64_t stored, std::uint64_t offset) {
+                          std::uint64_t stored, std::uint64_t offset,
+                          const std::string& codec = "none") {
   using msgpack::Value;
   msgpack::Map m;
   m.emplace_back(Value("name"), Value(name));
   m.emplace_back(Value("type"), Value("float32"));
-  m.emplace_back(Value("codec"), Value("none"));
+  m.emplace_back(Value("codec"), Value(codec));
   m.emplace_back(Value("raw_size"), Value(raw));
   m.emplace_back(Value("stored_size"), Value(stored));
   m.emplace_back(Value("offset"), Value(offset));
   m.emplace_back(Value("crc32"), Value(std::uint64_t{0}));
   return Value(std::move(m));
+}
+
+// Both parse paths reject `image`: the bytes alone, and a reader
+// opening them from a store.
+void ExpectRejectedOnOpen(const Bytes& image, const std::string& what) {
+  EXPECT_THROW(io::ParseVndHeader(image), DecodeError) << what;
+  storage::MemoryObjectStore store;
+  store.CreateBucket("data");
+  store.Put("data", "v.vnd", image);
+  EXPECT_THROW(
+      (void)io::VndReader(storage::FileGateway(store, "data").Open("v.vnd")),
+      DecodeError)
+      << what;
 }
 
 TEST(Integrity, HostileHeadersRejectedOnOpen) {
@@ -291,14 +305,17 @@ TEST(Integrity, HostileHeadersRejectedOnOpen) {
                    Value(msgpack::Array{ArrayEntry("a", 32, 32, 0)}));
     Bytes bad_version = ImageFromHeader(std::move(h), 32);
     StoreLE<std::uint32_t>(version, bad_version.data() + 4);
-    EXPECT_THROW(io::ParseVndHeader(bad_version), DecodeError) << version;
-    storage::MemoryObjectStore store;
-    store.CreateBucket("data");
-    store.Put("data", "v.vnd", bad_version);
-    EXPECT_THROW(
-        (void)io::VndReader(storage::FileGateway(store, "data").Open("v.vnd")),
-        DecodeError)
-        << version;
+    ExpectRejectedOnOpen(bad_version, "version " + std::to_string(version));
+  }
+
+  // A codec this build does not decode, on both parse paths: the file
+  // is rejected at open, not at its first read. rle and zlib were
+  // written by earlier builds; zstd never was.
+  for (const std::string codec : {"rle", "zlib", "zstd"}) {
+    msgpack::Map h = BaseHeader(2, 2, 2);
+    h.emplace_back(Value("arrays"),
+                   Value(msgpack::Array{ArrayEntry("a", 32, 32, 0, codec)}));
+    ExpectRejectedOnOpen(ImageFromHeader(std::move(h), 32), codec);
   }
 
   // Header-size field larger than the file.

@@ -45,7 +45,7 @@ TEST_P(VndCodecTest, RoundTripWithCodec) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, VndCodecTest,
-                         ::testing::Values("none", "gzip", "lz4", "rle"));
+                         ::testing::Values("none", "gzip", "lz4"));
 
 TEST(Vnd, PerArrayCodecOverride) {
   StoreFixture fx;

@@ -946,6 +946,35 @@ TEST(Stream, PlainCallWhileAbandonedStreamEmitsIsAnswered) {
   EXPECT_EQ(ServerCancels(bed), cancels_before + 1);
 }
 
+// A stream that runs past its overall deadline is abandoned like a
+// stalled one: the client cancels it, so the next plain call on the
+// connection is answered within its own deadline instead of waiting
+// behind the rest of the stream.
+TEST(Stream, PlainCallAfterTimedOutStreamIsAnswered) {
+  Testbed bed;
+  StoreDataset(bed.store(), bed.bucket(), "ts.vnd", 32, 4);
+  SlowStoreReads(bed);
+
+  NdpClientOptions options;
+  options.call_timeout = 150ms;
+  NdpClient client(std::make_shared<rpc::Client>(bed.ConnectToServer()),
+                   "data", options);
+  StreamOptions so;
+  so.chunk_bricks = 1;
+  so.chunk_timeout = 0ms;
+  so.max_resumes = 0;
+  client.SetStream(so);
+  const std::uint64_t cancels_before = ServerCancels(bed);
+  grid::UniformGeometry geo;
+  EXPECT_THROW(
+      (void)client.FetchSparseField("ts.vnd", "v02", kIsos, &geo, nullptr),
+      TimeoutError);
+
+  const NdpClient::FileInfo info = client.Info("ts.vnd");
+  EXPECT_EQ(info.dims, (grid::Dims{32, 32, 32}));
+  EXPECT_EQ(ServerCancels(bed), cancels_before + 1);
+}
+
 // The resume a stall triggers reaches the server while the abandoned
 // stream's handler still emits. The stall's cancel stops that stream,
 // so the resume is served next and completes without a second stall.

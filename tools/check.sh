@@ -18,6 +18,7 @@
 # and the ERR trap names the stage that died.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+ROOT="$PWD"
 
 CURRENT_STAGE="(startup)"
 stage() {
@@ -34,6 +35,17 @@ fail_on_warn() {
     echo "overhead guard over budget (see [warn] above)" >&2
     return 1
   fi
+}
+
+# Runs an overhead-guard bench (with optional VAR=value prefixes) in a
+# fresh temporary directory: each bench writes its table to ./results/,
+# and a guard's reduced run must not replace the committed results/.
+run_guard() {
+  local dir status=0
+  dir="$(mktemp -d)"
+  (cd "$dir" && env "$@") || status=$?
+  rm -rf "$dir"
+  return "$status"
 }
 
 stage "tier-1: configure + build + ctest"
@@ -86,7 +98,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # grids, in 3D and 2D.
   ./build-asan/tests/contour_test
   ./build-asan/tests/rectilinear_test
-  # Fuzz smoke under the sanitizers: 1500 mutations x 9 decoder targets
+  # Fuzz smoke under the sanitizers: 1500 mutations x 7 decoder targets
   # (> 10k hostile inputs) at a fixed seed, so a CI failure replays
   # byte-for-byte with the same command.
   ./build-asan/tools/vizndp_tool fuzz --seed 1 --iters 1500
@@ -116,8 +128,8 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # the tier-1 build, not tsan — this measures time, not races). The
   # bench prints [warn] when over budget; that fails the stage.
   SCRUB_LOG="$(mktemp)"
-  VIZNDP_BENCH_N=64 VIZNDP_BENCH_REPS=4 ./build/bench/abl_scrub_overhead \
-    2> "$SCRUB_LOG"
+  run_guard VIZNDP_BENCH_N=64 VIZNDP_BENCH_REPS=4 \
+    "$ROOT/build/bench/abl_scrub_overhead" 2> "$SCRUB_LOG"
   cat "$SCRUB_LOG" >&2
   fail_on_warn "$SCRUB_LOG"
   rm -f "$SCRUB_LOG"
@@ -189,7 +201,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # this measures time, not races). The bench prints [warn] when over
   # budget; that fails the stage.
   STREAM_LOG="$(mktemp)"
-  ./build/bench/abl_stream_overhead 2> "$STREAM_LOG"
+  run_guard "$ROOT/build/bench/abl_stream_overhead" 2> "$STREAM_LOG"
   cat "$STREAM_LOG" >&2
   fail_on_warn "$STREAM_LOG"
   rm -f "$STREAM_LOG"
@@ -213,8 +225,8 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # 2% of a fetch (tier-1 build — this measures time, not races). The
   # bench prints [warn] when over budget; that fails the stage.
   WIN_LOG="$(mktemp)"
-  VIZNDP_BENCH_N=64 VIZNDP_BENCH_REPS=4 ./build/bench/abl_window_overhead \
-    2> "$WIN_LOG"
+  run_guard VIZNDP_BENCH_N=64 VIZNDP_BENCH_REPS=4 \
+    "$ROOT/build/bench/abl_window_overhead" 2> "$WIN_LOG"
   cat "$WIN_LOG" >&2
   fail_on_warn "$WIN_LOG"
   rm -f "$WIN_LOG"

@@ -1,7 +1,7 @@
 // vizndp_tool — command-line front end for the library.
 //
 //   vizndp_tool gen     --kind impact|nyx --out FILE [--n N] [--timestep T]
-//                       [--codec none|gzip|lz4|rle|zlib] [--arrays a,b,...]
+//                       [--codec none|gzip|lz4] [--arrays a,b,...]
 //   vizndp_tool info    --in FILE
 //   vizndp_tool contour --in FILE --array NAME --iso V[,V...]
 //                       [--obj FILE] [--ppm FILE]
@@ -134,7 +134,7 @@ namespace {
                "                     rest; the scrubber quarantines it)\n"
                "\n"
                "fuzz (hostile-input smoke test of every decoder):\n"
-               "  --target NAME      inflate|gzip|zlib|lz4|rle|msgpack|\n"
+               "  --target NAME      inflate|gzip|lz4|msgpack|\n"
                "                     vnd-header|ndp-select|ndp-stream,\n"
                "                     or all (default all)\n"
                "  --seed S           deterministic mutation seed (default 1)\n"
