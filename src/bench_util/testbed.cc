@@ -191,8 +191,8 @@ bool ClusterTestbed::alive(int i) {
 ClusterTestbed::~ClusterTestbed() {
   // The sharded client may still hold abandoned hedge attempts against
   // these nodes; destroy it (joins them) before the serve loops exit.
-  // Any HealthMonitor on NewNodeClient channels must already be stopped
-  // by its owner (declare the monitor after the testbed).
+  // Whatever owns NewNodeClient channels must already be gone (declare
+  // it after the testbed).
   sharded_.reset();
   for (auto& node : nodes_) node->client.reset();
   for (size_t i = 0; i < nodes_.size(); ++i) {

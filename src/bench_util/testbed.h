@@ -122,8 +122,8 @@ class Testbed {
 // exposes a persistent FaultInjectingTransport handle wrapped around its
 // data channel (for the chaos harness to script delays/corruption
 // mid-run), and NewNodeClient opens a dedicated channel to it (for a
-// cluster::HealthMonitor or FleetScraper; declare their owner after the
-// testbed, so it is destroyed first).
+// cluster::FleetScraper; declare its owner after the testbed, so it is
+// destroyed first).
 struct ClusterTestbedConfig {
   int servers = 3;
   int replicas = 2;
@@ -202,12 +202,12 @@ class ClusterTestbed {
   }
 
   // A fresh dedicated client to node `i` over its own reconnecting
-  // channel — how a HealthMonitor gets its probe connections and a
-  // FleetScraper its scrape connections: never shared with data fetches
-  // and never touched by chaos fault scripts, so they see the node's
-  // real state. When `fault` is non-null it receives a fault handle
-  // wrapped around this channel (owned by the returned client), so
-  // tests can slow one node's scrape RTT without touching its serving.
+  // channel — how a FleetScraper gets its scrape connections: never
+  // shared with data fetches and never touched by chaos fault scripts,
+  // so they see the node's real state. When `fault` is non-null it
+  // receives a fault handle wrapped around this channel (owned by the
+  // returned client), so tests can slow one node's scrape RTT without
+  // touching its serving.
   std::shared_ptr<ndp::NdpClient> NewNodeClient(
       int i, net::FaultInjectingTransport** fault = nullptr);
 
@@ -220,8 +220,8 @@ class ClusterTestbed {
   void KillServer(int i);
 
   // Brings a killed node back as a fresh incarnation (new rpc::Server +
-  // NdpServer with a new node_id) over the same shared store — restarts
-  // lose no data, exactly like a storage node rebooting over its disks.
+  // NdpServer) over the same shared store — restarts lose no data,
+  // exactly like a storage node rebooting over its disks.
   void RestartServer(int i);
 
   bool alive(int i);

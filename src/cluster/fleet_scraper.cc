@@ -267,8 +267,6 @@ std::string FleetSnapshotJson(const FleetScraper::FleetSnapshot& snapshot) {
           << ",\"inflight\":" << ns.health.inflight
           << ",\"mem_in_use\":" << ns.health.mem_in_use
           << ",\"mem_limit\":" << ns.health.mem_limit
-          << ",\"node_id\":" << ns.health.node_id
-          << ",\"view_epoch\":" << ns.health.view_epoch
           << ",\"uptime_s\":" << ns.health.uptime_s
           << ",\"error_ratio\":" << ns.error_ratio
           << ",\"slow\":" << (ns.slow ? "true" : "false")
@@ -334,10 +332,9 @@ std::string FleetSnapshotText(const FleetScraper::FleetSnapshot& snapshot) {
       << snapshot.reachable << "/" << snapshot.nodes.size() << std::fixed
       << std::setprecision(1) << "  wall " << snapshot.wall_s << "\n";
   out << std::left << std::setw(5) << "NODE" << std::setw(7) << "STATE"
-      << std::right << std::setw(7) << "EPOCH" << std::setw(7) << "INFL"
-      << std::setw(7) << "MEM%" << std::setw(9) << "P50ms" << std::setw(9)
-      << "P95ms" << std::setw(9) << "P99ms" << std::setw(8) << "ERR%"
-      << std::setw(7) << "SCRUB" << "\n";
+      << std::right << std::setw(7) << "INFL" << std::setw(7) << "MEM%"
+      << std::setw(9) << "P50ms" << std::setw(9) << "P95ms" << std::setw(9)
+      << "P99ms" << std::setw(8) << "ERR%" << std::setw(7) << "SCRUB" << "\n";
   for (const FleetScraper::NodeSample& ns : snapshot.nodes) {
     out << std::left << std::setw(5) << ns.node;
     const char* state = !ns.reachable  ? "down"
@@ -346,13 +343,12 @@ std::string FleetSnapshotText(const FleetScraper::FleetSnapshot& snapshot) {
                                              : "ok";
     out << std::setw(7) << state << std::right;
     if (!ns.reachable) {
-      out << std::setw(7) << "-" << std::setw(7) << "-" << std::setw(7) << "-"
-          << std::setw(9) << "-" << std::setw(9) << "-" << std::setw(9) << "-"
-          << std::setw(8) << "-" << std::setw(7) << "-" << "\n";
+      out << std::setw(7) << "-" << std::setw(7) << "-" << std::setw(9) << "-"
+          << std::setw(9) << "-" << std::setw(9) << "-" << std::setw(8) << "-"
+          << std::setw(7) << "-" << "\n";
       continue;
     }
-    out << std::setw(7) << ns.health.view_epoch << std::setw(7)
-        << ns.health.inflight;
+    out << std::setw(7) << ns.health.inflight;
     if (ns.health.mem_limit > 0) {
       out << std::setw(6) << std::setprecision(0)
           << 100.0 * static_cast<double>(ns.health.mem_in_use) /

@@ -2,12 +2,12 @@
 // paces (`vizndp_tool top` sleeps --interval-ms between sweeps, the
 // chaos harness sweeps at fixed points of a schedule). A sweep pulls
 // ndp.metrics + ndp.health from every node over dedicated per-node
-// channels (the HealthMonitor discipline, never the data path),
-// computes per-node counter rates since the previous sweep, merges the
-// per-node snapshots into one fleet view (obs/merge.h), evaluates the
-// SLO tracker against it, and returns the whole thing as an
-// epoch-stamped immutable FleetSnapshot. `vizndp_tool top` renders
-// these; scripts consume the FleetSnapshotJson/FleetSnapshotProm forms.
+// channels (never the data path), computes per-node counter rates
+// since the previous sweep, merges the per-node snapshots into one
+// fleet view (obs/merge.h), evaluates the SLO tracker against it, and
+// returns the whole thing as an epoch-stamped immutable FleetSnapshot.
+// `vizndp_tool top` renders these; scripts consume the
+// FleetSnapshotJson/FleetSnapshotProm forms.
 //
 // Two control loops close here:
 //   - SLO tracking: the embedded SloTracker burns against the merged

@@ -16,24 +16,6 @@ std::uint64_t Score(std::uint64_t item, std::uint64_t candidate) {
   return net::MixBits(item ^ net::MixBits(candidate + 0x632BE59BD9B4E019ull));
 }
 
-// A mask that excludes nobody — nullptr, size mismatch, or all-false
-// (an all-dead view must not make placement impossible; the fetch then
-// fails with the real transport error instead of a placement error).
-bool MaskUsable(const std::vector<bool>* eligible, int servers) {
-  if (eligible == nullptr ||
-      eligible->size() != static_cast<size_t>(servers)) {
-    return false;
-  }
-  for (const bool e : *eligible) {
-    if (e) return true;
-  }
-  return false;
-}
-
-bool Eligible(const std::vector<bool>* eligible, int server) {
-  return eligible == nullptr || (*eligible)[static_cast<size_t>(server)];
-}
-
 }  // namespace
 
 ShardMap::ShardMap(int servers, int replicas)
@@ -53,16 +35,13 @@ std::uint64_t ShardMap::KeyHash(std::string_view key) {
   return net::MixBits(h);
 }
 
-int ShardMap::ShardOfBrick(std::uint64_t key_hash, std::int64_t brick,
-                           const std::vector<bool>* eligible) const {
-  if (!MaskUsable(eligible, servers_)) eligible = nullptr;
+int ShardMap::ShardOfBrick(std::uint64_t key_hash, std::int64_t brick) const {
   const std::uint64_t item =
       net::MixBits(key_hash ^ static_cast<std::uint64_t>(brick) *
                                   0x9E3779B97F4A7C15ull);
   int best = -1;
   std::uint64_t best_score = 0;
   for (int s = 0; s < servers_; ++s) {
-    if (!Eligible(eligible, s)) continue;
     const std::uint64_t score = Score(item, static_cast<std::uint64_t>(s));
     if (best < 0 || score > best_score) {
       best = s;
@@ -72,42 +51,35 @@ int ShardMap::ShardOfBrick(std::uint64_t key_hash, std::int64_t brick,
   return best;
 }
 
-int ShardMap::ShardOfKey(std::string_view key,
-                         const std::vector<bool>* eligible) const {
+int ShardMap::ShardOfKey(std::string_view key) const {
   // Whole-blob datasets are a single "brick".
-  return ShardOfBrick(KeyHash(key), -1, eligible);
+  return ShardOfBrick(KeyHash(key), -1);
 }
 
 std::vector<std::vector<std::int64_t>> ShardMap::Partition(
-    std::string_view key, std::int64_t brick_count,
-    const std::vector<bool>* eligible) const {
-  if (!MaskUsable(eligible, servers_)) eligible = nullptr;
+    std::string_view key, std::int64_t brick_count) const {
   std::vector<std::vector<std::int64_t>> slices(
       static_cast<size_t>(servers_));
   const std::uint64_t key_hash = KeyHash(key);
   for (std::int64_t b = 0; b < brick_count; ++b) {
-    slices[static_cast<size_t>(ShardOfBrick(key_hash, b, eligible))]
-        .push_back(b);
+    slices[static_cast<size_t>(ShardOfBrick(key_hash, b))].push_back(b);
   }
   // Ascending brick order falls out of the loop; keep it an invariant
   // (the wire protocol requires sorted restrictions).
   return slices;
 }
 
-std::vector<int> ShardMap::ReplicaChain(
-    int shard, const std::vector<bool>* eligible) const {
+std::vector<int> ShardMap::ReplicaChain(int shard) const {
   VIZNDP_CHECK_MSG(shard >= 0 && shard < servers_, "shard out of range");
-  if (!MaskUsable(eligible, servers_)) eligible = nullptr;
-  std::vector<int> chain;
-  if (Eligible(eligible, shard)) chain.push_back(shard);
-  // Rank the other eligible servers by rendezvous score for this shard
-  // and fill the chain up to replicas().
+  std::vector<int> chain = {shard};
+  // Rank the other servers by rendezvous score for this shard and fill
+  // the chain up to replicas().
   std::vector<std::pair<std::uint64_t, int>> ranked;
   ranked.reserve(static_cast<size_t>(servers_));
   const std::uint64_t item =
       net::MixBits(static_cast<std::uint64_t>(shard) + 0xA24BAED4963EE407ull);
   for (int s = 0; s < servers_; ++s) {
-    if (s == shard || !Eligible(eligible, s)) continue;
+    if (s == shard) continue;
     ranked.emplace_back(Score(item, static_cast<std::uint64_t>(s)), s);
   }
   std::sort(ranked.begin(), ranked.end(),

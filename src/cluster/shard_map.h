@@ -36,37 +36,22 @@ class ShardMap {
   // in, so two datasets spread their bricks differently.
   static std::uint64_t KeyHash(std::string_view key);
 
-  // Every placement call takes an optional eligibility mask (index =
-  // server id; nullptr, wrong-sized, or all-false = every server
-  // eligible). Passing the usable set of a FleetView recomputes the
-  // rendezvous placement over the live nodes only: an ineligible
-  // server's bricks re-spread evenly across the eligible ones (the HRW
-  // property — removing a candidate only moves the items it owned), and
-  // chains shrink rather than route through dead nodes.
-
-  // Owning shard for one brick of `key` (rendezvous over the eligible
-  // shards).
-  int ShardOfBrick(std::uint64_t key_hash, std::int64_t brick,
-                   const std::vector<bool>* eligible = nullptr) const;
+  // Owning shard for one brick of `key` (rendezvous over all shards).
+  int ShardOfBrick(std::uint64_t key_hash, std::int64_t brick) const;
 
   // Owning shard for an unbricked (whole-blob) dataset.
-  int ShardOfKey(std::string_view key,
-                 const std::vector<bool>* eligible = nullptr) const;
+  int ShardOfKey(std::string_view key) const;
 
   // Per-shard sorted brick lists for a dataset with `brick_count` bricks:
   // Partition(...)[s] is shard s's slice. Slices are disjoint and cover
-  // [0, brick_count); a slice may be empty for tiny datasets, and is
-  // always empty for an ineligible server.
+  // [0, brick_count); a slice may be empty for tiny datasets.
   std::vector<std::vector<std::int64_t>> Partition(
-      std::string_view key, std::int64_t brick_count,
-      const std::vector<bool>* eligible = nullptr) const;
+      std::string_view key, std::int64_t brick_count) const;
 
   // Replica chain for shard s: servers to try in order, starting with the
-  // home server s (when eligible), then the rendezvous ranking of the
-  // other eligible servers. Size is min(replicas(), eligible count).
-  std::vector<int> ReplicaChain(int shard,
-                                const std::vector<bool>* eligible = nullptr)
-      const;
+  // home server s, then the rendezvous ranking of the other servers.
+  // Size is replicas().
+  std::vector<int> ReplicaChain(int shard) const;
 
   // Every server a replica of shard s lives on must hold the shard's
   // data. With brick-granular placement that means each server stores

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -17,8 +16,6 @@ namespace vizndp::cluster {
 namespace {
 
 // One audit per rung of the failover ladder (DESIGN.md §10).
-const obs::Audit kDrainingSkip("cluster_draining_skips_total",
-                               "cluster.draining_skip");
 const obs::Audit kFailover("cluster_failover_total", "cluster.failover");
 const obs::Audit kHedge("ndp_hedge_launched_total", "cluster.hedge");
 const obs::Audit kHedgeWon("ndp_hedge_won_total", "cluster.hedge_won");
@@ -61,54 +58,11 @@ ShardedNdpClient::ShardedNdpClient(
       options_(options),
       subfetch_seconds_(SubfetchHistogram()),
       parked_gauge_(
-          obs::DefaultRegistry().GetGauge("cluster_hedge_parked")),
-      suspect_(servers_.size(), false) {
+          obs::DefaultRegistry().GetGauge("cluster_hedge_parked")) {
   VIZNDP_CHECK_MSG(!servers_.empty(), "sharded client needs servers");
 }
 
 ShardedNdpClient::~ShardedNdpClient() { Park({}, /*wait=*/true); }
-
-void ShardedNdpClient::MarkSuspect(int server, bool suspect) {
-  std::lock_guard lk(suspect_mu_);
-  suspect_.at(static_cast<size_t>(server)) = suspect;
-}
-
-void ShardedNdpClient::SetFleetView(std::shared_ptr<const FleetView> view) {
-  {
-    std::lock_guard lk(view_mu_);
-    view_ = view;
-  }
-  if (view == nullptr || view->states.size() != servers_.size()) return;
-  // The monitor's verdict supersedes ad-hoc suspicion: nodes it calls
-  // live are trusted again, nodes it calls suspect stay demoted.
-  std::lock_guard lk(suspect_mu_);
-  for (size_t i = 0; i < suspect_.size(); ++i) {
-    if (view->states[i] == NodeState::kLive) suspect_[i] = false;
-    if (view->states[i] == NodeState::kSuspect) suspect_[i] = true;
-  }
-}
-
-std::shared_ptr<const FleetView> ShardedNdpClient::fleet_view() const {
-  std::lock_guard lk(view_mu_);
-  return view_;
-}
-
-std::vector<bool> ShardedNdpClient::Eligibility(
-    const std::shared_ptr<const FleetView>& view) const {
-  std::vector<bool> eligible(servers_.size(), true);
-  if (view == nullptr || view->states.size() != servers_.size()) {
-    return eligible;
-  }
-  int usable = 0;
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    eligible[i] = NodeUsable(view->states[i]);
-    if (eligible[i]) ++usable;
-  }
-  // An all-dead view must not make a fetch unroutable — plan over
-  // everyone and let the transports report the truth.
-  if (usable == 0) eligible.assign(servers_.size(), true);
-  return eligible;
-}
 
 ndp::NdpClient::FileInfo ShardedNdpClient::Info(const std::string& key) {
   {
@@ -117,12 +71,8 @@ ndp::NdpClient::FileInfo ShardedNdpClient::Info(const std::string& key) {
     if (it != info_cache_.end()) return it->second;
   }
   // Any node can answer (every node fronts the same store); try the
-  // key's home chain first, then walk the rest of the fleet. Health
-  // bookkeeping is left to actual fetch attempts — a metadata probe
-  // bouncing off a busy node is not evidence worth demoting it over.
-  const std::vector<bool> eligible = Eligibility(fleet_view());
-  std::vector<int> order = LiveChain(map_.ShardOfKey(key, &eligible),
-                                     &eligible);
+  // key's home chain first, then walk the rest of the fleet.
+  std::vector<int> order = map_.ReplicaChain(map_.ShardOfKey(key));
   for (int sv = 0; sv < server_count(); ++sv) {
     if (std::find(order.begin(), order.end(), sv) == order.end()) {
       order.push_back(sv);
@@ -141,25 +91,6 @@ ndp::NdpClient::FileInfo ShardedNdpClient::Info(const std::string& key) {
     }
   }
   std::rethrow_exception(last);
-}
-
-std::vector<int> ShardedNdpClient::LiveChain(
-    int shard, const std::vector<bool>* eligible) {
-  const std::vector<int> chain = map_.ReplicaChain(shard, eligible);
-  std::vector<int> live;
-  std::vector<int> demoted;
-  {
-    std::lock_guard lk(suspect_mu_);
-    for (const int sv : chain) {
-      (suspect_[static_cast<size_t>(sv)] ? demoted : live).push_back(sv);
-    }
-  }
-  for (const int sv : demoted) {
-    kDrainingSkip.Record("shard=" + ShardTag(shard) +
-                         " server=" + std::to_string(sv));
-    live.push_back(sv);  // still last-resort usable: demoted, not dropped
-  }
-  return live;
 }
 
 void ShardedNdpClient::SetStream(const ndp::StreamOptions& options) {
@@ -249,10 +180,8 @@ ndp::StreamAccumulator ShardedNdpClient::SubFetch(
     int shard, const std::string& key, const std::string& array,
     const std::vector<double>& isovalues,
     const std::vector<std::int64_t>* only_bricks,
-    const std::vector<bool>& eligible, const ndp::StreamOptions& stream,
-    Merge& merge) {
-  const std::vector<int> chain =
-      LiveChain(shard, eligible.empty() ? nullptr : &eligible);
+    const ndp::StreamOptions& stream, Merge& merge) {
+  const std::vector<int> chain = map_.ReplicaChain(shard);
   obs::DefaultRegistry()
       .GetCounter("cluster_subfetch_total", {{"shard", ShardTag(shard)}})
       .Increment();
@@ -279,8 +208,8 @@ ndp::StreamAccumulator ShardedNdpClient::SubFetch(
         &walk->attempts.emplace_back(Walk::Attempt{server, std::move(acc)});
     threads.push_back(std::async(
         std::launch::async,
-        [this, walk, a, client = servers_[static_cast<size_t>(server)], key,
-         array, isovalues, bricks, parent_ctx, &merge] {
+        [walk, a, client = servers_[static_cast<size_t>(server)], key, array,
+         isovalues, bricks, parent_ctx, &merge] {
           std::optional<obs::ScopedTraceContext> scope;
           if (parent_ctx.valid()) scope.emplace(parent_ctx);
           std::exception_ptr error;
@@ -294,11 +223,6 @@ ndp::StreamAccumulator ShardedNdpClient::SubFetch(
                   return true;
                 },
                 {}, [&] { return walk->Wants(a); });
-          } catch (const BusyError&) {
-            // An overloaded node is the one health signal an attempt
-            // sees directly; demote it for subsequent chains.
-            MarkSuspect(a->server, true);
-            error = std::current_exception();
           } catch (...) {
             error = std::current_exception();
           }
@@ -405,10 +329,7 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
   obs::Span total_span("cluster.fetch");
   Park({});
 
-  // One membership snapshot per fetch: placement, chains, and the
-  // rescue rung below all answer to the same view, and no lock is held
-  // once it is taken. Likewise one snapshot of the reply shape.
-  const std::vector<bool> eligible = Eligibility(fleet_view());
+  // One snapshot of the reply shape per fetch.
   const ndp::StreamOptions stream = stream_;
 
   // Placement needs the brick decomposition; an unbricked array cannot
@@ -420,11 +341,10 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
   std::vector<std::pair<int, std::vector<std::int64_t>>> plan;
   const bool whole_key = meta == nullptr || meta->brick_count == 0;
   if (whole_key) {
-    plan.emplace_back(map_.ShardOfKey(key, &eligible),
-                      std::vector<std::int64_t>{});
+    plan.emplace_back(map_.ShardOfKey(key), std::vector<std::int64_t>{});
   } else {
     std::vector<std::vector<std::int64_t>> slices =
-        map_.Partition(key, meta->brick_count, &eligible);
+        map_.Partition(key, meta->brick_count);
     for (int s = 0; s < static_cast<int>(slices.size()); ++s) {
       if (!slices[static_cast<size_t>(s)].empty()) {
         plan.emplace_back(s, std::move(slices[static_cast<size_t>(s)]));
@@ -444,11 +364,11 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
     futures.push_back(std::async(
         std::launch::async,
         [this, shard = shard, &key, &array, &isovalues, restriction,
-         parent_ctx, &eligible, &stream, &merge]() {
+         parent_ctx, &stream, &merge]() {
           std::optional<obs::ScopedTraceContext> scope;
           if (parent_ctx.valid()) scope.emplace(parent_ctx);
-          return SubFetch(shard, key, array, isovalues, restriction, eligible,
-                          stream, merge);
+          return SubFetch(shard, key, array, isovalues, restriction, stream,
+                          merge);
         }));
   }
 
@@ -473,14 +393,7 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
     // duplicate-invariant Scatter absorbs that.
     kUnrestrictedFallback.Record("key=" + key);
     bool rescued = false;
-    // Usable nodes first; the rest only as a last resort (the view may
-    // be stale, and a "dead" node that answers is better than no data).
-    std::vector<int> rescue_order(servers_.size());
-    std::iota(rescue_order.begin(), rescue_order.end(), 0);
-    std::stable_partition(
-        rescue_order.begin(), rescue_order.end(),
-        [&](int sv) { return eligible[static_cast<size_t>(sv)]; });
-    for (const int sv : rescue_order) {
+    for (int sv = 0; sv < server_count(); ++sv) {
       try {
         obs::Span rescue_span("cluster.rescue");
         ndp::StreamAccumulator acc;

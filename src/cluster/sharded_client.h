@@ -17,7 +17,8 @@
 //   1. primary replica          (per the ShardMap chain)
 //   2. remaining replicas       (hedge, failover, or a stream's hop
 //                                from its cursor)
-//   3. unrestricted rescue      (whole-dataset fetch from any live node)
+//   3. unrestricted rescue      (whole-dataset fetch, servers 0..N-1
+//                                in turn)
 //   4. caller's baseline path   (NdpContourSource::SetFallback, as ever)
 // Geometry stays bit-identical at every rung: all rungs compute the same
 // selection invariant over the same stored values.
@@ -35,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/fleet_view.h"
 #include "cluster/shard_map.h"
 #include "ndp/ndp_client.h"
 
@@ -81,20 +81,6 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   // hedges only until its first data chunk, so it never ships a chunk
   // twice. Propagates the options to the per-server clients.
   void SetStream(const ndp::StreamOptions& options);
-
-  // Test hook: treat `server` as suspect without a probe.
-  void MarkSuspect(int server, bool suspect = true);
-
-  // Installs a membership snapshot (normally called by a HealthMonitor
-  // view sink). Each FetchSparseField snapshots the current view once
-  // and plans over its usable nodes only: dead/rejoining nodes drop out
-  // of partitions and chains, and their bricks re-spread across the
-  // survivors. A live verdict also clears the node's local suspect bit;
-  // nullptr (or a view from a different fleet size) restores the static
-  // all-nodes placement. Never holds a lock across an RPC: the view is
-  // swapped atomically and read-only afterwards.
-  void SetFleetView(std::shared_ptr<const FleetView> view);
-  std::shared_ptr<const FleetView> fleet_view() const;
 
   // The hedge delay the next sub-fetch would use (nullopt = hedging
   // disabled). Public so tests can read the policy without racing a
@@ -166,24 +152,13 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   // failover and hop rules are DESIGN.md §10's. Each attempt runs
   // NdpClient::StreamSelect on one replica, on its own thread, with its
   // own accumulator. Throws the last error once no replica is left, or
-  // at once for an application error. `eligible` is the fetch's view
-  // snapshot (empty = all servers).
+  // at once for an application error.
   ndp::StreamAccumulator SubFetch(int shard, const std::string& key,
                                   const std::string& array,
                                   const std::vector<double>& isovalues,
                                   const std::vector<std::int64_t>* only_bricks,
-                                  const std::vector<bool>& eligible,
                                   const ndp::StreamOptions& stream,
                                   Merge& merge);
-
-  // Replica chain for `shard` over the eligible servers, with suspect
-  // servers demoted to the back (skips counted and journaled).
-  std::vector<int> LiveChain(int shard, const std::vector<bool>* eligible);
-
-  // Usable-server mask of `view` (all-true when the view is null, from
-  // a different fleet size, or marks nobody usable).
-  std::vector<bool> Eligibility(
-      const std::shared_ptr<const FleetView>& view) const;
 
   // Adds `futures` to the parked set of attempt threads, then joins
   // every finished one (all of them when `wait`, as the destructor
@@ -201,12 +176,6 @@ class ShardedNdpClient : public ndp::NdpFetcher {
   ndp::StreamOptions stream_;
   obs::WindowedHistogram& subfetch_seconds_;
   obs::Gauge& parked_gauge_;
-
-  mutable std::mutex view_mu_;
-  std::shared_ptr<const FleetView> view_;
-
-  std::mutex suspect_mu_;
-  std::vector<bool> suspect_;
 
   std::mutex info_mu_;
   std::map<std::string, ndp::NdpClient::FileInfo> info_cache_;

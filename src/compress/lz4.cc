@@ -151,7 +151,12 @@ Bytes Lz4CompressBlock(ByteSpan input) {
   return out;
 }
 
-void Lz4DecompressBlock(ByteSpan block, MutableByteSpan out) {
+// Pinned to a cache-line boundary: the decode loop's speed depends on
+// where it falls within a 64-byte line, and unpinned it moved with
+// unrelated edits elsewhere in the binary, shifting decode time by
+// 10-25% between builds that left this function untouched.
+__attribute__((aligned(64))) void Lz4DecompressBlock(ByteSpan block,
+                                                     MutableByteSpan out) {
   const Byte* ip = block.data();
   const Byte* const iend = ip + block.size();
   Byte* const ostart = out.data();

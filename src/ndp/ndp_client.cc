@@ -318,18 +318,13 @@ std::string NdpClient::ScrapeMetricsFormatted(const std::string& format) {
   return reply.As<std::string>();
 }
 
-NdpClient::HealthReport NdpClient::Health(std::uint64_t view_epoch) {
-  Array params;
-  if (view_epoch != 0) params.emplace_back(view_epoch);
-  const Value reply =
-      client_->Call(kRpcNdpHealth, std::move(params), CallOpts());
+NdpClient::HealthReport NdpClient::Health() {
+  const Value reply = client_->Call(kRpcNdpHealth, Array{}, CallOpts());
   HealthReport report;
   report.draining = reply.At("draining").As<bool>();
   report.inflight = reply.At("inflight").AsInt();
   report.mem_in_use = reply.At("mem_in_use").AsUint();
   report.mem_limit = reply.At("mem_limit").AsUint();
-  report.node_id = reply.At("node_id").AsUint();
-  report.view_epoch = reply.At("view_epoch").AsUint();
   for (const Value& v : reply.At("requests").As<Array>()) {
     HealthReport::Request r;
     r.method = v.At("method").As<std::string>();

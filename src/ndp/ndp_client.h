@@ -272,11 +272,6 @@ class NdpClient : public NdpFetcher {
     std::int64_t inflight = 0;
     std::uint64_t mem_in_use = 0;
     std::uint64_t mem_limit = 0;
-    // Server-incarnation identity (never 0): a changed id between two
-    // probes means the node restarted even if it was never caught down.
-    std::uint64_t node_id = 0;
-    // Highest cluster view epoch the server has heard from any prober.
-    std::uint64_t view_epoch = 0;
     struct Request {
       std::string method;
       std::uint64_t trace_id = 0;
@@ -303,9 +298,7 @@ class NdpClient : public NdpFetcher {
     std::uint64_t scrub_readmitted = 0;
     std::uint64_t scrub_quarantined = 0;
   };
-  // `view_epoch` (nonzero) piggybacks the caller's cluster view epoch
-  // on the probe.
-  HealthReport Health(std::uint64_t view_epoch = 0);
+  HealthReport Health();
 
  private:
   rpc::CallOptions CallOpts() const {

@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "common/error.h"
-#include "net/retry.h"
 #include "io/vnd_format.h"
 #include "ndp/bricked_select.h"
 #include "obs/trace.h"
@@ -17,20 +16,6 @@ namespace vizndp::ndp {
 using msgpack::Array;
 using msgpack::Map;
 using msgpack::Value;
-
-std::uint64_t MintNodeId() {
-  // Clock entropy mixed with a per-process counter: two incarnations in
-  // the same process (testbed restart) and two processes started the
-  // same nanosecond both still differ. Never 0 — the health monitor
-  // reads 0 as "no identity seen yet".
-  static std::atomic<std::uint64_t> salt{0};
-  const auto now = std::chrono::steady_clock::now().time_since_epoch();
-  const std::uint64_t id = net::MixBits(
-      static_cast<std::uint64_t>(now.count()) ^
-      net::MixBits(salt.fetch_add(1, std::memory_order_relaxed) +
-                   0xD6E8FEB86659FD93ull));
-  return id != 0 ? id : 1;
-}
 
 namespace {
 
@@ -372,18 +357,7 @@ void NdpServer::Bind(rpc::Server& server) {
   // Liveness summary: what is executing right now and under which trace,
   // so an operator staring at a slow client can jump straight from
   // "ndp.select, 2.3 s in flight, trace f00d..." to the merged timeline.
-  server.Bind(kRpcNdpHealth, [this, &server](const Array& p) -> Value {
-    // Optional first param: the prober's cluster view epoch. Remember
-    // the highest one seen (old clients send no params and are
-    // unaffected).
-    if (!p.empty() && p.at(0).IsInteger()) {
-      const std::uint64_t epoch = p.at(0).AsUint();
-      std::uint64_t seen = seen_view_epoch_.load(std::memory_order_relaxed);
-      while (epoch > seen &&
-             !seen_view_epoch_.compare_exchange_weak(
-                 seen, epoch, std::memory_order_relaxed)) {
-      }
-    }
+  server.Bind(kRpcNdpHealth, [this, &server](const Array&) -> Value {
     const std::uint64_t now_us = obs::GlobalTracer().NowMicros();
     Array requests;
     for (const rpc::Server::InflightRequest& r : server.InflightSnapshot()) {
@@ -403,11 +377,6 @@ void NdpServer::Bind(rpc::Server& server) {
     reply.emplace_back(Value("mem_limit"),
                        Value(server.memory_budget().limit()));
     reply.emplace_back(Value("requests"), Value(std::move(requests)));
-    // Node identity + epoch echo, for the health monitor.
-    reply.emplace_back(Value("node_id"), Value(node_id_));
-    reply.emplace_back(Value("view_epoch"),
-                       Value(seen_view_epoch_.load(
-                           std::memory_order_relaxed)));
     // Clock stamps plus the sliding-window latency summary of the
     // pre-filter. The window quantiles are what FleetScraper's
     // slow-node detector and `vizndp_tool top` read per probe.

@@ -21,8 +21,6 @@
 // replica or degrade to its baseline pipeline.
 #pragma once
 
-#include <atomic>
-
 #include "ndp/protocol.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
@@ -32,32 +30,15 @@
 
 namespace vizndp::ndp {
 
-// Random 64-bit server-incarnation id. Every NdpServer construction
-// mints a fresh one, so a health prober that sees the id change knows
-// the process (or server object) behind the endpoint restarted even if
-// it never caught the endpoint down.
-std::uint64_t MintNodeId();
-
 class NdpServer {
  public:
   // `gateway` should be local to the storage node (that is the point);
   // it must outlive the server.
   explicit NdpServer(storage::FileGateway gateway)
-      : gateway_(std::move(gateway)), node_id_(MintNodeId()) {
+      : gateway_(std::move(gateway)) {
     // Anchor the process uptime clock now, so the first metrics scrape
     // reports time-since-serving-started, not time-since-first-scrape.
     obs::ProcessUptimeSeconds();
-  }
-
-  // This incarnation's identity, reported in every ndp.health reply.
-  std::uint64_t node_id() const { return node_id_; }
-
-  // Highest cluster view epoch any health prober has mentioned (probes
-  // piggyback their view epoch as the optional first ndp.health param);
-  // echoed back in health replies so operators can spot a prober whose
-  // view lags the fleet.
-  std::uint64_t seen_view_epoch() const {
-    return seen_view_epoch_.load(std::memory_order_relaxed);
   }
 
   // Optional decompressed-memory budget (usually the owning
@@ -140,8 +121,6 @@ class NdpServer {
                                  "ndp.restricted_corrupt"};
   obs::Audit restricted_io_{metrics_, "ndp_restricted_io_total", {},
                             "ndp.restricted_io"};
-  std::uint64_t node_id_;
-  std::atomic<std::uint64_t> seen_view_epoch_{0};
 };
 
 }  // namespace vizndp::ndp

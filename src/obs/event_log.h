@@ -33,11 +33,6 @@ class EventLog {
  public:
   explicit EventLog(size_t capacity = 4096);
 
-  // Appends one event tagged with the thread's current TraceContext.
-  // Always on — decision points are rare enough that the one mutex'd
-  // push is noise next to the failure that triggered them.
-  void Append(std::string name, std::string detail = {});
-
   // Oldest-first copy; trace_id 0 returns everything.
   std::vector<LogEvent> Events(std::uint64_t trace_id = 0) const;
 
@@ -56,6 +51,14 @@ class EventLog {
   std::string Json(std::uint64_t trace_id = 0) const;
 
  private:
+  // Appends one event tagged with the thread's current TraceContext.
+  // Always on — decision points are rare enough that the one mutex'd
+  // push is noise next to the failure that triggered them. Private so
+  // that Audit::Record, which moves the event's counter with it, is the
+  // only way in.
+  friend class Audit;
+  void Append(std::string name, std::string detail = {});
+
   size_t capacity_;
   mutable std::mutex mu_;
   std::vector<LogEvent> events_;

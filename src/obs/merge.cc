@@ -91,9 +91,7 @@ std::vector<MetricSnapshot> WithLabel(std::vector<MetricSnapshot> snapshot,
 
 GaugeMergePolicy DefaultFleetGaugePolicy(const std::string& base) {
   if (base == "process_wall_time_seconds" ||
-      base == "process_uptime_seconds" || base == "rpc_mem_budget_bytes" ||
-      base.find("epoch") != std::string::npos ||
-      base.find("limit") != std::string::npos) {
+      base == "process_uptime_seconds") {
     return GaugeMergePolicy::kMax;
   }
   return GaugeMergePolicy::kSum;

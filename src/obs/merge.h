@@ -19,7 +19,7 @@ enum class GaugeMergePolicy { kSum, kMax, kMin };
 struct MergeOptions {
   // Picks the merge policy per gauge *base* name (labels stripped);
   // null = sum everything. Sums are right for occupancy gauges
-  // (inflight, parked, mem-in-use); maxima for clocks and epochs.
+  // (inflight, parked, mem-in-use); maxima for clocks.
   std::function<GaugeMergePolicy(const std::string& base)> gauge_policy;
 };
 
@@ -41,8 +41,9 @@ std::vector<MetricSnapshot> WithLabel(std::vector<MetricSnapshot> snapshot,
                                       const std::string& key,
                                       const std::string& value);
 
-// The fleet default: clocks, uptimes, epochs, and limits take the max
-// across nodes; everything else sums.
+// The fleet default: the two process clocks (wall time, uptime) take
+// the max across nodes; every other gauge this tree exports is an
+// occupancy and sums.
 GaugeMergePolicy DefaultFleetGaugePolicy(const std::string& base);
 
 }  // namespace vizndp::obs

@@ -1,6 +1,5 @@
 #include "testing/chaos.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -10,7 +9,6 @@
 
 #include "bench_util/testbed.h"
 #include "cluster/fleet_scraper.h"
-#include "cluster/health_monitor.h"
 #include "cluster/sharded_client.h"
 #include "common/error.h"
 #include "compress/codec.h"
@@ -97,10 +95,8 @@ std::string ChaosReport::Summary() const {
      << " kills=" << kills << " restarts=" << restarts << " delays=" << delays
      << " corrupts=" << corrupts << " busies=" << busies
      << " store_eios=" << store_eios << " store_slows=" << store_slows
-     << " rejoins=" << rejoins << " rejoined_served=" << rejoined_served
-     << " rot_roundtrips=" << rot_roundtrips
-     << " view_changes=" << view_changes
-     << " slo_burn_alerts=" << slo_burn_alerts
+     << " rejoined_served=" << rejoined_served
+     << " rot_roundtrips=" << rot_roundtrips << " slo_burn_alerts=" << slo_burn_alerts
      << " slo_burn_clears=" << slo_burn_clears << " slow_nodes=" << slow_nodes
      << " stream_fetches=" << stream_fetches
      << " stream_resumes=" << stream_resumes
@@ -132,7 +128,6 @@ ChaosReport RunChaos(const ChaosOptions& options) {
     FuzzRng rng(options.seed * 0x9E3779B97F4A7C15ull +
                 static_cast<std::uint64_t>(sched));
 
-    std::uint64_t final_epoch = 0;
     std::vector<bool> was_restarted(static_cast<size_t>(options.servers),
                                     false);
     auto phase_t0 = std::chrono::steady_clock::now();
@@ -158,26 +153,9 @@ ChaosReport RunChaos(const ChaosOptions& options) {
       const contour::PolyData reference =
           cluster.server_client(0)->Contour(kKey, "v02", kIsos);
 
-      std::vector<std::shared_ptr<ndp::NdpClient>> probes;
-      for (int i = 0; i < options.servers; ++i) {
-        probes.push_back(cluster.NewNodeClient(i));
-      }
-      cluster::HealthMonitorOptions mopts;
-      mopts.period = options.probe_period;
-      mopts.seed = options.seed + static_cast<std::uint64_t>(sched);
-      mopts.suspect_after = 1;
-      mopts.dead_after = 2;
-      mopts.rejoin_after = 2;
-      // Declared after the testbed: destroyed (and stopped) before it.
-      cluster::HealthMonitor monitor(std::move(probes), mopts);
-      monitor.SetViewSink(
-          [&cluster](std::shared_ptr<const cluster::FleetView> view) {
-            cluster.sharded_client()->SetFleetView(std::move(view));
-          });
       // The observability plane rides along on its own per-node scrape
-      // channels (never the data path, never the probe channels). The
-      // harness sweeps at controlled points, so every SLO evaluation is
-      // schedule-deterministic.
+      // channels (never the data path). The harness sweeps at controlled
+      // points, so every SLO evaluation is schedule-deterministic.
       std::vector<std::shared_ptr<ndp::NdpClient>> scrape_clients;
       for (int i = 0; i < options.servers; ++i) {
         scrape_clients.push_back(cluster.NewNodeClient(i));
@@ -187,12 +165,6 @@ ChaosReport RunChaos(const ChaosOptions& options) {
       cluster::FleetScraper scraper(std::move(scrape_clients), fleet_opts);
 
       phase("setup");
-      monitor.Start();
-      // Let the first sweeps record every node's identity before faults
-      // start. Without this, a step-0 kill+restart that completes inside
-      // one probe gap leaves `identity == 0`, which disables the
-      // silent-restart tripwire and the schedule never journals a rejoin.
-      std::this_thread::sleep_for(2 * options.probe_period);
       // Two warm sweeps: SLO deltas need a previous cumulative snapshot.
       scraper.ScrapeOnce();
       scraper.ScrapeOnce();
@@ -203,7 +175,6 @@ ChaosReport RunChaos(const ChaosOptions& options) {
       ndp::StreamOptions stream_on;
       stream_on.chunk_bricks = options.stream_chunk_bricks;
       std::uint64_t fetch_index = 0;
-      std::uint64_t last_epoch = 0;
       auto check_fetch_mode = [&](int step, bool streaming) {
         cluster.sharded_client()->SetStream(streaming ? stream_on
                                                       : ndp::StreamOptions{});
@@ -238,15 +209,6 @@ ChaosReport RunChaos(const ChaosOptions& options) {
                          s);
           }
         }
-        const auto view = monitor.view();
-        if (view != nullptr) {
-          if (view->epoch < last_epoch) {
-            violate(step, "view epoch went backwards: " +
-                              std::to_string(view->epoch) + " < " +
-                              std::to_string(last_epoch));
-          }
-          last_epoch = view->epoch;
-        }
       };
       auto check_fetch = [&](int step) {
         check_fetch_mode(step, options.stream_chunk_bricks > 0 &&
@@ -277,7 +239,7 @@ ChaosReport RunChaos(const ChaosOptions& options) {
         if (step == 0) {
           fault = Fault::kKill;  // every schedule exercises the headline
         } else if (step == 1) {
-          fault = Fault::kRestart;  // ...kill -> detect -> restart -> rejoin
+          fault = Fault::kRestart;  // ...kill -> restart -> serves again
         } else {
           fault = static_cast<Fault>(rng.Below(8));
         }
@@ -397,16 +359,15 @@ ChaosReport RunChaos(const ChaosOptions& options) {
       }
 
       phase("steps");
-      // Recovery tail: heal everything and require the fleet to converge
-      // back to all-live — the self-healing half of the contract.
+      // Recovery tail: heal everything and restart every dead node.
       if (busy_node >= 0) {
         cluster.rpc_server(busy_node).memory_budget().SetLimit(0);
         busy_node = -1;
       }
       for (int i = 0; i < options.servers; ++i) {
         // Drop unconsumed delay/corrupt scripts (a slice that routed no
-        // traffic never drained them) so the rejoin checks below measure
-        // the healed fleet, not a stale fault.
+        // traffic never drained them) so the checks below measure the
+        // healed fleet, not a stale fault.
         cluster.fault(i).ScriptSend({});
         cluster.fault(i).ScriptReceive({});
       }
@@ -419,26 +380,10 @@ ChaosReport RunChaos(const ChaosOptions& options) {
           ++report.restarts;
         }
       }
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      bool converged = false;
-      while (!converged && std::chrono::steady_clock::now() < deadline) {
-        const auto view = monitor.view();
-        converged = view != nullptr &&
-                    view->UsableCount() == options.servers &&
-                    std::all_of(view->states.begin(), view->states.end(),
-                                [](cluster::NodeState s) {
-                                  return s == cluster::NodeState::kLive;
-                                });
-        if (!converged) std::this_thread::sleep_for(options.probe_period);
-      }
-      if (!converged) {
-        violate(options.steps, "fleet never converged back to all-live");
-      }
 
-      // Rejoin must restore the error budget: with every node serving
-      // again, good sweeps age the kill burst out of the budget window,
-      // the alert clears, and budget_remaining returns to 1.
+      // The healed fleet must restore the error budget: with every node
+      // serving again, good sweeps age the kill burst out of the budget
+      // window, the alert clears, and budget_remaining returns to 1.
       {
         const auto slo_deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -452,11 +397,11 @@ ChaosReport RunChaos(const ChaosOptions& options) {
           }
         }
         if (!restored) {
-          violate(options.steps, "slo budget never restored after rejoin");
+          violate(options.steps, "slo budget never restored after restart");
         }
         if (journal.CountSince("slo.burn_alert", base_seq) > 0 &&
             journal.CountSince("slo.burn_clear", base_seq) == 0) {
-          violate(options.steps, "slo alert never cleared after rejoin");
+          violate(options.steps, "slo alert never cleared after restart");
         }
       }
 
@@ -521,10 +466,10 @@ ChaosReport RunChaos(const ChaosOptions& options) {
       }
       phase("rot");
 
-      // A rejoined node must be *serving* again, not merely probed live:
-      // fetch through the sharded client (its slice may be empty for this
-      // key), then directly, and require the fresh incarnation's select
-      // counter to move.
+      // A restarted node must be *serving* again: fetch through the
+      // sharded client (its slice may be empty for this key), then
+      // directly, and require the fresh incarnation's select counter to
+      // move.
       check_fetch(options.steps);
       for (int i = 0; i < options.servers; ++i) {
         if (!was_restarted[static_cast<size_t>(i)]) continue;
@@ -542,7 +487,7 @@ ChaosReport RunChaos(const ChaosOptions& options) {
                 [](ndp::DecodedSelection&&) { return true; });
           } catch (const Error& e) {
             violate(options.steps, "restarted node " + std::to_string(i) +
-                                       " unusable after rejoin: " + e.what());
+                                       " unusable after restart: " + e.what());
           }
         }
         if (served()) {
@@ -649,11 +594,7 @@ ChaosReport RunChaos(const ChaosOptions& options) {
         }
       }
 
-      const auto view = monitor.view();
-      final_epoch = view != nullptr ? view->epoch : 0;
       phase("recovery");
-      monitor.Stop();
-      phase("stop");
     }  // testbed destroyed: every serve loop and hedge loser joined
     phase("teardown");
 
@@ -671,16 +612,6 @@ ChaosReport RunChaos(const ChaosOptions& options) {
                         " but its events=" + std::to_string(events));
       }
     }
-    // ...every published epoch was journaled exactly once...
-    const size_t view_events = journal.CountSince("cluster.view_change",
-                                                  base_seq);
-    if (view_events != final_epoch) {
-      violate(-1, "audit: final epoch " + std::to_string(final_epoch) +
-                      " but cluster.view_change events=" +
-                      std::to_string(view_events));
-    }
-    report.view_changes += view_events;
-    report.rejoins += journal.CountSince("cluster.rejoin", base_seq);
     report.stream_resumes += journal.CountSince("ndp.stream_resume", base_seq);
     report.slo_burn_alerts += journal.CountSince("slo.burn_alert", base_seq);
     report.slo_burn_clears += journal.CountSince("slo.burn_clear", base_seq);
@@ -695,10 +626,8 @@ ChaosReport RunChaos(const ChaosOptions& options) {
 
     ++report.schedules;
     if (options.verbose) {
-      std::printf("chaos: schedule %d/%d done (epoch=%llu, violations=%zu)\n",
-                  sched + 1, options.schedules,
-                  static_cast<unsigned long long>(final_epoch),
-                  report.violations.size());
+      std::printf("chaos: schedule %d/%d done (violations=%zu)\n", sched + 1,
+                  options.schedules, report.violations.size());
       std::fflush(stdout);
     }
   }

@@ -1,24 +1,23 @@
-// Seeded chaos harness for the self-healing serving tier: drives a
-// ClusterTestbed + HealthMonitor through randomized schedules of
-// kill / restart / delay / corrupt / busy faults — plus disk faults
-// against the shared store (transient EIO storms sized to the retry
-// ladder, slow-disk windows) — mid-request-stream, and checks the
-// tier's contract after every fetch:
+// Seeded chaos harness for the serving tier: drives a ClusterTestbed
+// through randomized schedules of kill / restart / delay / corrupt /
+// busy faults — plus disk faults against the shared store (transient
+// EIO storms sized to the retry ladder, slow-disk windows) —
+// mid-request-stream, and checks the tier's contract after every fetch:
 //
 //   1. geometry bit-identical to the pre-chaos single-server oracle
 //      (the paper's invariant: degradation may cost time, never bits);
-//   2. fleet-view epochs monotone;
-//   3. the one-counter-one-event audit: every counter family in the
+//   2. the one-counter-one-event audit: every counter family in the
 //      obs::Audit catalog moved exactly as many times as its journal
-//      events (failover, hedge, rescue, rejoin, store retry, ...);
-//   4. no parked-hedge leaks (cluster_hedge_parked drains to zero when
+//      events (failover, hedge, rescue, store retry, ...);
+//   3. no parked-hedge leaks (cluster_hedge_parked drains to zero when
 //      the schedule's client is gone);
-//   5. a restarted node is observed serving traffic again;
-//   6. a full bit-rot round trip per schedule: rot planted at rest is
+//   4. a restarted node is observed serving traffic again, through the
+//      same reconnecting channel the data path uses;
+//   5. a full bit-rot round trip per schedule: rot planted at rest is
 //      quarantined by every node's scrubber, a clean re-Put serves
 //      through the quarantine-skip path bit-identically, and the next
 //      scrub pass re-admits the brick on every node;
-//   7. the observability plane closes the loop: a FleetScraper on its
+//   6. the observability plane closes the loop: a FleetScraper on its
 //      own per-node channels sweeps through the step-0 kill, whose
 //      failed scrapes must burn the availability SLO (slo.burn_alert
 //      fires), and after the recovery tail good sweeps must age the
@@ -54,7 +53,6 @@ struct ChaosOptions {
   int replicas = 2;
   int n = 16;                  // dataset edge (n^3 grid)
   std::int32_t brick_edge = 8;
-  std::chrono::milliseconds probe_period{20};
   std::chrono::milliseconds call_timeout{2000};
   double hedge_ms = 10;  // fixed hedge so parked-loser reaping exercises
   // Chunked-reply coverage: every other chaotic fetch goes through the
@@ -78,10 +76,8 @@ struct ChaosReport {
   std::uint64_t store_eios = 0;   // transient EIO storms scripted
   std::uint64_t store_slows = 0;  // slow-disk windows scripted
   // Healing observed.
-  std::uint64_t rejoins = 0;          // cluster.rejoin events journaled
   std::uint64_t rejoined_served = 0;  // restarted nodes serving again
   std::uint64_t rot_roundtrips = 0;   // quarantine->repair->readmit cycles
-  std::uint64_t view_changes = 0;
   // Observability-plane events journaled (audited 1:1 with counters).
   std::uint64_t slo_burn_alerts = 0;
   std::uint64_t slo_burn_clears = 0;

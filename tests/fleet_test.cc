@@ -107,8 +107,6 @@ TEST(Merge, DefaultFleetPolicySumsOccupancyMaxesClocks) {
             obs::GaugeMergePolicy::kMax);
   EXPECT_EQ(obs::DefaultFleetGaugePolicy("process_uptime_seconds"),
             obs::GaugeMergePolicy::kMax);
-  EXPECT_EQ(obs::DefaultFleetGaugePolicy("cluster_view_epoch"),
-            obs::GaugeMergePolicy::kMax);
 }
 
 TEST(Merge, HistogramsAddBucketwiseKeepWorstExemplarAndMaxWindow) {

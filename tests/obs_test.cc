@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -399,18 +400,26 @@ TEST(Context, SpansFormParentChainUnderContext) {
   EXPECT_EQ(inner.parent_span_id, outer_id);
 }
 
+// Journals go through an Audit over a local registry and log (Append
+// is Audit's alone), so none of these events joins the catalog.
+Audit LocalAudit(Registry& registry, EventLog& log, std::string event) {
+  return Audit(registry, "test_events_total", {}, std::move(event), &log);
+}
+
 TEST(EventLog, TagsEventsWithCurrentContextAndFilters) {
+  Registry registry;
   EventLog log;
   const TraceContext a = TraceContext::Mint();
   const TraceContext b = TraceContext::Mint();
-  log.Append("untagged");
+  LocalAudit(registry, log, "untagged").Record();
   {
     ScopedTraceContext scope(a);
-    log.Append("rpc.timeout", "method=ndp.select attempt=1");
+    LocalAudit(registry, log, "rpc.timeout")
+        .Record("method=ndp.select attempt=1");
   }
   {
     ScopedTraceContext scope(b);
-    log.Append("rpc.retry");
+    LocalAudit(registry, log, "rpc.retry").Record();
   }
   EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(log.Events().size(), 3u);
@@ -427,8 +436,11 @@ TEST(EventLog, TagsEventsWithCurrentContextAndFilters) {
 }
 
 TEST(EventLog, RingDropsOldestAndClearWorks) {
+  Registry registry;
   EventLog log(3);
-  for (int i = 0; i < 5; ++i) log.Append("e" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) {
+    LocalAudit(registry, log, "e" + std::to_string(i)).Record();
+  }
   const std::vector<LogEvent> events = log.Events();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].name, "e2");

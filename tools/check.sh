@@ -62,12 +62,12 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # the full-read oracle, without the 256^3 timed run.
   bash e2e_bench/run.sh --selftest
 
-  stage "asan/ubsan: obs + net + rpc + fault + io + integrity + trace + storage + ndp + compress + brick + contour + fuzz"
+  stage "asan/ubsan: obs + net + rpc + fault + io + integrity + trace + storage + ndp + compress + brick + contour + cluster + chaos + fuzz"
   cmake --preset asan > /dev/null
   cmake --build build-asan -j"$(nproc)" --target obs_test net_test rpc_test \
     fault_test fuzz_test io_test integrity_test trace_test storage_test \
     store_fault_test scrub_test ndp_test compress_test brick_test \
-    contour_test rectilinear_test vizndp_tool
+    contour_test rectilinear_test cluster_test chaos_test vizndp_tool
   ./build-asan/tests/obs_test
   ./build-asan/tests/net_test
   ./build-asan/tests/rpc_test
@@ -98,6 +98,11 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # grids, in 3D and 2D.
   ./build-asan/tests/contour_test
   ./build-asan/tests/rectilinear_test
+  # The replica walk's attempts run on their own threads against a
+  # shared Walk that a parked loser may outlive its SubFetch with; a
+  # use-after-free there is asan's to catch, not tsan's.
+  ./build-asan/tests/cluster_test
+  ./build-asan/tests/chaos_test
   # Fuzz smoke under the sanitizers: 1500 mutations x 7 decoder targets
   # (> 10k hostile inputs) at a fixed seed, so a CI failure replays
   # byte-for-byte with the same command.
@@ -135,9 +140,9 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   rm -f "$SCRUB_LOG"
 
   stage "chaos: seeded kill/restart/delay/corrupt schedules under tsan"
-  # The membership suite (monitor thread vs. fetch path vs. testbed
+  # The restart suite (reconnecting channels vs. fetch path vs. testbed
   # teardown) and a fixed-seed chaos run: every fetch bit-identical to
-  # the single-server oracle while nodes die, rejoin, stall, and shed.
+  # the single-server oracle while nodes die, restart, stall, and shed.
   # A failure replays exactly with the same seed.
   ./build-tsan/tests/chaos_test
   ./build-tsan/tools/vizndp_tool chaos --seed 7 --schedules 3
@@ -313,9 +318,9 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # fires. The degraded fetch, one-shot and then streamed, must produce
   # the same triangle count as the single-server reference and win at
   # least one hedge; the one-shot run also records the failover in the
-  # event journal. Then the killed node is restarted on
-  # its old port and must serve the full contour again — the TCP half of
-  # the kill -> restart -> rejoin story.
+  # event journal. Then the killed node is restarted on its old port and
+  # must serve the full contour again — the TCP half of the kill ->
+  # restart -> serves-again story.
   E2E_DIR="$(mktemp -d)"
   trap 'kill "${S0_PID:-}" "${S1_PID:-}" "${S2_PID:-}" 2> /dev/null || true; \
        rm -rf "$E2E_DIR"' EXIT

@@ -141,9 +141,9 @@ namespace {
                "  --iters N          iterations per target (default 2000)\n"
                "\n"
                "chaos (seeded kill/restart/delay/corrupt/busy schedules\n"
-               "against an in-process cluster + health monitor; geometry must\n"
-               "stay bit-identical to the single-server oracle, counters must\n"
-               "match the journal, and every restarted node must rejoin):\n"
+               "against an in-process cluster; geometry must stay\n"
+               "bit-identical to the single-server oracle, counters must\n"
+               "match the journal, and every restarted node must serve):\n"
                "  --seed S           deterministic schedule seed (default 1)\n"
                "  --schedules N      independent schedules to run (default 20)\n"
                "  --steps N          fault steps per schedule (default 8)\n"
