@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/error.h"
-#include "ndp/scrub_verify.h"
 #include "net/inproc.h"
 #include "storage/store_rpc.h"
 
@@ -60,22 +59,9 @@ net::TransportPtr Testbed::ConnectToServer() {
 }
 
 void ClusterTestbed::StartNodeLocked(Node& node) {
-  // The old incarnation's scrubber references the old server's memory
-  // budget; stop it before that server can be released.
-  node.scrub.reset();
   node.rpc = std::make_shared<rpc::Server>();
   node.ndp = std::make_shared<ndp::NdpServer>(LocalGateway());
   node.ndp->SetMemoryBudget(&node.rpc->memory_budget());
-  // A fresh incarnation gets a fresh scrubber (the dtor of the old one
-  // stops its thread) but keeps the node's quarantine set — restarting
-  // does not forget which bricks were bad at rest.
-  node.scrub = std::make_unique<storage::Scrubber>(
-      LocalGateway(),
-      ndp::MakeVndScrubVerifier(LocalGateway(), node.quarantine,
-                                &node.rpc->memory_budget()),
-      node.quarantine);
-  node.ndp->SetQuarantine(&node.quarantine);
-  node.ndp->SetScrubber(node.scrub.get());
   node.ndp->Bind(*node.rpc);
   node.alive = true;
 }

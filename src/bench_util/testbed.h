@@ -28,7 +28,6 @@
 #include "storage/local_store.h"
 #include "storage/memory_store.h"
 #include "storage/remote_store.h"
-#include "storage/scrubber.h"
 
 namespace vizndp::bench_util {
 
@@ -173,21 +172,6 @@ class ClusterTestbed {
   rpc::Server& rpc_server(int i) { return *nodes_.at(size_t(i))->rpc; }
   ndp::NdpServer& ndp_server(int i) { return *nodes_.at(size_t(i))->ndp; }
 
-  // Node i's quarantine set (fed by its scrubber, consulted by its
-  // bricked pre-filter). Lives in the Node, not the NdpServer: a
-  // restart keeps what the previous incarnation learned about bad
-  // bricks, like a quarantine file surviving a reboot.
-  storage::QuarantineSet& quarantine(int i) {
-    return nodes_.at(static_cast<size_t>(i))->quarantine;
-  }
-
-  // Node i's scrubber. Not started by default — chaos and tests drive
-  // passes deterministically with RunPassNow(); call Start() for the
-  // background cadence.
-  storage::Scrubber& scrubber(int i) {
-    return *nodes_.at(static_cast<size_t>(i))->scrub;
-  }
-
   // Direct client to one node (reference fetches). Reconnecting: usable
   // across kill/restart cycles of the node.
   std::shared_ptr<ndp::NdpClient> server_client(int i) {
@@ -229,12 +213,8 @@ class ClusterTestbed {
  private:
   struct Node {
     std::mutex mu;  // guards rpc/ndp/alive/serve_threads across redials
-    storage::QuarantineSet quarantine;  // survives restarts; declared
-                                        // before rpc/ndp/scrub so every
-                                        // consumer dies before it does
     std::shared_ptr<rpc::Server> rpc;
     std::shared_ptr<ndp::NdpServer> ndp;
-    std::unique_ptr<storage::Scrubber> scrub;
     bool alive = true;
     std::vector<std::thread> serve_threads;
     net::FaultInjectingTransport* fault = nullptr;  // owned by `client`

@@ -275,13 +275,6 @@ std::string FleetSnapshotJson(const FleetScraper::FleetSnapshot& snapshot) {
           << ",\"p50_s\":" << ns.health.window_p50
           << ",\"p95_s\":" << ns.health.window_p95
           << ",\"p99_s\":" << ns.health.window_p99 << "}";
-      if (ns.health.scrub_present) {
-        out << ",\"scrub\":{\"running\":"
-            << (ns.health.scrub_running ? "true" : "false")
-            << ",\"passes\":" << ns.health.scrub_passes
-            << ",\"corrupt_found\":" << ns.health.scrub_corrupt_found
-            << ",\"quarantined\":" << ns.health.scrub_quarantined << "}";
-      }
     }
     out << "}";
   }
@@ -334,7 +327,7 @@ std::string FleetSnapshotText(const FleetScraper::FleetSnapshot& snapshot) {
   out << std::left << std::setw(5) << "NODE" << std::setw(7) << "STATE"
       << std::right << std::setw(7) << "INFL" << std::setw(7) << "MEM%"
       << std::setw(9) << "P50ms" << std::setw(9) << "P95ms" << std::setw(9)
-      << "P99ms" << std::setw(8) << "ERR%" << std::setw(7) << "SCRUB" << "\n";
+      << "P99ms" << std::setw(8) << "ERR%" << "\n";
   for (const FleetScraper::NodeSample& ns : snapshot.nodes) {
     out << std::left << std::setw(5) << ns.node;
     const char* state = !ns.reachable  ? "down"
@@ -345,7 +338,7 @@ std::string FleetSnapshotText(const FleetScraper::FleetSnapshot& snapshot) {
     if (!ns.reachable) {
       out << std::setw(7) << "-" << std::setw(7) << "-" << std::setw(9) << "-"
           << std::setw(9) << "-" << std::setw(9) << "-" << std::setw(8) << "-"
-          << std::setw(7) << "-" << "\n";
+          << "\n";
       continue;
     }
     out << std::setw(7) << ns.health.inflight;
@@ -366,25 +359,19 @@ std::string FleetSnapshotText(const FleetScraper::FleetSnapshot& snapshot) {
       out << std::setw(9) << "-" << std::setw(9) << "-" << std::setw(9) << "-";
     }
     out << std::setw(7) << std::setprecision(2) << 100.0 * ns.error_ratio
-        << "%";
-    if (ns.health.scrub_present) {
-      out << std::setw(6) << "q" << ns.health.scrub_quarantined;
-    } else {
-      out << std::setw(7) << "-";
-    }
-    out << "\n";
+        << "%\n";
   }
   const FleetWindow fleet = MergedWindow(snapshot);
   out << std::left << std::setw(5) << "fleet" << std::setw(7) << ""
       << std::right << std::setw(7) << "-" << std::setw(7) << "-"
-      << std::setw(7) << "-" << std::setprecision(2);
+      << std::setprecision(2);
   if (fleet.count > 0) {
     out << std::setw(9) << Ms(fleet.p50) << std::setw(9) << Ms(fleet.p95)
         << std::setw(9) << Ms(fleet.p99);
   } else {
     out << std::setw(9) << "-" << std::setw(9) << "-" << std::setw(9) << "-";
   }
-  out << std::setw(8) << "-" << std::setw(7) << "-" << "\n";
+  out << std::setw(8) << "-" << "\n";
   for (const obs::SloStatus& s : snapshot.slo) {
     out << "slo " << s.name << ": budget " << std::setprecision(1)
         << 100.0 * s.budget_remaining << "%  burn " << std::setprecision(2)

@@ -162,6 +162,7 @@ void ShardedNdpClient::Merge::Deliver(const ndp::StreamHeader& from,
 }
 
 bool ShardedNdpClient::Walk::Wants(const Attempt* a) {
+  if (!a->acc.got_header) return false;
   std::lock_guard lk(mu);
   return winner == nullptr || winner == a;
 }

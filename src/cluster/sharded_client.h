@@ -128,8 +128,11 @@ class ShardedNdpClient : public ndp::NdpFetcher {
     // Makes `a` the winner if nobody has won yet, else marks it refused;
     // true iff it is the winner.
     bool Claim(Attempt* a);
-    // Whether `a` may still resume: true while nobody has won or `a` is
-    // the winner. A loser that fails before its first chunk ends there.
+    // Whether `a` may still resume, asked on its own thread: only once
+    // its stream has a header, and then while nobody has won or `a` is
+    // the winner. An attempt that fails before its header (a dead node)
+    // fails over as a one-shot attempt does, and a loser that fails
+    // before its first chunk ends there.
     bool Wants(const Attempt* a);
   };
 

@@ -15,8 +15,6 @@ namespace vizndp::ndp {
 
 namespace {
 
-const obs::Audit kQuarantineSkip("ndp_quarantine_skip_total",
-                                 "ndp.quarantine_skip");
 const obs::Audit kCorruptBrick("corrupt_brick_total", "ndp.corrupt_brick");
 const obs::Audit kBrickReread("brick_reread_total", "ndp.brick_reread");
 
@@ -82,9 +80,7 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
                                  std::span<const double> isovalues,
                                  const io::BrickGrid& bgrid,
                                  std::span<const std::int64_t> batch,
-                                 BrickedSelectStats& local,
-                                 const storage::QuarantineSet* quarantine,
-                                 const std::string& quarantine_key) {
+                                 BrickedSelectStats& local) {
   const grid::Dims dims = reader.header().dims;
 
   // The selected (id, value) pairs of every brick of the batch. Each
@@ -94,8 +90,7 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
   std::vector<T> values;
   std::vector<T> slab;
   contour::ClassifyPlanes planes;
-  std::vector<std::int64_t> needed(batch.begin(), batch.end());
-  local.bricks_read = static_cast<std::int64_t>(needed.size());
+  local.bricks_read = static_cast<std::int64_t>(batch.size());
 
   const compress::CodecPtr codec = compress::MakeCodec(meta.codec);
 
@@ -124,53 +119,20 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
     local.scan_seconds += SecondsSince(t_scan);
   };
 
-  // Bricks the scrubber quarantined leave the coalesced runs: their
-  // stored bytes are known bad, so reading them with their neighbors
-  // would poison the run and prepay a doomed read+decompress. Each goes
-  // straight to the recovery rung — one individual verified read. A
-  // brick healed by a clean re-Put (which the scrubber has not yet
-  // re-admitted) verifies here and serves normally.
-  if (quarantine != nullptr && !quarantine_key.empty()) {
-    std::vector<std::int64_t> kept;
-    kept.reserve(needed.size());
-    for (const std::int64_t b : needed) {
-      if (!quarantine->Contains(quarantine_key, array, b)) {
-        kept.push_back(b);
-        continue;
-      }
-      ++local.quarantine_skips;
-      kQuarantineSkip.Record("array=" + array + " brick=" +
-                             std::to_string(b));
-      const io::BrickEntry& entry =
-          meta.bricks->entries[static_cast<size_t>(b)];
-      const auto t_read = std::chrono::steady_clock::now();
-      const Bytes stored =
-          reader.ReadArrayRange(array, entry.offset, entry.stored_size);
-      local.bytes_read += stored.size();
-      local.read_seconds += SecondsSince(t_read);
-      if (compress::Crc32(stored) != entry.crc32) {
-        throw CorruptDataError("quarantined brick still corrupt: " + array +
-                               " brick " + std::to_string(b));
-      }
-      scan_brick(b, ByteSpan(stored));
-    }
-    needed.swap(kept);
-  }
-
   size_t cursor = 0;
-  while (cursor < needed.size()) {
+  while (cursor < batch.size()) {
     // Coalesce runs of consecutive bricks (their blobs are contiguous by
     // construction) into one ranged read: object-store access latency,
     // not bandwidth, dominates small-brick reads otherwise.
     size_t run_end = cursor + 1;
-    while (run_end < needed.size() &&
-           needed[run_end] == needed[run_end - 1] + 1) {
+    while (run_end < batch.size() &&
+           batch[run_end] == batch[run_end - 1] + 1) {
       ++run_end;
     }
     const io::BrickEntry& first =
-        meta.bricks->entries[static_cast<size_t>(needed[cursor])];
+        meta.bricks->entries[static_cast<size_t>(batch[cursor])];
     const io::BrickEntry& last =
-        meta.bricks->entries[static_cast<size_t>(needed[run_end - 1])];
+        meta.bricks->entries[static_cast<size_t>(batch[run_end - 1])];
     const std::uint64_t run_bytes =
         last.offset + last.stored_size - first.offset;
 
@@ -180,7 +142,7 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
     local.bytes_read += run_bytes;
 
     for (size_t r = cursor; r < run_end; ++r) {
-      const std::int64_t b = needed[r];
+      const std::int64_t b = batch[r];
       const io::BrickEntry& entry =
           meta.bricks->entries[static_cast<size_t>(b)];
 
@@ -270,9 +232,7 @@ contour::Selection SelectBricks(const io::VndReader& reader,
                                 std::span<const double> isovalues,
                                 const BrickPlan& plan,
                                 std::span<const std::int64_t> batch,
-                                BrickedSelectStats* stats,
-                                const storage::QuarantineSet* quarantine,
-                                const std::string& quarantine_key) {
+                                BrickedSelectStats* stats) {
   const io::ArrayMeta* meta = reader.header().Find(array);
   VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + array + "' in VND file");
   BrickedSelectStats local;
@@ -295,11 +255,11 @@ contour::Selection SelectBricks(const io::VndReader& reader,
     switch (meta->type) {
       case grid::DataType::Float32:
         out = SelectBricksT<float>(reader, array, *meta, isovalues, plan.grid,
-                                   batch, local, quarantine, quarantine_key);
+                                   batch, local);
         break;
       case grid::DataType::Float64:
         out = SelectBricksT<double>(reader, array, *meta, isovalues, plan.grid,
-                                    batch, local, quarantine, quarantine_key);
+                                    batch, local);
         break;
       default:
         throw Error("selection requires a floating-point array");
@@ -307,20 +267,6 @@ contour::Selection SelectBricks(const io::VndReader& reader,
   }
   if (stats != nullptr) *stats = local;
   return out;
-}
-
-contour::Selection SelectInterestingPointsBricked(
-    const io::VndReader& reader, const std::string& array,
-    std::span<const double> isovalues, BrickedSelectStats* stats,
-    const std::vector<std::int64_t>* only_bricks,
-    const storage::QuarantineSet* quarantine,
-    const std::string& quarantine_key) {
-  const io::ArrayMeta* meta = reader.header().Find(array);
-  VIZNDP_CHECK_MSG(meta != nullptr, "no array '" + array + "' in VND file");
-  const BrickPlan plan =
-      PlanBricks(reader.header().dims, *meta, isovalues, only_bricks);
-  return SelectBricks(reader, array, isovalues, plan, plan.bricks, stats,
-                      quarantine, quarantine_key);
 }
 
 }  // namespace vizndp::ndp

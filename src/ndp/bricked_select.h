@@ -21,7 +21,6 @@
 
 #include "contour/select.h"
 #include "io/vnd_format.h"
-#include "storage/scrubber.h"
 
 namespace vizndp::ndp {
 
@@ -31,7 +30,6 @@ struct BrickedSelectStats {
   std::uint64_t bytes_read = 0;  // compressed brick bytes fetched
   std::int64_t corrupt_bricks = 0;  // bricks that failed their CRC
   std::int64_t brick_rereads = 0;   // recovery re-reads issued
-  std::int64_t quarantine_skips = 0;  // bricks served via the skip path
   double read_seconds = 0;       // fetch + decompress (measured)
   double scan_seconds = 0;       // per-brick selection scans (measured)
 };
@@ -43,6 +41,13 @@ struct BrickedSelectStats {
 // lives, so a resumed stream covers exactly the bricks the original
 // would have. An unbricked array is a one-brick index: brick 0 is the
 // whole grid and, with no recorded range, is always planned.
+//
+// Sharding: a restricted plan's selection equals the unrestricted one
+// filtered to points owned by (or on the ghost boundary of) the listed
+// bricks, so the union of selections over a partition of the brick
+// space, with boundary duplicates dropped by id, is exactly the full
+// selection. That is the sub-request shape of the scatter-gather
+// cluster client.
 struct BrickPlan {
   io::BrickGrid grid;  // brick extents; one brick for an unbricked array
   std::vector<std::int64_t> bricks;
@@ -75,36 +80,9 @@ BrickPlan PlanBricks(const grid::Dims& dims, const io::ArrayMeta& meta,
 // recovery for it is a different data copy (a replica, or the client's
 // baseline read). Both events are counted in the stats and in
 // obs::DefaultRegistry() (corrupt_brick_total / brick_reread_total).
-//
-// Quarantine: bricks the scrubber flagged corrupt-at-rest (`quarantine`
-// keyed by `quarantine_key`) are excluded from the coalesced runs —
-// their stored bytes are *known* bad, so the read+CRC-fail+re-read
-// cycle is a doomed prepayment. Each skips straight to the recovery
-// rung: one individual verified read (ndp_quarantine_skip_total +
-// "ndp.quarantine_skip"). If the object was re-Put clean since the
-// scrub, that read verifies and the brick serves normally; otherwise
-// CorruptDataError propagates immediately. nullptr disables the check.
 contour::Selection SelectBricks(
     const io::VndReader& reader, const std::string& array,
     std::span<const double> isovalues, const BrickPlan& plan,
-    std::span<const std::int64_t> batch, BrickedSelectStats* stats = nullptr,
-    const storage::QuarantineSet* quarantine = nullptr,
-    const std::string& quarantine_key = {});
-
-// The whole pre-filter in one batch: SelectBricks over PlanBricks.
-//
-// Sharding: `only_bricks` (sorted, unique brick ids) restricts the scan
-// to those bricks — the sub-request shape of the scatter-gather cluster
-// client. The restricted selection equals the unrestricted one filtered
-// to points owned by (or on the ghost boundary of) the listed bricks, so
-// the union of selections over a partition of the brick space, with
-// boundary duplicates dropped by id, is exactly the full selection.
-// nullptr means "all bricks".
-contour::Selection SelectInterestingPointsBricked(
-    const io::VndReader& reader, const std::string& array,
-    std::span<const double> isovalues, BrickedSelectStats* stats = nullptr,
-    const std::vector<std::int64_t>* only_bricks = nullptr,
-    const storage::QuarantineSet* quarantine = nullptr,
-    const std::string& quarantine_key = {});
+    std::span<const std::int64_t> batch, BrickedSelectStats* stats = nullptr);
 
 }  // namespace vizndp::ndp

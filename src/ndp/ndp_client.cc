@@ -340,15 +340,6 @@ NdpClient::HealthReport NdpClient::Health() {
   report.window_p50 = window.At("p50").AsDouble();
   report.window_p95 = window.At("p95").AsDouble();
   report.window_p99 = window.At("p99").AsDouble();
-  if (const Value* scrub = reply.Find("scrub")) {
-    report.scrub_present = true;
-    report.scrub_running = scrub->At("running").As<bool>();
-    report.scrub_passes = scrub->At("passes").AsUint();
-    report.scrub_bricks_checked = scrub->At("bricks_checked").AsUint();
-    report.scrub_corrupt_found = scrub->At("corrupt_found").AsUint();
-    report.scrub_readmitted = scrub->At("readmitted").AsUint();
-    report.scrub_quarantined = scrub->At("quarantined").AsUint();
-  }
   return report;
 }
 

@@ -180,9 +180,11 @@ class NdpClient : public NdpFetcher {
   // outside the scatter span: where a caller builds what it scatters
   // into.
   using StreamHeaderFn = std::function<void(const StreamHeader&)>;
-  // Asked before each resume, never per chunk: false means the caller no
-  // longer wants the select (a hedge walk has a different winner), so its
-  // error propagates instead of resuming against this node.
+  // Asked before each resume, never per chunk: false means the caller
+  // does not want this node to continue the select, so its error
+  // propagates instead of resuming here. The replica walk says false
+  // when a hedge walk has a different winner, and when the stream has no
+  // header yet: a node that never answered is failed over, not redialed.
   using StreamWantedFn = std::function<bool()>;
 
   // One ndp.select against this node, optionally restricted to
@@ -266,7 +268,7 @@ class NdpClient : public NdpFetcher {
   std::string ScrapeMetricsFormatted(const std::string& format);
 
   // ndp.health scrape: what the storage node is doing right now. Every
-  // key but "scrub" is required: a reply missing one throws.
+  // key is required: a reply missing one throws.
   struct HealthReport {
     bool draining = false;
     std::int64_t inflight = 0;
@@ -288,15 +290,6 @@ class NdpClient : public NdpFetcher {
     double window_p50 = 0;
     double window_p95 = 0;
     double window_p99 = 0;
-    // Scrub-and-quarantine status (absent on servers without a
-    // scrubber; scrub_present stays false then).
-    bool scrub_present = false;
-    bool scrub_running = false;
-    std::uint64_t scrub_passes = 0;
-    std::uint64_t scrub_bricks_checked = 0;
-    std::uint64_t scrub_corrupt_found = 0;
-    std::uint64_t scrub_readmitted = 0;
-    std::uint64_t scrub_quarantined = 0;
   };
   HealthReport Health();
 

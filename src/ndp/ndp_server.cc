@@ -167,7 +167,7 @@ msgpack::Value NdpServer::Select(const SelectRequest& request,
     contour::Selection selection;
     try {
       selection = SelectBricks(reader, array, request.isovalues, plan, batch,
-                               &bstats, quarantine_, request.key);
+                               &bstats);
     } catch (const CorruptDataError&) {
       // No server-side rung is left: the recovery is a different data
       // copy — the sharded client's replica failover for restricted
@@ -398,19 +398,6 @@ void NdpServer::Bind(rpc::Server& server) {
       window.emplace_back(Value("p99"),
                           Value(obs::SnapshotQuantile(w, 0.99)));
       reply.emplace_back(Value("window"), Value(std::move(window)));
-    }
-    // Scrub-and-quarantine status, the one optional key: absent when no
-    // scrubber is wired.
-    if (scrubber_ != nullptr) {
-      const storage::ScrubStatus s = scrubber_->status();
-      Map scrub;
-      scrub.emplace_back(Value("running"), Value(s.running));
-      scrub.emplace_back(Value("passes"), Value(s.passes));
-      scrub.emplace_back(Value("bricks_checked"), Value(s.bricks_checked));
-      scrub.emplace_back(Value("corrupt_found"), Value(s.corrupt_found));
-      scrub.emplace_back(Value("readmitted"), Value(s.readmitted));
-      scrub.emplace_back(Value("quarantined"), Value(s.quarantined_now));
-      reply.emplace_back(Value("scrub"), Value(std::move(scrub)));
     }
     return Value(std::move(reply));
   });

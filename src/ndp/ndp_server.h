@@ -26,7 +26,6 @@
 #include "obs/metrics.h"
 #include "rpc/server.h"
 #include "storage/file_gateway.h"
-#include "storage/scrubber.h"
 
 namespace vizndp::ndp {
 
@@ -47,21 +46,6 @@ class NdpServer {
   // budget sheds the request with BusyError before any read happens.
   // Must outlive the server.
   void SetMemoryBudget(rpc::MemoryBudget* budget) { mem_budget_ = budget; }
-
-  // Optional quarantine set maintained by a storage::Scrubber. When set,
-  // the bricked pre-filter skips known-corrupt bricks straight to their
-  // recovery re-read instead of prepaying a doomed read+decompress (see
-  // bricked_select.h). Must outlive the server.
-  void SetQuarantine(const storage::QuarantineSet* quarantine) {
-    quarantine_ = quarantine;
-  }
-
-  // Optional scrubber whose status is surfaced in ndp.health replies
-  // (passes, bricks checked, corrupt found, current quarantine size).
-  // Must outlive the server.
-  void SetScrubber(const storage::Scrubber* scrubber) {
-    scrubber_ = scrubber;
-  }
 
   // Registers ndp.select, ndp.info, ndp.stats, ndp.metrics and
   // ndp.health on `server`.
@@ -112,8 +96,6 @@ class NdpServer {
  private:
   storage::FileGateway gateway_;
   rpc::MemoryBudget* mem_budget_ = nullptr;
-  const storage::QuarantineSet* quarantine_ = nullptr;
-  const storage::Scrubber* scrubber_ = nullptr;
   obs::Registry metrics_;
   obs::Audit stream_cancel_{metrics_, "ndp_stream_cancelled_total", {},
                             "ndp.stream_cancel"};

@@ -405,11 +405,12 @@ ChaosReport RunChaos(const ChaosOptions& options) {
         }
       }
 
-      // Bit-rot round trip: plant rot at rest in a brick every fetch
-      // needs, then require the full lifecycle — every node's scrubber
-      // quarantines it; after a clean re-Put the (still-quarantined)
-      // brick serves through the quarantine-skip rung bit-identically;
-      // the next scrub pass re-admits it everywhere.
+      // Bit-rot round trip: flip one bit at rest in a brick every fetch
+      // needs. Every node reads the one shared store, so no replica has
+      // a clean copy: the read path's CRC check must catch the rot
+      // (corrupt_brick_total moves) and the fetch must fail typed with
+      // CorruptDataError, never return geometry. After a clean re-Put
+      // the next fetch must match the oracle with no CRC failure.
       {
         const int rot_step = options.steps + 1;
         const io::VndReader probe_reader(cluster.LocalGateway().Open(kKey));
@@ -435,33 +436,32 @@ ChaosReport RunChaos(const ChaosOptions& options) {
               static_cast<Byte>(1u << rng.Below(8));
           cluster.store().Put(cluster.bucket(), kKey, ByteSpan(rotted));
 
-          for (int i = 0; i < options.servers; ++i) {
-            cluster.scrubber(i).RunPassNow();
-            if (!cluster.quarantine(i).Contains(kKey, "v02", rot_brick)) {
-              violate(rot_step, "node " + std::to_string(i) +
-                                    " scrub missed planted rot");
-            }
+          const size_t violations_before = report.violations.size();
+          const std::uint64_t corrupt_before =
+              CounterValue("corrupt_brick_total");
+          try {
+            cluster.sharded_client()->Contour(kKey, "v02", kIsos);
+            violate(rot_step, "fetch over a rotted brick returned geometry");
+          } catch (const CorruptDataError&) {
+            // The typed outcome: no node has a clean copy.
+          } catch (const Error& e) {
+            violate(rot_step, std::string("rotted fetch threw ") + e.what());
           }
-          // Repair: re-Put the clean image. The brick stays quarantined
-          // until the next scrub pass, so this fetch must take the
-          // quarantine-skip rung — and still match the oracle exactly.
+          if (CounterValue("corrupt_brick_total") == corrupt_before) {
+            violate(rot_step, "no CRC check caught the planted rot");
+          }
+
+          // Repair: re-Put the clean image on the running fleet.
           cluster.store().Put(cluster.bucket(), kKey, ByteSpan(clean));
-          const std::uint64_t skips_before =
-              CounterValue("ndp_quarantine_skip_total");
+          const std::uint64_t corrupt_healed =
+              CounterValue("corrupt_brick_total");
           check_fetch(rot_step);
-          if (CounterValue("ndp_quarantine_skip_total") == skips_before) {
-            violate(rot_step, "quarantine-skip path never exercised");
+          if (CounterValue("corrupt_brick_total") != corrupt_healed) {
+            violate(rot_step, "the re-Put brick still failed its CRC");
           }
-          bool readmitted = true;
-          for (int i = 0; i < options.servers; ++i) {
-            cluster.scrubber(i).RunPassNow();
-            if (cluster.quarantine(i).Contains(kKey, "v02", rot_brick)) {
-              violate(rot_step, "node " + std::to_string(i) +
-                                    " never readmitted the healed brick");
-              readmitted = false;
-            }
+          if (report.violations.size() == violations_before) {
+            ++report.rot_roundtrips;
           }
-          if (readmitted) ++report.rot_roundtrips;
         }
       }
       phase("rot");

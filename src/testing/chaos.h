@@ -13,10 +13,11 @@
 //      the schedule's client is gone);
 //   4. a restarted node is observed serving traffic again, through the
 //      same reconnecting channel the data path uses;
-//   5. a full bit-rot round trip per schedule: rot planted at rest is
-//      quarantined by every node's scrubber, a clean re-Put serves
-//      through the quarantine-skip path bit-identically, and the next
-//      scrub pass re-admits the brick on every node;
+//   5. a full bit-rot round trip per schedule: one bit flipped at rest
+//      in a brick every fetch needs makes a sharded fetch throw
+//      CorruptDataError (never geometry) with corrupt_brick_total
+//      moving; after a clean re-Put the next fetch equals the oracle
+//      and corrupt_brick_total stays put;
 //   6. the observability plane closes the loop: a FleetScraper on its
 //      own per-node channels sweeps through the step-0 kill, whose
 //      failed scrapes must burn the availability SLO (slo.burn_alert
@@ -77,7 +78,7 @@ struct ChaosReport {
   std::uint64_t store_slows = 0;  // slow-disk windows scripted
   // Healing observed.
   std::uint64_t rejoined_served = 0;  // restarted nodes serving again
-  std::uint64_t rot_roundtrips = 0;   // quarantine->repair->readmit cycles
+  std::uint64_t rot_roundtrips = 0;   // rot->typed error->re-Put->oracle
   // Observability-plane events journaled (audited 1:1 with counters).
   std::uint64_t slo_burn_alerts = 0;
   std::uint64_t slo_burn_clears = 0;

@@ -20,6 +20,17 @@ namespace {
 
 using io::BrickGrid;
 
+// The whole pre-filter in one batch: SelectBricks over PlanBricks.
+contour::Selection SelectAllBricks(const io::VndReader& reader,
+                                   const std::string& array,
+                                   const std::vector<double>& isovalues,
+                                   ndp::BrickedSelectStats* stats) {
+  const ndp::BrickPlan plan = ndp::PlanBricks(
+      reader.header().dims, *reader.header().Find(array), isovalues);
+  return ndp::SelectBricks(reader, array, isovalues, plan, plan.bricks,
+                           stats);
+}
+
 TEST(BrickGrid, CountsAndExtents) {
   const BrickGrid g(grid::Dims{65, 64, 2}, 32);
   EXPECT_EQ(g.nbx, 2);  // 64 cells / 32
@@ -139,8 +150,7 @@ TEST_P(BrickedSelectTest, MatchesDenseSelection) {
   const contour::Selection dense = contour::SelectInterestingPoints(
       ds.dims(), ds.GetArray("f"), isos);
   ndp::BrickedSelectStats stats;
-  const contour::Selection bricked =
-      ndp::SelectInterestingPointsBricked(reader, "f", isos, &stats);
+  const contour::Selection bricked = SelectAllBricks(reader, "f", isos, &stats);
   EXPECT_EQ(bricked.ids, dense.ids);
   EXPECT_EQ(bricked.values, dense.values);
   EXPECT_EQ(stats.bricks_total,
@@ -164,8 +174,7 @@ TEST(BrickedSelect, SkipsBricksOutsideTheValueRange) {
   io::VndReader reader(storage::FileGateway(store, "data").Open("b.vnd"));
   const std::vector<double> isos = {0.1};
   ndp::BrickedSelectStats stats;
-  const contour::Selection sel =
-      ndp::SelectInterestingPointsBricked(reader, "v03", isos, &stats);
+  const contour::Selection sel = SelectAllBricks(reader, "v03", isos, &stats);
   EXPECT_GT(sel.ids.size(), 0u);
   EXPECT_GT(stats.bricks_total, 0);
   EXPECT_LT(stats.bricks_read * 4, stats.bricks_total);  // <25% touched
@@ -198,8 +207,7 @@ TEST(BrickedSelect, BrickWhoseOnlyLowValueIsNanIsRead) {
   io::VndReader reader(storage::FileGateway(store, "data").Open("b.vnd"));
   const std::vector<double> isos = {0.1};
   ndp::BrickedSelectStats stats;
-  const contour::Selection sel =
-      ndp::SelectInterestingPointsBricked(reader, "f", isos, &stats);
+  const contour::Selection sel = SelectAllBricks(reader, "f", isos, &stats);
   EXPECT_EQ(stats.bricks_total, 8);
   EXPECT_EQ(stats.bricks_read, 2);
 

@@ -185,11 +185,11 @@ TEST(Chaos, DiskFaultSchedulesHealAndRoundTripBitRot) {
   const testing::ChaosReport report = testing::RunChaos(options);
   for (const std::string& v : report.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(report.ok());
-  // Every schedule ends with the forced bit-rot round trip: rot at rest
-  // → scrub quarantines on every node → clean re-Put serves through the
-  // quarantine-skip rung (bit-identical to the oracle) → re-scrub
-  // re-admits. The invariant is asserted inside the harness; here we
-  // pin that it actually ran once per schedule.
+  // Every schedule ends with the forced bit-rot round trip: one bit
+  // flipped at rest → the sharded fetch throws CorruptDataError with
+  // corrupt_brick_total moving → clean re-Put → the next fetch equals
+  // the oracle with no CRC failure. The invariant is asserted inside
+  // the harness; here we pin that it actually ran once per schedule.
   EXPECT_EQ(report.rot_roundtrips, 2u);
   // The random draws include store-level EIO storms and slow-disk
   // windows; with 16 steps at 8 fault kinds this seed draws both.

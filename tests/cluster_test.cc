@@ -318,6 +318,35 @@ TEST(Cluster, RecoveredNodeServesItsHomeShardOnTheNextFetch) {
   }
 }
 
+// A streamed attempt against a dead node fails before any header. The
+// walk fails it over at once, as it does a one-shot attempt: a same-node
+// resume continues a stream that has its header, so none is spent
+// redialing a node that never answered.
+TEST(Cluster, DeadPrimaryFailsOverWithoutResumingOnIt) {
+  ClusterTestbedConfig config;
+  config.servers = 3;
+  config.replicas = 2;
+  config.sharded.hedge_ms = -1;  // only failover reaches a replica
+  config.client_options.call_timeout = std::chrono::milliseconds(5000);
+  ClusterTestbed cluster(config);
+  StoreDataset(cluster.store(), cluster.bucket(), "ts.vnd", 32, 8);
+  const contour::PolyData reference =
+      cluster.server_client(0)->Contour("ts.vnd", "v02", kIsos);
+
+  ndp::StreamOptions stream;
+  stream.chunk_bricks = 1;
+  cluster.sharded_client()->SetStream(stream);
+  cluster.KillServer(1);
+  const std::uint64_t resumes_before = CounterValue("ndp_stream_resume_total");
+  const std::uint64_t failovers_before =
+      CounterValue("cluster_failover_total");
+  EXPECT_TRUE(cluster.sharded_client()
+                  ->Contour("ts.vnd", "v02", kIsos)
+                  .GeometricallyEquals(reference, 0.0));
+  EXPECT_EQ(CounterValue("ndp_stream_resume_total"), resumes_before);
+  EXPECT_GE(CounterValue("cluster_failover_total"), failovers_before + 1);
+}
+
 TEST(Cluster, ApplicationErrorsPropagateInsteadOfFailingOver) {
   ClusterTestbedConfig config;
   config.servers = 3;

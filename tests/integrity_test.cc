@@ -5,6 +5,7 @@
 
 #include <thread>
 
+#include "bench_util/testbed.h"
 #include "compress/checksum.h"
 #include "compress/lz4.h"
 #include "contour/contour_filter.h"
@@ -13,6 +14,7 @@
 #include "ndp/ndp_client.h"
 #include "ndp/ndp_server.h"
 #include "net/inproc.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "rpc/client.h"
 #include "rpc/server.h"
@@ -92,6 +94,25 @@ contour::PolyData CleanBaseline(const Bytes& image, double iso) {
   const contour::ContourFilter filter(std::vector<double>{iso});
   return filter.Execute(reader.header().dims, reader.header().geometry,
                         reader.ReadArray("v02"));
+}
+
+// A copy of `image` with `mask` XORed into the middle byte of the first
+// v02 brick whose [min, max] straddles `iso`, so the pre-filter must read
+// it. Rot at rest: every read of the copy sees the same bad byte. Empty
+// when no brick straddles.
+Bytes RotStraddlingBrick(const Bytes& image, double iso, Byte mask) {
+  const io::VndHeader header = io::ParseVndHeader(image);
+  const io::ArrayMeta* meta = header.Find("v02");
+  if (meta == nullptr || !meta->bricks.has_value()) return {};
+  for (const io::BrickEntry& e : meta->bricks->entries) {
+    if (e.min < iso && e.max >= iso && e.stored_size > 0) {
+      Bytes rotted = image;
+      rotted[static_cast<size_t>(header.blob_base + meta->offset + e.offset +
+                                 e.stored_size / 2)] ^= mask;
+      return rotted;
+    }
+  }
+  return {};
 }
 
 double GlobalCounter(const std::string& name) {
@@ -180,25 +201,13 @@ TEST(Integrity, TransientCorruptBrickHealsAndMatchesBaseline) {
 
 TEST(Integrity, PersistentCorruptionDegradesToBaselinePath) {
   const Bytes image = MakeBrickedImage();
-  const io::VndHeader header = io::ParseVndHeader(image);
   const contour::PolyData baseline = CleanBaseline(image, 0.1);
   ASSERT_GT(baseline.TriangleCount(), 0u);
 
   // Corrupt a brick the pre-filter must read (its [min, max] straddles
   // the isovalue), permanently: re-reads see the same bad byte.
-  const io::ArrayMeta* meta = header.Find("v02");
-  ASSERT_NE(meta, nullptr);
-  Bytes corrupted = image;
-  bool hit = false;
-  for (const io::BrickEntry& e : meta->bricks->entries) {
-    if (e.min < 0.1 && e.max >= 0.1 && e.stored_size > 0) {
-      corrupted[static_cast<size_t>(header.blob_base + meta->offset +
-                                    e.offset + e.stored_size / 2)] ^= 0xFF;
-      hit = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(hit);
+  const Bytes corrupted = RotStraddlingBrick(image, 0.1, 0xFF);
+  ASSERT_FALSE(corrupted.empty());
 
   storage::MemoryObjectStore bad_store;
   bad_store.CreateBucket("data");
@@ -231,6 +240,40 @@ TEST(Integrity, PersistentCorruptionDegradesToBaselinePath) {
                      fallbacks_before + 1);
   }
   serve.join();
+}
+
+// Rot at rest is found where it is read: the CRC check and its one
+// re-read fail the fetch typed, counted once. A clean re-Put heals the
+// object on the same running server, with no CRC failure after it.
+TEST(Integrity, CleanRePutHealsRottedBrickWithoutRestart) {
+  const Bytes image = MakeBrickedImage();
+  const contour::PolyData baseline = CleanBaseline(image, 0.1);
+  ASSERT_GT(baseline.TriangleCount(), 0u);
+
+  // Flip one bit in a brick the pre-filter must read.
+  const Bytes rotted = RotStraddlingBrick(image, 0.1, 0x01);
+  ASSERT_FALSE(rotted.empty());
+
+  bench_util::Testbed bed;
+  bed.store().Put(bed.bucket(), "t.vnd", rotted);
+  const double corrupt_before = GlobalCounter("corrupt_brick_total");
+  const double reread_before = GlobalCounter("brick_reread_total");
+  const std::uint64_t seq = obs::GlobalEventLog().LastSeq();
+  grid::UniformGeometry geometry;
+  EXPECT_THROW(
+      bed.ndp_client().FetchSparseField("t.vnd", "v02", {0.1}, &geometry),
+      CorruptDataError);
+  EXPECT_DOUBLE_EQ(GlobalCounter("corrupt_brick_total"), corrupt_before + 1);
+  EXPECT_DOUBLE_EQ(GlobalCounter("brick_reread_total"), reread_before + 1);
+  EXPECT_EQ(obs::GlobalEventLog().CountSince("ndp.corrupt_brick", seq), 1u);
+  EXPECT_EQ(obs::GlobalEventLog().CountSince("ndp.brick_reread", seq), 1u);
+
+  bed.store().Put(bed.bucket(), "t.vnd", image);
+  const contour::PolyData healed =
+      bed.ndp_client().Contour("t.vnd", "v02", {0.1});
+  EXPECT_TRUE(healed.GeometricallyEquals(baseline, 0.0));
+  EXPECT_DOUBLE_EQ(GlobalCounter("corrupt_brick_total"), corrupt_before + 1);
+  EXPECT_DOUBLE_EQ(GlobalCounter("brick_reread_total"), reread_before + 1);
 }
 
 // ---- hostile header construction helpers ----

@@ -60,7 +60,6 @@
 #include "io/vnd_format.h"
 #include "ndp/ndp_client.h"
 #include "ndp/ndp_server.h"
-#include "ndp/scrub_verify.h"
 #include "net/fault.h"
 #include "net/inproc.h"
 #include "net/reconnect.h"
@@ -74,7 +73,6 @@
 #include "storage/fault_store.h"
 #include "storage/local_store.h"
 #include "storage/memory_store.h"
-#include "storage/scrubber.h"
 #include "storage/store_rpc.h"
 #include "testing/fuzz.h"
 
@@ -96,7 +94,7 @@ namespace {
                "  select  --in FILE --array NAME --iso V[,V...]\n"
                "  serve   --dir DIR [--port P] [--timeout-ms N]\n"
                "          [--max-inflight N] [--mem-budget-mb N] [--drain-ms N]\n"
-               "          [--scrub-ms N] [--store-fault SPEC]\n"
+               "          [--store-fault SPEC]\n"
                "  fetch   --host H --port P --key K --array NAME --iso V[,V...]\n"
                "          [--obj FILE] [--timeout-ms N] [--retries N]\n"
                "          [--fault SPEC] [--fallback]\n"
@@ -123,15 +121,12 @@ namespace {
                "  --drain-ms N       graceful-drain budget on Ctrl-C (finish\n"
                "                     in-flight, reject new; default 5000)\n"
                "\n"
-               "serve storage integrity:\n"
-               "  --scrub-ms N       background scrub cadence: walk the\n"
-               "                     catalog, verify per-brick CRCs, and\n"
-               "                     quarantine bad bricks (default 5000;\n"
-               "                     0 disables)\n"
+               "serve storage faults:\n"
                "  --store-fault SPEC inject storage faults, e.g. read.eio*2\n"
                "                     (transient, retry heals), get.fatal+,\n"
                "                     any.delay=5000*3, put.flip=7000 (rot at\n"
-               "                     rest; the scrubber quarantines it)\n"
+               "                     rest; the read path's brick CRC check\n"
+               "                     catches it)\n"
                "\n"
                "fuzz (hostile-input smoke test of every decoder):\n"
                "  --target NAME      inflate|gzip|lz4|msgpack|\n"
@@ -420,26 +415,7 @@ int CmdServe(const Args& args) {
   storage::BindObjectStoreRpc(rpc_server, faulty_store);
   ndp::NdpServer ndp_server(storage::FileGateway(faulty_store, "data"));
   ndp_server.SetMemoryBudget(&rpc_server.memory_budget());
-  // Background scrub: walk the catalog at a jittered cadence, verify
-  // per-brick CRCs, and quarantine bad bricks so the pre-filter skips
-  // them straight to recovery. --scrub-ms 0 disables.
-  const long scrub_ms = args.GetLong("scrub-ms", 5000);
-  storage::QuarantineSet quarantine;
-  std::unique_ptr<storage::Scrubber> scrubber;
-  if (scrub_ms > 0) {
-    storage::ScrubberOptions scrub_options;
-    scrub_options.period = std::chrono::milliseconds(scrub_ms);
-    scrubber = std::make_unique<storage::Scrubber>(
-        storage::FileGateway(faulty_store, "data"),
-        ndp::MakeVndScrubVerifier(
-            storage::FileGateway(faulty_store, "data"), quarantine,
-            &rpc_server.memory_budget()),
-        quarantine, scrub_options);
-    ndp_server.SetQuarantine(&quarantine);
-    ndp_server.SetScrubber(scrubber.get());
-  }
   ndp_server.Bind(rpc_server);
-  if (scrubber != nullptr) scrubber->Start();
   rpc::TcpRpcServer tcp(rpc_server, port);
   // Machine-readable first line — `--port 0` lets the OS pick, and shell
   // harnesses (tools/check.sh) parse the choice from here.
@@ -455,17 +431,6 @@ int CmdServe(const Args& args) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   std::printf("draining (up to %ld ms)...\n", args.GetLong("drain-ms", 5000));
-  if (scrubber != nullptr) {
-    scrubber->Stop();
-    const storage::ScrubStatus scrub = scrubber->status();
-    std::printf("scrub: passes=%llu bricks=%llu corrupt=%llu "
-                "quarantined=%llu readmitted=%llu\n",
-                static_cast<unsigned long long>(scrub.passes),
-                static_cast<unsigned long long>(scrub.bricks_checked),
-                static_cast<unsigned long long>(scrub.corrupt_found),
-                static_cast<unsigned long long>(scrub.quarantined_now),
-                static_cast<unsigned long long>(scrub.readmitted));
-  }
   tcp.Stop();
   std::printf("stopped; served %llu request(s), shed %llu as busy\n",
               static_cast<unsigned long long>(rpc_server.requests_served()),
