@@ -4,9 +4,12 @@
 #include <array>
 #include <bit>
 #include <chrono>
+#include <exception>
+#include <limits>
 #include <utility>
 
 #include "common/error.h"
+#include "common/worker_pool.h"
 #include "compress/checksum.h"
 #include "obs/audit.h"
 #include "obs/trace.h"
@@ -17,6 +20,11 @@ namespace {
 
 const obs::Audit kCorruptBrick("corrupt_brick_total", "ndp.corrupt_brick");
 const obs::Audit kBrickReread("brick_reread_total", "ndp.brick_reread");
+
+// Decoded bytes a part holds at least: about 0.7 ms of decode plus
+// classify at 1.4 GB/s, well above what waking a worker and the merge
+// cost. A smaller batch stays on the calling thread.
+constexpr std::uint64_t kMinPartBytes = std::uint64_t{1} << 20;
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -30,48 +38,170 @@ bool Straddles(const io::BrickEntry& brick,
   });
 }
 
-// Sorts the batch's (id, value) pairs by id and drops the ghost points
-// that two bricks both selected; their values are the same stored value.
-// An LSD radix sort, 8 bits a pass over the bits an id of the grid can
-// use, on 32-bit keys, which make a float pair 8 bytes. They always fit:
-// ValidateHeader caps an array at kDefaultDecompressBudget (1 GiB), so
-// a grid holds at most 2^28 four-byte points.
+// A selected point with a 32-bit id, which makes a float pair 8 bytes;
+// the sort and the merge are bound by the bytes they move. Ids always
+// fit: ValidateHeader caps an array at kDefaultDecompressBudget (1 GiB),
+// so a grid holds at most 2^28 four-byte points.
 template <typename T>
-void DropGhostDuplicates(std::int64_t point_count,
-                         std::vector<grid::PointId>& ids,
-                         std::vector<T>& values) {
-  if (ids.empty()) return;
+struct Pair {
+  std::uint32_t id;
+  T value;
+};
+
+// One part's selection as (id, value) pairs in id order, ghost points
+// still twice. An LSD radix sort, 8 bits a pass over the bits an id of
+// the grid can use; `ascending` input (one brick's) skips it.
+template <typename T>
+std::vector<Pair<T>> SortById(std::int64_t point_count,
+                              const std::vector<grid::PointId>& ids,
+                              const std::vector<T>& values, bool ascending) {
   VIZNDP_CHECK(point_count <= (std::int64_t{1} << 32));
-  struct Pair {
-    std::uint32_t id;
-    T value;
-  };
   const size_t n = ids.size();
-  std::vector<Pair> pairs(n);
-  std::vector<Pair> sorted(n);
+  std::vector<Pair<T>> pairs(n);
   for (size_t i = 0; i < n; ++i) {
     pairs[i] = {static_cast<std::uint32_t>(ids[i]), values[i]};
   }
+  if (ascending || n == 0) return pairs;
+  std::vector<Pair<T>> sorted(n);
   const int key_bits =
       std::bit_width(static_cast<std::uint32_t>(point_count - 1));
   for (int shift = 0; shift < key_bits; shift += 8) {
     std::array<size_t, 256> start{};
-    for (const Pair& p : pairs) ++start[(p.id >> shift) & 0xFF];
+    for (const Pair<T>& p : pairs) ++start[(p.id >> shift) & 0xFF];
     if (start[(pairs[0].id >> shift) & 0xFF] == n) continue;  // one digit
     size_t sum = 0;
     for (size_t& s : start) sum += std::exchange(s, sum);
-    for (const Pair& p : pairs) sorted[start[(p.id >> shift) & 0xFF]++] = p;
+    for (const Pair<T>& p : pairs) sorted[start[(p.id >> shift) & 0xFF]++] = p;
     pairs.swap(sorted);
   }
-  ids.clear();
-  values.clear();
-  for (const Pair& p : pairs) {
-    const grid::PointId id = p.id;
-    if (!ids.empty() && ids.back() == id) continue;
-    ids.push_back(id);
-    values.push_back(p.value);
+  return pairs;
+}
+
+// Merges the parts' sorted pairs into one ascending selection and drops
+// the ghost points that two bricks both selected; their values are the
+// same stored value. Parts are few (one per core) and a part's ids come
+// in long runs (its bricks' rows), so each step copies the lowest part's
+// run up to the next-lowest head.
+template <typename T>
+void MergeParts(const std::vector<std::vector<Pair<T>>>& parts,
+                std::vector<grid::PointId>& ids, std::vector<T>& values) {
+  size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  ids.reserve(total);
+  values.reserve(total);
+  std::vector<size_t> at(parts.size(), 0);
+  const auto head = [&](size_t p) { return parts[p][at[p]].id; };
+  while (true) {
+    size_t low = parts.size();
+    for (size_t p = 0; p < parts.size(); ++p) {
+      if (at[p] < parts[p].size() &&
+          (low == parts.size() || head(p) < head(low))) {
+        low = p;
+      }
+    }
+    if (low == parts.size()) return;
+    std::uint32_t next_head = std::numeric_limits<std::uint32_t>::max();
+    for (size_t p = 0; p < parts.size(); ++p) {
+      if (p != low && at[p] < parts[p].size()) {
+        next_head = std::min(next_head, head(p));
+      }
+    }
+    const std::vector<Pair<T>>& run = parts[low];
+    size_t i = at[low];
+    do {
+      const Pair<T>& p = run[i];
+      if (ids.empty() || ids.back() != p.id) {
+        ids.push_back(p.id);
+        values.push_back(p.value);
+      }
+    } while (++i < run.size() && run[i].id <= next_head);
+    at[low] = i;
   }
 }
+
+// Splits the batch into parts of about equal decoded bytes, at most one
+// per thread and each holding at least kMinPartBytes. Returns the part
+// boundaries as batch indices: part p is [bounds[p], bounds[p + 1]).
+std::vector<size_t> SplitBatch(const io::BrickGrid& bgrid,
+                               std::span<const std::int64_t> batch,
+                               size_t point_bytes, size_t threads) {
+  std::vector<std::uint64_t> before(batch.size() + 1, 0);
+  for (size_t r = 0; r < batch.size(); ++r) {
+    before[r + 1] = before[r] + static_cast<std::uint64_t>(
+                                    bgrid.BrickExtent(batch[r]).PointCount()) *
+                                    point_bytes;
+  }
+  const std::uint64_t total = before.back();
+  const std::uint64_t parts = std::max<std::uint64_t>(
+      1, std::min<std::uint64_t>({total / kMinPartBytes, threads,
+                                  batch.size()}));
+  std::vector<size_t> bounds = {0};
+  for (std::uint64_t p = 1; p < parts; ++p) {
+    const auto cut = std::lower_bound(before.begin(), before.end(),
+                                      total * p / parts);
+    const auto r = static_cast<size_t>(cut - before.begin());
+    if (r > bounds.back() && r < batch.size()) bounds.push_back(r);
+  }
+  bounds.push_back(batch.size());
+  return bounds;
+}
+
+// Decodes bricks whose stored bytes verified and classifies each slab
+// while it is still in cache, into its own reused buffers: one per part,
+// and one for the bricks the calling thread re-reads.
+template <typename T>
+struct BrickScanner {
+  BrickScanner(const compress::Codec& codec, const grid::Dims& dims,
+               const io::BrickGrid& bgrid, std::span<const double> isovalues)
+      : codec(codec), dims(dims), bgrid(bgrid), isovalues(isovalues) {}
+
+  const compress::Codec& codec;
+  const grid::Dims& dims;
+  const io::BrickGrid& bgrid;
+  std::span<const double> isovalues;
+  std::vector<T> slab;
+  contour::ClassifyPlanes planes;
+  std::vector<grid::PointId> ids;
+  std::vector<T> values;
+  std::int64_t bricks = 0;
+  double read_seconds = 0;  // CRC checks and decodes
+  double scan_seconds = 0;
+
+  void Scan(std::int64_t b, ByteSpan stored) {
+    const io::BrickGrid::Extent e = bgrid.BrickExtent(b);
+    const auto t_decompress = std::chrono::steady_clock::now();
+    slab.resize(static_cast<size_t>(e.PointCount()));
+    try {
+      codec.DecompressInto(
+          stored, MutableByteSpan(reinterpret_cast<Byte*>(slab.data()),
+                                  slab.size() * sizeof(T)));
+    } catch (const DecodeError& err) {
+      // Bytes that pass their CRC yet fail to decode are corrupt data
+      // too, and the caller's recovery is the same.
+      throw CorruptDataError(std::string("brick decode failed: ") +
+                             err.what());
+    }
+    read_seconds += SecondsSince(t_decompress);
+
+    const auto t_scan = std::chrono::steady_clock::now();
+    const grid::Dims slab_dims{e.x1 - e.x0 + 1, e.y1 - e.y0 + 1,
+                               e.z1 - e.z0 + 1};
+    contour::SelectSlab<T>(dims, slab_dims, {e.x0, e.y0, e.z0}, slab,
+                           isovalues, planes, ids, values);
+    scan_seconds += SecondsSince(t_scan);
+    ++bricks;
+  }
+
+  std::vector<Pair<T>> Sorted() const {
+    return SortById(dims.PointCount(), ids, values, bricks <= 1);
+  }
+};
+
+// What a part found in one brick that the calling thread settles.
+struct BrickFault {
+  bool crc_mismatch = false;
+  std::exception_ptr error;  // the brick's decode failed
+};
 
 template <typename T>
 contour::Selection SelectBricksT(const io::VndReader& reader,
@@ -82,101 +212,112 @@ contour::Selection SelectBricksT(const io::VndReader& reader,
                                  std::span<const std::int64_t> batch,
                                  BrickedSelectStats& local) {
   const grid::Dims dims = reader.header().dims;
-
-  // The selected (id, value) pairs of every brick of the batch. Each
-  // brick decodes into the one slab buffer, which the classify reads
-  // while it is still in cache; the buffers live for this call only.
-  std::vector<grid::PointId> ids;
-  std::vector<T> values;
-  std::vector<T> slab;
-  contour::ClassifyPlanes planes;
-  local.bricks_read = static_cast<std::int64_t>(batch.size());
-
-  const compress::CodecPtr codec = compress::MakeCodec(meta.codec);
-
-  // Decompress + scan one brick whose stored bytes already verified.
-  auto scan_brick = [&](std::int64_t b, ByteSpan brick_bytes) {
-    const io::BrickGrid::Extent e = bgrid.BrickExtent(b);
-    const auto t_decompress = std::chrono::steady_clock::now();
-    slab.resize(static_cast<size_t>(e.PointCount()));
-    try {
-      codec->DecompressInto(
-          brick_bytes, MutableByteSpan(reinterpret_cast<Byte*>(slab.data()),
-                                       slab.size() * sizeof(T)));
-    } catch (const DecodeError& err) {
-      // Bytes that pass their CRC yet fail to decode are corrupt data
-      // too, and the caller's recovery is the same.
-      throw CorruptDataError(std::string("brick decode failed: ") +
-                             err.what());
-    }
-    local.read_seconds += SecondsSince(t_decompress);
-
-    const auto t_scan = std::chrono::steady_clock::now();
-    const grid::Dims slab_dims{e.x1 - e.x0 + 1, e.y1 - e.y0 + 1,
-                               e.z1 - e.z0 + 1};
-    contour::SelectSlab<T>(dims, slab_dims, {e.x0, e.y0, e.z0}, slab,
-                           isovalues, planes, ids, values);
-    local.scan_seconds += SecondsSince(t_scan);
+  const size_t n = batch.size();
+  local.bricks_read = static_cast<std::int64_t>(n);
+  const auto entry = [&](size_t r) -> const io::BrickEntry& {
+    return meta.bricks->entries[static_cast<size_t>(batch[r])];
   };
 
-  size_t cursor = 0;
-  while (cursor < batch.size()) {
-    // Coalesce runs of consecutive bricks (their blobs are contiguous by
-    // construction) into one ranged read: object-store access latency,
-    // not bandwidth, dominates small-brick reads otherwise.
+  // Every coalesced run is read here first, in brick order, so the store
+  // sees the same op sequence however the parts are scheduled. Runs of
+  // consecutive bricks (their blobs are contiguous by construction) are
+  // one ranged read each: object-store access latency, not bandwidth,
+  // dominates small-brick reads otherwise.
+  std::vector<Bytes> runs;
+  std::vector<ByteSpan> stored(n);
+  const auto t_read = std::chrono::steady_clock::now();
+  for (size_t cursor = 0; cursor < n;) {
     size_t run_end = cursor + 1;
-    while (run_end < batch.size() &&
-           batch[run_end] == batch[run_end - 1] + 1) {
-      ++run_end;
-    }
-    const io::BrickEntry& first =
-        meta.bricks->entries[static_cast<size_t>(batch[cursor])];
-    const io::BrickEntry& last =
-        meta.bricks->entries[static_cast<size_t>(batch[run_end - 1])];
-    const std::uint64_t run_bytes =
-        last.offset + last.stored_size - first.offset;
-
-    const auto t_read = std::chrono::steady_clock::now();
-    const Bytes run = reader.ReadArrayRange(array, first.offset, run_bytes);
-    local.read_seconds += SecondsSince(t_read);
+    while (run_end < n && batch[run_end] == batch[run_end - 1] + 1) ++run_end;
+    const std::uint64_t first = entry(cursor).offset;
+    const io::BrickEntry& last = entry(run_end - 1);
+    const std::uint64_t run_bytes = last.offset + last.stored_size - first;
+    const Bytes& run =
+        runs.emplace_back(reader.ReadArrayRange(array, first, run_bytes));
     local.bytes_read += run_bytes;
-
     for (size_t r = cursor; r < run_end; ++r) {
-      const std::int64_t b = batch[r];
-      const io::BrickEntry& entry =
-          meta.bricks->entries[static_cast<size_t>(b)];
-
-      // Verify-then-decompress, with one recovery re-read. The brick CRC
-      // is checked *before* the decoder touches the bytes; on mismatch
-      // the brick alone is fetched again — a transient flip heals,
-      // persistent corruption throws CorruptDataError.
-      const auto t_decompress = std::chrono::steady_clock::now();
-      ByteSpan brick_bytes = ByteSpan(run).subspan(
-          entry.offset - first.offset, entry.stored_size);
-      Bytes reread;
-      if (compress::Crc32(brick_bytes) != entry.crc32) {
-        const std::string detail =
-            "array=" + array + " brick=" + std::to_string(b);
-        ++local.corrupt_bricks;
-        kCorruptBrick.Record(detail);
-        ++local.brick_rereads;
-        kBrickReread.Record(detail);
-        reread = reader.ReadArrayRange(array, entry.offset, entry.stored_size);
-        local.bytes_read += reread.size();
-        if (compress::Crc32(reread) != entry.crc32) {
-          throw CorruptDataError("brick CRC mismatch after re-read: " + array +
-                                 " brick " + std::to_string(b));
-        }
-        brick_bytes = ByteSpan(reread);
-      }
-      local.read_seconds += SecondsSince(t_decompress);
-      scan_brick(b, brick_bytes);
+      stored[r] = ByteSpan(run).subspan(entry(r).offset - first,
+                                        entry(r).stored_size);
     }
     cursor = run_end;
   }
+  local.read_seconds += SecondsSince(t_read);
 
-  // One brick's ids are already ascending and unique.
-  if (batch.size() > 1) DropGhostDuplicates(dims.PointCount(), ids, values);
+  // Each part CRC-checks, decodes, classifies and sorts its own bricks.
+  // The CRC is checked *before* the decoder touches the bytes; a brick
+  // that fails it, or fails to decode, is left to the calling thread.
+  // Parts run under the caller's trace context, so the codec's spans
+  // nest in this batch's span.
+  const compress::CodecPtr codec = compress::MakeCodec(meta.codec);
+  WorkerPool& pool = DefaultPool();
+  const std::vector<size_t> bounds =
+      SplitBatch(bgrid, batch, sizeof(T), pool.threads());
+  const size_t parts = bounds.size() - 1;
+  std::vector<BrickFault> faults(n);
+  std::vector<std::vector<Pair<T>>> sorted(parts);
+  std::vector<double> part_read(parts);
+  std::vector<double> part_scan(parts);
+  const obs::TraceContext trace = obs::CurrentTraceContext();
+  pool.Run(parts, [&](size_t p) {
+    const obs::ScopedTraceContext scope(trace);
+    BrickScanner<T> scanner(*codec, dims, bgrid, isovalues);
+    for (size_t r = bounds[p]; r < bounds[p + 1]; ++r) {
+      const auto t_crc = std::chrono::steady_clock::now();
+      const bool intact = compress::Crc32(stored[r]) == entry(r).crc32;
+      scanner.read_seconds += SecondsSince(t_crc);
+      if (!intact) {
+        faults[r].crc_mismatch = true;
+        continue;
+      }
+      try {
+        scanner.Scan(batch[r], stored[r]);
+      } catch (const CorruptDataError&) {
+        faults[r].error = std::current_exception();
+        break;  // the batch fails here or at an earlier brick
+      }
+    }
+    sorted[p] = scanner.Sorted();
+    part_read[p] = scanner.read_seconds;
+    part_scan[p] = scanner.scan_seconds;
+  });
+  for (size_t p = 0; p < parts; ++p) {
+    local.read_seconds += part_read[p];
+    local.scan_seconds += part_scan[p];
+  }
+  local.parts = static_cast<std::int64_t>(parts);
+
+  // Faults are settled here in brick order, as a serial loop meets them:
+  // the first failure in brick order is the one thrown, and each CRC
+  // mismatch is counted and re-read once — a transient flip heals,
+  // persistent corruption throws CorruptDataError.
+  BrickScanner<T> healed(*codec, dims, bgrid, isovalues);
+  for (size_t r = 0; r < n; ++r) {
+    if (faults[r].error) std::rethrow_exception(faults[r].error);
+    if (!faults[r].crc_mismatch) continue;
+    const std::int64_t b = batch[r];
+    const std::string detail = "array=" + array + " brick=" + std::to_string(b);
+    ++local.corrupt_bricks;
+    kCorruptBrick.Record(detail);
+    ++local.brick_rereads;
+    kBrickReread.Record(detail);
+    const auto t_reread = std::chrono::steady_clock::now();
+    const Bytes reread =
+        reader.ReadArrayRange(array, entry(r).offset, entry(r).stored_size);
+    local.bytes_read += reread.size();
+    if (compress::Crc32(reread) != entry(r).crc32) {
+      throw CorruptDataError("brick CRC mismatch after re-read: " + array +
+                             " brick " + std::to_string(b));
+    }
+    local.read_seconds += SecondsSince(t_reread);
+    healed.Scan(b, reread);
+  }
+  if (healed.bricks > 0) sorted.push_back(healed.Sorted());
+  local.read_seconds += healed.read_seconds;
+  local.scan_seconds += healed.scan_seconds;
+
+  std::vector<grid::PointId> ids;
+  std::vector<T> values;
+  MergeParts(sorted, ids, values);
 
   contour::Selection out;
   out.dims = dims;
@@ -246,6 +387,7 @@ contour::Selection SelectBricks(const io::VndReader& reader,
     local.read_seconds = SecondsSince(t_read);
     local.bytes_read = meta->stored_size;
     local.bricks_read = 1;
+    local.parts = 1;
     obs::Span scan_span("ndp.select.scan");
     out = contour::SelectInterestingPoints(reader.header().dims, data,
                                            isovalues);

@@ -30,8 +30,11 @@ struct BrickedSelectStats {
   std::uint64_t bytes_read = 0;  // compressed brick bytes fetched
   std::int64_t corrupt_bricks = 0;  // bricks that failed their CRC
   std::int64_t brick_rereads = 0;   // recovery re-reads issued
-  double read_seconds = 0;       // fetch + decompress (measured)
-  double scan_seconds = 0;       // per-brick selection scans (measured)
+  std::int64_t parts = 0;  // parts the batch ran in; 1 = the calling thread
+  // Busy time, summed over the batch's parts, so with several parts it
+  // can exceed the batch's wall time.
+  double read_seconds = 0;  // store reads, CRC checks and decodes
+  double scan_seconds = 0;  // per-brick selection scans
 };
 
 // The bricks one select needs, ascending (== ascending blob offsets).
@@ -54,8 +57,10 @@ struct BrickPlan {
 
   std::int64_t bricks_total() const { return grid.BrickCount(); }
 
-  // Decompressed bytes a batch pins at once: the point slabs of
-  // bricks[begin, end).
+  // The decompressed point slabs of bricks[begin, end): what the server
+  // reserves for a batch. It bounds what the batch pins at once, its
+  // stored runs plus one brick slab per part, unless the codec saves
+  // less than those few slabs.
   std::uint64_t SlabBytes(size_t begin, size_t end,
                           grid::DataType type) const;
 };
@@ -69,17 +74,26 @@ BrickPlan PlanBricks(const grid::Dims& dims, const io::ArrayMeta& meta,
 // and returns their selection, sorted with ghost points deduplicated.
 //
 // Layout: a bricked array's batch is fetched in coalesced runs of
-// consecutive bricks. Brick 0 of an unbricked array is the whole blob,
-// read with ReadArray (blob CRC) and scanned densely; that is the one
-// branch on the array's layout.
+// consecutive bricks, all read on the calling thread in brick order.
+// Brick 0 of an unbricked array is the whole blob, read with ReadArray
+// (blob CRC) and scanned densely; that is the one branch on the array's
+// layout.
+//
+// Parts: a batch of at least 2 MiB of decoded slabs splits into parts of
+// consecutive bricks, at most one per thread of DefaultPool() and each
+// holding at least 1 MiB. Each part CRC-checks, decodes, classifies and
+// sorts its own bricks; one merge drops the ghost duplicates. Ids, values
+// and order do not depend on the part count.
 //
 // Integrity: each brick is CRC-verified before decompression. A failing
-// brick is re-read from the store once — transient corruption (a flipped
-// bit on the wire or in a cache) heals here — and a brick that fails
-// twice throws CorruptDataError, which crosses the wire typed; the
-// recovery for it is a different data copy (a replica, or the client's
-// baseline read). Both events are counted in the stats and in
-// obs::DefaultRegistry() (corrupt_brick_total / brick_reread_total).
+// brick is re-read from the store once, on the calling thread and in
+// brick order — transient corruption (a flipped bit on the wire or in a
+// cache) heals here — and a brick that fails twice throws
+// CorruptDataError, which crosses the wire typed; the recovery for it is
+// a different data copy (a replica, or the client's baseline read). The
+// first failure in brick order is the one thrown. Both events are
+// counted in the stats and in obs::DefaultRegistry()
+// (corrupt_brick_total / brick_reread_total).
 contour::Selection SelectBricks(
     const io::VndReader& reader, const std::string& array,
     std::span<const double> isovalues, const BrickPlan& plan,

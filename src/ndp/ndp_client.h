@@ -104,8 +104,10 @@ struct NdpLoadStats {
   std::int64_t bricks_read = 0;
   // Client-side phase timings, populated from obs::Span measurements
   // (the same spans that feed the trace buffer when tracing is on).
-  double server_read_s = 0;    // measured on the server (incl. decompress)
-  double server_select_s = 0;  // measured on the server
+  // Measured on the server as busy time summed over a batch's parts,
+  // so they can exceed the server's wall time.
+  double server_read_s = 0;    // incl. decompress
+  double server_select_s = 0;
   double client_s = 0;         // RPC round trip + decode + scatter
   double client_decode_s = 0;  // payload decode ("ndp.decode" spans)
   double client_scatter_s = 0; // sparse-field scatter ("ndp.scatter" spans)

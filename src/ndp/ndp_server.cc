@@ -138,7 +138,7 @@ msgpack::Value NdpServer::Select(const SelectRequest& request,
   std::uint64_t payload_bytes = 0;
   std::uint64_t selected_total = 0;
   std::int64_t bricks_read = 0;
-  double read_s = 0;
+  double read_s = 0;  // busy time, summed over every batch's parts
   double select_s = 0;
   std::int64_t chunks = 0;
   Value one_shot_chunk;

@@ -89,8 +89,9 @@ inline constexpr size_t kMaxBrickRestriction = size_t{1} << 20;
 //   data      {"kind": "data", "cursor": last brick id of the batch,
 //              "bricks", "selected", "crc32", "payload"}
 //   terminal  the server's accounting: "stored_bytes", "raw_bytes",
-//             "bricks_read", "selected", "read_s", "select_s", and
-//             "chunks" for a stream.
+//             "bricks_read", "selected", "read_s", "select_s" (busy
+//             time summed over each batch's parts, so with several
+//             parts more than wall time), and "chunks" for a stream.
 // One-shot: one response frame, the terminal with the header map under
 // "header" and the whole plan's data map under "chunk" (absent when no
 // brick straddles). Streamed: chunk frames on the request's msgid, the

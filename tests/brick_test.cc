@@ -4,10 +4,12 @@
 
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <set>
 
 #include "bench_util/testbed.h"
+#include "common/worker_pool.h"
 #include "contour/marching_cubes.h"
 #include "contour/sparse_field.h"
 #include "io/vnd_format.h"
@@ -159,6 +161,124 @@ TEST_P(BrickedSelectTest, MatchesDenseSelection) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BrickedSelectTest,
                          ::testing::Range(5000u, 5010u));
+
+// A batch of at least 2 MiB of decoded slabs splits into parts, one per
+// whole MiB and at most one per pool thread. 80^3 float64 in bricks of
+// edge 8 and 16, restricted to z-prefixes of whole brick layers: the
+// restricted selection is the dense one over the prefix's points, whose
+// ids are the grid's own. Each batch below names its part count on a
+// machine with at least 4 threads.
+class BrickedSelectPartsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BrickedSelectPartsTest, EveryPartCountMatchesDenseSelection) {
+  const int edge = GetParam();
+  const grid::Dims dims{80, 80, 80};
+  std::mt19937 rng(edge);
+  std::vector<double> f(static_cast<size_t>(dims.PointCount()));
+  for (double& v : f) v = static_cast<double>(rng() % 1000) / 999.0;
+  grid::Dataset ds(dims);
+  ds.AddArray(grid::DataArray::FromVector("f", f));
+  storage::MemoryObjectStore store;
+  store.CreateBucket("data");
+  io::VndWriter writer(ds);
+  writer.SetCodec(compress::MakeCodec("lz4"));
+  writer.SetBrickSize(edge);
+  writer.WriteToStore(store, "data", "b.vnd");
+  io::VndReader reader(storage::FileGateway(store, "data").Open("b.vnd"));
+  const io::ArrayMeta& meta = *reader.header().Find("f");
+  const BrickGrid bgrid(dims, edge);
+  const std::int64_t layer = bgrid.nbx * bgrid.nby;
+
+  struct Case {
+    std::int64_t layers;
+    std::int64_t parts;
+  };
+  // Edge 8 layers hold 0.54 MiB of slabs, edge 16 layers 0.94 MiB.
+  const std::vector<Case> cases =
+      edge == 8 ? std::vector<Case>{{2, 1}, {4, 2}, {6, 3}, {8, 4}, {10, 5}}
+                : std::vector<Case>{{1, 1}, {3, 2}, {4, 3}, {5, 4}};
+  const std::int64_t threads =
+      static_cast<std::int64_t>(DefaultPool().threads());
+  for (const std::vector<double>& isos :
+       {std::vector<double>{0.5}, std::vector<double>{0.2, 0.9},
+        std::vector<double>{0.1, 0.5, 0.75}}) {
+    for (const Case& c : cases) {
+      std::vector<std::int64_t> only(static_cast<size_t>(c.layers * layer));
+      std::iota(only.begin(), only.end(), 0);
+      const ndp::BrickPlan plan = ndp::PlanBricks(dims, meta, isos, &only);
+      ASSERT_EQ(plan.bricks, only);
+      ndp::BrickedSelectStats stats;
+      const contour::Selection sel = ndp::SelectBricks(
+          reader, "f", isos, plan, plan.bricks, &stats);
+      EXPECT_EQ(stats.parts, std::min(c.parts, threads))
+          << "edge " << edge << ", " << c.layers << " layers";
+
+      const std::int64_t nz =
+          std::min<std::int64_t>(c.layers * edge + 1, dims.nz);
+      const grid::Dims prefix{dims.nx, dims.ny, nz};
+      const contour::Selection dense = contour::SelectInterestingPoints(
+          prefix,
+          grid::DataArray::FromVector(
+              "f", std::vector<double>(
+                       f.begin(), f.begin() + prefix.PointCount())),
+          isos);
+      ASSERT_EQ(sel.ids, dense.ids) << "edge " << edge << ", " << c.layers
+                                    << " layers";
+      ASSERT_EQ(sel.values.size(), dense.values.size());
+      EXPECT_EQ(std::memcmp(sel.values.View<double>().data(),
+                            dense.values.View<double>().data(),
+                            dense.values.View<double>().size_bytes()),
+                0);
+    }
+  }
+
+  // The batch that splits most, selected 20 times: byte-identical.
+  const std::vector<double> isos = {0.1, 0.5, 0.75};
+  const ndp::BrickPlan plan = ndp::PlanBricks(dims, meta, isos);
+  const contour::Selection first =
+      ndp::SelectBricks(reader, "f", isos, plan, plan.bricks);
+  for (int i = 0; i < 20; ++i) {
+    const contour::Selection again =
+        ndp::SelectBricks(reader, "f", isos, plan, plan.bricks);
+    ASSERT_EQ(again.ids, first.ids);
+    ASSERT_EQ(std::memcmp(again.values.View<double>().data(),
+                          first.values.View<double>().data(),
+                          first.values.View<double>().size_bytes()),
+              0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Edges, BrickedSelectPartsTest,
+                         ::testing::Values(8, 16));
+
+TEST(BrickedSelect, OneBrickBatchMatchesDenseSelection) {
+  // 9^3 points at edge 8: the whole grid is one brick.
+  const grid::Dims dims{9, 9, 9};
+  std::mt19937 rng(9);
+  std::vector<double> f(static_cast<size_t>(dims.PointCount()));
+  for (double& v : f) v = static_cast<double>(rng() % 1000) / 999.0;
+  grid::Dataset ds(dims);
+  ds.AddArray(grid::DataArray::FromVector("f", f));
+  storage::MemoryObjectStore store;
+  store.CreateBucket("data");
+  io::VndWriter writer(ds);
+  writer.SetCodec(compress::MakeCodec("lz4"));
+  writer.SetBrickSize(8);
+  writer.WriteToStore(store, "data", "b.vnd");
+  io::VndReader reader(storage::FileGateway(store, "data").Open("b.vnd"));
+  const std::vector<double> isos = {0.5};
+  ndp::BrickedSelectStats stats;
+  const contour::Selection sel = SelectAllBricks(reader, "f", isos, &stats);
+  EXPECT_EQ(stats.bricks_read, 1);
+  EXPECT_EQ(stats.parts, 1);
+  const contour::Selection dense =
+      contour::SelectInterestingPoints(dims, ds.GetArray("f"), isos);
+  EXPECT_EQ(sel.ids, dense.ids);
+  EXPECT_EQ(std::memcmp(sel.values.View<double>().data(),
+                        dense.values.View<double>().data(),
+                        dense.values.View<double>().size_bytes()),
+            0);
+}
 
 TEST(BrickedSelect, SkipsBricksOutsideTheValueRange) {
   // The asteroid (v03) occupies a tiny corner of the domain: nearly all

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "common/bytes.h"
 #include "common/error.h"
 #include "common/sim_time.h"
+#include "common/worker_pool.h"
 
 namespace vizndp {
 namespace {
@@ -81,6 +87,120 @@ TEST(AtomicSeconds, AccumulatesAcrossThreads) {
   EXPECT_NEAR(acc.Get(), 4.0, 1e-9);
   acc.Reset();
   EXPECT_EQ(acc.Get(), 0.0);
+}
+
+TEST(WorkerPool, EveryPartRunsExactlyOnce) {
+  for (const size_t workers : {0, 1, 3}) {
+    WorkerPool pool(workers);
+    EXPECT_EQ(pool.threads(), workers + 1);
+    for (size_t parts = 1; parts <= 64; ++parts) {
+      std::vector<std::atomic<int>> runs(parts);
+      pool.Run(parts, [&](size_t p) { runs[p].fetch_add(1); });
+      for (size_t p = 0; p < parts; ++p) {
+        ASSERT_EQ(runs[p].load(), 1) << workers << " workers, part " << p
+                                     << " of " << parts;
+      }
+    }
+  }
+}
+
+TEST(WorkerPool, LowestThrowingPartIsRethrown) {
+  WorkerPool pool(3);
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<int> ran{0};
+    try {
+      pool.Run(8, [&](size_t p) {
+        ran.fetch_add(1);
+        if (p == 2 || p == 5 || p == 7) {
+          throw std::runtime_error("part " + std::to_string(p));
+        }
+      });
+      FAIL() << "expected throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "part 2");
+    }
+    EXPECT_EQ(ran.load(), 8);  // a throwing part stops no other part
+  }
+}
+
+// Every worker is held by another caller's parts, so this caller runs
+// all of its own parts itself: a saturated pool is the serial loop.
+TEST(WorkerPool, SaturatedPoolRunsPartsOnTheCaller) {
+  WorkerPool pool(1);
+  std::mutex mu;
+  bool release = false;
+  std::condition_variable cv;
+  std::atomic<int> holding{0};
+  std::thread holder([&] {
+    pool.Run(2, [&](size_t) {
+      holding.fetch_add(1);
+      std::unique_lock lock(mu);
+      cv.wait(lock, [&] { return release; });
+    });
+  });
+  while (holding.load() < 2) std::this_thread::yield();
+
+  std::set<std::thread::id> ran_on;
+  pool.Run(4, [&](size_t) {
+    const std::lock_guard lock(mu);
+    ran_on.insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(ran_on, std::set<std::thread::id>{std::this_thread::get_id()});
+  {
+    const std::lock_guard lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  holder.join();
+}
+
+TEST(WorkerPool, ConcurrentCallersOnASaturatedPoolAllComplete) {
+  WorkerPool pool(2);
+  constexpr int kCallers = 6;
+  constexpr int kCalls = 20;
+  constexpr size_t kParts = 16;
+  std::atomic<int> total{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int call = 0; call < kCalls; ++call) {
+        std::vector<std::atomic<int>> runs(kParts);
+        pool.Run(kParts, [&](size_t p) {
+          runs[p].fetch_add(1);
+          total.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        });
+        for (const std::atomic<int>& r : runs) ASSERT_EQ(r.load(), 1);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(total.load(), kCallers * kCalls * static_cast<int>(kParts));
+}
+
+TEST(WorkerPool, CallFromAPoolThreadRunsInline) {
+  WorkerPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::vector<std::pair<std::thread::id, std::thread::id>> outer_inner;
+  std::atomic<int> worker_parts{0};
+  pool.Run(4, [&](size_t) {
+    const std::thread::id outer = std::this_thread::get_id();
+    if (outer == caller) {
+      // Hold the caller here until a worker has run a part, so the
+      // other parts land on pool threads.
+      while (worker_parts.load() == 0) std::this_thread::yield();
+      return;
+    }
+    pool.Run(3, [&](size_t) {
+      const std::lock_guard lock(mu);
+      outer_inner.emplace_back(outer, std::this_thread::get_id());
+    });
+    worker_parts.fetch_add(1);
+  });
+  ASSERT_FALSE(outer_inner.empty());
+  EXPECT_EQ(outer_inner.size(), 3u * static_cast<size_t>(worker_parts.load()));
+  for (const auto& [outer, inner] : outer_inner) EXPECT_EQ(inner, outer);
 }
 
 }  // namespace

@@ -3,14 +3,18 @@
 // and hostile-header rejection, other format versions included.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
 #include <thread>
 
 #include "bench_util/testbed.h"
+#include "common/worker_pool.h"
 #include "compress/checksum.h"
 #include "compress/lz4.h"
 #include "contour/contour_filter.h"
 #include "io/vnd_format.h"
 #include "msgpack/pack.h"
+#include "ndp/bricked_select.h"
 #include "ndp/ndp_client.h"
 #include "ndp/ndp_server.h"
 #include "net/inproc.h"
@@ -34,26 +38,15 @@ Bytes MakeBrickedImage() {
   return writer.Serialize();
 }
 
-// ObjectStore decorator that flips one byte in the first ranged read at
-// or past `min_offset` (the blob base: header reads stay clean) — a
-// transient fault, healed by the very next read of the same range.
-class FlakyStore : public storage::ObjectStore {
+// ObjectStore decorator base: forwards every call to `inner`.
+class ForwardingStore : public storage::ObjectStore {
  public:
-  FlakyStore(storage::ObjectStore& inner, std::uint64_t min_offset)
-      : inner_(inner), min_offset_(min_offset) {}
-
-  bool flipped() const { return flipped_; }
+  explicit ForwardingStore(storage::ObjectStore& inner) : inner_(inner) {}
 
   Bytes GetRange(const std::string& bucket, const std::string& key,
                  std::uint64_t offset, std::uint64_t length) override {
-    Bytes out = inner_.GetRange(bucket, key, offset, length);
-    if (!flipped_ && offset >= min_offset_ && !out.empty()) {
-      out[out.size() / 2] ^= 0x01;
-      flipped_ = true;
-    }
-    return out;
+    return inner_.GetRange(bucket, key, offset, length);
   }
-
   void CreateBucket(const std::string& b) override { inner_.CreateBucket(b); }
   bool BucketExists(const std::string& b) const override {
     return inner_.BucketExists(b);
@@ -82,8 +75,53 @@ class FlakyStore : public storage::ObjectStore {
 
  private:
   storage::ObjectStore& inner_;
+};
+
+// Flips one byte in the first ranged read at or past `min_offset` (the
+// blob base: header reads stay clean) — a transient fault, healed by
+// the very next read of the same range.
+class FlakyStore : public ForwardingStore {
+ public:
+  FlakyStore(storage::ObjectStore& inner, std::uint64_t min_offset)
+      : ForwardingStore(inner), min_offset_(min_offset) {}
+
+  bool flipped() const { return flipped_; }
+
+  Bytes GetRange(const std::string& bucket, const std::string& key,
+                 std::uint64_t offset, std::uint64_t length) override {
+    Bytes out = ForwardingStore::GetRange(bucket, key, offset, length);
+    if (!flipped_ && offset >= min_offset_ && !out.empty()) {
+      out[out.size() / 2] ^= 0x01;
+      flipped_ = true;
+    }
+    return out;
+  }
+
+ private:
   std::uint64_t min_offset_;
   bool flipped_ = false;
+};
+
+// Flips the byte at each of `offsets` (absolute) in the first ranged read
+// that covers it, and never again: each planted rot is transient.
+class RotOnceStore : public ForwardingStore {
+ public:
+  RotOnceStore(storage::ObjectStore& inner, std::vector<std::uint64_t> offsets)
+      : ForwardingStore(inner), pending_(std::move(offsets)) {}
+
+  Bytes GetRange(const std::string& bucket, const std::string& key,
+                 std::uint64_t offset, std::uint64_t length) override {
+    Bytes out = ForwardingStore::GetRange(bucket, key, offset, length);
+    std::erase_if(pending_, [&](std::uint64_t at) {
+      if (at < offset || at >= offset + out.size()) return false;
+      out[static_cast<size_t>(at - offset)] ^= 0x01;
+      return true;
+    });
+    return out;
+  }
+
+ private:
+  std::vector<std::uint64_t> pending_;
 };
 
 contour::PolyData CleanBaseline(const Bytes& image, double iso) {
@@ -96,6 +134,13 @@ contour::PolyData CleanBaseline(const Bytes& image, double iso) {
                         reader.ReadArray("v02"));
 }
 
+// The offset in the object of the middle byte of `array`'s brick `b`.
+std::uint64_t BrickMiddle(const io::VndHeader& header,
+                          const io::ArrayMeta& meta, std::int64_t b) {
+  const io::BrickEntry& e = meta.bricks->entries[static_cast<size_t>(b)];
+  return header.blob_base + meta.offset + e.offset + e.stored_size / 2;
+}
+
 // A copy of `image` with `mask` XORed into the middle byte of the first
 // v02 brick whose [min, max] straddles `iso`, so the pre-filter must read
 // it. Rot at rest: every read of the copy sees the same bad byte. Empty
@@ -104,11 +149,12 @@ Bytes RotStraddlingBrick(const Bytes& image, double iso, Byte mask) {
   const io::VndHeader header = io::ParseVndHeader(image);
   const io::ArrayMeta* meta = header.Find("v02");
   if (meta == nullptr || !meta->bricks.has_value()) return {};
-  for (const io::BrickEntry& e : meta->bricks->entries) {
+  for (size_t b = 0; b < meta->bricks->entries.size(); ++b) {
+    const io::BrickEntry& e = meta->bricks->entries[b];
     if (e.min < iso && e.max >= iso && e.stored_size > 0) {
       Bytes rotted = image;
-      rotted[static_cast<size_t>(header.blob_base + meta->offset + e.offset +
-                                 e.stored_size / 2)] ^= mask;
+      rotted[static_cast<size_t>(
+          BrickMiddle(header, *meta, static_cast<std::int64_t>(b)))] ^= mask;
       return rotted;
     }
   }
@@ -274,6 +320,94 @@ TEST(Integrity, CleanRePutHealsRottedBrickWithoutRestart) {
   EXPECT_TRUE(healed.GeometricallyEquals(baseline, 0.0));
   EXPECT_DOUBLE_EQ(GlobalCounter("corrupt_brick_total"), corrupt_before + 1);
   EXPECT_DOUBLE_EQ(GlobalCounter("brick_reread_total"), reread_before + 1);
+}
+
+// 64^3 float64 random values in LZ4 bricks of edge 8: every brick
+// straddles any isovalue in (0, 1), and the whole plan is 2.7 MiB of
+// decoded slabs, one batch of two parts on a machine with two threads.
+Bytes MakeTwoPartImage() {
+  const grid::Dims dims{64, 64, 64};
+  std::mt19937 rng(64);
+  std::vector<double> f(static_cast<size_t>(dims.PointCount()));
+  for (double& v : f) v = static_cast<double>(rng() % 1000) / 999.0;
+  grid::Dataset ds(dims);
+  ds.AddArray(grid::DataArray::FromVector("v02", f));
+  io::VndWriter writer(ds);
+  writer.SetCodec(compress::MakeCodec("lz4"));
+  writer.SetBrickSize(8);
+  return writer.Serialize();
+}
+
+contour::Selection SelectWholePlan(storage::ObjectStore& store,
+                                   ndp::BrickedSelectStats* stats) {
+  const io::VndReader reader(
+      storage::FileGateway(store, "data").Open("t.vnd"));
+  const std::vector<double> isos = {0.5};
+  const ndp::BrickPlan plan = ndp::PlanBricks(
+      reader.header().dims, *reader.header().Find("v02"), isos);
+  return ndp::SelectBricks(reader, "v02", isos, plan, plan.bricks, stats);
+}
+
+// Two rotted bricks in different parts of one batch, the plan's first
+// and last: the calling thread settles them in brick order, each with
+// one count and one re-read, and a persistent rot fails on the lower.
+TEST(Integrity, RotInTwoPartsIsSettledInBrickOrder) {
+  const Bytes image = MakeTwoPartImage();
+  const io::VndHeader header = io::ParseVndHeader(image);
+  const io::ArrayMeta& meta = *header.Find("v02");
+  const auto last = static_cast<std::int64_t>(meta.bricks->entries.size()) - 1;
+  const std::vector<std::uint64_t> rot = {BrickMiddle(header, meta, 0),
+                                          BrickMiddle(header, meta, last)};
+  storage::MemoryObjectStore clean;
+  clean.CreateBucket("data");
+  clean.Put("data", "t.vnd", image);
+  const contour::Selection oracle = contour::SelectInterestingPoints(
+      header.dims,
+      io::VndReader(storage::FileGateway(clean, "data").Open("t.vnd"))
+          .ReadArray("v02"),
+      std::vector<double>{0.5});
+
+  // Transient: only the batch's run read sees each flip.
+  RotOnceStore flaky(clean, rot);
+  std::uint64_t seq = obs::GlobalEventLog().LastSeq();
+  ndp::BrickedSelectStats stats;
+  const contour::Selection healed = SelectWholePlan(flaky, &stats);
+  EXPECT_EQ(stats.parts, static_cast<std::int64_t>(
+                             std::min<size_t>(2, DefaultPool().threads())));
+  EXPECT_EQ(stats.corrupt_bricks, 2);
+  EXPECT_EQ(stats.brick_rereads, 2);
+  std::vector<std::string> journal;
+  for (const obs::LogEvent& e : obs::GlobalEventLog().Events()) {
+    if (e.seq > seq) journal.push_back(e.name + " " + e.detail);
+  }
+  const std::string at_last = "array=v02 brick=" + std::to_string(last);
+  EXPECT_EQ(journal, (std::vector<std::string>{
+                         "ndp.corrupt_brick array=v02 brick=0",
+                         "ndp.brick_reread array=v02 brick=0",
+                         "ndp.corrupt_brick " + at_last,
+                         "ndp.brick_reread " + at_last}));
+  EXPECT_EQ(healed.ids, oracle.ids);
+  EXPECT_EQ(std::memcmp(healed.values.View<double>().data(),
+                        oracle.values.View<double>().data(),
+                        oracle.values.View<double>().size_bytes()),
+            0);
+
+  // Persistent: rot at rest in both bricks. Brick 0 fails its re-read
+  // and is thrown; the last brick is never counted or re-read.
+  Bytes rotted = image;
+  for (const std::uint64_t at : rot) rotted[static_cast<size_t>(at)] ^= 0x01;
+  storage::MemoryObjectStore bad;
+  bad.CreateBucket("data");
+  bad.Put("data", "t.vnd", rotted);
+  seq = obs::GlobalEventLog().LastSeq();
+  try {
+    SelectWholePlan(bad, nullptr);
+    FAIL() << "expected CorruptDataError";
+  } catch (const CorruptDataError& e) {
+    EXPECT_TRUE(std::string(e.what()).ends_with("v02 brick 0")) << e.what();
+  }
+  EXPECT_EQ(obs::GlobalEventLog().CountSince("ndp.corrupt_brick", seq), 1u);
+  EXPECT_EQ(obs::GlobalEventLog().CountSince("ndp.brick_reread", seq), 1u);
 }
 
 // ---- hostile header construction helpers ----

@@ -3,7 +3,7 @@
 # benchmark's self-tests against this tree, an
 # address/UB-sanitizer build of the concurrency-heavy tests, the
 # post-filter's contour tests and a hostile-input fuzz smoke, the
-# overload/cluster tests under tsan, a
+# worker pool, bricked select and overload/cluster tests under tsan, a
 # storage-fault stage (retry ladder under tsan, seeded disk-fault
 # chaos with a bit-rot round trip), a chaos stage (seeded fault
 # schedules under tsan plus a real TCP kill -> restart -> serves-again
@@ -108,10 +108,17 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # byte-for-byte with the same command.
   ./build-asan/tools/vizndp_tool fuzz --seed 1 --iters 1500
 
-  stage "tsan: overload + rpc + trace + cluster (admission/drain/merge/hedge races)"
+  stage "tsan: pool + bricked select + overload + rpc + trace + cluster (part/admission/drain/merge/hedge races)"
   cmake --preset tsan > /dev/null
-  cmake --build build-tsan -j"$(nproc)" --target overload_test rpc_test \
-    trace_test cluster_test chaos_test vizndp_tool
+  cmake --build build-tsan -j"$(nproc)" --target common_test brick_test \
+    integrity_test overload_test rpc_test trace_test cluster_test \
+    chaos_test vizndp_tool
+  # The worker pool (claims, the caller's fallback, nested calls, the
+  # lowest error) and the bricked select's parts over it: batches of one
+  # to four parts, and rotted bricks settled across parts.
+  ./build-tsan/tests/common_test
+  ./build-tsan/tests/brick_test
+  ./build-tsan/tests/integrity_test
   ./build-tsan/tests/overload_test
   ./build-tsan/tests/rpc_test
   ./build-tsan/tests/trace_test
