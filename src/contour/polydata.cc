@@ -50,6 +50,14 @@ size_t PolyData::BoundaryEdgeCount() const {
   return boundary;
 }
 
+PolyData::Tail PolyData::Extend(size_t points, size_t triangles) {
+  const size_t p = points_.size();
+  const size_t t = triangles_.size();
+  points_.resize(p + points);
+  triangles_.resize(t + triangles);
+  return {std::span(points_).subspan(p), std::span(triangles_).subspan(t)};
+}
+
 void PolyData::Append(const PolyData& other) {
   const Index base = static_cast<Index>(points_.size());
   points_.insert(points_.end(), other.points_.begin(), other.points_.end());

@@ -5,7 +5,10 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vizndp::contour {
@@ -23,9 +26,29 @@ struct Vec3 {
   double Norm() const;
 };
 
+// An allocator whose argument-free construct leaves the element as the
+// allocation made it, so a resize does not zero elements that the caller
+// overwrites next; copies and appends construct as usual. For
+// implicit-lifetime types only, such as Vec3 and the index triples.
+template <typename T>
+struct OverwriteAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = OverwriteAllocator<U>;
+  };
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) > 0) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+};
+
 class PolyData {
  public:
   using Index = std::uint32_t;
+  template <typename T>
+  using List = std::vector<T, OverwriteAllocator<T>>;
 
   Index AddPoint(const Vec3& p) {
     points_.push_back(p);
@@ -35,11 +58,19 @@ class PolyData {
   void AddLine(Index a, Index b) { lines_.push_back({a, b}); }
   void AddTriangle(Index a, Index b, Index c) { triangles_.push_back({a, b, c}); }
 
-  const std::vector<Vec3>& points() const { return points_; }
+  // Grows the point and triangle lists by `points` and `triangles`
+  // unset entries and returns the new tails, for a filter that counts its
+  // output first to fill every entry in place. The spans stay valid until
+  // the next call that adds to this object.
+  struct Tail {
+    std::span<Vec3> points;
+    std::span<std::array<Index, 3>> triangles;
+  };
+  Tail Extend(size_t points, size_t triangles);
+
+  const List<Vec3>& points() const { return points_; }
   const std::vector<std::array<Index, 2>>& lines() const { return lines_; }
-  const std::vector<std::array<Index, 3>>& triangles() const {
-    return triangles_;
-  }
+  const List<std::array<Index, 3>>& triangles() const { return triangles_; }
 
   size_t PointCount() const { return points_.size(); }
   size_t LineCount() const { return lines_.size(); }
@@ -64,9 +95,9 @@ class PolyData {
   void WriteObj(const std::string& path) const;
 
  private:
-  std::vector<Vec3> points_;
+  List<Vec3> points_;
   std::vector<std::array<Index, 2>> lines_;
-  std::vector<std::array<Index, 3>> triangles_;
+  List<std::array<Index, 3>> triangles_;
 };
 
 }  // namespace vizndp::contour

@@ -4,12 +4,23 @@
 // select.h) that set is exactly the mixed cells, so the result is
 // identical to contouring the full field.
 //
+// The 3D contour runs on all cores. The complete cells come from the
+// validity bit planes in cell-scan order. A count pass gives each cell
+// its case, the crossed edges whose vertex it owns (the first complete
+// cell to touch an edge owns it, as the serial walk first meets it
+// there) and its vertex and triangle counts; exclusive prefix sums give
+// every cell its first vertex id and triangle slot, so the output is
+// sized once; and an emit pass writes each cell's vertices and triangles
+// in place. The count and emit passes run over equal ranges of the
+// complete-cell list on DefaultPool(): one range per kMinRangeCells
+// cells, at most one per pool thread. The 2D contour is the serial
+// marching-squares walk.
+//
 // Memory follows the selection, not the grid: only the pages Scatter
 // writes become resident, plus the validity bitmap of one bit per grid
-// point (2 MiB at 256^3). Each Contour call adds its cell processor's
-// edge-vertex window of two point slices, 24 * nx * ny bytes (1.5 MiB at
-// 256^2; see mc_core.h), which is smaller than the bitmap only when
-// nz > 192.
+// point (2 MiB at 256^3). A 3D Contour call adds 8 B per complete cell
+// for the list and 11 B per complete cell for the passes (case, owned
+// edges, first vertex, first triangle).
 #pragma once
 
 #include <memory>
@@ -23,6 +34,33 @@
 #include "grid/rectilinear.h"
 
 namespace vizndp::contour {
+
+class SparseField;
+
+namespace detail {
+
+// The range rule's minimum: below 2 * kMinRangeCells complete cells the
+// 3D contour is one range, on the calling thread.
+inline constexpr size_t kMinRangeCells = 512;
+
+// The range rule: boundaries of equal ranges over `cells` complete cells,
+// one range per kMinRangeCells, at most `threads` and at least one.
+std::vector<size_t> RangeBounds(size_t cells, size_t threads);
+
+// SparseField::Contour with the complete-cell list split at `bounds`:
+// ascending list positions from 0 to the number of complete cells, or
+// none for the range rule over DefaultPool()'s threads. The output does
+// not depend on the split. 2D fields ignore it.
+PolyData ContourRanges(const SparseField& field,
+                       const grid::UniformGeometry& geometry,
+                       std::span<const double> isovalues,
+                       std::span<const size_t> bounds);
+PolyData ContourRanges(const SparseField& field,
+                       const grid::RectilinearGeometry& geometry,
+                       std::span<const double> isovalues,
+                       std::span<const size_t> bounds);
+
+}  // namespace detail
 
 // Move-only: the value backing is grid-sized.
 class SparseField {
@@ -59,9 +97,21 @@ class SparseField {
                    std::span<const double> isovalues) const;
 
  private:
+  friend PolyData detail::ContourRanges(const SparseField&,
+                                        const grid::UniformGeometry&,
+                                        std::span<const double>,
+                                        std::span<const size_t>);
+  friend PolyData detail::ContourRanges(const SparseField&,
+                                        const grid::RectilinearGeometry&,
+                                        std::span<const double>,
+                                        std::span<const size_t>);
+
+  template <typename Geo>
+  PolyData ContourIn(const Geo& geometry, std::span<const double> isovalues,
+                     std::span<const size_t> bounds) const;
   template <typename T, typename Geo>
-  PolyData ContourT(const Geo& geometry,
-                    std::span<const double> isovalues) const;
+  PolyData ContourT(const Geo& geometry, std::span<const double> isovalues,
+                    std::span<const size_t> bounds) const;
 
   // Cells all of whose corners are valid, in cell-scan (k, j, i) order.
   std::vector<std::int64_t> CompleteCells() const;
@@ -72,6 +122,8 @@ class SparseField {
   // Scatter first writes to it. Holes are undefined and never read:
   // Contour reads only the corners of complete cells.
   std::unique_ptr<Byte[]> values_;
+  // One bit per point, plus one zero word past the grid so that 64 bits
+  // read from any point's offset stay in bounds.
   std::vector<std::uint64_t> valid_;
   std::int64_t valid_count_ = 0;
 };

@@ -242,14 +242,17 @@ Bytes VndWriter::Serialize() const {
   const Bytes header_bytes =
       msgpack::Encode(msgpack::Value(std::move(header)));
 
-  Bytes out;
-  out.reserve(kPreambleSize + header_bytes.size() + offset);
-  out.insert(out.end(), kMagic, kMagic + 4);
-  AppendLE<std::uint32_t>(kVersion, out);
-  AppendLE<std::uint32_t>(static_cast<std::uint32_t>(header_bytes.size()), out);
-  out.insert(out.end(), header_bytes.begin(), header_bytes.end());
+  // Sized once and filled in place: the preamble, the header, then every
+  // blob at its offset.
+  Bytes out(kPreambleSize + header_bytes.size() + offset);
+  std::memcpy(out.data(), kMagic, 4);
+  StoreLE<std::uint32_t>(kVersion, out.data() + 4);
+  StoreLE<std::uint32_t>(static_cast<std::uint32_t>(header_bytes.size()),
+                         out.data() + 8);
+  Byte* at = std::copy(header_bytes.begin(), header_bytes.end(),
+                       out.data() + kPreambleSize);
   for (const Blob& blob : blobs) {
-    out.insert(out.end(), blob.stored.begin(), blob.stored.end());
+    at = std::copy(blob.stored.begin(), blob.stored.end(), at);
   }
   return out;
 }

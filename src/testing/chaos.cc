@@ -523,9 +523,18 @@ ChaosReport RunChaos(const ChaosOptions& options) {
           const std::uint64_t cancels_before = cancelled_sum();
           const std::uint64_t cancel_seq = journal.LastSeq();
           bool landed = false;
-          // A short stream can race to completion before the cancel
-          // frame lands; acc.cancelled says which way it went, so a lost
-          // race just reruns the drill.
+          // Every store read of the drill waits 30 ms, so the server
+          // reads the third brick long after the client queued its
+          // cancel at the second data chunk, and that chunk's Emit finds
+          // it. Without the wait a short stream can emit every chunk
+          // before the cancel frame lands. No other store fault is live
+          // here: the recovery tail cleared them all.
+          cluster.store_fault().Script(
+              storage::StoreOp::kRead,
+              {storage::StoreFaultAction::Delay(std::chrono::milliseconds(30))},
+              /*loop_last=*/true);
+          // acc.cancelled says which way a stream went, so a lost race
+          // would just rerun the drill.
           for (int attempt = 0; attempt < 3 && !landed; ++attempt) {
             ndp::StreamAccumulator acc;
             acc.stream.chunk_bricks = 1;  // maximize boundaries
@@ -542,6 +551,7 @@ ChaosReport RunChaos(const ChaosOptions& options) {
               break;
             }
           }
+          cluster.store_fault().ClearFaults();
           const std::uint64_t cancel_delta = cancelled_sum() - cancels_before;
           const size_t cancel_events =
               journal.CountSince("ndp.stream_cancel", cancel_seq);

@@ -268,11 +268,10 @@ TEST(Lz4, RejectsSizeMismatch) {
 
 TEST(Lz4, OverlappingMatchesDecodeCorrectly) {
   // Offset 1 with long match = classic RLE-via-overlap.
-  Bytes input;
-  input.push_back('z');
-  input.insert(input.end(), 300, 'q');
-  input.insert(input.end(), {'e', 'n', 'd', '!', '!', '?', '.', ',', ';',
-                             ':', 'a', 'b', 'c'});
+  std::string text(301, 'q');
+  text.front() = 'z';
+  text += "end!!?.,;:abc";
+  const Bytes input = ToBytes(text);
   const Bytes block = Lz4CompressBlock(input);
   EXPECT_EQ(DecodeBlock(block, input.size()), input);
 }

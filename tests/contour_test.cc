@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <condition_variable>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 
+#include "common/error.h"
+#include "common/worker_pool.h"
 #include "contour/components.h"
 #include "contour/contour_filter.h"
 #include "contour/marching_cubes.h"
@@ -876,6 +882,227 @@ TEST(ReferenceEquivalence, SparseWalkThatSkipsASlabOrRow) {
     ExpectIdentical(field.Contour(stretched, isos),
                     ReferenceContour(d, stretched, f, isos, &field));
   }
+}
+
+// ---- the 3D post-filter's ranges ----
+
+// The complete cells of a 3D field, found corner by corner, as (i, j, k)
+// in cell-scan order.
+std::vector<std::array<std::int64_t, 3>> CompleteCellsOf(
+    const SparseField& field) {
+  const grid::Dims& d = field.dims();
+  std::vector<std::array<std::int64_t, 3>> cells;
+  for (std::int64_t k = 0; k + 1 < d.nz; ++k) {
+    for (std::int64_t j = 0; j + 1 < d.ny; ++j) {
+      for (std::int64_t i = 0; i + 1 < d.nx; ++i) {
+        bool complete = true;
+        for (const auto& off : kCornerOffsets) {
+          complete = complete &&
+                     field.IsValid(d.Index(i + off[0], j + off[1], k + off[2]));
+        }
+        if (complete) cells.push_back({i, j, k});
+      }
+    }
+  }
+  return cells;
+}
+
+// The post-filter as it ran before it split into ranges: the dense
+// filter's window walk over the complete cells.
+template <typename T, typename Geo>
+PolyData WindowWalk(const SparseField& field, const Geo& geo,
+                    const std::vector<T>& values,
+                    std::span<const double> isos) {
+  PolyData out;
+  detail::CellProcessor<T, Geo> processor(field.dims(), geo, values.data(),
+                                          out);
+  const auto cells = CompleteCellsOf(field);
+  for (const double iso : isos) {
+    processor.BeginIsovalue(iso);
+    for (const auto& [i, j, k] : cells) processor.ProcessCell(i, j, k);
+  }
+  return out;
+}
+
+// The contour of `field` at every 2-range split point and at random
+// splits into 3 to 5 ranges (some of them empty) equals the hash-map
+// reference and the window walk, bit for bit.
+template <typename T, typename Geo>
+void ExpectEverySplitIdentical(const SparseField& field, const Geo& geo,
+                               const std::vector<T>& values,
+                               const std::vector<double>& isos,
+                               unsigned seed) {
+  const PolyData want =
+      ReferenceContour(field.dims(), geo, values, isos, &field);
+  ExpectIdentical(WindowWalk(field, geo, values, isos), want);
+  ExpectIdentical(field.Contour(geo, isos), want);
+  const size_t n = CompleteCellsOf(field).size();
+  for (size_t split = 0; split <= n; ++split) {
+    SCOPED_TRACE("split at " + std::to_string(split) + " of " +
+                 std::to_string(n));
+    const std::vector<size_t> bounds = {0, split, n};
+    ExpectIdentical(detail::ContourRanges(field, geo, isos, bounds), want);
+  }
+  std::mt19937 rng(seed);
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<size_t> bounds = {0, n};
+    const size_t ranges = 3 + rng() % 3;
+    while (bounds.size() <= ranges) bounds.push_back(rng() % (n + 1));
+    std::sort(bounds.begin(), bounds.end());
+    SCOPED_TRACE("random split, trial " + std::to_string(trial));
+    ExpectIdentical(detail::ContourRanges(field, geo, isos, bounds), want);
+  }
+}
+
+// A field over `f` holding the pre-filter's selection (`keep_pct` 0) or
+// an arbitrary scatter of about keep_pct% of the points, on which mixed
+// cells can be incomplete.
+template <typename T>
+SparseField ScatteredField(const grid::Dims& d, const std::vector<T>& f,
+                           const std::vector<double>& isos, unsigned keep_pct,
+                           unsigned seed) {
+  const auto a = grid::DataArray::FromVector("f", f);
+  if (keep_pct == 0) {
+    return SparseField::FromSelection(SelectInterestingPoints(d, a, isos),
+                                      a.type());
+  }
+  std::mt19937 rng(seed);
+  std::vector<grid::PointId> ids;
+  std::vector<T> vals;
+  for (grid::PointId id = 0; id < d.PointCount(); ++id) {
+    if (rng() % 100 < keep_pct) {
+      ids.push_back(id);
+      vals.push_back(f[static_cast<size_t>(id)]);
+    }
+  }
+  SparseField field(d, a.type());
+  field.Scatter(ids, grid::DataArray::FromVector("v", vals));
+  return field;
+}
+
+template <typename T>
+void ExpectSplitsIdenticalOnBothGeometries(const grid::Dims& d, unsigned seed,
+                                           const std::vector<double>& isos) {
+  std::vector<T> f = RandomField<T>(d, seed);
+  if (seed % 2 == 1) {  // a NaN corner
+    f[static_cast<size_t>(seed * 7919 % d.PointCount())] =
+        std::numeric_limits<T>::quiet_NaN();
+  }
+  for (const unsigned keep_pct : {0u, 60u, 90u}) {
+    SCOPED_TRACE(d.ToString() + " seed " + std::to_string(seed) + " keep " +
+                 std::to_string(keep_pct) +
+                 (sizeof(T) == 4 ? " float32" : " float64"));
+    const SparseField field = ScatteredField(d, f, isos, keep_pct, seed);
+    ExpectEverySplitIdentical(
+        field, grid::UniformGeometry{{1.0, -2.0, 0.5}, {0.3, 1.7, 2.0}}, f,
+        isos, seed);
+    ExpectEverySplitIdentical(field, RandomStretch(d, seed), f, isos, seed);
+  }
+}
+
+TEST(SparseRanges, EverySplitMatchesTheReferenceAndTheWindowWalk) {
+  // The repeated isovalue crosses exactly the edges of the first pass, so
+  // its vertices must be new ones, with ids that continue the first's.
+  const std::vector<double> isos = {0.3, 0.5, 0.5, 0.8};
+  for (const grid::Dims d : {grid::Dims{7, 6, 5}, grid::Dims{2, 2, 2},
+                             grid::Dims{5, 2, 7}, grid::Dims{3, 6, 2}}) {
+    for (unsigned seed = 0; seed < 4; ++seed) {
+      ExpectSplitsIdenticalOnBothGeometries<float>(d, seed, isos);
+      ExpectSplitsIdenticalOnBothGeometries<double>(d, seed, isos);
+    }
+  }
+}
+
+TEST(SparseRanges, SlabSkippingScatterAtEverySplit) {
+  // SparseWalkThatSkipsASlabOrRow's scatter: complete cells in slab 2 at
+  // i % 4 == 0 and in slab 4 at i % 4 == 1, none in 3. The cells of slab 4
+  // share no edge with a complete cell, so each owns all of its vertices.
+  const grid::Dims d{14, 9, 8};
+  const std::vector<double> isos = {0.2, 0.5, 0.8};
+  const std::vector<float> f = RandomField<float>(d, 77);
+  SparseField field(d, grid::DataType::Float32);
+  std::vector<grid::PointId> ids;
+  std::vector<float> vals;
+  for (grid::PointId id = 0; id < d.PointCount(); ++id) {
+    const auto [i, j, k] = d.Coords(id);
+    if (((k == 2 || k == 3) && i % 4 <= 1) ||
+        ((k == 4 || k == 5) && (i % 4 == 1 || i % 4 == 2))) {
+      ids.push_back(id);
+      vals.push_back(f[static_cast<size_t>(id)]);
+    }
+  }
+  field.Scatter(ids, grid::DataArray::FromVector("v", vals));
+  ASSERT_FALSE(CompleteCellsOf(field).empty());
+  ExpectEverySplitIdentical(field, grid::UniformGeometry{}, f, isos, 1);
+  ExpectEverySplitIdentical(field, RandomStretch(d, 78), f, isos, 2);
+}
+
+TEST(SparseRanges, RangeRuleGivesOneRangeBelowTheMinimum) {
+  const size_t n = detail::kMinRangeCells;
+  using Bounds = std::vector<size_t>;
+  EXPECT_EQ(detail::RangeBounds(0, 4), (Bounds{0, 0}));
+  EXPECT_EQ(detail::RangeBounds(n - 1, 4), (Bounds{0, n - 1}));
+  EXPECT_EQ(detail::RangeBounds(2 * n - 1, 4), (Bounds{0, 2 * n - 1}));
+  EXPECT_EQ(detail::RangeBounds(2 * n, 4), (Bounds{0, n, 2 * n}));
+  // At most one range per thread, equal to within a cell.
+  EXPECT_EQ(detail::RangeBounds(10 * n + 3, 4),
+            (Bounds{0, (10 * n + 3) / 4, (10 * n + 3) / 2,
+                    3 * (10 * n + 3) / 4, 10 * n + 3}));
+  EXPECT_EQ(detail::RangeBounds(10 * n, 1), (Bounds{0, 10 * n}));
+  EXPECT_EQ(detail::RangeBounds(10 * n, 0), (Bounds{0, 10 * n}));
+}
+
+TEST(SparseRanges, RejectsBoundsThatDoNotSplitTheCells) {
+  const grid::Dims d{6, 6, 6};
+  const auto f = RandomField<float>(d, 5);
+  const std::vector<double> isos = {0.5};
+  const SparseField field = ScatteredField(d, f, isos, 0, 5);
+  const size_t n = CompleteCellsOf(field).size();
+  ASSERT_GT(n, 2u);
+  const grid::UniformGeometry geo;
+  for (const std::vector<size_t>& bounds :
+       {std::vector<size_t>{0},
+        std::vector<size_t>{1, n}, std::vector<size_t>{0, n - 1},
+        std::vector<size_t>{0, 2, 1, n}}) {
+    EXPECT_THROW(detail::ContourRanges(field, geo, isos, bounds), Error);
+  }
+}
+
+TEST(SparseRanges, CallFromAPoolThreadRunsInlineWithTheSameBits) {
+  // A sphere with enough complete cells for the range rule to split them
+  // on a machine with more than one thread.
+  const grid::Dims d{48, 48, 48};
+  const auto f = SphereField(d, 23.5, 24.0, 22.5);
+  const std::vector<double> isos = {20.3};
+  const auto a = grid::DataArray::FromVector("f", f);
+  const SparseField field =
+      SparseField::FromSelection(SelectInterestingPoints(d, a, isos), a.type());
+  ASSERT_GE(CompleteCellsOf(field).size(), 2 * detail::kMinRangeCells);
+  const grid::UniformGeometry geo;
+  const PolyData want = ReferenceContour(d, geo, f, isos, &field);
+  ExpectIdentical(field.Contour(geo, isos), want);
+
+  // Part 0 or 1 runs on the one worker; the part on the calling thread
+  // waits for it, so the worker cannot be left without a part.
+  WorkerPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::condition_variable done_cv;
+  bool done = false;
+  PolyData got;
+  pool.Run(2, [&](size_t) {
+    if (std::this_thread::get_id() == caller) {
+      std::unique_lock lock(mu);
+      done_cv.wait(lock, [&] { return done; });
+      return;
+    }
+    PolyData contour = field.Contour(geo, isos);
+    const std::lock_guard lock(mu);
+    got = std::move(contour);
+    done = true;
+    done_cv.notify_all();
+  });
+  ExpectIdentical(got, want);
 }
 
 // The selection before the bit-plane classify, kept as the oracle: one

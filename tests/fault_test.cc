@@ -168,8 +168,10 @@ TEST(Fault, ConcurrentStoreAccess) {
     threads.emplace_back([&, t] {
       try {
         for (int i = 0; i < 200; ++i) {
-          const std::string key = "k" + std::to_string(t) + "_" +
-                                  std::to_string(i % 8);
+          std::string key = "k";
+          key += std::to_string(t);
+          key += '_';
+          key += std::to_string(i % 8);
           store.Put("b", key, Bytes(64, static_cast<Byte>(i)));
           const Bytes back = store.Get("b", key);
           if (back.size() != 64) ++failures;

@@ -145,7 +145,9 @@ TEST(BuildCodeLengths, SingleSymbolGetsLengthOne) {
   const auto lengths = BuildCodeLengths(freq);
   EXPECT_EQ(lengths[5], 1);
   for (size_t i = 0; i < lengths.size(); ++i) {
-    if (i != 5) EXPECT_EQ(lengths[i], 0);
+    if (i != 5) {
+      EXPECT_EQ(lengths[i], 0);
+    }
   }
 }
 

@@ -414,13 +414,13 @@ TEST(Integrity, RotInTwoPartsIsSettledInBrickOrder) {
 
 Bytes ImageFromHeader(msgpack::Map header, size_t blob_bytes) {
   const Bytes hb = msgpack::Encode(msgpack::Value(std::move(header)));
-  Bytes out;
+  // Magic, version 2, header size, header, then zeroed blob bytes.
+  Bytes out(12 + hb.size() + blob_bytes);
   const Byte magic[4] = {'V', 'N', 'D', 'F'};
-  out.insert(out.end(), magic, magic + 4);
-  AppendLE<std::uint32_t>(2, out);
-  AppendLE<std::uint32_t>(static_cast<std::uint32_t>(hb.size()), out);
-  out.insert(out.end(), hb.begin(), hb.end());
-  out.resize(out.size() + blob_bytes);
+  std::copy(magic, magic + 4, out.data());
+  StoreLE<std::uint32_t>(2, out.data() + 4);
+  StoreLE<std::uint32_t>(static_cast<std::uint32_t>(hb.size()), out.data() + 8);
+  std::copy(hb.begin(), hb.end(), out.data() + 12);
   return out;
 }
 

@@ -439,7 +439,9 @@ TEST(EventLog, RingDropsOldestAndClearWorks) {
   Registry registry;
   EventLog log(3);
   for (int i = 0; i < 5; ++i) {
-    LocalAudit(registry, log, "e" + std::to_string(i)).Record();
+    std::string name = "e";
+    name += std::to_string(i);
+    LocalAudit(registry, log, name).Record();
   }
   const std::vector<LogEvent> events = log.Events();
   ASSERT_EQ(events.size(), 3u);
@@ -681,8 +683,9 @@ TEST(Trace, RingBufferKeepsNewestEvents) {
   Tracer tracer(4);
   tracer.Enable();
   for (int i = 0; i < 7; ++i) {
-    tracer.Inject("t", "e" + std::to_string(i), static_cast<std::uint64_t>(i),
-                  1);
+    std::string name = "e";
+    name += std::to_string(i);
+    tracer.Inject("t", name, static_cast<std::uint64_t>(i), 1);
   }
   EXPECT_EQ(tracer.event_count(), 4u);
   const std::vector<DrainedEvent> events = tracer.Drain();

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Repo check: tier-1 verify (full build + ctest), then the end-to-end
+# Repo check: tier-1 verify (full build with warnings as errors + ctest),
+# then the end-to-end
 # benchmark's self-tests against this tree, an
 # address/UB-sanitizer build of the concurrency-heavy tests, the
 # post-filter's contour tests and a hostile-input fuzz smoke, the
-# worker pool, bricked select and overload/cluster tests under tsan, a
+# worker pool, bricked select, post-filter ranges and overload/cluster
+# tests under tsan, a
 # storage-fault stage (retry ladder under tsan, seeded disk-fault
 # chaos with a bit-rot round trip), a chaos stage (seeded fault
 # schedules under tsan plus a real TCP kill -> restart -> serves-again
@@ -49,8 +51,8 @@ run_guard() {
   return "$status"
 }
 
-stage "tier-1: configure + build + ctest"
-cmake -B build -S . > /dev/null
+stage "tier-1: configure + build (warnings as errors) + ctest"
+cmake -B build -S . -DVIZNDP_WERROR=ON > /dev/null
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
@@ -93,9 +95,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # in 64-point words that end at each brick's edge.
   ./build-asan/tests/compress_test
   ./build-asan/tests/brick_test
-  # The post-filter's complete-cell walk reads the validity bitmap up to
-  # id + nx*ny + nx + 1 past each valid point, on uniform and stretched
-  # grids, in 3D and 2D.
+  # The post-filter reads the validity bitmap 64 bits at a time at
+  # unaligned offsets, up to its pad word, and its passes fill output
+  # slots sized from their counts, on uniform and stretched grids, in 3D
+  # and 2D.
   ./build-asan/tests/contour_test
   ./build-asan/tests/rectilinear_test
   # The replica walk's attempts run on their own threads against a
@@ -108,17 +111,21 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # byte-for-byte with the same command.
   ./build-asan/tools/vizndp_tool fuzz --seed 1 --iters 1500
 
-  stage "tsan: pool + bricked select + overload + rpc + trace + cluster (part/admission/drain/merge/hedge races)"
+  stage "tsan: pool + bricked select + post-filter + overload + rpc + trace + cluster (part/range/admission/drain/merge/hedge races)"
   cmake --preset tsan > /dev/null
   cmake --build build-tsan -j"$(nproc)" --target common_test brick_test \
-    integrity_test overload_test rpc_test trace_test cluster_test \
-    chaos_test vizndp_tool
+    integrity_test contour_test overload_test rpc_test trace_test \
+    cluster_test chaos_test vizndp_tool
   # The worker pool (claims, the caller's fallback, nested calls, the
   # lowest error) and the bricked select's parts over it: batches of one
   # to four parts, and rotted bricks settled across parts.
   ./build-tsan/tests/common_test
   ./build-tsan/tests/brick_test
   ./build-tsan/tests/integrity_test
+  # The post-filter's count and emit passes over ranges of complete
+  # cells on the same pool: every split point, and a call from a pool
+  # thread.
+  ./build-tsan/tests/contour_test
   ./build-tsan/tests/overload_test
   ./build-tsan/tests/rpc_test
   ./build-tsan/tests/trace_test
