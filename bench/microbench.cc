@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks for the substrate layers: codec
 // throughput (compress + decompress per input family, and LZ4 over the
 // bricks a select decodes), selection scan rate, the bricked select,
-// marching cubes rate, msgpack packing, and the selection wire
-// encodings. These are the numbers that explain where the milliseconds
-// in the figure benches go.
+// marching cubes rate, msgpack packing, the selection wire encoding and
+// the client's field build from it. These are the numbers that explain
+// where the milliseconds in the figure benches go.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -204,6 +204,37 @@ void BM_SelectionEncode(benchmark::State& state) {
                           static_cast<std::int64_t>(sel.ids.size()));
 }
 BENCHMARK(BM_SelectionEncode);
+
+// The client's field build from the wire, as a fetch does it per reply:
+// decode an encoded selection payload and scatter its runs into a fresh
+// SparseField. At 64^3 the value block is below the part minimum and
+// runs on the calling thread; at 128^3 it splits into parts.
+void BM_FieldBuild(benchmark::State& state) {
+  static const grid::Dataset large = [] {
+    sim::ImpactConfig cfg;
+    cfg.n = 128;
+    return sim::GenerateImpactTimestep(cfg, 24006, {"v02"});
+  }();
+  const grid::Dataset& ds = state.range(0) == 128 ? large : ImpactData();
+  const double isos[] = {0.1};
+  const contour::Selection sel =
+      contour::SelectInterestingPoints(ds.dims(), ds.GetArray("v02"), isos);
+  const Bytes payload = ndp::EncodeSelection(sel);
+  for (auto _ : state) {
+    state.PauseTiming();
+    Bytes received = payload;  // the reply's bytes, which the decode takes
+    state.ResumeTiming();
+    const ndp::DecodedSelection decoded =
+        ndp::DecodeSelection(std::move(received), ds.dims());
+    contour::SparseField field(ds.dims(), decoded.type);
+    field.Scatter(decoded.runs, decoded.type, decoded.values());
+    benchmark::DoNotOptimize(field);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sel.ids.size()));
+}
+BENCHMARK(BM_FieldBuild)->Arg(64)->Arg(128);
 
 void BM_MsgpackPackBin(benchmark::State& state) {
   const Bytes blob(static_cast<size_t>(state.range(0)), 0x3C);

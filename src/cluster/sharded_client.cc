@@ -149,16 +149,25 @@ void ShardedNdpClient::Park(std::vector<std::future<void>> futures,
   for (std::future<void>& f : join) f.get();
 }
 
-void ShardedNdpClient::Merge::Deliver(const ndp::StreamHeader& from,
-                                     const ndp::DecodedSelection& selection) {
-  std::lock_guard lk(mu);
+void ShardedNdpClient::Merge::AdoptLocked(const ndp::StreamHeader& from) {
   if (!field.has_value()) {
     header = from;
     field.emplace(from.dims, from.dtype);
   } else if (!ndp::SameGrid(header, from)) {
     throw Error("shards disagree on dataset shape — mixed replicas?");
   }
-  field->Scatter(selection.ids, selection.values);
+}
+
+void ShardedNdpClient::Merge::Adopt(const ndp::StreamHeader& from) {
+  std::lock_guard lk(mu);
+  AdoptLocked(from);
+}
+
+void ShardedNdpClient::Merge::Deliver(const ndp::StreamHeader& from,
+                                     const ndp::DecodedSelection& selection) {
+  std::lock_guard lk(mu);
+  AdoptLocked(from);
+  field->Scatter(selection.runs, selection.type, selection.values());
 }
 
 bool ShardedNdpClient::Walk::Wants(const Attempt* a) {
@@ -223,7 +232,16 @@ ndp::StreamAccumulator ShardedNdpClient::SubFetch(
                   merge.Deliver(a->acc.header, sel);
                   return true;
                 },
-                {}, [&] { return walk->Wants(a); });
+                [&](const ndp::StreamHeader& h) {
+                  // Until someone wins, SubFetch is still waiting on this
+                  // attempt, so `merge` is alive; a loser's header is
+                  // not the field's.
+                  std::lock_guard lk(walk->mu);
+                  if (walk->winner == nullptr || walk->winner == a) {
+                    merge.Adopt(h);
+                  }
+                },
+                [&] { return walk->Wants(a); });
           } catch (...) {
             error = std::current_exception();
           }
@@ -404,7 +422,8 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
             [&](ndp::DecodedSelection&& sel) {
               merge.Deliver(acc.header, sel);
               return true;
-            });
+            },
+            [&](const ndp::StreamHeader& h) { merge.Adopt(h); });
         selects.push_back(std::move(acc));
         rescued = true;
         break;
@@ -419,15 +438,8 @@ contour::SparseField ShardedNdpClient::FetchSparseField(
     if (!rescued) std::rethrow_exception(shard_failure);
   }
 
-  // A select with no straddling brick delivers nothing; its header still
-  // names the grid.
-  for (const ndp::StreamAccumulator& acc : selects) {
-    if (merge.field.has_value()) break;
-    if (acc.got_header) {
-      merge.header = acc.header;
-      merge.field.emplace(acc.header.dims, acc.header.dtype);
-    }
-  }
+  // Every walk adopts the first header it sees, so a select with no
+  // straddling brick, which delivers nothing, has still named the grid.
   VIZNDP_CHECK_MSG(merge.field.has_value(), "sharded fetch produced no field");
   if (geometry != nullptr) *geometry = merge.header.geometry;
 

@@ -138,15 +138,20 @@ class ShardedNdpClient : public ndp::NdpFetcher {
 
   // Shared scatter target of one fetch: shard workers deliver into it as
   // their data arrives (SparseField::Scatter is order/duplicate-
-  // invariant, so interleaving is safe). The first delivery fixes the
-  // grid; a shard that disagrees is a mixed-replica error.
+  // invariant, so interleaving is safe). The first header adopted builds
+  // the field, outside the decode and scatter spans; a shard whose grid
+  // differs is a mixed-replica error.
   struct Merge {
     std::mutex mu;
     std::optional<contour::SparseField> field;
     ndp::StreamHeader header;
 
+    void Adopt(const ndp::StreamHeader& from);
     void Deliver(const ndp::StreamHeader& from,
                  const ndp::DecodedSelection& selection);
+
+   private:
+    void AdoptLocked(const ndp::StreamHeader& from);
   };
 
   // One shard's slice (`only_bricks` nullptr = the whole dataset, for

@@ -19,34 +19,116 @@ SparseField::SparseField(grid::Dims dims, grid::DataType type)
           static_cast<size_t>(dims.PointCount()) * grid::DataTypeSize(type))),
       valid_((static_cast<size_t>(dims.PointCount()) + 63) / 64 + 1, 0) {}
 
+namespace {
+
+// Sets the validity bits of points [start, end), one masked OR per word,
+// and returns how many were not set before. std::popcount is a library
+// call without -mpopcnt, so it is paid only in a word where the run
+// meets bits already set: a re-scatter, or another chunk's ghost points.
+std::int64_t SetRunBits(std::uint64_t* valid, std::int64_t start,
+                        std::int64_t end) {
+  const size_t first = static_cast<size_t>(start >> 6);
+  const size_t last = static_cast<size_t>((end - 1) >> 6);
+  std::int64_t seen = 0;
+  for (size_t w = first; w <= last; ++w) {
+    std::uint64_t mask = ~std::uint64_t{0};
+    if (w == first) mask <<= static_cast<unsigned>(start & 63);
+    if (w == last) mask &= ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
+    const std::uint64_t word = valid[w];
+    if ((word & mask) != 0) seen += std::popcount(word & mask);
+    valid[w] = word | mask;
+  }
+  return end - start - seen;
+}
+
+// The 4 KiB pages of the value backing that `run` writes and no earlier
+// run of an ascending list did; `last` is the last page written so far.
+std::uint64_t NewPages(const PointRun& run, size_t elem, std::int64_t& last) {
+  const auto bytes = static_cast<std::int64_t>(elem);
+  const std::int64_t first = std::max(run.start * bytes / 4096, last + 1);
+  const std::int64_t end = ((run.start + run.length) * bytes - 1) / 4096;
+  last = end;
+  return end >= first ? static_cast<std::uint64_t>(end - first + 1) : 0;
+}
+
+}  // namespace
+
+void SparseField::Scatter(std::span<const PointRun> runs, grid::DataType type,
+                          ByteSpan values) {
+  VIZNDP_CHECK_MSG(type == type_, "scatter value type mismatch");
+  // Every check before the first write, so a rejected call leaves the
+  // field as it was.
+  const std::int64_t npoints = dims_.PointCount();
+  std::int64_t end = 0;
+  std::uint64_t points = 0;
+  for (const PointRun& run : runs) {
+    VIZNDP_CHECK_MSG(run.length > 0 && run.start >= end &&
+                         run.length <= npoints - run.start,
+                     "scatter runs must be ascending, disjoint and in range");
+    end = run.start + run.length;
+    points += static_cast<std::uint64_t>(run.length);
+  }
+  const size_t elem = grid::DataTypeSize(type_);
+  VIZNDP_CHECK_MSG(values.size() == points * elem,
+                   "scatter value block does not match its runs");
+
+  const std::vector<size_t> bounds =
+      detail::PartBounds(runs, elem, DefaultPool().threads());
+  const size_t parts = bounds.size() - 1;
+  // Each part's first value, and the points it newly validates.
+  std::vector<size_t> offset(parts);
+  std::vector<std::int64_t> added(parts);
+  for (size_t p = 1, r = 0, at = 0; p < parts; ++p) {
+    for (; r < bounds[p]; ++r) at += static_cast<size_t>(runs[r].length);
+    offset[p] = at;
+  }
+  const auto part = [&](size_t p) {
+    const Byte* from = values.data() + offset[p] * elem;
+    std::int64_t n = 0;
+    for (size_t r = bounds[p]; r < bounds[p + 1]; ++r) {
+      const PointRun& run = runs[r];
+      n += SetRunBits(valid_.data(), run.start, run.start + run.length);
+      const size_t bytes = static_cast<size_t>(run.length) * elem;
+      std::memcpy(values_.get() + static_cast<size_t>(run.start) * elem, from,
+                  bytes);
+      from += bytes;
+    }
+    added[p] = n;
+  };
+  if (parts == 1) {
+    part(0);
+  } else {
+    DefaultPool().Run(parts, part);
+  }
+  for (const std::int64_t n : added) valid_count_ += n;
+}
+
 void SparseField::Scatter(std::span<const grid::PointId> ids,
                           const grid::DataArray& values) {
   VIZNDP_CHECK_MSG(values.type() == type_, "scatter value type mismatch");
   VIZNDP_CHECK_MSG(static_cast<std::int64_t>(ids.size()) == values.size(),
                    "ids/values length mismatch");
   const size_t elem = grid::DataTypeSize(type_);
-  const ByteSpan raw = values.raw();
+  std::vector<PointRun> runs;
+  size_t first = 0;  // the batch's first id
+  const auto flush = [&](size_t next) {
+    Scatter(runs, type_,
+            values.raw().subspan(first * elem, (next - first) * elem));
+    runs.clear();
+    first = next;
+  };
   for (size_t i = 0; i < ids.size(); ++i) {
-    const grid::PointId id = ids[i];
-    VIZNDP_CHECK_MSG(id >= 0 && id < dims_.PointCount(),
-                     "scatter id out of range");
-    // Scatter is on the NDP client's critical path; 4-byte elements (the
-    // common case) take the direct-store fast path.
-    if (elem == 4) {
-      std::uint32_t word32;
-      std::memcpy(&word32, raw.data() + i * 4, 4);
-      std::memcpy(values_.get() + static_cast<size_t>(id) * 4, &word32, 4);
-    } else {
-      std::memcpy(values_.get() + static_cast<size_t>(id) * elem,
-                  raw.data() + i * elem, elem);
+    if (!runs.empty()) {
+      const grid::PointId end = runs.back().start + runs.back().length;
+      if (ids[i] == end) {
+        ++runs.back().length;
+        continue;
+      }
+      if (ids[i] < end) flush(i);
     }
-    auto& word = valid_[static_cast<size_t>(id >> 6)];
-    const std::uint64_t bit = 1ull << (static_cast<size_t>(id) & 63);
-    if ((word & bit) == 0) {
-      word |= bit;
-      ++valid_count_;
-    }
+    runs.push_back({ids[i], 1});
   }
+  flush(ids.size());
 }
 
 SparseField SparseField::FromSelection(const Selection& selection,
@@ -538,6 +620,37 @@ PolyData SparseField::Contour(const grid::RectilinearGeometry& geometry,
 }
 
 namespace detail {
+
+std::vector<size_t> PartBounds(std::span<const PointRun> runs, size_t elem,
+                               size_t threads) {
+  std::uint64_t points = 0;
+  std::uint64_t pages = 0;
+  std::int64_t last = -1;
+  for (const PointRun& run : runs) {
+    points += static_cast<std::uint64_t>(run.length);
+    pages += NewPages(run, elem, last);
+  }
+  const size_t parts = std::clamp<size_t>(points * elem / kMinPartBytes, 1,
+                                          std::max<size_t>(threads, 1));
+  std::vector<size_t> bounds{0};
+  size_t r = 0;
+  std::uint64_t before = 0;  // pages first written by runs [0, r)
+  last = -1;
+  const auto take = [&] { before += NewPages(runs[r++], elem, last); };
+  for (size_t p = 1; p < parts; ++p) {
+    const std::uint64_t target = pages * p / parts;
+    while (r < runs.size() && before < target) take();
+    // Two runs that share a word stay in one part.
+    while (r > 0 && r < runs.size() &&
+           (runs[r - 1].start + runs[r - 1].length - 1) >> 6 ==
+               runs[r].start >> 6) {
+      take();
+    }
+    if (r > bounds.back() && r < runs.size()) bounds.push_back(r);
+  }
+  bounds.push_back(runs.size());
+  return bounds;
+}
 
 std::vector<size_t> RangeBounds(size_t cells, size_t threads) {
   const size_t ranges = std::clamp<size_t>(cells / kMinRangeCells, 1,

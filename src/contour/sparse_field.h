@@ -16,11 +16,22 @@
 // cells, at most one per pool thread. The 2D contour is the serial
 // marching-squares walk.
 //
+// The field is built by runs of consecutive point ids, the wire's own
+// form (ndp/protocol.h): a run's validity bits take one masked OR per
+// 64-bit word and its values one memcpy. A value block of at least
+// 2 * kMinPartBytes is set and copied in parts on DefaultPool() that
+// first write about equal numbers of the backing's pages, cut between
+// runs that share no validity word, so the first-touch page faults of
+// the backing are taken on all cores.
+//
 // Memory follows the selection, not the grid: only the pages Scatter
 // writes become resident, plus the validity bitmap of one bit per grid
-// point (2 MiB at 256^3). A 3D Contour call adds 8 B per complete cell
-// for the list and 11 B per complete cell for the passes (case, owned
-// edges, first vertex, first triangle).
+// point (2 MiB at 256^3). Explore's selections (175k-192k values at
+// 256^3) touch 673-1,067 distinct 4 KiB pages of the 64 MiB backing,
+// and nearly every minor fault of a request is one of them. A 3D
+// Contour call adds 8 B per complete cell for the list and 11 B per
+// complete cell for the passes (case, owned edges, first vertex, first
+// triangle).
 #pragma once
 
 #include <memory>
@@ -37,7 +48,32 @@ namespace vizndp::contour {
 
 class SparseField;
 
+// Points start, start + 1, ..., start + length - 1.
+struct PointRun {
+  grid::PointId start = 0;
+  std::int64_t length = 0;
+};
+
 namespace detail {
+
+// The part rule's minimum: a scatter whose value block is under twice
+// this runs on the calling thread. Measured on prefixes of explore's
+// five 256^3 payloads (25-394 KB of values, scattered into fresh fields,
+// medians of 31): 32 KiB parts of a 66-108 KB block took 1.06-1.74x its
+// serial time, 64 KiB parts of a 131-199 KB block 0.61-1.02x, and 4
+// parts of a 262 KB block 0.37-0.74x, where 2 parts of 128 KiB took
+// 0.62-0.90x.
+inline constexpr size_t kMinPartBytes = 64 * 1024;
+
+// The part rule: run-index boundaries of a scatter's parts, one part per
+// kMinPartBytes of values (`elem` bytes per point), at most `threads`
+// and at least one. The parts first write about equal numbers of the
+// backing's 4 KiB pages, not equal bytes: into a fresh backing the page
+// faults are most of a scatter's time, and a payload is dense in a few
+// z-layers and sparse around them. A cut falls between two runs that
+// share no validity word, so parts write disjoint words.
+std::vector<size_t> PartBounds(std::span<const PointRun> runs, size_t elem,
+                               size_t threads);
 
 // The range rule's minimum: below 2 * kMinRangeCells complete cells the
 // 3D contour is one range, on the calling thread.
@@ -67,9 +103,19 @@ class SparseField {
  public:
   SparseField(grid::Dims dims, grid::DataType type);
 
-  // Scatters `values[i]` to point `ids[i]`. May be called repeatedly
-  // (e.g. one batch per RPC chunk); ids must be in range and the value
-  // type must match the field's.
+  // Scatters `values`, the raw values of `runs`' points in id order, of
+  // the field's `type`. The runs must be ascending, disjoint, non-empty
+  // and inside the grid, and the block exactly their points' size; a
+  // call that breaks this throws before it writes anything. May be
+  // called repeatedly (one batch per RPC chunk): a point scattered again
+  // takes the new value and is counted once.
+  void Scatter(std::span<const PointRun> runs, grid::DataType type,
+               ByteSpan values);
+
+  // Scatters `values[i]` to point `ids[i]`, through the run form: each
+  // stretch of ascending ids is one call, so a repeated id's last value
+  // wins. Ids must be in range and the value type must match the
+  // field's.
   void Scatter(std::span<const grid::PointId> ids,
                const grid::DataArray& values);
 

@@ -89,17 +89,21 @@ bool NdpClient::AcceptMap(StreamAccumulator& acc, StreamDecoder& decoder,
                           Value map, const StreamDeliverFn& deliver,
                           const StreamHeaderFn& on_header) const {
   obs::Span decode_span("ndp.decode");
-  const std::optional<StreamChunk> chunk = decoder.Feed(std::move(map));
+  std::optional<StreamChunk> chunk = decoder.Feed(std::move(map));
   if (!chunk.has_value()) {
-    AcceptHeader(acc, decoder.header(), on_header);
+    // The header callback builds the caller's field: its own time, not
+    // the decode's.
     decode_span.End();
     acc.decode_s += decode_span.ElapsedSeconds();
+    AcceptHeader(acc, decoder.header(), on_header);
     return true;
   }
-  DecodedSelection sel = DecodeSelection(chunk->payload, acc.header.dims);
+  const size_t payload_bytes = chunk->payload.size();
+  DecodedSelection sel =
+      DecodeSelection(std::move(chunk->payload), acc.header.dims);
   decode_span.End();
   acc.decode_s += decode_span.ElapsedSeconds();
-  const size_t points = sel.ids.size();
+  const std::uint64_t points = sel.count;
   obs::Span scatter_span("ndp.scatter");
   if (!deliver(std::move(sel))) return false;
   scatter_span.End();
@@ -108,7 +112,7 @@ bool NdpClient::AcceptMap(StreamAccumulator& acc, StreamDecoder& decoder,
   acc.chunks += 1;
   acc.bricks_done += chunk->bricks;
   acc.shipped_points += points;
-  acc.payload_bytes += chunk->payload.size();
+  acc.payload_bytes += payload_bytes;
   if (acc.streamed() && progress_) {
     progress_(StreamProgress{acc.chunks, acc.bricks_done,
                              acc.header.stream_bricks, acc.shipped_points,
@@ -221,12 +225,13 @@ contour::SparseField NdpClient::FetchSparseField(
   StreamAccumulator acc;
   acc.stream = stream_;
   // The field is built once the grid is known, outside the decode and
-  // scatter spans: ndp.fetch's own time is the field build.
+  // scatter spans: on a one-shot reply, ndp.fetch's own time is the field
+  // build.
   std::optional<contour::SparseField> field;
   StreamSelect(
       key, array, isovalues, nullptr, acc,
       [&](DecodedSelection&& sel) {
-        field->Scatter(sel.ids, sel.values);
+        field->Scatter(sel.runs, sel.type, sel.values());
         return true;
       },
       [&](const StreamHeader& h) { field.emplace(h.dims, h.dtype); });

@@ -172,15 +172,16 @@ class NdpClient : public NdpFetcher {
   void SetStreamProgress(StreamProgressFn fn) { progress_ = std::move(fn); }
 
   // Each data chunk's decoded selection, handed over by StreamSelect
-  // inside an "ndp.scatter" span; the accumulator's header has always
-  // arrived by the first call. Returning false is the one way to cancel
-  // a select, and leaves the chunk uncounted: a stream sends the cancel
-  // frame and drains to its terminal, a one-shot reply's remaining maps
-  // are dropped.
+  // inside an "ndp.scatter" span: the payload's runs and its value block
+  // in place, for SparseField::Scatter by runs. The accumulator's header
+  // has always arrived by the first call. Returning false is the one way
+  // to cancel a select, and leaves the chunk uncounted: a stream sends
+  // the cancel frame and drains to its terminal, a one-shot reply's
+  // remaining maps are dropped.
   using StreamDeliverFn = std::function<bool(DecodedSelection&&)>;
   // Called once, when the first header arrives, before any delivery and
-  // outside the scatter span: where a caller builds what it scatters
-  // into.
+  // outside the decode and scatter spans: where a caller builds what it
+  // scatters into.
   using StreamHeaderFn = std::function<void(const StreamHeader&)>;
   // Asked before each resume, never per chunk: false means the caller
   // does not want this node to continue the select, so its error

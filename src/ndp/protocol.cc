@@ -1,5 +1,6 @@
 #include "ndp/protocol.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <string>
@@ -347,7 +348,7 @@ Bytes EncodeSelection(const contour::Selection& selection) {
   return out;
 }
 
-DecodedSelection DecodeSelection(ByteSpan payload, const grid::Dims& dims) {
+DecodedSelection DecodeSelection(Bytes payload, const grid::Dims& dims) {
   if (payload.size() < 10) throw DecodeError("selection payload too short");
   if (payload[0] != kRunLengthTag) {
     throw DecodeError("unknown selection encoding tag");
@@ -361,39 +362,43 @@ DecodedSelection DecodeSelection(ByteSpan payload, const grid::Dims& dims) {
   size_t pos = 10;
 
   // Bound before the reserve: a hostile count must get a typed rejection,
-  // not a bad_alloc. Every id carries a value in the bytes left.
+  // not a bad_alloc. Every id carries a value in the bytes left, and
+  // every run takes at least two bytes of what the values leave.
   const size_t value_size = grid::DataTypeSize(type);
   if (count > (payload.size() - pos) / value_size) {
     throw DecodeError("selection count exceeds the payload");
   }
   DecodedSelection out;
-  out.ids.reserve(count);
+  out.runs.reserve(std::min<size_t>(
+      count, (payload.size() - pos - count * value_size) / 2));
   // Each run is checked against the grid before it is added, so a
   // hostile gap or run can neither overflow nor leave the grid.
   const auto npoints = static_cast<std::uint64_t>(dims.PointCount());
+  std::uint64_t points = 0;
   std::uint64_t prev_end = 0;
-  while (out.ids.size() < count) {
+  while (points < count) {
     const std::uint64_t gap = ReadVarint(payload, pos);
     const std::uint64_t run = ReadVarint(payload, pos);
-    if (run == 0 || run > count - out.ids.size()) {
+    if (run == 0 || run > count - points) {
       throw DecodeError("run-length selection run overruns count");
     }
     if (gap > npoints - prev_end || run > npoints - prev_end - gap) {
       throw DecodeError("selection id out of grid range");
     }
     const std::uint64_t start = prev_end + gap;
-    for (std::uint64_t id = start; id < start + run; ++id) {
-      out.ids.push_back(static_cast<grid::PointId>(id));
-    }
+    out.runs.push_back({static_cast<grid::PointId>(start),
+                        static_cast<std::int64_t>(run)});
+    points += run;
     prev_end = start + run;
   }
 
   if (pos + count * value_size != payload.size()) {
     throw DecodeError("selection value block has wrong size");
   }
-  out.values = grid::DataArray(
-      "selection", type,
-      Bytes(payload.begin() + static_cast<std::ptrdiff_t>(pos), payload.end()));
+  out.count = count;
+  out.type = type;
+  out.payload = std::move(payload);
+  out.values_offset = pos;
   return out;
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "contour/select.h"
+#include "contour/sparse_field.h"
 #include "grid/data_array.h"
 #include "grid/dims.h"
 #include "msgpack/value.h"
@@ -25,17 +26,27 @@ namespace vizndp::ndp {
 
 inline constexpr std::uint8_t kRunLengthTag = 3;
 
+// A payload in the wire's own form, which is also the form the client
+// scatters (SparseField::Scatter by runs): its runs, parsed and checked,
+// and the received payload itself, whose value block is left in place.
 struct DecodedSelection {
-  std::vector<grid::PointId> ids;  // sorted ascending
-  grid::DataArray values;
+  std::vector<contour::PointRun> runs;  // ascending, disjoint, in the grid
+  std::uint64_t count = 0;              // points: the runs' summed length
+  grid::DataType type = grid::DataType::Float32;
+  Bytes payload;             // as received, moved in
+  size_t values_offset = 0;  // where its value block starts
+
+  // The runs' values in id order, count * DataTypeSize(type) bytes.
+  ByteSpan values() const { return ByteSpan(payload).subspan(values_offset); }
 };
 
 Bytes EncodeSelection(const contour::Selection& selection);
 
-// `dims` must match the grid the selection was taken from: every id must
-// fall inside it. Throws DecodeError on malformed payloads, before any
+// `dims` must match the grid the selection was taken from: every run must
+// fall inside it. Throws DecodeError on malformed payloads (tag, dtype,
+// count, each gap and run, the value block's size), before any
 // allocation the payload's own size does not bound.
-DecodedSelection DecodeSelection(ByteSpan payload, const grid::Dims& dims);
+DecodedSelection DecodeSelection(Bytes payload, const grid::Dims& dims);
 
 // Unsigned LEB128 helpers (shared with tests).
 void AppendVarint(std::uint64_t value, Bytes& out);

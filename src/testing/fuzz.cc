@@ -142,9 +142,10 @@ void ValidateStreamFrames(ByteSpan input) {
       decoder.Finish();
       continue;
     }
-    const std::optional<ndp::StreamChunk> chunk = decoder.Feed(frame);
+    std::optional<ndp::StreamChunk> chunk = decoder.Feed(frame);
     if (chunk.has_value()) {
-      (void)ndp::DecodeSelection(chunk->payload, decoder.header().dims);
+      (void)ndp::DecodeSelection(std::move(chunk->payload),
+                                 decoder.header().dims);
     }
   }
   if (!decoder.finished()) {

@@ -48,6 +48,15 @@ std::uint64_t CounterValue(const std::string& name) {
   return obs::DefaultRegistry().GetCounter(name).value();
 }
 
+// A decoded selection's ids, expanded from its runs.
+std::vector<grid::PointId> Ids(const ndp::DecodedSelection& sel) {
+  std::vector<grid::PointId> ids;
+  for (const contour::PointRun& run : sel.runs) {
+    for (std::int64_t i = 0; i < run.length; ++i) ids.push_back(run.start + i);
+  }
+  return ids;
+}
+
 // One one-shot select of ts.vnd, optionally restricted to `bricks`, with
 // a collecting deliver: its accounting and its one chunk's selection.
 struct Collected {
@@ -186,14 +195,13 @@ TEST(Cluster, RestrictionUnionMatchesFullSelection) {
   for (const auto& slice : map.Partition("ts.vnd", meta->brick_count)) {
     if (slice.empty()) continue;
     const Collected part = Collect(*client, &slice);
-    merged.insert(merged.end(), part.selection.ids.begin(),
-                  part.selection.ids.end());
+    const std::vector<grid::PointId> ids = Ids(part.selection);
+    merged.insert(merged.end(), ids.begin(), ids.end());
     EXPECT_LE(part.acc.bricks_read, full.acc.bricks_read);
   }
   std::sort(merged.begin(), merged.end());
   merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  std::vector<grid::PointId> expect(full.selection.ids.begin(),
-                                    full.selection.ids.end());
+  std::vector<grid::PointId> expect = Ids(full.selection);
   std::sort(expect.begin(), expect.end());
   EXPECT_EQ(merged, expect);
 }
@@ -233,11 +241,12 @@ TEST(Cluster, MergeIsPermutationAndDuplicateInvariant) {
     contour::SparseField field(partials[0].acc.header.dims,
                                partials[0].acc.header.dtype);
     for (const size_t i : order) {
-      field.Scatter(partials[i].selection.ids, partials[i].selection.values);
+      const ndp::DecodedSelection& sel = partials[i].selection;
+      field.Scatter(sel.runs, sel.type, sel.values());
     }
     // Duplicate one partial: a hedge loser that delivered anyway.
-    field.Scatter(partials[order[0]].selection.ids,
-                  partials[order[0]].selection.values);
+    const ndp::DecodedSelection& again = partials[order[0]].selection;
+    field.Scatter(again.runs, again.type, again.values());
     EXPECT_EQ(field.ValidCount(), reference_field.ValidCount());
     EXPECT_TRUE(
         field.Contour(geometry, kIsos).GeometricallyEquals(reference, 0.0));

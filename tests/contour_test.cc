@@ -1410,6 +1410,269 @@ TEST(SparseField, ResidentMemoryFollowsScatter) {
   EXPECT_LT(growth_kib, 16 * 1024) << "VmRSS grew by " << growth_kib << " KiB";
 }
 
+// ---- The field build by runs
+
+// Ascending, disjoint runs over `d` with gaps of 0 to `max_gap` points
+// (0: two runs touch) and lengths of 1 to `max_length`.
+std::vector<PointRun> RandomRuns(const grid::Dims& d, unsigned seed,
+                                 std::int64_t max_gap,
+                                 std::int64_t max_length) {
+  std::mt19937 rng(seed);
+  std::vector<PointRun> runs;
+  std::int64_t at = 0;
+  for (;;) {
+    const auto start = at + static_cast<std::int64_t>(
+                                rng() % static_cast<unsigned>(max_gap + 1));
+    const auto length = 1 + static_cast<std::int64_t>(
+                                rng() % static_cast<unsigned>(max_length));
+    if (start + length > d.PointCount()) return runs;
+    runs.push_back({start, length});
+    at = start + length;
+  }
+}
+
+std::int64_t PointsIn(std::span<const PointRun> runs) {
+  std::int64_t n = 0;
+  for (const PointRun& run : runs) n += run.length;
+  return n;
+}
+
+// The values of `runs`' points in id order, taken from `f`.
+template <typename T>
+Bytes RunValues(std::span<const PointRun> runs, const std::vector<T>& f) {
+  Bytes out;
+  for (const PointRun& run : runs) {
+    const ByteSpan bytes = AsBytes(std::span<const T>(f).subspan(
+        static_cast<size_t>(run.start), static_cast<size_t>(run.length)));
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+  return out;
+}
+
+// The per-point reference: the same points, one id per run, in
+// descending order, so that the id form scatters each in its own call.
+template <typename T>
+SparseField PerPointField(const grid::Dims& d, std::span<const PointRun> runs,
+                          const std::vector<T>& f) {
+  std::vector<grid::PointId> ids;
+  std::vector<T> values;
+  for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
+    for (std::int64_t p = run->start + run->length - 1; p >= run->start; --p) {
+      ids.push_back(p);
+      values.push_back(f[static_cast<size_t>(p)]);
+    }
+  }
+  SparseField field(d, grid::DataTypeOf<T>());
+  field.Scatter(ids, grid::DataArray::FromVector("v", values));
+  return field;
+}
+
+void ExpectSameBits(const SparseField& got, const SparseField& want) {
+  ASSERT_EQ(got.ValidCount(), want.ValidCount());
+  for (grid::PointId id = 0; id < got.dims().PointCount(); ++id) {
+    ASSERT_EQ(got.IsValid(id), want.IsValid(id)) << "point " << id;
+  }
+}
+
+// Scatter by runs against the per-point reference: the same validity
+// bits, ValidCount and contour, and a second scatter of the same runs
+// adds no point and changes no value.
+template <typename T>
+void ExpectRunsMatchPerPoint(const grid::Dims& d,
+                             std::span<const PointRun> runs,
+                             const std::vector<T>& f) {
+  const grid::DataType type = grid::DataTypeOf<T>();
+  const Bytes values = RunValues(runs, f);
+  SparseField field(d, type);
+  field.Scatter(runs, type, values);
+  const SparseField want = PerPointField(d, runs, f);
+  EXPECT_EQ(field.ValidCount(), PointsIn(runs));
+  ExpectSameBits(field, want);
+  const double isos[] = {0.3, 0.7};
+  const PolyData reference = want.Contour(grid::UniformGeometry{}, isos);
+  EXPECT_GT(reference.TriangleCount(), 0u);
+  ExpectIdentical(field.Contour(grid::UniformGeometry{}, isos), reference);
+  field.Scatter(runs, type, values);
+  ExpectSameBits(field, want);
+  ExpectIdentical(field.Contour(grid::UniformGeometry{}, isos), reference);
+}
+
+TEST(SparseRuns, ScatterMatchesThePerPointReference) {
+  // Below the part minimum: one part, on the calling thread.
+  const grid::Dims small{20, 18, 16};
+  const std::vector<PointRun> few = RandomRuns(small, 1, 12, 40);
+  ASSERT_LT(static_cast<size_t>(PointsIn(few)) * 4, detail::kMinPartBytes);
+  ASSERT_EQ(detail::PartBounds(few, 4, 4).size(), 2u);
+  ExpectRunsMatchPerPoint(small, few, RandomField<float>(small, 2));
+  // Four parts at four threads, on every machine with more than one.
+  const grid::Dims large{72, 72, 72};
+  const std::vector<PointRun> many = RandomRuns(large, 3, 40, 60);
+  ASSERT_EQ(detail::PartBounds(many, 4, 4).size(), 5u);
+  ExpectRunsMatchPerPoint(large, many, RandomField<float>(large, 4));
+  ExpectRunsMatchPerPoint(large, RandomRuns(large, 5, 3, 12),
+                          RandomField<double>(large, 6));
+}
+
+TEST(SparseRuns, OverlappingChunksCountEachPointOnce) {
+  // Ghost points: chunks that share whole runs, and a chunk of runs
+  // trimmed by one point at each end, which meets set bits inside words.
+  const grid::Dims d{72, 72, 72};
+  const auto f = RandomField<float>(d, 7);
+  const std::vector<PointRun> runs = RandomRuns(d, 8, 40, 60);
+  const std::span<const PointRun> all(runs);
+  std::vector<PointRun> trimmed;
+  for (const PointRun& run : runs) {
+    if (run.length > 2) trimmed.push_back({run.start + 1, run.length - 2});
+  }
+  SparseField field(d, grid::DataType::Float32);
+  for (const std::span<const PointRun> chunk :
+       {all.subspan(runs.size() / 3), all.first(runs.size() * 2 / 3),
+        std::span<const PointRun>(trimmed)}) {
+    field.Scatter(chunk, grid::DataType::Float32, RunValues(chunk, f));
+  }
+  const SparseField want = PerPointField(d, all, f);
+  ExpectSameBits(field, want);
+  const double isos[] = {0.5};
+  ExpectIdentical(field.Contour(grid::UniformGeometry{}, isos),
+                  want.Contour(grid::UniformGeometry{}, isos));
+}
+
+TEST(SparseRuns, RejectsABadRunListBeforeAnyWrite) {
+  // The good runs are long enough to split into parts; each bad list
+  // breaks the rule at its end or in its middle.
+  const grid::Dims d{72, 72, 72};
+  const auto f = RandomField<float>(d, 9);
+  const std::vector<PointRun> good = RandomRuns(d, 10, 40, 60);
+  ASSERT_GT(detail::PartBounds(good, 4, 4).size(), 2u);
+  const PointRun last = good.back();
+  const auto with = [&](PointRun extra) {
+    std::vector<PointRun> runs = good;
+    runs.push_back(extra);
+    return runs;
+  };
+  std::vector<PointRun> swapped = good;
+  std::swap(swapped[swapped.size() / 2], swapped[swapped.size() / 2 + 1]);
+  std::vector<PointRun> doubled = good;
+  const PointRun twice = doubled[100];
+  doubled.insert(doubled.begin() + 100, twice);
+  const std::vector<std::vector<PointRun>> bad = {
+      with({last.start + last.length - 1, 1}),  // overlaps the last run
+      with({good.front().start, 1}),            // descends
+      with({last.start + last.length, 0}),      // empty
+      with({d.PointCount() - 1, 2}),            // leaves the grid
+      swapped, doubled};
+  for (size_t b = 0; b < bad.size(); ++b) {
+    SparseField field(d, grid::DataType::Float32);
+    Bytes values(static_cast<size_t>(PointsIn(bad[b])) * 4);
+    EXPECT_THROW(field.Scatter(bad[b], grid::DataType::Float32, values), Error)
+        << "list " << b;
+    EXPECT_EQ(field.ValidCount(), 0) << "list " << b;
+    for (grid::PointId id = 0; id < d.PointCount(); ++id) {
+      ASSERT_FALSE(field.IsValid(id)) << "list " << b << ", point " << id;
+    }
+  }
+  // A value block one point short, and values of another type.
+  SparseField field(d, grid::DataType::Float32);
+  Bytes values = RunValues(std::span<const PointRun>(good), f);
+  values.resize(values.size() - 4);
+  EXPECT_THROW(field.Scatter(good, grid::DataType::Float32, values), Error);
+  values.resize(values.size() + 4);
+  EXPECT_THROW(field.Scatter(good, grid::DataType::Float64, values), Error);
+  EXPECT_EQ(field.ValidCount(), 0);
+}
+
+// The 4 KiB pages of 4-byte values that each part of `runs` cut at
+// `bounds` is the first to write.
+std::vector<std::int64_t> PartPages(std::span<const PointRun> runs,
+                                    const std::vector<size_t>& bounds) {
+  std::vector<std::int64_t> pages;
+  std::set<std::int64_t> written;
+  for (size_t p = 0; p + 1 < bounds.size(); ++p) {
+    std::int64_t n = 0;
+    for (size_t r = bounds[p]; r < bounds[p + 1]; ++r) {
+      const PointRun& run = runs[r];
+      for (std::int64_t page = run.start * 4 / 4096;
+           page <= ((run.start + run.length) * 4 - 1) / 4096; ++page) {
+        n += written.insert(page).second ? 1 : 0;
+      }
+    }
+    pages.push_back(n);
+  }
+  return pages;
+}
+
+// Checks the part rule's bounds for 4-byte values at `threads`: the part
+// count, about equal pages per part (within `slack`), and every cut
+// between two runs that share no validity word.
+void ExpectPartRule(std::span<const PointRun> runs, size_t threads,
+                    std::int64_t slack) {
+  const std::vector<size_t> bounds = detail::PartBounds(runs, 4, threads);
+  const size_t parts = std::clamp<size_t>(
+      static_cast<size_t>(PointsIn(runs)) * 4 / detail::kMinPartBytes, 1,
+      std::max<size_t>(threads, 1));
+  ASSERT_EQ(bounds.size(), parts + 1) << "threads " << threads;
+  EXPECT_EQ(bounds.front(), 0u);
+  EXPECT_EQ(bounds.back(), runs.size());
+  const std::vector<std::int64_t> pages = PartPages(runs, bounds);
+  std::int64_t total = 0;
+  for (const std::int64_t n : pages) total += n;
+  for (size_t p = 0; p < parts; ++p) {
+    ASSERT_LT(bounds[p], bounds[p + 1]);
+    EXPECT_LE(std::abs(pages[p] - total / static_cast<std::int64_t>(parts)),
+              slack)
+        << "threads " << threads << ", part " << p;
+    if (p > 0) {
+      const PointRun& before = runs[bounds[p] - 1];
+      EXPECT_NE((before.start + before.length - 1) >> 6,
+                runs[bounds[p]].start >> 6)
+          << "threads " << threads << ", cut " << p;
+    }
+  }
+}
+
+TEST(SparseRuns, PartRuleCutsBetweenRunsThatShareNoWord) {
+  using Bounds = std::vector<size_t>;
+  EXPECT_EQ(detail::PartBounds({}, 4, 4), (Bounds{0, 0}));
+  // Runs of 3 points with a gap of 0 or 2: most neighbours share a word,
+  // and every page is written.
+  for (const std::int64_t gap : {0, 2}) {
+    const auto runs_for = [&](size_t bytes) {
+      std::vector<PointRun> runs;
+      const auto points = static_cast<std::int64_t>(bytes / 4);
+      for (std::int64_t at = 0; at + 3 <= points; at += 3 + gap) {
+        runs.push_back({at, 3});
+      }
+      return runs;
+    };
+    const std::vector<PointRun> below =
+        runs_for(2 * detail::kMinPartBytes - 64);
+    EXPECT_EQ(detail::PartBounds(below, 4, 4), (Bounds{0, below.size()}));
+    const std::vector<PointRun> runs = runs_for(10 * detail::kMinPartBytes);
+    EXPECT_EQ(detail::PartBounds(runs, 4, 1), (Bounds{0, runs.size()}));
+    EXPECT_EQ(detail::PartBounds(runs, 4, 0), (Bounds{0, runs.size()}));
+    // 10 parts' worth of bytes without gaps, 6 with. Each cut moves past
+    // its target by at most a run and the runs chained to it by shared
+    // words, under a page.
+    for (const size_t threads : {2, 4, 16}) ExpectPartRule(runs, threads, 2);
+  }
+  // A cut never falls inside a run.
+  const std::vector<PointRun> one = {
+      {0, 4 * static_cast<std::int64_t>(detail::kMinPartBytes)}};
+  EXPECT_EQ(detail::PartBounds(one, 4, 4), (Bounds{0, 1}));
+}
+
+TEST(SparseRuns, PartRuleBalancesPagesNotBytes) {
+  // A dense stretch of 256 KiB of values in about 70 pages, then 300 runs
+  // of 4 points a page apart: parts of equal bytes would leave the 300
+  // sparse pages to the last part.
+  std::vector<PointRun> runs;
+  std::int64_t at = 0;
+  for (; at < 65536 * 64 / 60; at += 64) runs.push_back({at, 60});
+  for (int r = 0; r < 300; ++r, at += 1024) runs.push_back({at, 4});
+  ASSERT_EQ(PointsIn(runs) * 4 / detail::kMinPartBytes, 4);
+  for (const size_t threads : {2, 3, 4}) ExpectPartRule(runs, threads, 2);
+}
+
 TEST(Components, TwoSpheresGiveTwoComponents) {
   const grid::Dims d{30, 16, 16};
   std::vector<float> f(static_cast<size_t>(d.PointCount()), 10.0f);

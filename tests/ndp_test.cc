@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <random>
@@ -12,6 +14,7 @@
 #include "ndp/catalog.h"
 #include "ndp/protocol.h"
 #include "net/inproc.h"
+#include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pipeline/elements.h"
@@ -60,15 +63,24 @@ TEST(Varint, OverflowRejected) {
   EXPECT_THROW(ReadVarint(buf, pos), DecodeError);
 }
 
+// A decoded selection's ids, expanded from its runs.
+std::vector<grid::PointId> Ids(const DecodedSelection& sel) {
+  std::vector<grid::PointId> ids;
+  for (const contour::PointRun& run : sel.runs) {
+    for (std::int64_t i = 0; i < run.length; ++i) ids.push_back(run.start + i);
+  }
+  return ids;
+}
+
 TEST(Encoding, RoundTripRecoversSelection) {
   const grid::Dims dims{9, 9, 9};
   const contour::Selection sel = MakeSelection(1, dims);
   ASSERT_GT(sel.ids.size(), 0u);
   const Bytes payload = EncodeSelection(sel);
   const DecodedSelection back = DecodeSelection(payload, dims);
-  EXPECT_EQ(back.ids, sel.ids);
-  EXPECT_EQ(back.values.raw().size(), sel.values.raw().size());
-  EXPECT_TRUE(std::equal(back.values.raw().begin(), back.values.raw().end(),
+  EXPECT_EQ(Ids(back), sel.ids);
+  EXPECT_EQ(back.values().size(), sel.values.raw().size());
+  EXPECT_TRUE(std::equal(back.values().begin(), back.values().end(),
                          sel.values.raw().begin()));
 }
 
@@ -79,7 +91,82 @@ TEST(Encoding, EmptySelection) {
   sel.values = grid::DataArray("f", grid::DataType::Float32, Bytes{});
   const Bytes payload = EncodeSelection(sel);
   const DecodedSelection back = DecodeSelection(payload, sel.dims);
-  EXPECT_TRUE(back.ids.empty());
+  EXPECT_TRUE(Ids(back).empty());
+}
+
+// The decoder hands back exactly the encoder's runs, the payload's own
+// bytes as its value block, and the count: on random runs and gaps, with
+// runs that end at bits 63, 64 and 65 of a validity word and one that
+// ends at the grid's last point.
+TEST(Encoding, DecodeReturnsTheEncodersRuns) {
+  const grid::Dims dims{40, 30, 20};
+  const std::int64_t npoints = dims.PointCount();
+  for (unsigned seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    std::vector<contour::PointRun> want;
+    std::int64_t at = 0;
+    const auto add = [&](std::int64_t start, std::int64_t length) {
+      want.push_back({start, length});
+      at = start + length;
+    };
+    // Runs whose last point is bit 63 of word 3, bit 64 of word 5 (bit 0
+    // of word 6) and bit 65 of word 7 (bit 1 of word 8).
+    for (const std::int64_t last : {3 * 64 + 63, 5 * 64 + 64, 7 * 64 + 65}) {
+      const auto length = static_cast<std::int64_t>(1 + rng() % 40);
+      add(last + 1 - length, length);
+    }
+    for (;;) {
+      const auto start = static_cast<std::int64_t>(at + 1 + rng() % 300);
+      const auto length = static_cast<std::int64_t>(1 + rng() % 70);
+      if (start + length > npoints - 100) break;
+      add(start, length);
+    }
+    const auto tail = static_cast<std::int64_t>(1 + rng() % 60);
+    add(npoints - tail, tail);  // ends at the grid's last point
+
+    contour::Selection sel;
+    sel.dims = dims;
+    sel.total_points = npoints;
+    std::vector<float> values;
+    for (const contour::PointRun& run : want) {
+      for (std::int64_t i = 0; i < run.length; ++i) {
+        sel.ids.push_back(run.start + i);
+        values.push_back(static_cast<float>(rng() % 1000) / 7.0f);
+      }
+    }
+    sel.values = grid::DataArray::FromVector("f", values);
+    const DecodedSelection back = DecodeSelection(EncodeSelection(sel), dims);
+    ASSERT_EQ(back.runs.size(), want.size()) << "seed " << seed;
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(back.runs[r].start, want[r].start) << "seed " << seed;
+      EXPECT_EQ(back.runs[r].length, want[r].length) << "seed " << seed;
+    }
+    EXPECT_EQ(back.count, sel.ids.size());
+    EXPECT_EQ(back.type, grid::DataType::Float32);
+    ASSERT_EQ(back.values().size(), sel.values.raw().size());
+    EXPECT_TRUE(std::equal(back.values().begin(), back.values().end(),
+                           sel.values.raw().begin()));
+  }
+  // The pre-filter's own selections: the runs are the ids' ascending
+  // stretches.
+  for (unsigned seed = 1; seed <= 5; ++seed) {
+    const grid::Dims small{17, 13, 11};
+    const contour::Selection sel = MakeSelection(seed, small);
+    std::vector<contour::PointRun> want;
+    for (const grid::PointId id : sel.ids) {
+      if (!want.empty() && want.back().start + want.back().length == id) {
+        ++want.back().length;
+      } else {
+        want.push_back({id, 1});
+      }
+    }
+    const DecodedSelection back = DecodeSelection(EncodeSelection(sel), small);
+    ASSERT_EQ(back.runs.size(), want.size()) << "seed " << seed;
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(back.runs[r].start, want[r].start) << "seed " << seed;
+      EXPECT_EQ(back.runs[r].length, want[r].length) << "seed " << seed;
+    }
+  }
 }
 
 std::string Hex(ByteSpan bytes) {
@@ -183,6 +270,23 @@ TEST(Encoding, MalformedPayloadsThrow) {
                                            Bytes{0, 1}),
                                grid::Dims{1 << 20, 1 << 20, 1 << 20}),
                DecodeError);
+}
+
+// The encoder merges touching runs, but a gap of 0 is legal on the wire:
+// it decodes as two adjacent runs.
+TEST(Encoding, GapZeroIsTwoRuns) {
+  Bytes tail;
+  for (const std::uint64_t v : {2ull, 3ull, 0ull, 4ull}) AppendVarint(v, tail);
+  tail.resize(tail.size() + 7 * sizeof(float));
+  const DecodedSelection sel = DecodeSelection(
+      PayloadWith(kRunLengthTag, 0, 7, tail), grid::Dims{4, 4, 4});
+  ASSERT_EQ(sel.runs.size(), 2u);
+  EXPECT_EQ(sel.runs[0].start, 2);
+  EXPECT_EQ(sel.runs[0].length, 3);
+  EXPECT_EQ(sel.runs[1].start, 5);
+  EXPECT_EQ(sel.runs[1].length, 4);
+  EXPECT_EQ(sel.count, 7u);
+  EXPECT_EQ(sel.values().size(), 7 * sizeof(float));
 }
 
 TEST(Encoding, IdsOutsideGridRejected) {
@@ -422,6 +526,39 @@ TEST(NdpEndToEnd, MovesFarFewerBytesThanBaseline) {
   EXPECT_LT(ndp_bytes * 2, baseline_bytes);
 }
 
+// A one-shot payload of several part minimums scatters in parts on the
+// pool, and the field contours exactly as the full read does.
+TEST(NdpEndToEnd, ScatterInPartsMatchesTheFullRead) {
+  Testbed testbed;
+  const grid::Dims dims{64, 64, 64};
+  std::vector<float> f(static_cast<size_t>(dims.PointCount()));
+  for (std::int64_t k = 0; k < dims.nz; ++k) {
+    for (std::int64_t j = 0; j < dims.ny; ++j) {
+      for (std::int64_t i = 0; i < dims.nx; ++i) {
+        f[static_cast<size_t>(dims.Index(i, j, k))] = static_cast<float>(
+            std::sin(0.45 * i) * std::sin(0.4 * j) * std::sin(0.35 * k));
+      }
+    }
+  }
+  grid::Dataset dataset(dims);
+  dataset.AddArray(grid::DataArray::FromVector("v02", f));
+  io::VndWriter writer(dataset);
+  writer.SetCodec(compress::MakeCodec("none"));
+  writer.WriteToStore(testbed.store(), testbed.bucket(), "wave.vnd");
+
+  const std::vector<double> isovalues = {0.05};
+  NdpLoadStats stats;
+  grid::UniformGeometry geometry;
+  const contour::SparseField field = testbed.ndp_client().FetchSparseField(
+      "wave.vnd", "v02", isovalues, &geometry, &stats);
+  EXPECT_GE(stats.payload_bytes, 4 * contour::detail::kMinPartBytes);
+  const contour::PolyData oracle = contour::MarchingCubes(
+      dims, dataset.geometry(), dataset.GetArray("v02"), isovalues);
+  ASSERT_GT(oracle.TriangleCount(), 0u);
+  EXPECT_TRUE(
+      field.Contour(geometry, isovalues).GeometricallyEquals(oracle, 0.0));
+}
+
 TEST(NdpEndToEnd, MultiArrayPipelinesShareOneServer) {
   // The paper runs one contour filter instance per array (v02 + v03).
   PopulatedTestbed fx;
@@ -641,6 +778,39 @@ TEST(NdpObservability, TraceCapturesSplitPipelinePhases) {
   // Both halves render on their own named tracks.
   EXPECT_NE(json.find("\"server\""), std::string::npos);
   EXPECT_NE(json.find("\"client\""), std::string::npos);
+}
+
+// The header callback builds the caller's field outside ndp.decode: one
+// that sleeps 30 ms leaves every decode span short, in both reply shapes.
+TEST(NdpObservability, HeaderCallbackRunsOutsideTheDecodeSpan) {
+  PopulatedTestbed fx("lz4");
+  obs::Tracer& tracer = obs::GlobalTracer();
+  for (const std::int64_t chunk_bricks : {0, 1}) {
+    tracer.Clear();
+    tracer.Enable();
+    {
+      const obs::ScopedTraceContext root(
+          obs::TraceContext::Mint(/*sampled=*/true));
+      StreamAccumulator acc;
+      acc.stream.chunk_bricks = chunk_bricks;
+      fx.testbed.ndp_client().StreamSelect(
+          PopulatedTestbed::kKey, "v02", {0.1}, nullptr, acc,
+          [](DecodedSelection&&) { return true; },
+          [](const StreamHeader&) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(30));
+          });
+      EXPECT_GE(acc.chunks, 1u);
+    }
+    tracer.Enable(false);
+    size_t decodes = 0;
+    for (const obs::DrainedEvent& e : tracer.Drain()) {
+      if (e.name != "ndp.decode") continue;
+      ++decodes;
+      EXPECT_LT(e.dur_us, 30000u) << "chunk_bricks " << chunk_bricks;
+    }
+    EXPECT_GE(decodes, 2u) << "chunk_bricks " << chunk_bricks;
+  }
+  tracer.Clear();
 }
 
 TEST(Catalog, PutListOpenRoundTrip) {

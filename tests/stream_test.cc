@@ -59,6 +59,15 @@ std::uint64_t CounterValue(const std::string& name) {
   return obs::DefaultRegistry().GetCounter(name).value();
 }
 
+// A decoded selection's ids, expanded from its runs.
+std::vector<grid::PointId> Ids(const DecodedSelection& sel) {
+  std::vector<grid::PointId> ids;
+  for (const contour::PointRun& run : sel.runs) {
+    for (std::int64_t i = 0; i < run.length; ++i) ids.push_back(run.start + i);
+  }
+  return ids;
+}
+
 // ---------------------------------------------------------------------------
 // Wire codec.
 
@@ -171,7 +180,7 @@ TEST(StreamCodec, DecoderAcceptsWellFormedStream) {
   ASSERT_TRUE(c1.has_value());
   EXPECT_EQ(c1->cursor, 1);
   const auto decoded = DecodeSelection(c1->payload, decoder.header().dims);
-  EXPECT_EQ(decoded.ids.size(), 16u);
+  EXPECT_EQ(Ids(decoded).size(), 16u);
 
   EXPECT_TRUE(decoder.Feed(StreamChunkToValue(TestChunk(4))).has_value());
   EXPECT_EQ(decoder.cursor(), 4);
@@ -410,8 +419,8 @@ std::vector<grid::PointId> OneShotIds(const msgpack::Value& reply) {
   (void)decoder.Feed(reply.At(kOneShotHeaderKey));
   const msgpack::Value* chunk = reply.Find(kOneShotChunkKey);
   if (chunk == nullptr) return {};
-  return DecodeSelection(decoder.Feed(*chunk)->payload, decoder.header().dims)
-      .ids;
+  return Ids(
+      DecodeSelection(decoder.Feed(*chunk)->payload, decoder.header().dims));
 }
 
 // One plan serves both reply shapes: at the straddle predicate's edges
@@ -472,8 +481,9 @@ TEST(Stream, OneShotAndStreamShareOnePlan) {
         std::vector<grid::PointId> ids;
         for (const StreamChunk& chunk : DataChunks(sink, cursor)) {
           chunk_bricks += chunk.bricks;
-          const DecodedSelection sel = DecodeSelection(chunk.payload, dims);
-          ids.insert(ids.end(), sel.ids.begin(), sel.ids.end());
+          const std::vector<grid::PointId> sel =
+              Ids(DecodeSelection(chunk.payload, dims));
+          ids.insert(ids.end(), sel.begin(), sel.end());
         }
         std::sort(ids.begin(), ids.end());
         ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -598,7 +608,7 @@ TEST(Stream, ClientCancelStopsTheStreamAndIsAccounted) {
       "ts.vnd", "v02", kIsos, nullptr, acc,
       [&](DecodedSelection&& sel) {
         if (acc.chunks >= 1) return false;
-        partial->Scatter(sel.ids, sel.values);
+        partial->Scatter(sel.runs, sel.type, sel.values());
         return true;
       },
       [&](const StreamHeader& h) { partial.emplace(h.dims, h.dtype); });
@@ -695,7 +705,7 @@ struct BudgetRig {
     client->StreamSelect(
         "ts.vnd", "v02", kIsos, nullptr, acc,
         [&](DecodedSelection&& sel) {
-          field->Scatter(sel.ids, sel.values);
+          field->Scatter(sel.runs, sel.type, sel.values());
           ++delivered;
           return true;
         },

@@ -4,8 +4,8 @@
 # benchmark's self-tests against this tree, an
 # address/UB-sanitizer build of the concurrency-heavy tests, the
 # post-filter's contour tests and a hostile-input fuzz smoke, the
-# worker pool, bricked select, post-filter ranges and overload/cluster
-# tests under tsan, a
+# worker pool, bricked select, field build, post-filter ranges, one-node
+# fetch and overload/cluster tests under tsan, a
 # storage-fault stage (retry ladder under tsan, seeded disk-fault
 # chaos with a bit-rot round trip), a chaos stage (seeded fault
 # schedules under tsan plus a real TCP kill -> restart -> serves-again
@@ -111,10 +111,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # byte-for-byte with the same command.
   ./build-asan/tools/vizndp_tool fuzz --seed 1 --iters 1500
 
-  stage "tsan: pool + bricked select + post-filter + overload + rpc + trace + cluster (part/range/admission/drain/merge/hedge races)"
+  stage "tsan: pool + bricked select + field build + post-filter + overload + rpc + trace + cluster (part/range/admission/drain/merge/hedge races)"
   cmake --preset tsan > /dev/null
   cmake --build build-tsan -j"$(nproc)" --target common_test brick_test \
-    integrity_test contour_test overload_test rpc_test trace_test \
+    integrity_test contour_test ndp_test overload_test rpc_test trace_test \
     cluster_test chaos_test vizndp_tool
   # The worker pool (claims, the caller's fallback, nested calls, the
   # lowest error) and the bricked select's parts over it: batches of one
@@ -124,8 +124,12 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-tsan/tests/integrity_test
   # The post-filter's count and emit passes over ranges of complete
   # cells on the same pool: every split point, and a call from a pool
-  # thread.
+  # thread; and the field build's parts, which set validity words and
+  # copy values on the pool.
   ./build-tsan/tests/contour_test
+  # The one-node fetch path: a one-shot reply's scatter splits into
+  # parts on the pool.
+  ./build-tsan/tests/ndp_test
   ./build-tsan/tests/overload_test
   ./build-tsan/tests/rpc_test
   ./build-tsan/tests/trace_test
